@@ -25,7 +25,7 @@ Layout::
     store_every = 5
 
     [scheme]
-    kind = rusanov        # rusanov | godunov_burgers | viscous
+    kind = rusanov        # rusanov | godunov_burgers (burgers1d only) | viscous
     cfl = 0.9
     boundary = outflow    # outflow | periodic
     viscosity = 0.0       # required > 0 for viscous
@@ -295,6 +295,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[scheme] unknown kind {scheme.kind!r}")
     if scheme.boundary not in ("outflow", "periodic"):
         raise ConfigError(f"[scheme] unknown boundary {scheme.boundary!r}")
+    if scheme.kind == "godunov_burgers" and (grid.dim, flux_name) != (1, "burgers1d"):
+        raise ConfigError("[scheme] godunov_burgers is implemented for the 1-d "
+                          "burgers1d flux only")
 
     out_sec = sections.pop("output", None)
     if out_sec is None:

@@ -7,6 +7,13 @@ construction, so local Lipschitz continuity and the uniform-differentiability
 property are documented catalog facts rather than runtime checks; the
 operations below only *sample* them.
 
+Every catalog flux is separable, f_i(x, k) = g_i(x) h(k).  Each entry
+declares its factors once as a ``Separable`` (g on points, h and h'
+elementwise on states) and its ``eval``/``dk`` are the products of those
+factors, so the solver can freeze g at its interface lattice once per run
+and evaluate only h and h' per sweep.  A FluxSpec built by hand without
+factors is evaluated through ``eval``/``dk`` alone.
+
 Point convention: spatial points are arrays whose last axis has length
 ``dim``.  For 1-d fluxes a bare scalar or an array of coordinates is
 accepted and promoted.  State values broadcast against the point batch.
@@ -45,13 +52,30 @@ def as_points(x, dim: int) -> Array:
 
 
 @dataclass(frozen=True)
+class Separable:
+    """Declared factors of f_i(x, k) = g_i(x) h(k).
+
+    ``g`` maps points (..., d) to (..., d); ``h`` and ``h_prime`` (= h')
+    act elementwise on states, so d_k f_i = g_i(x) h'(k).
+    """
+
+    g: Callable[[Array], Array]
+    h: Callable[[Array], Array]
+    h_prime: Callable[[Array], Array]
+
+
+@dataclass(frozen=True)
 class FluxSpec:
     """A cataloged flux with closed-form derivatives.
 
     ``eval``/``dk`` map (points (..., d), k) -> (..., d); ``div_x`` maps to
     (...); ``grad_x_components(x, k, i)`` returns the spatial gradient of
     component i with shape (..., d).  ``singular_points`` lists the finitely
-    many x where the spatial differential may fail to exist.
+    many x where the spatial differential may fail to exist.  ``factors``
+    are the separable factors ``eval``/``dk`` are built from, or None for a
+    flux that is only given through ``eval``/``dk``; the solver uses them
+    in place of ``eval``/``dk``, so a copy whose ``eval`` or ``dk`` computes
+    something else must set ``factors=None``.
     """
 
     name: str
@@ -62,6 +86,7 @@ class FluxSpec:
     grad_x_components: Callable[[Array, Array, int], Array]
     singular_points: tuple = ()
     params: dict = field(default_factory=dict)
+    factors: Separable | None = None
 
     def nudge_off_singular(self, pts: Array) -> Array:
         """Shift points lying exactly on a singular point by a tiny offset.
@@ -89,71 +114,57 @@ class FluxSpec:
         return False
 
 
-def _burgers(dim: int, params) -> FluxSpec:
+def _separable(name: str, dim: int, factors: Separable, div, grad,
+               **extra) -> FluxSpec:
+    """A FluxSpec whose ``eval``/``dk`` are the products of ``factors``."""
+    g, h, h_prime = factors.g, factors.h, factors.h_prime
+
     def ev(x, k):
-        pts = as_points(x, dim)
-        kk = np.asarray(k, dtype=float)
-        shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-        comp = np.broadcast_to(0.5 * kk * kk, shape)
-        return np.stack([comp] * dim, axis=-1)
+        return g(as_points(x, dim)) * h(np.asarray(k, dtype=float))[..., None]
 
     def dk(x, k):
-        pts = as_points(x, dim)
-        kk = np.asarray(k, dtype=float)
-        shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-        kk = np.broadcast_to(kk, shape)
-        return np.stack([kk] * dim, axis=-1)
+        return g(as_points(x, dim)) * h_prime(np.asarray(k, dtype=float))[..., None]
 
+    return FluxSpec(name, dim, ev, dk, div, grad, factors=factors, **extra)
+
+
+def _identity(k):
+    return k
+
+
+def _zero_div(dim: int):
     def div(x, k):
         pts = as_points(x, dim)
         return np.zeros(np.broadcast_shapes(pts.shape[:-1], np.shape(k)))
+    return div
 
+
+def _zero_grad(dim: int):
     def grad(x, k, i):
         pts = as_points(x, dim)
         shape = np.broadcast_shapes(pts.shape[:-1], np.shape(k))
         return np.zeros(shape + (dim,))
+    return grad
 
-    return FluxSpec(f"burgers{dim}d", dim, ev, dk, div, grad)
+
+def _burgers(dim: int, params) -> FluxSpec:
+    # f_i(x, k) = k^2 / 2
+    return _separable(f"burgers{dim}d", dim,
+                      Separable(np.ones_like, lambda k: 0.5 * k * k, _identity),
+                      _zero_div(dim), _zero_grad(dim))
 
 
 def _advection1d(params) -> FluxSpec:
+    # f(x, k) = c k
     c = float(params.get("c", 1.0))
-
-    def ev(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-        return np.broadcast_to(c * kk, shape)[..., None]
-
-    def dk(x, k):
-        pts = as_points(x, 1)
-        shape = np.broadcast_shapes(pts.shape[:-1], np.shape(k))
-        return np.full(shape + (1,), c)
-
-    def div(x, k):
-        pts = as_points(x, 1)
-        return np.zeros(np.broadcast_shapes(pts.shape[:-1], np.shape(k)))
-
-    def grad(x, k, i):
-        pts = as_points(x, 1)
-        shape = np.broadcast_shapes(pts.shape[:-1], np.shape(k))
-        return np.zeros(shape + (1,))
-
-    return FluxSpec("advection1d", 1, ev, dk, div, grad, params={"c": c})
+    return _separable("advection1d", 1,
+                      Separable(lambda x: np.full(x.shape, c), _identity,
+                                np.ones_like),
+                      _zero_div(1), _zero_grad(1), params={"c": c})
 
 
 def _xsquared1d(params) -> FluxSpec:
-    def ev(x, k):
-        pts = as_points(x, 1)
-        xx = pts[..., 0]
-        out = np.broadcast_to(xx * xx, np.broadcast_shapes(xx.shape, np.shape(k)))
-        return out[..., None]
-
-    def dk(x, k):
-        pts = as_points(x, 1)
-        shape = np.broadcast_shapes(pts.shape[:-1], np.shape(k))
-        return np.zeros(shape + (1,))
-
+    # f(x, k) = x^2: a pure source, independent of the state
     def div(x, k):
         pts = as_points(x, 1)
         xx = pts[..., 0]
@@ -162,7 +173,9 @@ def _xsquared1d(params) -> FluxSpec:
     def grad(x, k, i):
         return div(x, k)[..., None]
 
-    return FluxSpec("xsquared1d", 1, ev, dk, div, grad)
+    return _separable("xsquared1d", 1,
+                      Separable(lambda x: x * x, np.ones_like, np.zeros_like),
+                      div, grad)
 
 
 def _g_arctan(x):
@@ -175,16 +188,6 @@ def _g_arctan_prime(x):
 
 def _product1d(params) -> FluxSpec:
     # f(x, k) = g(x) h(k) with g = arctan(x^2) + 1, h = sin(k)
-    def ev(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        return (_g_arctan(pts[..., 0]) * np.sin(kk))[..., None]
-
-    def dk(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        return (_g_arctan(pts[..., 0]) * np.cos(kk))[..., None]
-
     def div(x, k):
         pts = as_points(x, 1)
         kk = np.asarray(k, dtype=float)
@@ -193,22 +196,12 @@ def _product1d(params) -> FluxSpec:
     def grad(x, k, i):
         return div(x, k)[..., None]
 
-    return FluxSpec("product1d", 1, ev, dk, div, grad)
+    return _separable("product1d", 1, Separable(_g_arctan, np.sin, np.cos),
+                      div, grad)
 
 
 def _kink1d(params) -> FluxSpec:
     # f(x, k) = |x| k: locally Lipschitz, spatial derivative fails at x = 0
-    def ev(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        return (np.abs(pts[..., 0]) * kk)[..., None]
-
-    def dk(x, k):
-        pts = as_points(x, 1)
-        out = np.broadcast_to(np.abs(pts[..., 0]),
-                              np.broadcast_shapes(pts.shape[:-1], np.shape(k)))
-        return out[..., None].copy()
-
     def div(x, k):
         pts = as_points(x, 1)
         kk = np.asarray(k, dtype=float)
@@ -217,25 +210,12 @@ def _kink1d(params) -> FluxSpec:
     def grad(x, k, i):
         return div(x, k)[..., None]
 
-    return FluxSpec("kink1d", 1, ev, dk, div, grad, singular_points=((0.0,),))
+    return _separable("kink1d", 1, Separable(np.abs, _identity, np.ones_like),
+                      div, grad, singular_points=((0.0,),))
 
 
 def _product2d(params) -> FluxSpec:
     # f_i(x, k) = (arctan(x_i^2) + 1) sin(k)
-    def ev(x, k):
-        pts = as_points(x, 2)
-        kk = np.asarray(k, dtype=float)
-        s = np.sin(kk)
-        return np.stack([_g_arctan(pts[..., 0]) * s,
-                         _g_arctan(pts[..., 1]) * s], axis=-1)
-
-    def dk(x, k):
-        pts = as_points(x, 2)
-        kk = np.asarray(k, dtype=float)
-        c = np.cos(kk)
-        return np.stack([_g_arctan(pts[..., 0]) * c,
-                         _g_arctan(pts[..., 1]) * c], axis=-1)
-
     def div(x, k):
         pts = as_points(x, 2)
         kk = np.asarray(k, dtype=float)
@@ -249,7 +229,8 @@ def _product2d(params) -> FluxSpec:
         out[..., i] = gi
         return out
 
-    return FluxSpec("product2d", 2, ev, dk, div, grad)
+    return _separable("product2d", 2, Separable(_g_arctan, np.sin, np.cos),
+                      div, grad)
 
 
 _CATALOG = {
@@ -298,28 +279,52 @@ def _ball_lattice(R: float, dim: int, n_per_axis: int) -> Array:
     return pts[keep]
 
 
+def _sum_squares(parts: list) -> Array:
+    """sum_i parts[i]^2, added in component order as a sum over a trailing
+    axis would add them; overwrites the (writable) ``parts``."""
+    acc = np.multiply(parts[0], parts[0], out=parts[0])
+    for p in parts[1:]:
+        acc += np.multiply(p, p, out=p)
+    return acc
+
+
+def _max_chord_slope(fv: Array, ks: Array) -> float:
+    """Max of |f(x, k_{j+s}) - f(x, k_j)| / (k_{j+s} - k_j) over the points,
+    j and the strides s = 1, 2, 4, ...; ``fv`` has shape (nk, npts, d).
+
+    sqrt and the division by k_{j+s} - k_j > 0 are monotone, so the max over
+    the points is taken first and the result is still the max of the
+    pointwise quotients, bit for bit.
+    """
+    n = len(ks)
+    bufs = [np.empty(fv.shape[:-1]) for _ in range(fv.shape[-1])]
+    best = 0.0
+    stride = 1
+    while stride < n:
+        w = n - stride
+        sq = _sum_squares([np.subtract(fv[stride:, :, i], fv[:w, :, i], out=b[:w])
+                           for i, b in enumerate(bufs)])
+        quot = np.sqrt(sq.max(axis=1)) / (ks[stride:] - ks[:w])
+        best = max(best, float(quot.max()))
+        stride *= 2
+    return best
+
+
 def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
     # odd counts keep 0 and the endpoints on every refinement level
     n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
     pts = _ball_lattice(R, flux.dim, n_x)
     ks = np.linspace(-M, M, n)
-    fv = flux.eval(pts[:, None, :], ks[None, :])          # (npts, nk, d)
+    fv = flux.eval(pts[None, :, :], ks[:, None])          # (nk, npts, d)
     if not np.all(np.isfinite(fv)):
         raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
-    best = 0.0
-    stride = 1
-    while stride < n:
-        df = fv[:, stride:, :] - fv[:, :-stride, :]
-        dk = ks[stride:] - ks[:-stride]
-        if dk.size:
-            quot = np.sqrt((df ** 2).sum(axis=-1)) / dk[None, :]
-            best = max(best, float(quot.max()))
-        stride *= 2
-    dkv = flux.dk(pts[:, None, :], ks[None, :])
+    best = _max_chord_slope(fv, ks)
+    del fv  # released before the derivative samples are taken
+    dkv = flux.dk(pts[None, :, :], ks[:, None])
     if not np.all(np.isfinite(dkv)):
         raise NonFiniteFlux(f"{flux.name}: non-finite state derivative on sample set")
-    best = max(best, float(np.sqrt((dkv ** 2).sum(axis=-1)).max()))
-    return best
+    sq = _sum_squares([dkv[..., i] for i in range(flux.dim)])
+    return max(best, float(np.sqrt(sq.max())))
 
 
 def lipschitz_constant(flux: FluxSpec, R: float, M: float,

@@ -5,7 +5,9 @@ averages per stored time level on the box [lo, hi]^dim.  Two on-disk forms
 are supported:
 
 * CSV: one row per (level, cell): ``time,x[,y],value`` with 17-significant-
-  digit decimal floats (lossless round trip).
+  digit decimal floats (lossless round trip).  ``write_csv`` is an export:
+  it formats and writes one stored level at a time, with the same bytes as
+  a per-value ``format(v, ".17g")`` writer.
 * slab: one binary file per stored level.  Byte layout, little-endian:
 
       magic   4 bytes  b"CLW1"
@@ -90,24 +92,25 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(field: GridField, path) -> None:
-    path = Path(path)
-    with open(path, "w") as fh:
-        if field.dim == 1:
-            fh.write("time,x,value\n")
-            xs = field.centers
-            for n, t in enumerate(field.times):
-                ts = _fmt(t)
-                for i in range(field.nx):
-                    fh.write(f"{ts},{_fmt(xs[i])},{_fmt(field.data[n, i])}\n")
-        else:
-            fh.write("time,x,y,value\n")
-            xs = field.centers
-            for n, t in enumerate(field.times):
-                ts = _fmt(t)
-                for i in range(field.nx):
-                    xi = _fmt(xs[i])
-                    for j in range(field.nx):
-                        fh.write(f"{ts},{xi},{_fmt(xs[j])},{_fmt(field.data[n, i, j])}\n")
+    """Export ``field`` as CSV (layout in the module docstring).
+
+    The ``x[,y]`` column text is formatted once; each stored level is then
+    one ``%.17g`` template filled with that level's values and written
+    before the next level is formatted, so memory stays at one level.
+    """
+    xs = [_fmt(x) for x in field.centers]
+    if field.dim == 1:
+        header = "time,x,value\n"
+        cells = [f",{x},%.17g" for x in xs]
+    else:
+        header = "time,x,y,value\n"
+        cells = [f",{x},{y},%.17g" for x in xs for y in xs]
+    with open(Path(path), "w") as fh:
+        fh.write(header)
+        for n, t in enumerate(field.times):
+            ts = _fmt(t)
+            template = ts + f"\n{ts}".join(cells) + "\n"
+            fh.write(template % tuple(field.data[n].ravel().tolist()))
 
 
 def read_csv(path) -> GridField:

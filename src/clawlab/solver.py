@@ -11,10 +11,15 @@ with the local-speed (Rusanov) interface flux
     lambda_{i+1/2} = max(|d_k f(x_{i+1/2}, u_i)|, |d_k f(x_{i+1/2}, u_{i+1})|).
 
 The flux is frozen at the geometric interface midpoint, which keeps states c
-with f(x, c) = const exact.  Two dimensions use Godunov splitting of the
-same stencil, each sweep under half the CFL budget.  An optional central
-second-difference term turns the update into the viscous regularization
-du/dt + div f = eps Lap u under the parabolic step restriction.
+with f(x, c) = const exact.  For a separable flux f_i = g_i(x) h(k) the
+factors g_i at the interface lattice are evaluated once per run, when the
+stepper is built; each sweep evaluates only h and h' on the states.  Two
+dimensions use Godunov splitting of the same stencil, each sweep under half
+the CFL budget.  An optional central second-difference term turns the
+update into the viscous regularization du/dt + div f = eps Lap u under the
+parabolic step restriction.  The exact Godunov interface flux
+(``godunov_burgers``) exists for the 1-d Burgers flux only; other
+combinations are refused.
 
 The same interface flux induces a numerical entropy flux for |u - k|:
 
@@ -66,6 +71,8 @@ class SchemeConfig:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.scheme == "viscous" and self.viscosity <= 0.0:
             raise ValueError("viscous scheme needs viscosity > 0")
+        if self.scheme == "godunov_burgers" and self.dim != 1:
+            raise ValueError("godunov_burgers is implemented in 1-d only")
 
     def refined(self, factor: int = 2) -> "SchemeConfig":
         """Same run with dx (and, for viscous runs, eps) divided by factor."""
@@ -117,77 +124,98 @@ def _ghost(u: Array, axis: int, boundary: str) -> Array:
     return np.concatenate([first, u, last], axis=axis)
 
 
-class _Stepper1D:
-    """Pre-bound interface geometry for repeated 1-d sweeps."""
+def _slab(a: Array, axis: int, start, stop) -> Array:
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, stop)
+    return a[tuple(index)]
+
+
+def _sides(a: Array, axis: int):
+    """The left and right neighbours of every interface along ``axis``."""
+    return _slab(a, axis, 0, -1), _slab(a, axis, 1, None)
+
+
+class _InterfaceFlux:
+    """Component ``axis`` of f and d_k f at the fixed interface points ``xi``.
+
+    For a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
+    here once per run, and a sweep takes h and h' once on the ghosted
+    states; any other flux goes through ``eval``/``dk``.
+    """
+
+    def __init__(self, flux: FluxSpec, xi: Array, axis: int):
+        self.flux, self.xi, self.axis = flux, xi, axis
+        self.g = None if flux.factors is None else flux.factors.g(xi)[..., axis]
+        self.abs_g = None if self.g is None else np.abs(self.g)
+
+    def at(self, k) -> Array:
+        """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the lattice."""
+        if self.g is None:
+            return self.flux.eval(self.xi, k)[..., self.axis]
+        return self.g * self.flux.factors.h(np.asarray(k, dtype=float))
+
+    def sides(self, ug: Array):
+        """(uL, uR, fL, fR, lam) at every interface of the ghosted ``ug``,
+        lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) the local speed."""
+        axis = self.axis
+        uL, uR = _sides(ug, axis)
+        if self.g is None:
+            flux, xi = self.flux, self.xi
+            lam = np.maximum(np.abs(flux.dk(xi, uL)[..., axis]),
+                             np.abs(flux.dk(xi, uR)[..., axis]))
+            return uL, uR, self.at(uL), self.at(uR), lam
+        hL, hR = _sides(self.flux.factors.h(ug), axis)
+        # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
+        sL, sR = _sides(np.abs(self.flux.factors.h_prime(ug)), axis)
+        lam = self.abs_g * np.maximum(sL, sR)
+        return uL, uR, self.g * hL, self.g * hR, lam
+
+
+def _rusanov(uL, uR, fL, fR, lam) -> Array:
+    return 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+
+
+class _Stepper:
+    """Interface geometry and flux factors bound once for repeated sweeps."""
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
-        self.flux = flux
-        self.config = config
-        dx = (config.hi - config.lo) / config.nx
-        self.dx = dx
-        self.xi = (config.lo + np.arange(config.nx + 1) * dx)[:, None]
-
-    def interface_flux(self, uL: Array, uR: Array):
-        flux, xi = self.flux, self.xi
-        if self.config.scheme == "godunov_burgers":
-            # exact Godunov flux for convex f with minimum at u = 0
-            fl = flux.eval(xi, np.maximum(uL, 0.0))[..., 0]
-            fr = flux.eval(xi, np.minimum(uR, 0.0))[..., 0]
-            lam = np.maximum(np.abs(flux.dk(xi, uL)[..., 0]),
-                             np.abs(flux.dk(xi, uR)[..., 0]))
-            return np.maximum(fl, fr), lam
-        fL = flux.eval(xi, uL)[..., 0]
-        fR = flux.eval(xi, uR)[..., 0]
-        lam = np.maximum(np.abs(flux.dk(xi, uL)[..., 0]),
-                         np.abs(flux.dk(xi, uR)[..., 0]))
-        return 0.5 * (fL + fR) - 0.5 * lam * (uR - uL), lam
-
-    def step(self, u: Array, dt: float) -> Array:
-        ug = _ghost(u, 0, self.config.boundary)
-        F, _ = self.interface_flux(ug[:-1], ug[1:])
-        unew = u - (dt / self.dx) * (F[1:] - F[:-1])
-        if self.config.scheme == "viscous":
-            unew = unew + (self.config.viscosity * dt / self.dx ** 2) * (
-                ug[2:] - 2.0 * u + ug[:-2])
-        return unew
-
-
-class _Stepper2D:
-    def __init__(self, flux: FluxSpec, config: SchemeConfig):
-        self.flux = flux
         self.config = config
         dx = (config.hi - config.lo) / config.nx
         self.dx = dx
         c = config.lo + (np.arange(config.nx) + 0.5) * dx
         e = config.lo + np.arange(config.nx + 1) * dx
-        # interface points for the x sweep: (nx+1, nx, 2); y sweep: (nx, nx+1, 2)
-        Xe, Yc = np.meshgrid(e, c, indexing="ij")
-        self.xi_x = np.stack([Xe, Yc], axis=-1)
-        Xc, Ye = np.meshgrid(c, e, indexing="ij")
-        self.xi_y = np.stack([Xc, Ye], axis=-1)
+        # interface points of the sweep along each axis: edges on that axis,
+        # cell centers on the others, shape (..., dim)
+        self.interfaces = []
+        for axis in range(config.dim):
+            grids = np.meshgrid(*[e if a == axis else c for a in range(config.dim)],
+                                indexing="ij")
+            self.interfaces.append(_InterfaceFlux(flux, np.stack(grids, axis=-1), axis))
 
     def _sweep(self, u: Array, dt: float, axis: int) -> Array:
-        flux = self.flux
-        xi = self.xi_x if axis == 0 else self.xi_y
+        iface = self.interfaces[axis]
         ug = _ghost(u, axis, self.config.boundary)
-        sl_lo = [slice(None)] * 2
-        sl_hi = [slice(None)] * 2
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        uL, uR = ug[tuple(sl_lo)], ug[tuple(sl_hi)]
-        fL = flux.eval(xi, uL)[..., axis]
-        fR = flux.eval(xi, uR)[..., axis]
-        lam = np.maximum(np.abs(flux.dk(xi, uL)[..., axis]),
-                         np.abs(flux.dk(xi, uR)[..., axis]))
-        F = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
-        dF = np.diff(F, axis=axis)
-        unew = u - (dt / self.dx) * dF
+        if self.config.scheme == "godunov_burgers":
+            # exact Godunov flux for convex f with minimum at u = 0
+            uL, uR = _sides(ug, axis)
+            F = np.maximum(iface.at(np.maximum(uL, 0.0)),
+                           iface.at(np.minimum(uR, 0.0)))
+        else:
+            F = _rusanov(*iface.sides(ug))
+        unew = u - (dt / self.dx) * np.diff(F, axis=axis)
         if self.config.scheme == "viscous":
-            lap = (np.take(ug, range(2, u.shape[axis] + 2), axis=axis)
-                   - 2.0 * u
-                   + np.take(ug, range(0, u.shape[axis]), axis=axis))
+            lap = _slab(ug, axis, 2, None) - 2.0 * u + _slab(ug, axis, 0, -2)
             unew = unew + (self.config.viscosity * dt / self.dx ** 2) * lap
         return unew
+
+
+class _Stepper1D(_Stepper):
+    def step(self, u: Array, dt: float) -> Array:
+        return self._sweep(u, dt, 0)
+
+
+class _Stepper2D(_Stepper):
+    """Godunov splitting: an x sweep, then a y sweep."""
 
     def step(self, u: Array, dt: float) -> Array:
         return self._sweep(self._sweep(u, dt, 0), dt, 1)
@@ -224,6 +252,9 @@ def solve(flux: FluxSpec, u0, config: SchemeConfig) -> GridField:
     """
     if flux.dim != config.dim:
         raise GridMismatch(f"flux dim {flux.dim} != config dim {config.dim}")
+    if config.scheme == "godunov_burgers" and flux.name != "burgers1d":
+        raise ValueError(f"godunov_burgers assumes the burgers1d flux, "
+                         f"got {flux.name}")
     stepper = _Stepper1D(flux, config) if config.dim == 1 else _Stepper2D(flux, config)
     dx = stepper.dx
     c = config.lo + (np.arange(config.nx) + 0.5) * dx
@@ -327,14 +358,6 @@ def l1_distance_full(a: GridField, b: GridField, t: float) -> float:
     return float(np.abs(a.data[n] - b.data[n]).sum() * a.dx ** a.dim)
 
 
-def kruzkov_numerical_flux(flux: FluxSpec, xi: Array, uL: Array, uR: Array,
-                           lam: Array, k: float) -> Array:
-    """Interface entropy flux for |u - k| built with the same local speeds."""
-    qL = np.sign(uL - k) * (flux.eval(xi, uL)[..., 0] - flux.eval(xi, k)[..., 0])
-    qR = np.sign(uR - k) * (flux.eval(xi, uR)[..., 0] - flux.eval(xi, k)[..., 0])
-    return 0.5 * (qL + qR) - 0.5 * lam * (np.abs(uR - k) - np.abs(uL - k))
-
-
 def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
                                    k_values) -> float:
     """Worst per-cell violation of the discrete |u - k| inequality over the
@@ -345,6 +368,7 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
     if config.scheme != "rusanov":
         raise ValueError("the entropy flux form matches the rusanov scheme")
     stepper = _Stepper1D(flux, config)
+    iface = stepper.interfaces[0]
     dx = stepper.dx
     c = config.lo + (np.arange(config.nx) + 0.5) * dx
     u = np.asarray(u0(c[:, None]), dtype=float) + np.zeros(config.nx)
@@ -354,15 +378,21 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
     nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / nsteps
     mu = dt / dx
+    # f(x_{i+1/2}, k) is the same on every step
+    ks = [float(k) for k in np.atleast_1d(k_values)]
+    f_ks = [iface.at(k) for k in ks]
     worst = -math.inf
     for _ in range(nsteps):
         ug = _ghost(u, 0, config.boundary)
-        uL, uR = ug[:-1], ug[1:]
-        F, lam = stepper.interface_flux(uL, uR)
-        unew = u - mu * (F[1:] - F[:-1])
-        for k in np.atleast_1d(k_values):
-            Q = kruzkov_numerical_flux(flux, stepper.xi, uL, uR, lam, float(k))
-            viol = (np.abs(unew - k) - np.abs(u - k) + mu * (Q[1:] - Q[:-1])).max()
+        uL, uR, fL, fR, lam = iface.sides(ug)
+        unew = u - mu * np.diff(_rusanov(uL, uR, fL, fR, lam))
+        for k, f_k in zip(ks, f_ks):
+            # interface entropy flux Q_{i+1/2} with the same local speeds
+            rel = ug - k
+            sign, dist = np.sign(rel), np.abs(rel)
+            Q = (0.5 * (sign[:-1] * (fL - f_k) + sign[1:] * (fR - f_k))
+                 - 0.5 * lam * (dist[1:] - dist[:-1]))
+            viol = (np.abs(unew - k) - dist[1:-1] + mu * np.diff(Q)).max()
             worst = max(worst, float(viol))
         u = unew
     return worst

@@ -99,6 +99,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(bad)
 
+    def test_godunov_only_for_burgers1d(self):
+        text = SMALL_CONTRACTION.replace("kind = rusanov",
+                                         "kind = godunov_burgers")
+        assert parse_config(text).scheme.kind == "godunov_burgers"
+        with pytest.raises(ConfigError, match="godunov_burgers"):
+            parse_config(text.replace("[flux]\nname = burgers1d",
+                                      "[flux]\nname = burgers2d")
+                         .replace("dim = 1", "dim = 2"))
+        with pytest.raises(ConfigError, match="godunov_burgers"):
+            parse_config(text.replace("[flux]\nname = burgers1d",
+                                      "[flux]\nname = product1d"))
+
     def test_bundled_configs_parse(self):
         for name in ("burgers_contraction.cfg", "uniqueness_burgers.cfg",
                      "entropy_burgers.cfg"):

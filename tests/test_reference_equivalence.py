@@ -1,0 +1,301 @@
+"""The vectorized paths against the plain loops they replaced.
+
+Each reference below is the straightforward implementation: a CSV writer
+that formats one value per call, solver sweeps that evaluate the interface
+flux through ``eval``/``dk`` on every call, and a Lipschitz estimate that
+materializes every difference quotient.  The fast paths do the same
+arithmetic in another arrangement, so results must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from clawlab import flux as flux_mod
+from clawlab import solver as solver_mod
+from clawlab.errors import NonFiniteFlux
+from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
+                          lipschitz_constant)
+from clawlab.grids import (GridField, riemann_data, sine_data, write_csv)
+from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
+                            solve)
+
+RNG_SEED = 20260809
+
+
+def _bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _lookup(name):
+    return catalog_lookup(name, {"c": -1.5} if name == "advection1d" else {})
+
+
+def _without_factors(f: FluxSpec) -> FluxSpec:
+    """The same flux built by hand, given only through its callables."""
+    return FluxSpec(f.name, f.dim, f.eval, f.dk, f.div_x, f.grad_x_components,
+                    f.singular_points, f.params)
+
+
+# -- separable factors -----------------------------------------------------
+
+def _g_arctan(x):
+    return np.arctan(x * x) + 1.0
+
+
+def _full(value, x, k):
+    return np.broadcast_to(value, np.broadcast_shapes(x.shape, k.shape))
+
+
+# closed forms of f and d_k f, written out per catalog entry
+_CLOSED_FORMS = {
+    "burgers1d": (lambda x, k: _full(0.5 * k * k, x, k), lambda x, k: _full(k, x, k)),
+    "burgers2d": (lambda x, k: _full(0.5 * k * k, x, k), lambda x, k: _full(k, x, k)),
+    "advection1d": (lambda x, k: _full(-1.5 * k, x, k), lambda x, k: _full(-1.5, x, k)),
+    "xsquared1d": (lambda x, k: _full(x * x, x, k), lambda x, k: _full(0.0, x, k)),
+    "product1d": (lambda x, k: _g_arctan(x) * np.sin(k),
+                  lambda x, k: _g_arctan(x) * np.cos(k)),
+    "product2d": (lambda x, k: _g_arctan(x) * np.sin(k),
+                  lambda x, k: _g_arctan(x) * np.cos(k)),
+    "kink1d": (lambda x, k: np.abs(x) * k, lambda x, k: _full(np.abs(x), x, k)),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_factored_eval_and_dk_match_closed_forms(name):
+    flux = _lookup(name)
+    f, fk = _CLOSED_FORMS[name]
+    rng = np.random.default_rng(RNG_SEED)
+    x = rng.uniform(-3.0, 3.0, (40, 1, flux.dim))
+    k = rng.uniform(-3.0, 3.0, (1, 30))
+    k[0, :2] = (0.0, -0.0)
+    kk = k[..., None]
+    assert _bitwise_equal(flux.eval(x, k), f(x, kk))
+    assert _bitwise_equal(flux.dk(x, k), fk(x, kk))
+    assert flux.factors is not None
+
+
+# -- CSV --------------------------------------------------------------------
+
+def _reference_write_csv(field: GridField, path) -> None:
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    with open(path, "w") as fh:
+        if field.dim == 1:
+            fh.write("time,x,value\n")
+            xs = field.centers
+            for n, t in enumerate(field.times):
+                ts = fmt(t)
+                for i in range(field.nx):
+                    fh.write(f"{ts},{fmt(xs[i])},{fmt(field.data[n, i])}\n")
+        else:
+            fh.write("time,x,y,value\n")
+            xs = field.centers
+            for n, t in enumerate(field.times):
+                ts = fmt(t)
+                for i in range(field.nx):
+                    xi = fmt(xs[i])
+                    for j in range(field.nx):
+                        fh.write(f"{ts},{xi},{fmt(xs[j])},"
+                                 f"{fmt(field.data[n, i, j])}\n")
+
+
+def _random_field(dim, nx, nt, seed=RNG_SEED):
+    rng = np.random.default_rng(seed)
+    shape = (nt, nx) if dim == 1 else (nt, nx, nx)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    times = np.sort(rng.uniform(0.0, 3.0, nt))
+    return GridField(dim, -1.0 / 3.0, 2.0 / 7.0, nx, times, data, 1.0)
+
+
+@pytest.mark.parametrize("dim,nx,nt", [(1, 37, 4), (2, 9, 3), (1, 1, 3),
+                                       (2, 1, 2), (1, 50, 1), (2, 6, 1)])
+def test_csv_bytes_match_reference(tmp_path, dim, nx, nt):
+    field = _random_field(dim, nx, nt)
+    write_csv(field, tmp_path / "fast.csv")
+    _reference_write_csv(field, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_csv_special_values_match_reference(tmp_path, dim):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, 0.1, -1.0 / 3.0]
+    field = _random_field(dim, 5 if dim == 1 else 3, 2)
+    flat = field.data.reshape(-1)
+    flat[:len(special)] = special
+    write_csv(field, tmp_path / "fast.csv")
+    _reference_write_csv(field, tmp_path / "ref.csv")
+    text = (tmp_path / "fast.csv").read_text()
+    assert text == (tmp_path / "ref.csv").read_text()
+    for token in (",nan\n", ",inf\n", ",-inf\n", ",-0\n"):
+        assert token in text
+
+
+# -- solver sweeps ----------------------------------------------------------
+
+def _reference_step(flux: FluxSpec, config: SchemeConfig, u, dt):
+    """One step with the interface flux evaluated through eval/dk."""
+    dx = (config.hi - config.lo) / config.nx
+    c = config.lo + (np.arange(config.nx) + 0.5) * dx
+    e = config.lo + np.arange(config.nx + 1) * dx
+    if config.dim == 1:
+        xis = [e[:, None]]
+    else:
+        Xe, Yc = np.meshgrid(e, c, indexing="ij")
+        Xc, Ye = np.meshgrid(c, e, indexing="ij")
+        xis = [np.stack([Xe, Yc], axis=-1), np.stack([Xc, Ye], axis=-1)]
+    for axis, xi in enumerate(xis):
+        ug = solver_mod._ghost(u, axis, config.boundary)
+        n = u.shape[axis]
+        uL = np.take(ug, range(0, n + 1), axis=axis)
+        uR = np.take(ug, range(1, n + 2), axis=axis)
+        if config.scheme == "godunov_burgers":
+            F = np.maximum(flux.eval(xi, np.maximum(uL, 0.0))[..., axis],
+                           flux.eval(xi, np.minimum(uR, 0.0))[..., axis])
+        else:
+            fL = flux.eval(xi, uL)[..., axis]
+            fR = flux.eval(xi, uR)[..., axis]
+            lam = np.maximum(np.abs(flux.dk(xi, uL)[..., axis]),
+                             np.abs(flux.dk(xi, uR)[..., axis]))
+            F = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+        unew = u - (dt / dx) * np.diff(F, axis=axis)
+        if config.scheme == "viscous":
+            lap = (np.take(ug, range(2, n + 2), axis=axis) - 2.0 * u
+                   + np.take(ug, range(0, n), axis=axis))
+            unew = unew + (config.viscosity * dt / dx ** 2) * lap
+        u = unew
+    return u
+
+
+def _step_cases():
+    for name in catalog_names():
+        for boundary in ("outflow", "periodic"):
+            for scheme in ("rusanov", "viscous"):
+                yield name, boundary, scheme
+    for boundary in ("outflow", "periodic"):
+        yield "burgers1d", boundary, "godunov_burgers"
+
+
+@pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
+def test_stepper_matches_reference(name, boundary, scheme):
+    flux = _lookup(name)
+    config = SchemeConfig(lo=-1.3, hi=0.9, nx=24 if flux.dim == 2 else 90,
+                          t_end=1.0, scheme=scheme, boundary=boundary,
+                          dim=flux.dim,
+                          viscosity=0.02 if scheme == "viscous" else 0.0)
+    stepper = (solver_mod._Stepper1D if flux.dim == 1
+               else solver_mod._Stepper2D)(flux, config)
+    rng = np.random.default_rng(RNG_SEED)
+    u = rng.uniform(-1.5, 1.5, (config.nx,) * flux.dim)
+    u.reshape(-1)[:3] = (0.0, -0.0, np.pi)   # zero states and a zero of sin
+    ref = u.copy()
+    dt = 0.2 * stepper.dx / 3.0
+    for _ in range(4):
+        u = stepper.step(u, dt)
+        ref = _reference_step(flux, config, ref, dt)
+        assert _bitwise_equal(u, ref)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_hand_built_flux_solves_like_catalog_entry(name):
+    flux = _lookup(name)
+    config = SchemeConfig(lo=-1.0, hi=1.0, nx=20 if flux.dim == 2 else 120,
+                          t_end=0.2, dim=flux.dim, boundary="periodic")
+    ini = sine_data(0.4, 1.0, 0.3)
+    fast = solve(flux, ini, config)
+    plain = solve(_without_factors(flux), ini, config)
+    assert _bitwise_equal(fast.data, plain.data)
+    assert _bitwise_equal(fast.times, plain.times)
+
+
+def test_hand_built_burgers_runs_godunov():
+    config = SchemeConfig(lo=-1.0, hi=1.0, nx=100, t_end=0.3,
+                          scheme="godunov_burgers")
+    flux = catalog_lookup("burgers1d")
+    fast = solve(flux, riemann_data(1.0, -0.5), config)
+    plain = solve(_without_factors(flux), riemann_data(1.0, -0.5), config)
+    assert _bitwise_equal(fast.data, plain.data)
+
+
+def _reference_entropy_scan(flux, u0, config, k_values):
+    """Per-cell |u - k| inequality scan, every f(x, k) taken on every step."""
+    dx = (config.hi - config.lo) / config.nx
+    xi = (config.lo + np.arange(config.nx + 1) * dx)[:, None]
+    c = config.lo + (np.arange(config.nx) + 0.5) * dx
+    u = np.asarray(u0(c[:, None]), dtype=float) + np.zeros(config.nx)
+    m_bound = solver_mod._estimate_bound(flux, config, float(np.abs(u).max()))
+    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
+    mu = (config.t_end / nsteps) / dx
+    worst = -math.inf
+    for _ in range(nsteps):
+        ug = solver_mod._ghost(u, 0, config.boundary)
+        uL, uR = ug[:-1], ug[1:]
+        lam = np.maximum(np.abs(flux.dk(xi, uL)[..., 0]),
+                         np.abs(flux.dk(xi, uR)[..., 0]))
+        fL, fR = flux.eval(xi, uL)[..., 0], flux.eval(xi, uR)[..., 0]
+        F = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+        unew = u - mu * (F[1:] - F[:-1])
+        for k in np.atleast_1d(k_values):
+            k = float(k)
+            fk = flux.eval(xi, k)[..., 0]
+            qL = np.sign(uL - k) * (flux.eval(xi, uL)[..., 0] - fk)
+            qR = np.sign(uR - k) * (flux.eval(xi, uR)[..., 0] - fk)
+            Q = 0.5 * (qL + qR) - 0.5 * lam * (np.abs(uR - k) - np.abs(uL - k))
+            viol = (np.abs(unew - k) - np.abs(u - k) + mu * (Q[1:] - Q[:-1])).max()
+            worst = max(worst, float(viol))
+        u = unew
+    return worst
+
+
+@pytest.mark.parametrize("name,boundary", [("burgers1d", "outflow"),
+                                           ("product1d", "periodic"),
+                                           ("kink1d", "outflow")])
+def test_entropy_scan_matches_reference(name, boundary):
+    flux = catalog_lookup(name)
+    config = SchemeConfig(lo=-1.0, hi=1.5, nx=400, t_end=0.5,
+                          boundary=boundary, store_every=10 ** 9)
+    ks = np.linspace(-0.5, 1.5, 9)
+    ini = riemann_data(1.0, -0.1, -0.1)
+    assert (discrete_entropy_max_violation(flux, ini, config, ks)
+            == _reference_entropy_scan(flux, ini, config, ks))
+
+
+# -- Lipschitz sampling -----------------------------------------------------
+
+def _reference_lipschitz_estimate(flux, R, M, n):
+    n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
+    pts = flux_mod._ball_lattice(R, flux.dim, n_x)
+    ks = np.linspace(-M, M, n)
+    fv = flux.eval(pts[:, None, :], ks[None, :])          # (npts, nk, d)
+    if not np.all(np.isfinite(fv)):
+        raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
+    best = 0.0
+    stride = 1
+    while stride < n:
+        df = fv[:, stride:, :] - fv[:, :-stride, :]
+        dk = ks[stride:] - ks[:-stride]
+        quot = np.sqrt((df ** 2).sum(axis=-1)) / dk[None, :]
+        best = max(best, float(quot.max()))
+        stride *= 2
+    dkv = flux.dk(pts[:, None, :], ks[None, :])
+    if not np.all(np.isfinite(dkv)):
+        raise NonFiniteFlux(f"{flux.name}: non-finite state derivative")
+    return max(best, float(np.sqrt((dkv ** 2).sum(axis=-1)).max()))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lipschitz_matches_reference(name, monkeypatch):
+    flux = _lookup(name)
+    grid = [(R, M) for R in (0.5, 1.0, 2.0, 8.0) for M in (0.0, 0.3, 1.0, 2.5)]
+    fast = [lipschitz_constant(flux, R, M) for R, M in grid]
+    monkeypatch.setattr(flux_mod, "_lipschitz_estimate",
+                        _reference_lipschitz_estimate)
+    ref = [lipschitz_constant(flux, R, M) for R, M in grid]
+    assert fast == ref

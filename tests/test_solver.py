@@ -120,6 +120,19 @@ class TestStability:
         with pytest.raises(CFLViolation):
             solve(BURGERS, riemann_data(1.0, 0.0, 0.0), cfg)
 
+    def test_godunov_2d_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            SchemeConfig(lo=0, hi=1, nx=10, t_end=1.0, dim=2,
+                         scheme="godunov_burgers")
+
+    def test_godunov_refuses_other_fluxes(self):
+        # the Godunov formula assumes a convex flux with its minimum at u = 0
+        cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.1,
+                           scheme="godunov_burgers")
+        for name in ("product1d", "advection1d", "kink1d", "xsquared1d"):
+            with pytest.raises(ValueError, match="burgers1d"):
+                solve(catalog_lookup(name), riemann_data(1.0, 0.0, 0.0), cfg)
+
     def test_blowup_detected(self):
         # a spec whose declared d_k f understates the true speed starves the
         # interface dissipation; the guard must catch the resulting growth
