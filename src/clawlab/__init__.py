@@ -23,7 +23,8 @@ from .solver import (SchemeConfig, discrete_entropy_max_violation,
                      l1_distance_on_ball, solve, solve_viscous)
 from .verifier import (ResidualReport, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual,
-                       find_smooth_samples, global_contraction_check, kato_lhs,
+                       entropy_residual_sweep, find_smooth_samples,
+                       global_contraction_check, kato_lhs,
                        uniqueness_experiment, write_profile_csv)
 
 __version__ = "0.1.0"

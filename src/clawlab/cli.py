@@ -36,7 +36,8 @@ from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from .solver import (SchemeConfig, exact_riemann_burgers, solve, solve_pair)
 from .verifier import (ResidualReport, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual,
-                       find_smooth_samples, global_contraction_check, kato_lhs,
+                       entropy_residual_sweep, find_smooth_samples,
+                       global_contraction_check, kato_lhs,
                        uniqueness_experiment, write_profile_csv)
 
 
@@ -92,8 +93,8 @@ def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path
         pairs = [make_kruzkov_pair(flux, k0) for k0 in k0s]
         pairs += [make_smooth_pair(flux, 0.0, n)
                   for n in p.get("smooth_n", [4, 16, 64])]
-        reports = [entropy_residual(u, flux, pair, phi, c_tol=p.get("c_tol"))
-                   for pair in pairs]
+        reports = entropy_residual_sweep(u, flux, pairs, phi,
+                                         c_tol=p.get("c_tol"))
         worst = min(reports, key=lambda r: r.value - (-r.tolerance))
         worst.metadata["sweep"] = [
             {"pair": r.metadata["pair"], "value": r.value,

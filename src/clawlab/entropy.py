@@ -145,6 +145,16 @@ def _geometric_panels(k0: float, k: float, scale: float) -> np.ndarray:
     return k0 + np.sign(k - k0) * offs
 
 
+def _flat_pairs(pts: Array, k, dim: int):
+    """Points (..., d) and states broadcast against each other, flattened
+    to one (point, state) pair per row: returns (states (np,), points
+    (np, d), the broadcast shape)."""
+    kk = np.asarray(k, dtype=float)
+    shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
+    flat = np.broadcast_to(pts, shape + (dim,)).reshape(-1, dim)
+    return np.broadcast_to(kk, shape).ravel(), flat, shape
+
+
 def _q_smooth_field(flux: FluxSpec, ent: SmoothEntropy, k0: float, n: int,
                     pts: Array, k: Array) -> Array:
     """Vectorized q(x_i, k_i) for a batch of (point, state) pairs.
@@ -153,8 +163,7 @@ def _q_smooth_field(flux: FluxSpec, ent: SmoothEntropy, k0: float, n: int,
     concentrates); the state integral is remapped per pair onto [0, 1] so a
     single node set serves the whole batch.
     """
-    kk = np.broadcast_to(np.asarray(k, dtype=float), pts.shape[:-1]).ravel()
-    flat = np.broadcast_to(pts, kk.shape + (flux.dim,)).reshape(-1, flux.dim)
+    kk, flat, shape = _flat_pairs(pts, k, flux.dim)
     kmax = float(np.max(np.abs(kk - k0))) if kk.size else 0.0
     edges = _geometric_panels(0.0, 1.0, (1.0 / np.sqrt(n)) / max(kmax, 1e-12))
     total = np.zeros((kk.size, flux.dim))
@@ -167,7 +176,7 @@ def _q_smooth_field(flux: FluxSpec, ent: SmoothEntropy, k0: float, n: int,
         ep = ent.eta_prime(w)
         total += half * np.einsum("m,mp,mpi->pi", GAUSS_WEIGHTS, ep, vals)
     total *= span[:, None]
-    return total.reshape(pts.shape[:-1] + (flux.dim,))
+    return total.reshape(shape + (flux.dim,))
 
 
 def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
@@ -188,8 +197,7 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
 
     def div_x_q(x, k):
         pts = flux.nudge_off_singular(as_points(x, flux.dim))
-        kk = np.broadcast_to(np.asarray(k, dtype=float), pts.shape[:-1]).ravel()
-        flat = np.broadcast_to(pts, kk.shape + (flux.dim,)).reshape(-1, flux.dim)
+        kk, flat, shape = _flat_pairs(pts, k, flux.dim)
         kmax = float(np.max(np.abs(kk - k0))) if kk.size else 0.0
         edges = _geometric_panels(0.0, 1.0, (1.0 / np.sqrt(n)) / max(kmax, 1e-12))
         span = kk - k0
@@ -203,7 +211,7 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
             integ += half * np.einsum("m,mp,mp->p", GAUSS_WEIGHTS, epp, dv)
         integ *= span
         out = -integ + ent.eta_prime(kk) * flux.div_x(flat, kk)
-        return out.reshape(pts.shape[:-1])
+        return out.reshape(shape)
 
     return EntropyPair(ent.eta, ent.eta_prime, float(k0), q, div_x_q,
                        kind="smooth", n=int(n))

@@ -204,6 +204,12 @@ class TestFunction:
     ``support_box`` is ((lo_1..lo_d), (hi_1..hi_d), t_lo, t_hi); the value
     vanishes on and outside its boundary.  ``lip`` is an a-priori Lipschitz
     bound used by tolerance models.
+
+    ``value(x, t)`` takes points x of shape (cells..., d) and either a
+    scalar time or an array of times shaped (L, 1, ...) with one unit axis
+    per spatial axis, which it broadcasts against the points to
+    (L, cells...); each slice must equal, bit for bit, the value at that
+    scalar time.  The verifier evaluates a whole chunk of levels this way.
     """
 
     dim: int

@@ -11,6 +11,16 @@ the discrete sums mirror the summation-by-parts structure of the scheme's
 own entropy inequality.  The analytic ``dt``/``grad_x`` callables on
 TestFunction are cross-checked against these lattice differences in tests.
 
+The quadrature visits only the support of the test function: the cells
+whose centers lie inside its support box plus two cells on each side
+(where it vanishes, so the lattice gradient is the whole-domain one), and
+the level intervals that overlap its time window.  Levels are taken in
+chunks of whole levels holding at most ``nx**dim`` cells, one full level
+of the field, so no temporary outgrows a one-level pass.  The test function
+is evaluated once per chunk, at every level time and midpoint of the chunk
+in one call, and all terms of a sweep (``entropy_residual_sweep``) share
+those values.
+
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
 flux by dx-halving studies and recorded in every report.
@@ -68,10 +78,17 @@ class ResidualReport:
         Path(path).write_text(self.to_json() + "\n")
 
 
-def _support_levels(field_: GridField, phi: TestFunction):
-    """Level intervals overlapping the test-function window, after checking
-    the support sits inside the domain with a two-cell margin (needed for
-    exact lattice telescoping) and inside the stored time range."""
+def _support_window(field_: GridField, phi: TestFunction):
+    """Level intervals and cell box of the quadrature for ``phi``.
+
+    Checks that the support sits inside the domain with a two-cell margin
+    and inside the stored time range.  Returns ``(levels, box)``: the range
+    of level intervals overlapping the time window, and per axis the slice
+    of cells whose centers lie strictly inside the support plus two cells
+    on each side.  phi vanishes on those two cells, so the lattice gradient
+    of phi on the box equals the one on the whole domain, and every cell
+    outside the box contributes exactly zero.
+    """
     lo, hi, t0, t1 = phi.support_box
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -85,49 +102,71 @@ def _support_levels(field_: GridField, phi: TestFunction):
         raise SupportExceedsDomain(
             f"support window [{t0}, {t1}] not inside stored range "
             f"[{times[0]}, {times[-1]}]")
-    idx = [n for n in range(len(times) - 1)
-           if times[n + 1] > t0 + 1e-14 and times[n] < t1 - 1e-14]
+    idx = np.nonzero((times[1:] > t0 + 1e-14) & (times[:-1] < t1 - 1e-14))[0]
     if len(idx) < 2:
         raise MissingTimeLevels(
             f"only {len(idx)} stored intervals overlap window [{t0}, {t1}]")
-    return idx
+    c = field_.centers
+    box = tuple(slice(max(int(np.searchsorted(c, a, side="right")) - 2, 0),
+                      min(int(np.searchsorted(c, b, side="left")) + 2, field_.nx))
+                for a, b in zip(lo, hi))
+    return range(int(idx[0]), int(idx[-1]) + 1), box
 
 
-def _lattice_gradient(phi_vals: Array, dx: float, dim: int):
-    if dim == 1:
-        return [np.gradient(phi_vals, dx)]
-    return [np.gradient(phi_vals, dx, axis=0), np.gradient(phi_vals, dx, axis=1)]
+def _weak_sums(fields, phi: TestFunction, terms, points):
+    """Shared space-time quadrature core: one value per term.
 
+    ``fields`` are GridFields on one grid (the first sets the geometry);
+    ``points`` are the cell-center points (cells..., d) the terms see.
+    Each term maps (points, *states) to (eta, q, source): states are the
+    fields' values on a chunk of levels, shape (L, cells...); eta and
+    source (or None) have that shape and q has a trailing axis d.
 
-def _weak_sum(field_: GridField, phi: TestFunction, eta_at, q_at, source_at=None):
-    """Shared space-time quadrature core.
-
-    eta_at(n) -> (cells...); q_at(n) -> (cells..., d); source_at(n) -> (cells...)
-    evaluated from slab n; returns the scalar quadrature value.
+    The quadrature runs over the support window only and in chunks of
+    whole levels holding at most ``nx**dim`` cells, one full level of the
+    field.  phi at the chunk's level times and midpoints, its level
+    differences and its lattice gradient are built once per chunk and
+    shared by every term.  Returns (values, largest dt in the window).
     """
-    levels = _support_levels(field_, phi)
-    P = field_.centers_points()
+    field_ = fields[0]
+    levels, box = _support_window(field_, phi)
+    P = field_.centers_points()[box]
+    points = points[box]
     times = field_.times
-    cell = field_.dx ** field_.dim
-    value = 0.0
-    for n in levels:
-        dtn = times[n + 1] - times[n]
-        tmid = 0.5 * (times[n] + times[n + 1])
-        phi_lo = phi.value(P, times[n])
-        phi_hi = phi.value(P, times[n + 1])
-        phi_mid = phi.value(P, tmid)
-        # time-derivative term: exact telescoping across the level range
-        value += cell * float(((phi_hi - phi_lo) * eta_at(n)).sum())
-        rest = np.zeros(P.shape[:-1])
-        grads = _lattice_gradient(phi_mid, field_.dx, field_.dim)
-        qn = q_at(n)
-        for a in range(field_.dim):
-            rest = rest + grads[a] * qn[..., a]
-        if source_at is not None:
-            rest = rest + phi_mid * source_at(n)
-        value += cell * dtn * float(rest.sum())
-    dts = np.diff(times)
-    return value, float(np.max(dts[levels]))
+    dx, dim = field_.dx, field_.dim
+    cell = dx ** dim
+    chunk = max(1, field_.nx ** dim // P[..., 0].size)
+    values = [0.0] * len(terms)
+    for n0 in range(levels.start, levels.stop, chunk):
+        n1 = min(n0 + chunk, levels.stop)
+        edges = times[n0:n1 + 1]
+        dts = np.diff(edges)
+        # level times and midpoints interleaved: phi at t_n is ph[2n - 2 n0]
+        tq = np.empty(2 * len(dts) + 1)
+        tq[0::2] = edges
+        tq[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        ph = phi.value(P, tq.reshape((-1,) + (1,) * dim))
+        dphi = ph[2::2] - ph[:-2:2]
+        phi_mid = ph[1::2]
+        grads = [np.gradient(phi_mid, dx, axis=1 + a) for a in range(dim)]
+        states = [f.data[(slice(n0, n1),) + box] for f in fields]
+        for j, term in enumerate(terms):
+            eta, q, source = term(points, *states)
+            rest = grads[0] * q[..., 0]
+            for a in range(1, dim):
+                rest = rest + grads[a] * q[..., a]
+            if source is not None:
+                rest = rest + phi_mid * source
+            # per-level sums added in time order, as a level-by-level pass
+            # adds them, so values match one up to rounding
+            s_dt = (dphi * eta).reshape(len(dts), -1).sum(axis=1).tolist()
+            s_rest = rest.reshape(len(dts), -1).sum(axis=1).tolist()
+            value = values[j]
+            for sd, sr, dtn in zip(s_dt, s_rest, dts.tolist()):
+                value += cell * sd
+                value += cell * dtn * sr
+            values[j] = value
+    return values, float(np.diff(times)[levels.start:levels.stop].max())
 
 
 def _support_measure(phi: TestFunction) -> float:
@@ -137,36 +176,44 @@ def _support_measure(phi: TestFunction) -> float:
     return float(np.prod(hi - lo) * (t1 - t0))
 
 
-def entropy_residual(u: GridField, flux: FluxSpec, pair: EntropyPair,
-                     phi: TestFunction, c_tol: float | None = None) -> ResidualReport:
-    """Weak-form entropy residual of one field against one entropy pair.
+def _entropy_term(flux: FluxSpec, pair: EntropyPair):
+    def term(P, U):
+        source = pair.div_x_q(P, U) - pair.eta_prime(U) * flux.div_x(P, U)
+        return pair.eta(U), pair.q(P, U), source
+    return term
 
-    Quadrature of  dt(phi) eta(u) + phi (div_x q - eta'(u) div_x f)
-                   + grad(phi) . q(x, u)
+
+def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
+                           phi: TestFunction,
+                           c_tol: float | None = None) -> list[ResidualReport]:
+    """Weak-form entropy residuals of one field against several entropy
+    pairs, one report per pair, from one pass over the field.
+
+    Each value is the quadrature of
+        dt(phi) eta(u) + phi (div_x q - eta'(u) div_x f) + grad(phi) . q(x, u)
     over the support of phi; non-negative up to discretization slack for
     entropy solutions.
     """
+    pairs = list(pairs)
     P = flux.nudge_off_singular(u.centers_points())
-
-    def eta_at(n):
-        return pair.eta(u.data[n])
-
-    def q_at(n):
-        return pair.q(P, u.data[n])
-
-    def source_at(n):
-        un = u.data[n]
-        return pair.div_x_q(P, un) - pair.eta_prime(un) * flux.div_x(P, un)
-
-    value, dt_used = _weak_sum(u, phi, eta_at, q_at, source_at)
+    values, dt_used = _weak_sums(
+        (u,), phi, [_entropy_term(flux, pair) for pair in pairs], P)
     if c_tol is None:
         c_tol = 10.0 * phi.lip * max(u.bound_M, 1e-12)
     tol = c_tol * (u.dx + dt_used) * _support_measure(phi)
-    return ResidualReport(
+    return [ResidualReport(
         kind="entropy_inequality", value=value, tolerance=tol,
         passed=bool(value >= -tol),
         metadata={"flux": flux.name, "pair": pair.label, "nx": u.nx,
                   "dx": u.dx, "dt": dt_used, "c_tol": c_tol})
+        for pair, value in zip(pairs, values)]
+
+
+def entropy_residual(u: GridField, flux: FluxSpec, pair: EntropyPair,
+                     phi: TestFunction, c_tol: float | None = None) -> ResidualReport:
+    """Weak-form entropy residual of one field against one entropy pair
+    (see ``entropy_residual_sweep``)."""
+    return entropy_residual_sweep(u, flux, [pair], phi, c_tol)[0]
 
 
 def kato_lhs(u: GridField, v: GridField, flux: FluxSpec, psi: TestFunction,
@@ -174,16 +221,14 @@ def kato_lhs(u: GridField, v: GridField, flux: FluxSpec, psi: TestFunction,
     """Two-solution localized inequality: quadrature of
     dt(psi) |u - v| + grad(psi) . sign(u - v)(f(x,u) - f(x,v))."""
     u.require_compatible(v)
-    P = u.centers_points()
 
-    def eta_at(n):
-        return np.abs(u.data[n] - v.data[n])
+    def term(P, U, V):
+        d = U - V
+        return (np.abs(d),
+                np.sign(d)[..., None] * (flux.eval(P, U) - flux.eval(P, V)),
+                None)
 
-    def q_at(n):
-        s = np.sign(u.data[n] - v.data[n])
-        return s[..., None] * (flux.eval(P, u.data[n]) - flux.eval(P, v.data[n]))
-
-    value, dt_used = _weak_sum(u, psi, eta_at, q_at)
+    (value,), dt_used = _weak_sums((u, v), psi, [term], u.centers_points())
     if c_tol is None:
         c_tol = 10.0 * psi.lip * max(u.bound_M, v.bound_M, 1e-12)
     tol = c_tol * (u.dx + dt_used) * _support_measure(psi)

@@ -218,6 +218,33 @@ class TestCliRun:
         assert rep["passed"] is True
         assert (tmp_path / "run2d" / "u.csv").exists()
 
+    def test_two_dimensional_entropy_check(self, tmp_path):
+        # the default sweep adds smooth pairs n = 4, 16, 64 to the Kruzkov
+        # pairs; all of them run on 2-d fields
+        text = "\n".join([
+            "[flux]", "name = product2d", "",
+            "[initial_data]", "kind = box", "height = 1.0", "lo = -0.3",
+            "hi = 0.1", "",
+            "[grid]", "lo = -2.0", "hi = 2.0", "nx = 40", "dim = 2",
+            "t_end = 0.4", "store_every = 2", "",
+            "[scheme]", "kind = rusanov", "cfl = 0.9",
+            "boundary = outflow", "",
+            "[output]", f"dir = {tmp_path / 'ent2d'}", "",
+            "[checks]", "tasks = ent", "",
+            "[check.ent]", "kind = entropy_inequality", "phi_radius = 1.0",
+            "",
+        ])
+        cfg_path = tmp_path / "ent2d.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 0
+        out = tmp_path / "ent2d"
+        assert not (out / "FAILED").exists()
+        rep = json.loads((out / "report_ent.json").read_text())
+        assert rep["passed"] is True
+        labels = [r["pair"] for r in rep["metadata"]["sweep"]]
+        assert len(labels) == 12
+        assert sum(label.startswith("smooth") for label in labels) == 3
+
     def test_env_var_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CLAWLAB_OUT", str(tmp_path / "root"))
         cfg_path = tmp_path / "exp.cfg"

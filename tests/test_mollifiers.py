@@ -207,6 +207,31 @@ class TestBump:
             assert abs(fd_x - phi.grad_x(x, t)[..., 0]) < 1e-6
 
 
+def _batched_test_functions():
+    for dim in (1, 2):
+        cone = ConeSpec(R=1.0, N=0.8, dim=dim, horizon=1.0)
+        yield contraction_test_function(cone, 0.3, 0.7, 0.1, 0.2)
+        yield bump_test_function(np.full(dim, 0.1), 0.6, 0.1, 0.8, dim=dim)
+
+
+@pytest.mark.parametrize("phi", list(_batched_test_functions()),
+                         ids=["cone1d", "bump1d", "cone2d", "bump2d"])
+def test_value_batched_over_times_matches_scalar_times(phi):
+    # the verifier evaluates phi on a (L, 1, ...) column of times at once
+    axis = np.linspace(-1.2, 1.2, 41)
+    if phi.dim == 1:
+        pts = axis[:, None]
+    else:
+        X, Y = np.meshgrid(axis, axis[::2], indexing="ij")
+        pts = np.stack([X, Y], axis=-1)
+    ts = np.linspace(0.0, 1.0, 27)
+    batched = phi.value(pts, ts.reshape((-1,) + (1,) * phi.dim))
+    scalar = np.stack([phi.value(pts, t) for t in ts])
+    assert batched.shape == scalar.shape == (len(ts),) + pts.shape[:-1]
+    assert np.array_equal(batched, scalar)
+    assert np.any(batched != 0.0)
+
+
 class TestDoublingKernel:
     def test_zero_outside_ball(self):
         val, grad = doubling_kernel(0.2, np.array([0.0]), 0.0,

@@ -2,9 +2,11 @@
 
 Each reference below is the straightforward implementation: a CSV writer
 that formats one value per call, solver sweeps that evaluate the interface
-flux through ``eval``/``dk`` on every call, and a Lipschitz estimate that
-materializes every difference quotient.  The fast paths do the same
-arithmetic in another arrangement, so results must agree bit for bit.
+flux through ``eval``/``dk`` on every call, a Lipschitz estimate that
+materializes every difference quotient, and a weak-form quadrature that
+evaluates the test function on the whole domain level by level.  The fast
+paths do the same arithmetic in another arrangement, so results must agree
+bit for bit, except the weak-form sums (see the bound stated there).
 """
 
 import math
@@ -14,12 +16,19 @@ import pytest
 
 from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
-from clawlab.errors import NonFiniteFlux
+from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
+                             make_smooth_pair)
+from clawlab.errors import (MissingTimeLevels, NonFiniteFlux,
+                            SupportExceedsDomain)
 from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
                           lipschitz_constant)
-from clawlab.grids import (GridField, riemann_data, sine_data, write_csv)
+from clawlab.grids import (GridField, box_data, field_from_function,
+                           riemann_data, sine_data, write_csv)
+from clawlab.mollifiers import (ConeSpec, bump_test_function,
+                                contraction_test_function)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
-                            solve)
+                            solve, solve_pair)
+from clawlab.verifier import entropy_residual_sweep, kato_lhs
 
 RNG_SEED = 20260809
 
@@ -299,3 +308,192 @@ def test_lipschitz_matches_reference(name, monkeypatch):
                         _reference_lipschitz_estimate)
     ref = [lipschitz_constant(flux, R, M) for R, M in grid]
     assert fast == ref
+
+
+# -- weak-form quadrature ---------------------------------------------------
+#
+# The batched core adds each level up over the support box only, and the
+# smooth pairs take their quadrature panels from max|k - k0| over a chunk
+# of levels instead of one level.  Values therefore agree with the
+# per-level loop up to rounding and panel placement, not bit for bit:
+# every value within WEAK_RTOL of the case's largest |value|, and Kruzkov
+# and Kato values (no state quadrature) within ROUNDOFF of the summed
+# magnitude of the products the loop adds up.  Measured on these cases:
+# 2.5e-12 and 1.7e-16.
+
+WEAK_RTOL = 1e-11
+ROUNDOFF = 1e-14
+
+
+def _reference_support_levels(field_, phi):
+    lo, hi, t0, t1 = phi.support_box
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    margin = 2.0 * field_.dx
+    if np.any(lo < field_.lo + margin) or np.any(hi > field_.hi - margin):
+        raise SupportExceedsDomain("support not inside domain")
+    times = field_.times
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+        raise SupportExceedsDomain("window not inside stored range")
+    idx = [n for n in range(len(times) - 1)
+           if times[n + 1] > t0 + 1e-14 and times[n] < t1 - 1e-14]
+    if len(idx) < 2:
+        raise MissingTimeLevels("fewer than two intervals")
+    return idx
+
+
+def _reference_weak_sum(field_, phi, eta_at, q_at, source_at=None):
+    """The per-level loop: phi on the whole domain at t_n, t_{n+1} and the
+    midpoint of every level interval.  Returns the value and the sum of
+    the magnitudes of every product it adds up, the scale of its rounding
+    error."""
+    levels = _reference_support_levels(field_, phi)
+    P = field_.centers_points()
+    times = field_.times
+    cell = field_.dx ** field_.dim
+    value = 0.0
+    magnitude = 0.0
+    for n in levels:
+        dtn = times[n + 1] - times[n]
+        tmid = 0.5 * (times[n] + times[n + 1])
+        phi_lo = phi.value(P, times[n])
+        phi_hi = phi.value(P, times[n + 1])
+        phi_mid = phi.value(P, tmid)
+        dt_part = (phi_hi - phi_lo) * eta_at(n)
+        value += cell * float(dt_part.sum())
+        rest = np.zeros(P.shape[:-1])
+        parts = [dt_part]
+        grads = [np.gradient(phi_mid, field_.dx, axis=a)
+                 for a in range(field_.dim)]
+        qn = q_at(n)
+        for a in range(field_.dim):
+            parts.append(dtn * grads[a] * qn[..., a])
+            rest = rest + grads[a] * qn[..., a]
+        if source_at is not None:
+            parts.append(dtn * phi_mid * source_at(n))
+            rest = rest + phi_mid * source_at(n)
+        value += cell * dtn * float(rest.sum())
+        magnitude += cell * sum(float(np.abs(x).sum()) for x in parts)
+    return value, magnitude
+
+
+def _reference_entropy_value(u, flux, pair, phi):
+    P = flux.nudge_off_singular(u.centers_points())
+
+    def source_at(n):
+        un = u.data[n]
+        return pair.div_x_q(P, un) - pair.eta_prime(un) * flux.div_x(P, un)
+
+    return _reference_weak_sum(u, phi, lambda n: pair.eta(u.data[n]),
+                               lambda n: pair.q(P, u.data[n]), source_at)
+
+
+def _reference_kato_value(u, v, flux, psi):
+    P = u.centers_points()
+
+    def q_at(n):
+        s = np.sign(u.data[n] - v.data[n])
+        return s[..., None] * (flux.eval(P, u.data[n]) - flux.eval(P, v.data[n]))
+
+    return _reference_weak_sum(u, psi, lambda n: np.abs(u.data[n] - v.data[n]),
+                               q_at)
+
+
+def _assert_matches(fast, refs, exact: int):
+    """``refs`` are (value, magnitude) pairs from the loop; the first
+    ``exact`` values carry no state quadrature."""
+    ref = np.array([r[0] for r in refs])
+    dev = np.abs(np.asarray(fast) - ref)
+    scale = float(np.abs(ref).max())
+    assert scale > 0.0
+    assert dev.max() <= WEAK_RTOL * scale, (dev, ref)
+    magnitude = np.array([r[1] for r in refs])
+    assert np.all(dev[:exact] <= ROUNDOFF * magnitude[:exact]), (dev, magnitude)
+
+
+def _entropy_cases():
+    """(label, field, flux, phi): solver output on catalog fluxes."""
+    for name, ini, box in (
+            ("burgers1d", riemann_data(1.0, 0.0, 0.0), (0.1, 0.4, 0.05, 0.3)),
+            ("product1d", sine_data(0.3, 1.0, 0.45), (0.0, 0.5, 0.05, 0.3)),
+            ("kink1d", sine_data(0.4, 1.0, 0.2), (0.0, 0.6, 0.1, 0.3)),
+            ("xsquared1d", sine_data(0.3, 1.0, 0.2), (-0.2, 0.5, 0.05, 0.3))):
+        flux = catalog_lookup(name)
+        u = solve(flux, ini, SchemeConfig(lo=-1.0, hi=1.0, nx=300,
+                                          t_end=0.35, store_every=2))
+        c, r, t0, t1 = box
+        yield name, u, flux, bump_test_function(c, r, t0, t1)
+    for name in ("burgers2d", "product2d"):
+        flux = catalog_lookup(name)
+        u = solve(flux, box_data(1.0, -0.4, 0.1),
+                  SchemeConfig(lo=-1.5, hi=1.5, nx=40, t_end=0.4, dim=2,
+                               store_every=2))
+        yield name, u, flux, bump_test_function(np.array([0.0, -0.1]), 0.8,
+                                                0.05, 0.35, dim=2)
+
+
+@pytest.mark.parametrize("case", list(_entropy_cases()), ids=lambda c: c[0])
+def test_entropy_sweep_matches_reference(case):
+    _, u, flux, phi = case
+    kruzkov = [make_kruzkov_pair(flux, k0) for k0 in default_k0_sweep(1.0, 5)]
+    smooth = [make_smooth_pair(flux, k0, n)
+              for k0, n in ((0.0, 4), (0.3, 16), (-0.2, 64))]
+    fast = [r.value for r in entropy_residual_sweep(u, flux, kruzkov + smooth,
+                                                    phi)]
+    refs = [_reference_entropy_value(u, flux, p, phi) for p in kruzkov + smooth]
+    _assert_matches(fast, refs, exact=len(kruzkov))
+
+
+@pytest.mark.parametrize("name,dim", [("burgers1d", 1), ("product1d", 1),
+                                      ("product2d", 2)])
+def test_kato_matches_reference(name, dim):
+    flux = catalog_lookup(name)
+    config = SchemeConfig(lo=-3.0, hi=3.0, nx=600 if dim == 1 else 48,
+                          t_end=1.0, dim=dim, store_every=2)
+    u, v = solve_pair(flux, box_data(1.0, -0.5, 0.0),
+                      box_data(1.0, -0.4, 0.1), config)
+    R = 2.0
+    cone = ConeSpec(R=R, N=lipschitz_constant(flux, R, 1.0), dim=dim,
+                    horizon=1.0)
+    tmax = cone.t_max
+    psi = contraction_test_function(cone, 0.25 * tmax, 0.75 * tmax,
+                                    0.1 * tmax, 0.2)
+    fast = kato_lhs(u, v, flux, psi).value
+    _assert_matches([fast], [_reference_kato_value(u, v, flux, psi)], exact=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_support_touching_margin_matches_reference(dim):
+    # dx = 1/32 and the support edges sit exactly two cells inside the
+    # domain on every side, so the cell box reaches the domain boundary
+    flux = catalog_lookup("product1d" if dim == 1 else "product2d")
+    nx = 64 if dim == 1 else 32
+    dx = 2.0 / nx
+    u = solve(flux, sine_data(0.3, 1.0, 0.4),
+              SchemeConfig(lo=-1.0, hi=1.0, nx=nx, t_end=0.3, dim=dim,
+                           boundary="periodic"))
+    phi = bump_test_function(np.zeros(dim), 1.0 - 2.0 * dx, 0.05, 0.25,
+                             dim=dim)
+    assert float(np.min(phi.support_box[0])) == u.lo + 2.0 * dx
+    pairs = [make_kruzkov_pair(flux, 0.2), make_smooth_pair(flux, 0.1, 16)]
+    fast = [r.value for r in entropy_residual_sweep(u, flux, pairs, phi)]
+    refs = [_reference_entropy_value(u, flux, p, phi) for p in pairs]
+    _assert_matches(fast, refs, exact=1)
+    off = bump_test_function(np.zeros(dim), 1.0 - 1.5 * dx, 0.05, 0.25,
+                             dim=dim)
+    with pytest.raises(SupportExceedsDomain):
+        entropy_residual_sweep(u, flux, pairs, off)
+
+
+def test_two_interval_window_matches_reference():
+    flux = catalog_lookup("burgers1d")
+    times = np.linspace(0.0, 1.0, 11)
+    u = field_from_function(
+        lambda p, t: np.where(p[..., 0] < 0.5 * t, 1.0, 0.0), -1.0, 1.0, 200,
+        times)
+    phi = bump_test_function(0.1, 0.5, 0.2, 0.4)
+    assert len(_reference_support_levels(u, phi)) == 2
+    pairs = [make_kruzkov_pair(flux, 0.5), make_smooth_pair(flux, 0.5, 16)]
+    fast = [r.value for r in entropy_residual_sweep(u, flux, pairs, phi)]
+    refs = [_reference_entropy_value(u, flux, p, phi) for p in pairs]
+    _assert_matches(fast, refs, exact=1)

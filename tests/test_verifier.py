@@ -10,7 +10,8 @@ from clawlab.mollifiers import ConeSpec, bump_test_function, contraction_test_fu
 from clawlab.quadrature import adaptive_gauss_legendre
 from clawlab.solver import SchemeConfig, solve, solve_pair
 from clawlab.verifier import (cone_contraction_profile, doubling_diagnostics,
-                              entropy_residual, find_smooth_samples,
+                              entropy_residual, entropy_residual_sweep,
+                              find_smooth_samples,
                               global_contraction_check, kato_lhs,
                               uniqueness_experiment, write_profile_csv)
 
@@ -105,6 +106,39 @@ class TestEntropyResidual:
         phi = bump_test_function(np.zeros(2), 0.5, 0.2, 0.8, dim=2)
         rep = entropy_residual(u, fb2, make_kruzkov_pair(fb2, 0.1), phi)
         assert abs(rep.value) <= 1e-10
+
+    def test_smooth_pair_constant_field_2d(self):
+        # smooth pairs broadcast their states against 2-d point lattices
+        times = np.linspace(0.0, 1.0, 21)
+        u = field_from_function(lambda p, t: np.full(p.shape[:-1], 0.4),
+                                -2, 2, 40, times, dim=2)
+        fb2 = catalog_lookup("burgers2d")
+        phi = bump_test_function(np.zeros(2), 1.0, 0.2, 0.8, dim=2)
+        for n in (4, 16, 64):
+            rep = entropy_residual(u, fb2, make_smooth_pair(fb2, 0.1, n), phi)
+            assert abs(rep.value) <= 1e-12
+            assert rep.passed
+
+    def test_sweep_equals_separate_calls(self):
+        cfg = SchemeConfig(lo=-1, hi=1, nx=300, t_end=0.5, store_every=2)
+        u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
+        phi = bump_test_function(0.1, 0.45, 0.05, 0.4)
+        pairs = [make_kruzkov_pair(PRODUCT, k0) for k0 in (-0.4, 0.2, 0.6)]
+        pairs += [make_smooth_pair(PRODUCT, 0.0, n) for n in (4, 16, 64)]
+        sweep = entropy_residual_sweep(u, PRODUCT, pairs, phi)
+        single = [entropy_residual(u, PRODUCT, p, phi) for p in pairs]
+        for a, b in zip(sweep, single, strict=True):
+            assert (a.value, a.tolerance, a.passed, a.metadata) == \
+                (b.value, b.tolerance, b.passed, b.metadata)
+
+    def test_sweep_anti_test_fails(self):
+        u = shock_field(0.0, 1.0)
+        phi = bump_test_function(0.125, 0.25, 0.05, 0.45)
+        pairs = [make_kruzkov_pair(BURGERS, k0) for k0 in (0.5, 2.0)]
+        inside, outside = entropy_residual_sweep(u, BURGERS, pairs, phi)
+        assert inside.value < -inside.tolerance
+        assert not inside.passed
+        assert outside.passed
 
     def test_solver_shock_full_sweep(self):
         # monotone schemes produce entropy, never consume it: the captured
