@@ -22,6 +22,7 @@ import os
 import shutil
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,18 +148,14 @@ def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path
         return report, extras
 
     if check.kind == "uniqueness":
-        base = _scheme_config(cfg)
-        variants = [SchemeConfig(lo=base.lo, hi=base.hi, nx=base.nx,
-                                 t_end=base.t_end, cfl=c, boundary=base.boundary,
-                                 store_every=10 ** 9, dim=base.dim)
+        base = replace(_scheme_config(cfg), store_every=10 ** 9)
+        variants = [replace(base, scheme="rusanov", cfl=c, viscosity=0.0)
                     for c in p.get("cfl_list", [0.9, 0.45])]
         coeff = p.get("viscous_coeff", 2.0)
         if coeff > 0:
             dx = (base.hi - base.lo) / base.nx
-            variants.append(SchemeConfig(
-                lo=base.lo, hi=base.hi, nx=base.nx, t_end=base.t_end,
-                cfl=base.cfl, boundary=base.boundary, store_every=10 ** 9,
-                dim=base.dim, scheme="viscous", viscosity=coeff * dx))
+            variants.append(replace(base, scheme="viscous",
+                                    viscosity=coeff * dx))
         oracle = None
         ini = cfg.initial_data
         if cfg.flux_name == "burgers1d" and ini.kind == "riemann":
@@ -261,13 +258,7 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
         base = _scheme_config(cfg)
         runs = []
         for lev in range(levels):
-            factor = 2 ** lev
-            sc = SchemeConfig(lo=base.lo, hi=base.hi, nx=base.nx * factor,
-                              t_end=base.t_end, scheme=base.scheme,
-                              cfl=base.cfl, boundary=base.boundary,
-                              store_every=10 ** 9, dim=base.dim,
-                              viscosity=base.viscosity / factor
-                              if base.scheme == "viscous" else base.viscosity)
+            sc = replace(base.refined(2 ** lev), store_every=10 ** 9)
             if cfg.initial_data2 is not None:
                 u, v = solve_pair(flux, cfg.initial_data, cfg.initial_data2, sc)
             else:

@@ -21,6 +21,13 @@ parabolic step restriction.  The exact Godunov interface flux
 (``godunov_burgers``) exists for the 1-d Burgers flux only; other
 combinations are refused.
 
+``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
+one setup (``_Run``): it checks the flux against the config, samples each
+initial datum once (non-finite data raise ``BlowUp``), and derives one dt
+and step count from the a-priori bound of the largest datum, so a pair
+shares its time levels.  Every step checks each datum against its own
+blow-up threshold, ten times its own a-priori bound.
+
 The same interface flux induces a numerical entropy flux for |u - k|:
 
     Q_{i+1/2} = 1/2 [q(x_{i+1/2}, u_i) + q(x_{i+1/2}, u_{i+1})]
@@ -60,7 +67,6 @@ class SchemeConfig:
     store_every: int = 1
     dim: int = 1
     viscosity: float = 0.0
-    fixed_dt: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -73,28 +79,30 @@ class SchemeConfig:
             raise ValueError("viscous scheme needs viscosity > 0")
         if self.scheme == "godunov_burgers" and self.dim != 1:
             raise ValueError("godunov_burgers is implemented in 1-d only")
+        if self.store_every < 1:
+            raise ValueError(f"store_every must be >= 1, got {self.store_every}")
 
     def refined(self, factor: int = 2) -> "SchemeConfig":
         """Same run with dx (and, for viscous runs, eps) divided by factor."""
         return replace(self, nx=self.nx * factor,
-                       viscosity=self.viscosity / factor,
-                       fixed_dt=None)
+                       viscosity=self.viscosity / factor)
 
 
-def _axis_lattice(lo: float, hi: float, n: int = 129) -> Array:
-    return np.linspace(lo, hi, n)
+def _tensor_points(axis: Array, dim: int) -> Array:
+    """Every point of the lattice axis^dim, shape (n,) * dim + (dim,)."""
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+
+
+def _sample_points(config: SchemeConfig) -> Array:
+    """The lattice the a-priori estimates sample, shape (npts, dim)."""
+    lat = np.linspace(config.lo, config.hi, 65 if config.dim == 2 else 129)
+    return _tensor_points(lat, config.dim).reshape(-1, config.dim)
 
 
 def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
     """A-priori bound max|u0| + T sup|div_x f|; the sup is refreshed once with
     the enlarged state interval since the source can grow the solution."""
-    lat = _axis_lattice(config.lo, config.hi, 65 if config.dim == 2 else 129)
-    if config.dim == 1:
-        pts = lat[:, None]
-    else:
-        X, Y = np.meshgrid(lat, lat, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    pts = flux.nudge_off_singular(pts)
+    pts = flux.nudge_off_singular(_sample_points(config))
     m = m0
     for _ in range(2):
         ks = np.linspace(-max(m, m0), max(m, m0), 33)
@@ -104,12 +112,7 @@ def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
 
 
 def _estimate_speed(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> float:
-    lat = _axis_lattice(config.lo, config.hi, 65 if config.dim == 2 else 129)
-    if config.dim == 1:
-        pts = lat[:, None]
-    else:
-        X, Y = np.meshgrid(lat, lat, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    pts = _sample_points(config)
     ks = np.linspace(-m_bound, m_bound, 65)
     return float(np.abs(flux.dk(pts[:, None, :], ks[None, :])).max())
 
@@ -233,14 +236,73 @@ def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
                        + 2.0 * config.dim * config.viscosity / dx ** 2)
     else:
         dt = budget * dx / lam_max if lam_max > 0 else budget * dx
-    if config.fixed_dt is not None:
-        if config.fixed_dt > dt * (1.0 + 1e-12):
-            raise CFLViolation(
-                f"fixed_dt {config.fixed_dt} exceeds stable step {dt}")
-        dt = config.fixed_dt
     if not (dt > 0.0 and math.isfinite(dt)):
         raise CFLViolation(f"computed dt = {dt}")
     return dt, lam_max
+
+
+class _Run:
+    """One run of the scheme on one grid, set up once for one or more
+    initial data: the stepper, each datum sampled on the cell centers, one
+    BlowUp threshold per datum, and the dt and step count they share."""
+
+    def __init__(self, flux: FluxSpec, config: SchemeConfig, data):
+        if flux.dim != config.dim:
+            raise GridMismatch(f"flux dim {flux.dim} != config dim {config.dim}")
+        if config.scheme == "godunov_burgers" and flux.name != "burgers1d":
+            raise ValueError(f"godunov_burgers assumes the burgers1d flux, "
+                             f"got {flux.name}")
+        self.config = config
+        self.stepper = (_Stepper1D if config.dim == 1 else _Stepper2D)(flux, config)
+        c = config.lo + (np.arange(config.nx) + 0.5) * self.stepper.dx
+        pts = _tensor_points(c, config.dim)
+        self.u0s = []
+        for u0 in data:
+            u = np.asarray(u0(pts), dtype=float) + np.zeros(pts.shape[:-1])
+            if not np.all(np.isfinite(u)):
+                raise BlowUp("initial data is not finite")
+            self.u0s.append(u)
+        m0s = [float(np.abs(u).max()) for u in self.u0s]
+        # the estimate samples linspace(-m, m, 33), so it is not monotone in
+        # m0: dt comes from the bound of the largest datum, not from the
+        # largest of the per-datum bounds
+        bounds = {m0: _estimate_bound(flux, config, m0) for m0 in m0s}
+        self.thresholds = [10.0 * bounds[m0] for m0 in m0s]
+        dt, _ = _time_step(flux, config, bounds[max(m0s)])
+        self.nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
+        self.dt = config.t_end / self.nsteps
+
+    def checked_max(self, u: Array, n: int, datum: int) -> float:
+        """max|u| after step n; BlowUp if it is not finite or passes the
+        threshold of the given datum."""
+        amax = float(np.abs(u).max())
+        threshold = self.thresholds[datum]
+        if not math.isfinite(amax) or (threshold > 0.0 and amax > threshold):
+            raise BlowUp(f"|u| reached {amax:.3e} at step {n} "
+                         f"(threshold {threshold:.3e})")
+        return amax
+
+    def march(self, datum: int) -> GridField:
+        """March the given datum to t_end, storing every store_every-th
+        level and the last one into one preallocated array."""
+        config, nsteps, dt = self.config, self.nsteps, self.dt
+        every = config.store_every
+        levels = 1 + nsteps // every + (nsteps % every != 0)
+        u = self.u0s[datum]
+        times = np.zeros(levels)
+        data = np.empty((levels,) + u.shape)
+        data[0] = u
+        bound = float(np.abs(u).max())
+        level = 1
+        for n in range(1, nsteps + 1):
+            u = self.stepper.step(u, dt)
+            bound = max(bound, self.checked_max(u, n, datum))
+            if n % every == 0 or n == nsteps:
+                times[level] = n * dt
+                data[level] = u
+                level += 1
+        return GridField(config.dim, config.lo, config.hi, config.nx,
+                         times, data, bound)
 
 
 def solve(flux: FluxSpec, u0, config: SchemeConfig) -> GridField:
@@ -250,66 +312,14 @@ def solve(flux: FluxSpec, u0, config: SchemeConfig) -> GridField:
     points.  Under outflow boundaries the caller must size the domain so the
     reported region never hears the boundary before t_end.
     """
-    if flux.dim != config.dim:
-        raise GridMismatch(f"flux dim {flux.dim} != config dim {config.dim}")
-    if config.scheme == "godunov_burgers" and flux.name != "burgers1d":
-        raise ValueError(f"godunov_burgers assumes the burgers1d flux, "
-                         f"got {flux.name}")
-    stepper = _Stepper1D(flux, config) if config.dim == 1 else _Stepper2D(flux, config)
-    dx = stepper.dx
-    c = config.lo + (np.arange(config.nx) + 0.5) * dx
-    if config.dim == 1:
-        pts = c[:, None]
-    else:
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-    u = np.asarray(u0(pts), dtype=float) + np.zeros(pts.shape[:-1])
-    if not np.all(np.isfinite(u)):
-        raise BlowUp("initial data is not finite")
-
-    m0 = float(np.abs(u).max())
-    m_bound = _estimate_bound(flux, config, m0)
-    blow_threshold = 10.0 * m_bound
-    dt, _ = _time_step(flux, config, m_bound)
-    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
-    dt = config.t_end / nsteps
-
-    times = [0.0]
-    slabs = [u.copy()]
-    bound = m0
-    for n in range(1, nsteps + 1):
-        u = stepper.step(u, dt)
-        amax = float(np.abs(u).max())
-        if not math.isfinite(amax) or (blow_threshold > 0.0 and amax > blow_threshold):
-            raise BlowUp(f"|u| reached {amax:.3e} at step {n} "
-                         f"(threshold {blow_threshold:.3e})")
-        bound = max(bound, amax)
-        if n % config.store_every == 0 or n == nsteps:
-            times.append(n * dt)
-            slabs.append(u.copy())
-    return GridField(config.dim, config.lo, config.hi, config.nx,
-                     np.array(times), np.stack(slabs), bound)
+    return _Run(flux, config, [u0]).march(0)
 
 
 def solve_pair(flux: FluxSpec, u0a, u0b, config: SchemeConfig):
     """Solve two Cauchy problems on the same grid with a shared time step, so
     the stored levels coincide and the fields can be compared level by level."""
-    if config.fixed_dt is not None:
-        return solve(flux, u0a, config), solve(flux, u0b, config)
-    dx = (config.hi - config.lo) / config.nx
-    c = config.lo + (np.arange(config.nx) + 0.5) * dx
-    if config.dim == 1:
-        pts = c[:, None]
-    else:
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-    m0 = max(float(np.abs(np.asarray(u0a(pts), dtype=float)).max()),
-             float(np.abs(np.asarray(u0b(pts), dtype=float)).max()))
-    m_bound = _estimate_bound(flux, config, m0)
-    dt, _ = _time_step(flux, config, m_bound)
-    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
-    shared = replace(config, fixed_dt=config.t_end / nsteps)
-    return solve(flux, u0a, shared), solve(flux, u0b, shared)
+    run = _Run(flux, config, [u0a, u0b])
+    return run.march(0), run.march(1)
 
 
 def solve_viscous(flux: FluxSpec, u0, eps: float, config: SchemeConfig) -> GridField:
@@ -367,25 +377,19 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
         raise ValueError("entropy scan is 1-d")
     if config.scheme != "rusanov":
         raise ValueError("the entropy flux form matches the rusanov scheme")
-    stepper = _Stepper1D(flux, config)
-    iface = stepper.interfaces[0]
-    dx = stepper.dx
-    c = config.lo + (np.arange(config.nx) + 0.5) * dx
-    u = np.asarray(u0(c[:, None]), dtype=float) + np.zeros(config.nx)
-    m0 = float(np.abs(u).max())
-    m_bound = _estimate_bound(flux, config, m0)
-    dt, _ = _time_step(flux, config, m_bound)
-    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
-    dt = config.t_end / nsteps
-    mu = dt / dx
+    run = _Run(flux, config, [u0])
+    iface = run.stepper.interfaces[0]
+    mu = run.dt / run.stepper.dx
     # f(x_{i+1/2}, k) is the same on every step
     ks = [float(k) for k in np.atleast_1d(k_values)]
     f_ks = [iface.at(k) for k in ks]
     worst = -math.inf
-    for _ in range(nsteps):
+    u = run.u0s[0]
+    for n in range(1, run.nsteps + 1):
         ug = _ghost(u, 0, config.boundary)
         uL, uR, fL, fR, lam = iface.sides(ug)
         unew = u - mu * np.diff(_rusanov(uL, uR, fL, fR, lam))
+        run.checked_max(unew, n, 0)
         for k, f_k in zip(ks, f_ks):
             # interface entropy flux Q_{i+1/2} with the same local speeds
             rel = ug - k

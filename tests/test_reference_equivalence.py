@@ -2,14 +2,17 @@
 
 Each reference below is the straightforward implementation: a CSV writer
 that formats one value per call, solver sweeps that evaluate the interface
-flux through ``eval``/``dk`` on every call, a Lipschitz estimate that
-materializes every difference quotient, and a weak-form quadrature that
-evaluates the test function on the whole domain level by level.  The fast
-paths do the same arithmetic in another arrangement, so results must agree
-bit for bit, except the weak-form sums (see the bound stated there).
+flux through ``eval``/``dk`` on every call, runs that set up each datum on
+their own and give a pair's shared step back to two separate runs, a
+Lipschitz estimate that materializes every difference quotient, and a
+weak-form quadrature that evaluates the test function on the whole domain
+level by level.  The fast paths do the same arithmetic in another
+arrangement, so results must agree bit for bit, except the weak-form sums
+(see the bound stated there).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
 from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
                              make_smooth_pair)
-from clawlab.errors import (MissingTimeLevels, NonFiniteFlux,
-                            SupportExceedsDomain)
+from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
+                            NonFiniteFlux, SupportExceedsDomain)
 from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
                           lipschitz_constant)
 from clawlab.grids import (GridField, box_data, field_from_function,
@@ -230,6 +233,91 @@ def test_hand_built_burgers_runs_godunov():
     fast = solve(flux, riemann_data(1.0, -0.5), config)
     plain = solve(_without_factors(flux), riemann_data(1.0, -0.5), config)
     assert _bitwise_equal(fast.data, plain.data)
+
+
+# -- run setup and marching loop ----------------------------------------------
+
+def _reference_solve(flux, u0, config, shared_dt=None):
+    """A whole run with its own setup; ``shared_dt`` is the step a pair run
+    handed back, checked against this datum's own stable step."""
+    stepper = (solver_mod._Stepper1D if config.dim == 1
+               else solver_mod._Stepper2D)(flux, config)
+    c = config.lo + (np.arange(config.nx) + 0.5) * stepper.dx
+    if config.dim == 1:
+        pts = c[:, None]
+    else:
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        pts = np.stack([X, Y], axis=-1)
+    u = np.asarray(u0(pts), dtype=float) + np.zeros(pts.shape[:-1])
+    m0 = float(np.abs(u).max())
+    m_bound = solver_mod._estimate_bound(flux, config, m0)
+    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    if shared_dt is not None:
+        if shared_dt > dt * (1.0 + 1e-12):
+            raise CFLViolation(f"shared_dt {shared_dt} exceeds stable step {dt}")
+        dt = shared_dt
+    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
+    dt = config.t_end / nsteps
+    times, slabs, bound = [0.0], [u.copy()], m0
+    for n in range(1, nsteps + 1):
+        u = stepper.step(u, dt)
+        amax = float(np.abs(u).max())
+        threshold = 10.0 * m_bound
+        if not math.isfinite(amax) or (threshold > 0.0 and amax > threshold):
+            raise BlowUp(f"|u| reached {amax:.3e} at step {n}")
+        bound = max(bound, amax)
+        if n % config.store_every == 0 or n == nsteps:
+            times.append(n * dt)
+            slabs.append(u.copy())
+    return GridField(config.dim, config.lo, config.hi, config.nx,
+                     np.array(times), np.stack(slabs), bound)
+
+
+def _reference_solve_pair(flux, u0a, u0b, config):
+    """dt from the bound of the larger datum, then two full runs at it."""
+    dx = (config.hi - config.lo) / config.nx
+    c = config.lo + (np.arange(config.nx) + 0.5) * dx
+    if config.dim == 1:
+        pts = c[:, None]
+    else:
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        pts = np.stack([X, Y], axis=-1)
+    m0 = max(float(np.abs(np.asarray(u0a(pts), dtype=float)).max()),
+             float(np.abs(np.asarray(u0b(pts), dtype=float)).max()))
+    m_bound = solver_mod._estimate_bound(flux, config, m0)
+    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
+    shared_dt = config.t_end / nsteps
+    return (_reference_solve(flux, u0a, config, shared_dt),
+            _reference_solve(flux, u0b, config, shared_dt))
+
+
+def _assert_fields_equal(fast, ref):
+    assert _bitwise_equal(fast.times, ref.times)
+    assert _bitwise_equal(fast.data, ref.data)
+    assert _bitwise_equal(fast.bound_M, ref.bound_M)
+
+
+@pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
+def test_solve_and_pair_match_reference(name, boundary, scheme):
+    flux = _lookup(name)
+    u0a, u0b = sine_data(0.5, 1.0, 0.3), box_data(0.9, -0.6, 0.1)
+    for t_end in (0.2, 0.23, 0.26, 0.29):
+        config = SchemeConfig(lo=-1.3, hi=0.9, nx=16 if flux.dim == 2 else 60,
+                              t_end=t_end, scheme=scheme, boundary=boundary,
+                              dim=flux.dim,
+                              viscosity=0.02 if scheme == "viscous" else 0.0)
+        nsteps = len(_reference_solve(flux, u0a, config).times) - 1
+        if nsteps % 3:
+            break
+    assert nsteps % 3, "no step count off a multiple of store_every"
+    for every in (1, 3):
+        config = replace(config, store_every=every)
+        _assert_fields_equal(solve(flux, u0a, config),
+                             _reference_solve(flux, u0a, config))
+        for fast, ref in zip(solve_pair(flux, u0a, u0b, config),
+                             _reference_solve_pair(flux, u0a, u0b, config)):
+            _assert_fields_equal(fast, ref)
 
 
 def _reference_entropy_scan(flux, u0, config, k_values):

@@ -115,10 +115,10 @@ class TestStability:
         with pytest.raises(CFLViolation):
             SchemeConfig(lo=0, hi=1, nx=10, t_end=1.0, cfl=0.0)
 
-    def test_fixed_dt_above_stable_rejected(self):
-        cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.5, fixed_dt=1.0)
-        with pytest.raises(CFLViolation):
-            solve(BURGERS, riemann_data(1.0, 0.0, 0.0), cfg)
+    def test_store_every_below_one_rejected(self):
+        for every in (0, -3):
+            with pytest.raises(ValueError, match="store_every"):
+                SchemeConfig(lo=0, hi=1, nx=10, t_end=1.0, store_every=every)
 
     def test_godunov_2d_rejected(self):
         with pytest.raises(ValueError, match="1-d"):
@@ -216,6 +216,35 @@ class TestDiscreteEntropy:
         viol = discrete_entropy_max_violation(
             BURGERS, riemann_data(-0.5, 1.0, 0.1), cfg, np.linspace(-1, 1, 9))
         assert viol <= 1e-12
+
+    def test_nonfinite_initial_data_raises(self):
+        # max(-inf, nan) is -inf, so a NaN state must not reach the maximum
+        cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.2)
+        with pytest.raises(BlowUp, match="initial data"):
+            discrete_entropy_max_violation(
+                BURGERS, lambda p: np.where(p[..., 0] < 0, np.nan, 0.0), cfg,
+                np.linspace(-1, 1, 5))
+
+    def test_state_turning_nonfinite_raises(self):
+        # f is NaN above u = 0.9 while d_k f and div_x f stay finite, so the
+        # estimates pass and the first step produces NaN states
+        def eval_(x, k):
+            return np.where(np.asarray(k)[..., None] > 0.9, np.nan,
+                            BURGERS.eval(x, k))
+
+        broken = type(BURGERS)(
+            name="nan_above", dim=1, eval=eval_, dk=BURGERS.dk,
+            div_x=BURGERS.div_x, grad_x_components=BURGERS.grad_x_components)
+        cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.2)
+        with pytest.raises(BlowUp, match="at step 1 "):
+            discrete_entropy_max_violation(
+                broken, riemann_data(1.0, 0.0, 0.0), cfg, np.linspace(-1, 1, 5))
+
+    def test_flux_dim_mismatch_raises(self):
+        cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.1)
+        with pytest.raises(GridMismatch):
+            discrete_entropy_max_violation(
+                catalog_lookup("burgers2d"), constant_data(0.3), cfg, [0.0])
 
 
 class TestFiniteSpeed:
@@ -331,3 +360,18 @@ class TestSolvePair:
                           sine_data(0.2, 1.0, 0.4), cfg)
         assert np.array_equal(u.times, v.times)
         u.require_compatible(v)
+
+    def test_step_from_bound_of_larger_datum(self):
+        # div_x f = sin(40 k) makes the sampled a-priori bound non-monotone
+        # in m0: the smaller datum has the larger bound and alone takes more
+        # steps, yet the pair marches with the step of the larger datum
+        wavy = type(BURGERS)(
+            name="wavy", dim=1, eval=BURGERS.eval, dk=BURGERS.dk,
+            div_x=lambda x, k: np.sin(40.0 * np.asarray(k)) + 0.0 * x[..., 0],
+            grad_x_components=BURGERS.grad_x_components)
+        cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.5)
+        u, v = solve_pair(wavy, constant_data(0.33), constant_data(0.34), cfg)
+        small, large = (solve(wavy, constant_data(m), cfg) for m in (0.33, 0.34))
+        assert len(small.times) > len(large.times)
+        assert np.array_equal(u.times, large.times)
+        assert np.array_equal(v.times, large.times)
