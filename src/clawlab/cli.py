@@ -13,6 +13,16 @@ check, contraction-profile CSVs, SVG plots, and a summary table.  A FAILED
 marker file flags partial output after an error.  The environment variable
 ``CLAWLAB_OUT`` sets the root for relative output directories.  Exit code 0
 iff every check passed.
+
+``verify`` supports the four check kinds that need no config
+(``entropy_inequality`` on one field; ``kato``, ``cone_contraction`` and
+``global_contraction`` on two).  Its ``--set`` keys are those of a
+``[check.*]`` section of that kind, read by the same parser, so unknown,
+duplicate or missing required keys are errors.  It prints the report and
+writes no files.  ``run``, ``study`` and ``verify`` run these checks
+through one builder whose defaults come from the domain and the stored
+time range, so on a run's slabs ``verify`` with the section's keys prints
+that run's report (without the run's ``check_name`` and ``seed``).
 """
 
 from __future__ import annotations
@@ -28,18 +38,18 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .config import CheckSpec, ExperimentConfig, load_config
+from .config import (PAIR_KINDS, CheckSpec, ExperimentConfig, load_config,
+                     parse_check)
 from .entropy import default_k0_sweep, make_kruzkov_pair, make_smooth_pair
-from .errors import ClawError, ConfigError
+from .errors import ClawError, ConfigError, GridMismatch
 from .flux import catalog_lookup, catalog_names, lipschitz_constant
 from .grids import GridField, load_field, write_csv, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from .solver import (SchemeConfig, exact_riemann_burgers, solve, solve_pair)
 from .verifier import (ResidualReport, cone_contraction_profile,
-                       doubling_diagnostics, entropy_residual,
-                       entropy_residual_sweep, find_smooth_samples,
-                       global_contraction_check, kato_lhs,
-                       uniqueness_experiment, write_profile_csv)
+                       doubling_diagnostics, entropy_residual_sweep,
+                       find_smooth_samples, global_contraction_check,
+                       kato_lhs, uniqueness_experiment, write_profile_csv)
 
 
 def _scheme_config(cfg: ExperimentConfig) -> SchemeConfig:
@@ -78,17 +88,22 @@ def _snapshot_plot(field: GridField, path: Path, title: str) -> None:
     svgplot.line_plot(path, series, title=title, xlabel="x", ylabel="u")
 
 
-def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path):
+def _run_check(check: CheckSpec, flux, u, v, box):
+    """Run one check that needs no config on the fields ``u`` (and ``v``).
+
+    ``box`` is (lo, hi, dim, t_start, t_end): the domain and the stored
+    time range the defaults are taken from.  Returns (report, profile);
+    profile is the rows (t, radius, l1_mass) of a contraction check, else
+    None.  Writes no files."""
     p = check.params
-    extras = []
+    lo, hi, dim, t_start, t_end = box
 
     if check.kind == "entropy_inequality":
-        g = cfg.grid
-        center = p.get("phi_center", 0.5 * (g.lo + g.hi))
-        radius = p.get("phi_radius", 0.2 * (g.hi - g.lo))
-        t0 = p.get("phi_t0", 0.2 * g.t_end)
-        t1 = p.get("phi_t1", 0.8 * g.t_end)
-        phi = bump_test_function(np.full(g.dim, center), radius, t0, t1, dim=g.dim)
+        center = p.get("phi_center", 0.5 * (lo + hi))
+        radius = p.get("phi_radius", 0.2 * (hi - lo))
+        t0 = p.get("phi_t0", t_start + 0.2 * (t_end - t_start))
+        t1 = p.get("phi_t1", t_start + 0.8 * (t_end - t_start))
+        phi = bump_test_function(np.full(dim, center), radius, t0, t1, dim=dim)
         m = max(u.bound_M, 1e-12)
         k0s = default_k0_sweep(m, p.get("k0_count", 9))
         pairs = [make_kruzkov_pair(flux, k0) for k0 in k0s]
@@ -104,48 +119,40 @@ def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path
             "finite sweep of reference states; a proxy for the inequality "
             "over every admissible entropy pair")
         worst.passed = all(r.passed for r in reports)
-        return worst, extras
+        return worst, None
 
     if check.kind == "kato":
         R = p["r"]
         M = max(u.bound_M, v.bound_M)
         N = lipschitz_constant(flux, R, M)
-        cone = ConeSpec(R=R, N=N, dim=cfg.grid.dim, horizon=cfg.grid.t_end)
+        cone = ConeSpec(R=R, N=N, dim=dim, horizon=t_end)
         tmax = cone.t_max
         rho = p.get("rho", 0.25 * tmax)
         tau = p.get("tau", 0.75 * tmax)
         h = p.get("h", 0.5 * min(rho, tmax - tau))
         eps = p.get("eps", 0.1 * R)
         psi = contraction_test_function(cone, rho, tau, h, eps)
-        return kato_lhs(u, v, flux, psi, c_tol=p.get("c_tol")), extras
+        return kato_lhs(u, v, flux, psi, c_tol=p.get("c_tol")), None
 
     if check.kind == "cone_contraction":
         profile, report = cone_contraction_profile(u, v, flux, p["r"],
                                                    c_cal=p.get("c_cal"))
-        csv_path = outdir / f"profile_{check.name}.csv"
-        write_profile_csv(csv_path, profile)
-        svg_path = outdir / f"profile_{check.name}.svg"
-        svgplot.line_plot(svg_path,
-                          [([r[0] for r in profile], [r[2] for r in profile],
-                            "L1 mass")],
-                          title="shrinking-ball L1 distance", xlabel="t",
-                          ylabel="L1 mass")
-        extras += [csv_path, svg_path]
-        return report, extras
+        return report, profile
 
     if check.kind == "global_contraction":
         report = global_contraction_check(u, v, flux, p["r_list"],
                                           c_cal=p.get("c_cal"))
-        csv_path = outdir / f"profile_{check.name}.csv"
-        rows = list(zip(report.metadata["times"],
-                        [np.inf] * len(report.metadata["times"]),
-                        report.metadata["masses"]))
-        with open(csv_path, "w") as fh:
-            fh.write("t,radius,l1_mass\n")
-            for t, _, mass in rows:
-                fh.write(f"{t:.17g},inf,{mass:.17g}\n")
-        extras.append(csv_path)
-        return report, extras
+        times = report.metadata["times"]
+        return report, list(zip(times, [np.inf] * len(times),
+                                report.metadata["masses"]))
+
+    raise ConfigError(f"unhandled check kind {check.kind!r}")
+
+
+def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
+    """Run a check that needs the config's initial data, scheme or seed
+    (``uniqueness``, ``doubling``); ``clawlab run`` only."""
+    p = check.params
 
     if check.kind == "uniqueness":
         base = replace(_scheme_config(cfg), store_every=10 ** 9)
@@ -166,7 +173,7 @@ def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path
         return uniqueness_experiment(
             flux, ini, variants, center=p.get("center"),
             radius=p.get("radius"), exact_at_t_end=oracle,
-            min_ratio=p.get("min_ratio", 1.5)), extras
+            min_ratio=p.get("min_ratio", 1.5))
 
     if check.kind == "doubling":
         eps_list = p.get("eps_list", [0.1, 0.05, 0.025])
@@ -193,7 +200,7 @@ def _run_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v, outdir: Path
                       "samples": table["samples"],
                       "max_deviation": {k: list(map(float, d))
                                         for k, d in dev.items()}})
-        return report, extras
+        return report
 
     raise ConfigError(f"unhandled check kind {check.kind!r}")
 
@@ -217,9 +224,23 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
             write_slabs(outdir / "v_slabs", v)
             _snapshot_plot(v, outdir / "v_snapshots.svg", "second solution")
 
+        box = (cfg.grid.lo, cfg.grid.hi, cfg.grid.dim, 0.0, cfg.grid.t_end)
         reports = []
         for check in cfg.checks:
-            report, _ = _run_check(check, cfg, flux, u, v, outdir)
+            if check.kind in ("uniqueness", "doubling"):
+                report = _run_config_check(check, cfg, flux, u, v)
+            else:
+                report, profile = _run_check(check, flux, u, v, box)
+                if profile is not None:
+                    write_profile_csv(outdir / f"profile_{check.name}.csv",
+                                      profile)
+                if check.kind == "cone_contraction":
+                    svgplot.line_plot(
+                        outdir / f"profile_{check.name}.svg",
+                        [([r[0] for r in profile], [r[2] for r in profile],
+                          "L1 mass")],
+                        title="shrinking-ball L1 distance", xlabel="t",
+                        ylabel="L1 mass")
             report.metadata["check_name"] = check.name
             report.metadata["seed"] = cfg.seed
             report.write(outdir / f"report_{check.name}.json")
@@ -291,17 +312,10 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
         for check in cfg.checks:
             if check.kind not in ("cone_contraction", "global_contraction"):
                 continue
-            per_level = []
-            for sc, u, v in runs:
-                if v is None:
-                    continue
-                if check.kind == "cone_contraction":
-                    _, rep = cone_contraction_profile(u, v, flux,
-                                                      check.params["r"])
-                else:
-                    rep = global_contraction_check(u, v, flux,
-                                                   check.params["r_list"])
-                per_level.append(rep.value)
+            per_level = [
+                _run_check(check, flux, u, v,
+                           (sc.lo, sc.hi, sc.dim, 0.0, sc.t_end))[0].value
+                for sc, u, v in runs]
             ratios = [per_level[i] / per_level[i + 1]
                       if per_level[i + 1] > 0 else float("inf")
                       for i in range(len(per_level) - 1)]
@@ -335,64 +349,29 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
 
 
 def cmd_verify(args) -> int:
-    flux = catalog_lookup(args.flux, {})
-    params = {}
+    section = {"kind": (args.check, "--check")}
     for kv in args.set or []:
-        if "=" not in kv:
+        key, eq, val = (part.strip() for part in kv.partition("="))
+        if not eq:
             raise ConfigError(f"--set expects key=value, got {kv!r}")
-        k, _, v = kv.partition("=")
-        try:
-            params[k.strip()] = float(v)
-        except ValueError:
-            params[k.strip()] = v.strip()
+        if key in section:
+            raise ConfigError(f"--set {kv}: duplicate key {key!r}")
+        section[key] = (val, f"--set {kv}")
+    check = parse_check(args.check, section)
     fields = [load_field(p) for p in args.fields]
-    u = fields[0]
-    v = fields[1] if len(fields) > 1 else None
-
-    if args.check == "entropy_inequality":
-        m = max(u.bound_M, 1e-12)
-        center = params.get("phi_center", 0.5 * (u.lo + u.hi))
-        radius = params.get("phi_radius", 0.2 * (u.hi - u.lo))
-        t0 = params.get("phi_t0", float(u.times[0])
-                        + 0.2 * float(u.times[-1] - u.times[0]))
-        t1 = params.get("phi_t1", float(u.times[0])
-                        + 0.8 * float(u.times[-1] - u.times[0]))
-        phi = bump_test_function(np.full(u.dim, center), radius, t0, t1,
-                                 dim=u.dim)
-        k0 = params.get("k0", 0.0)
-        rep = entropy_residual(u, flux, make_kruzkov_pair(flux, k0), phi,
-                               c_tol=params.get("c_tol"))
-    elif args.check == "kato":
-        if v is None:
-            raise ConfigError("kato check needs two fields")
-        R = params.get("r", 0.4 * (u.hi - u.lo))
-        N = lipschitz_constant(flux, R, max(u.bound_M, v.bound_M))
-        cone = ConeSpec(R=R, N=N, dim=u.dim, horizon=float(u.times[-1]))
-        tmax = cone.t_max
-        rho = params.get("rho", 0.25 * tmax)
-        tau = params.get("tau", 0.75 * tmax)
-        h = params.get("h", 0.5 * min(rho, tmax - tau))
-        eps = params.get("eps", 0.1 * R)
-        rep = kato_lhs(u, v, flux, contraction_test_function(cone, rho, tau,
-                                                             h, eps))
-    elif args.check == "cone_contraction":
-        if v is None:
-            raise ConfigError("cone_contraction needs two fields")
-        _, rep = cone_contraction_profile(u, v, flux,
-                                          params.get("r", 0.4 * (u.hi - u.lo)),
-                                          c_cal=params.get("c_cal"))
-    elif args.check == "global_contraction":
-        if v is None:
-            raise ConfigError("global_contraction needs two fields")
-        r_list = params.get("r_list", "1,2,4,8")
-        if isinstance(r_list, str):
-            r_list = [float(s) for s in r_list.split(",")]
-        rep = global_contraction_check(u, v, flux, r_list,
-                                       c_cal=params.get("c_cal"))
-    else:
-        raise ConfigError(f"verify does not support check {args.check!r}")
-    print(rep.to_json())
-    return 0 if rep.passed else 1
+    need = 2 if check.kind in PAIR_KINDS else 1
+    if len(fields) != need:
+        raise ConfigError(f"{check.kind} takes {need} field(s), "
+                          f"got {len(fields)}")
+    u, v = fields if need == 2 else (fields[0], None)
+    flux = catalog_lookup(args.flux, {})
+    if flux.dim != u.dim:
+        raise GridMismatch(f"flux {flux.name} is {flux.dim}-d, "
+                           f"the fields are {u.dim}-d")
+    box = (u.lo, u.hi, u.dim, float(u.times[0]), float(u.times[-1]))
+    report, _ = _run_check(check, flux, u, v, box)
+    print(report.to_json())
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:

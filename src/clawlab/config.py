@@ -65,16 +65,34 @@ _INITIAL_KEYS = {
     "file": {"path"},
 }
 
+
+def _float_list(s: str):
+    return [float(p.strip()) for p in s.split(",") if p.strip()]
+
+
+def _int_list(s: str):
+    return [int(p.strip()) for p in s.split(",") if p.strip()]
+
+
+# [check.*] keys per kind with their converters; the keys in
+# _REQUIRED_CHECK_KEYS have no default
 _CHECK_KEYS = {
-    "entropy_inequality": {"k0_count", "smooth_n", "phi_center", "phi_radius",
-                           "phi_t0", "phi_t1", "c_tol"},
-    "kato": {"r", "rho", "tau", "h", "eps", "c_tol"},
-    "cone_contraction": {"r", "c_cal"},
-    "global_contraction": {"r_list", "c_cal"},
-    "uniqueness": {"cfl_list", "viscous_coeff", "radius", "center",
-                   "min_ratio"},
-    "doubling": {"eps_list", "points", "t_sample"},
+    "entropy_inequality": {"k0_count": int, "smooth_n": _int_list,
+                           "phi_center": float, "phi_radius": float,
+                           "phi_t0": float, "phi_t1": float, "c_tol": float},
+    "kato": {"r": float, "rho": float, "tau": float, "h": float,
+             "eps": float, "c_tol": float},
+    "cone_contraction": {"r": float, "c_cal": float},
+    "global_contraction": {"r_list": _float_list, "c_cal": float},
+    "uniqueness": {"cfl_list": _float_list, "viscous_coeff": float,
+                   "radius": float, "center": float, "min_ratio": float},
+    "doubling": {"eps_list": _float_list, "points": int, "t_sample": float},
 }
+_REQUIRED_CHECK_KEYS = {"kato": ("r",), "cone_contraction": ("r",),
+                        "global_contraction": ("r_list",)}
+# check kinds that compare two solutions
+PAIR_KINDS = frozenset({"kato", "cone_contraction", "global_contraction",
+                        "doubling"})
 
 
 @dataclass
@@ -161,8 +179,9 @@ def _fmt(v) -> str:
 
 
 def _parse_sections(text: str):
-    """Raw parse into {section: {key: (value_str, lineno)}} with strict
-    syntax: [section] headers, key = value lines, # or ; comments."""
+    """Raw parse into {section: {key: (value_str, where)}} with strict
+    syntax: [section] headers, key = value lines, # or ; comments;
+    ``where`` is "line N", the prefix of every error about that key."""
     sections: dict = {}
     current = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -187,7 +206,7 @@ def _parse_sections(text: str):
         val = val.strip()
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = (val, lineno)
+        sections[current][key] = (val, f"line {lineno}")
     return sections
 
 
@@ -196,26 +215,39 @@ def _take(section: dict, secname: str, key: str, conv, required=True, default=No
         if required:
             raise ConfigError(f"[{secname}] missing required key {key!r}")
         return default
-    val, lineno = section.pop(key)
+    val, where = section.pop(key)
     try:
         return conv(val)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def _reject_leftovers(section: dict, secname: str):
     if section:
         key = next(iter(section))
-        _, lineno = section[key]
-        raise ConfigError(f"line {lineno}: unknown key {key!r} in [{secname}]")
+        _, where = section[key]
+        raise ConfigError(f"{where}: unknown key {key!r} in [{secname}]")
 
 
-def _float_list(s: str):
-    return [float(p.strip()) for p in s.split(",") if p.strip()]
-
-
-def _int_list(s: str):
-    return [int(p.strip()) for p in s.split(",") if p.strip()]
+def parse_check(name: str, section: dict) -> CheckSpec:
+    """Read one ``[check.<name>]`` section, given as {key: (value_str,
+    where)} with its ``kind`` key: the kind must be known, each key is
+    converted by its kind's converter, unknown keys are refused and the
+    required keys must be present.  ``clawlab verify`` builds the section
+    from ``--check`` and its ``--set`` pairs."""
+    secname = f"check.{name}"
+    kind = _take(section, secname, "kind", str)
+    if kind not in _CHECK_KEYS:
+        raise ConfigError(f"[{secname}] unknown kind {kind!r}; "
+                          f"known: {', '.join(sorted(_CHECK_KEYS))}")
+    convs = _CHECK_KEYS[kind]
+    params = {key: _take(section, secname, key, convs[key])
+              for key in list(section) if key in convs}
+    _reject_leftovers(section, secname)
+    for key in _REQUIRED_CHECK_KEYS.get(kind, ()):
+        if key not in params:
+            raise ConfigError(f"[{secname}] missing required key {key!r}")
+    return CheckSpec(name, kind, params)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -320,24 +352,7 @@ def parse_config(text: str) -> ExperimentConfig:
             sec = sections.pop(f"check.{name}", None)
             if sec is None:
                 raise ConfigError(f"[checks] task {name!r} has no [check.{name}] section")
-            kind = _take(sec, f"check.{name}", "kind", str)
-            if kind not in _CHECK_KEYS:
-                raise ConfigError(f"[check.{name}] unknown kind {kind!r}; "
-                                  f"known: {', '.join(sorted(_CHECK_KEYS))}")
-            params = {}
-            for key in list(sec):
-                if key in _CHECK_KEYS[kind]:
-                    if key in ("r_list", "eps_list", "cfl_list"):
-                        conv = _float_list
-                    elif key == "smooth_n":
-                        conv = _int_list
-                    elif key in ("k0_count", "points"):
-                        conv = int
-                    else:
-                        conv = float
-                    params[key] = _take(sec, f"check.{name}", key, conv)
-            _reject_leftovers(sec, f"check.{name}")
-            checks.append(CheckSpec(name, kind, params))
+            checks.append(parse_check(name, sec))
 
     for name in sections:
         if name.startswith("check."):
@@ -345,8 +360,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in known_sections:
             raise ConfigError(f"unknown section [{name}]")
 
-    two_field = {"kato", "cone_contraction", "global_contraction", "doubling"}
-    if initial2 is None and any(c.kind in two_field for c in checks):
+    if initial2 is None and any(c.kind in PAIR_KINDS for c in checks):
         raise ConfigError("pair checks need an [initial_data2] section")
 
     return ExperimentConfig(flux_name, flux_params, initial, grid, scheme,

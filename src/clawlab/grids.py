@@ -25,7 +25,7 @@ are supported:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -269,18 +269,12 @@ def field_from_function(fn, lo: float, hi: float, nx: int, times,
     Used to synthesize exact or counterexample fields (shocks joined by
     jump conditions, rarefactions) whose residuals have closed forms.
     """
-    times = np.asarray(times, dtype=float)
-    dx = (hi - lo) / nx
-    c = lo + (np.arange(nx) + 0.5) * dx
-    if dim == 1:
-        pts = c[:, None]
-    else:
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
+    grid = GridField(dim, float(lo), float(hi), nx,
+                     np.asarray(times, dtype=float), np.empty(0), 0.0)
+    pts = grid.centers_points()
     data = np.stack([np.asarray(fn(pts, float(t)), dtype=float)
-                     + np.zeros(pts.shape[:-1]) for t in times])
-    return GridField(dim, float(lo), float(hi), nx, times, data,
-                     float(np.abs(data).max()))
+                     + np.zeros(pts.shape[:-1]) for t in grid.times])
+    return replace(grid, data=data, bound_M=float(np.abs(data).max()))
 
 
 def _nearest_sample(src: GridField, pts: np.ndarray) -> np.ndarray:

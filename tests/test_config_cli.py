@@ -55,6 +55,27 @@ r_list = 1, 2, 4, 8
 """
 
 
+def _set_args(params: dict) -> list:
+    """``--set`` arguments that carry a check's parsed keys."""
+    out = []
+    for key, val in params.items():
+        vals = val if isinstance(val, list) else [val]
+        out += ["--set", f"{key}=" + ",".join(format(x, ".17g") for x in vals)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def bundled_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundled")
+    runs = {}
+    for name in ("entropy_burgers", "burgers_contraction"):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        assert main(["run", str(CONFIGS / f"{name}.cfg"),
+                     "--out", str(root / name)]) == 0
+        runs[name] = (cfg, root / name)
+    return runs
+
+
 class TestConfigParsing:
     def test_roundtrip_lossless(self):
         cfg = parse_config(SMALL_CONTRACTION)
@@ -110,6 +131,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="godunov_burgers"):
             parse_config(text.replace("[flux]\nname = burgers1d",
                                       "[flux]\nname = product1d"))
+
+    @pytest.mark.parametrize("section,key", [
+        ("[check.cone]\nkind = cone_contraction\nr = 2.0",
+         "[check.cone]\nkind = cone_contraction"),
+        ("[check.glob]\nkind = global_contraction\nr_list = 1, 2, 4, 8",
+         "[check.glob]\nkind = global_contraction\nc_cal = 1.0"),
+        ("[check.cone]\nkind = cone_contraction\nr = 2.0",
+         "[check.cone]\nkind = kato\nrho = 0.25"),
+    ], ids=["cone", "glob", "kato"])
+    def test_required_check_key_refused(self, tmp_path, section, key):
+        text = SMALL_CONTRACTION.replace(section, key).replace(
+            "dir = out", f"dir = {tmp_path / 'out'}")
+        name = key.split("]")[0][len("[check."):]
+        needed = "r_list" if name == "glob" else "r"
+        with pytest.raises(ConfigError,
+                           match=rf"\[check\.{name}\] missing .*'{needed}'"):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bundled_configs_parse(self):
         for name in ("burgers_contraction.cfg", "uniqueness_burgers.cfg",
@@ -317,10 +359,48 @@ class TestCliOther:
         capsys.readouterr()
         code = main(["verify", str(outdir / "u.csv"),
                      "--check", "entropy_inequality", "--flux", "burgers1d",
-                     "--set", "k0=0.5", "--set", "phi_radius=1.0"])
+                     "--set", "k0_count=3", "--set", "phi_radius=1.0"])
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["kind"] == "entropy_inequality"
+        assert len(rep["metadata"]["sweep"]) == 6   # 3 kruzkov + 3 smooth
+
+    @pytest.mark.parametrize("sets", [
+        ["rr=0.5"], [], ["r=2.0", "r=1.0"], ["r=abc"], ["r"], ["kind=kato"],
+    ], ids=["unknown", "missing", "duplicate", "bad_value", "no_equals",
+            "kind"])
+    def test_verify_refuses_bad_keys(self, bundled_runs, capsys, sets):
+        _, outdir = bundled_runs["burgers_contraction"]
+        capsys.readouterr()
+        args = ["verify", str(outdir / "u_slabs"), str(outdir / "v_slabs"),
+                "--check", "cone_contraction", "--flux", "burgers1d"]
+        for kv in sets:
+            args += ["--set", kv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_verify_refuses_wrong_field_count(self, bundled_runs, capsys):
+        _, outdir = bundled_runs["burgers_contraction"]
+        capsys.readouterr()
+        assert main(["verify", str(outdir / "u_slabs"), "--check",
+                     "cone_contraction", "--flux", "burgers1d",
+                     "--set", "r=2.0"]) == 2
+        assert main(["verify", str(outdir / "u_slabs"),
+                     str(outdir / "v_slabs"), "--check",
+                     "entropy_inequality", "--flux", "burgers1d"]) == 2
+        assert "field" in capsys.readouterr().err
+
+    def test_verify_flux_dim_mismatch(self, bundled_runs, capsys):
+        _, outdir = bundled_runs["burgers_contraction"]
+        capsys.readouterr()
+        code = main(["verify", str(outdir / "u_slabs"), str(outdir / "v_slabs"),
+                     "--check", "cone_contraction", "--flux", "burgers2d",
+                     "--set", "r=2.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2-d" in err
 
     def test_study_smooth_self_convergence(self, tmp_path, capsys):
         text = "\n".join([
@@ -365,3 +445,39 @@ class TestCliOther:
         cfg_path = tmp_path / "fail.cfg"
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 1
+
+
+class TestVerifyReproducesRun:
+    """``verify`` on a run's slabs, given a check section's own keys,
+    prints that run's report (bar the run-only ``check_name`` and
+    ``seed``)."""
+
+    @pytest.mark.parametrize("config,check_name", [
+        ("entropy_burgers", "entropy"),
+        ("burgers_contraction", "cone"),
+        ("burgers_contraction", "glob"),
+        ("burgers_contraction", "kato"),
+    ])
+    def test_same_report(self, bundled_runs, capsys, config, check_name):
+        cfg, outdir = bundled_runs[config]
+        check = next(c for c in cfg.checks if c.name == check_name)
+        fields = [str(outdir / "u_slabs")]
+        if check.kind != "entropy_inequality":
+            fields.append(str(outdir / "v_slabs"))
+        capsys.readouterr()
+        code = main(["verify", *fields, "--check", check.kind,
+                     "--flux", cfg.flux_name, *_set_args(check.params)])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        stored = json.loads(
+            (outdir / f"report_{check_name}.json").read_text())
+        assert stored["metadata"].pop("check_name") == check_name
+        assert stored["metadata"].pop("seed") == cfg.seed
+        assert printed == stored
+
+    def test_global_profile_radius_is_inf(self, bundled_runs):
+        _, outdir = bundled_runs["burgers_contraction"]
+        rows = (outdir / "profile_glob.csv").read_text().splitlines()
+        assert rows[0] == "t,radius,l1_mass"
+        assert len(rows) > 2
+        assert all(r.split(",")[1] == "inf" for r in rows[1:])
