@@ -2,9 +2,9 @@
 conservation laws with space-dependent flux f(x, u)."""
 
 from .errors import (BadWindow, BlowUp, CFLViolation, ClawError, ConfigError,
-                     EmptyCone, GridMismatch, MissingTimeLevels, NonFiniteFlux,
-                     QuadratureNonConvergent, SampleNearShock, SingularPoint,
-                     SupportExceedsDomain, UnknownFlux)
+                     EmptyCone, FieldFileError, GridMismatch, MissingTimeLevels,
+                     NonFiniteFlux, QuadratureNonConvergent, SampleNearShock,
+                     SingularPoint, SupportExceedsDomain, UnknownFlux)
 from .flux import (FluxSpec, catalog_lookup, catalog_names, lipschitz_constant,
                    uniform_diffquot_deficit)
 from .entropy import (EntropyPair, SmoothEntropy, default_k0_sweep,
@@ -16,8 +16,8 @@ from .mollifiers import (ConeSpec, Mollifier, TestFunction, bump_test_function,
                          kernel_cdf, kernel_cdf_quadrature, mollifier_constant,
                          omega_value)
 from .grids import (GridField, InitialData, box_data, constant_data, file_data,
-                    load_field, read_csv, read_slab, read_slabs, riemann_data,
-                    sine_data, write_csv, write_slab, write_slabs)
+                    load_field, read_slabs, riemann_data, sine_data,
+                    write_slab, write_slabs)
 from .solver import (SchemeConfig, discrete_entropy_max_violation,
                      exact_riemann_burgers, l1_distance_full,
                      l1_distance_on_ball, solve, solve_viscous)

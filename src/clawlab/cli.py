@@ -8,21 +8,23 @@ Subcommands::
     clawlab verify <field> [<field2>] --check <kind> --flux <name> [--set k=v]
 
 Run directories are append-only (``--force`` to overwrite), contain a copy
-of the config, all GridField files (CSV + slabs), one JSON report per
-check, contraction-profile CSVs, SVG plots, and a summary table.  A FAILED
-marker file flags partial output after an error.  The environment variable
-``CLAWLAB_OUT`` sets the root for relative output directories.  Exit code 0
-iff every check passed.
+of the config, each solution field as a directory of slab files
+(``u_slabs``, ``v_slabs``), one JSON report per check, contraction-profile
+CSVs, SVG plots, and a summary table.  A FAILED marker file flags partial
+output after an error.  The environment variable ``CLAWLAB_OUT`` sets the
+root for relative output directories.  Exit code 0 iff every check passed.
 
 ``verify`` supports the four check kinds that need no config
 (``entropy_inequality`` on one field; ``kato``, ``cone_contraction`` and
-``global_contraction`` on two).  Its ``--set`` keys are those of a
-``[check.*]`` section of that kind, read by the same parser, so unknown,
-duplicate or missing required keys are errors.  It prints the report and
-writes no files.  ``run``, ``study`` and ``verify`` run these checks
-through one builder whose defaults come from the domain and the stored
-time range, so on a run's slabs ``verify`` with the section's keys prints
-that run's report (without the run's ``check_name`` and ``seed``).
+``global_contraction`` on two), each field a slab file or a directory of
+slab files.  Its ``--set`` keys are those of a ``[check.*]`` section of
+that kind, read by the same parser, so unknown, duplicate or missing
+required keys are errors, and so is a field that cannot be read (exit 2).
+It prints the report and writes no files.  ``run``, ``study`` and
+``verify`` run these checks through one builder whose defaults come from
+the domain and the stored time range, and the slabs hold the run's grid
+and bound M exactly, so on a run's slabs ``verify`` with the section's keys
+prints that run's report (without the run's ``check_name`` and ``seed``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .config import (PAIR_KINDS, CheckSpec, ExperimentConfig, load_config,
 from .entropy import default_k0_sweep, make_kruzkov_pair, make_smooth_pair
 from .errors import ClawError, ConfigError, GridMismatch
 from .flux import catalog_lookup, catalog_names, lipschitz_constant
-from .grids import GridField, load_field, write_csv, write_slabs
+from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from .solver import (SchemeConfig, exact_riemann_burgers, solve, solve_pair)
 from .verifier import (ResidualReport, cone_contraction_profile,
@@ -216,11 +218,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
         else:
             u = solve(flux, cfg.initial_data, scheme_cfg)
             v = None
-        write_csv(u, outdir / "u.csv")
         write_slabs(outdir / "u_slabs", u)
         _snapshot_plot(u, outdir / "u_snapshots.svg", "solution snapshots")
         if v is not None:
-            write_csv(v, outdir / "v.csv")
             write_slabs(outdir / "v_slabs", v)
             _snapshot_plot(v, outdir / "v_snapshots.svg", "second solution")
 
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run one check on stored fields")
     p_ver.add_argument("fields", nargs="+",
-                       help="field files (.csv, .slab, or slab directory)")
+                       help="field: a .slab file or a directory of slab files")
     p_ver.add_argument("--check", required=True,
                        choices=["entropy_inequality", "kato",
                                 "cone_contraction", "global_contraction"])

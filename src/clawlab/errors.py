@@ -37,6 +37,10 @@ class GridMismatch(ClawError):
     """Two fields do not share grid geometry or stored time levels."""
 
 
+class FieldFileError(ClawError):
+    """A field file is missing, unreadable, or not a complete slab file."""
+
+
 class SupportExceedsDomain(ClawError):
     """Test-function support is not contained in the field's space-time box."""
 

@@ -1,25 +1,24 @@
 """Cell-averaged space-time fields, initial data descriptors, and file I/O.
 
 A GridField stores a uniform-grid numerical solution: one slab of cell
-averages per stored time level on the box [lo, hi]^dim.  Two on-disk forms
-are supported:
+averages per stored time level on the box [lo, hi]^dim.  On disk a field is
+a directory (or explicit list) of slab files, one binary file per stored
+level, ordered by their stored time.  A slab header holds exactly the
+fields of a GridField, so ``read_slabs(write_slabs(f))`` equals ``f``
+bitwise.  Byte layout, little-endian:
 
-* CSV: one row per (level, cell): ``time,x[,y],value`` with 17-significant-
-  digit decimal floats (lossless round trip).  ``write_csv`` is an export:
-  it formats and writes one stored level at a time, with the same bytes as
-  a per-value ``format(v, ".17g")`` writer.
-* slab: one binary file per stored level.  Byte layout, little-endian:
+    magic    4 bytes  b"CLW2"
+    dim      uint32
+    nx       uint32
+    lo       float64
+    hi       float64
+    bound_M  float64
+    time     float64
+    data     float64 * nx^dim   (C order)
 
-      magic   4 bytes  b"CLW1"
-      dim     uint32
-      nx      uint32
-      dx      float64
-      origin  float64 * dim      (lower domain corner per axis)
-      time    float64
-      data    float64 * nx^dim   (C order)
-
-  A field is a directory (or explicit list) of such files; levels are
-  ordered by their stored time.
+The files of one field must agree on dim, nx, lo, hi and bound_M.  A file
+that cannot be read as a slab (missing, another format, the old CLW1
+layout, cut short) raises ``FieldFileError`` naming the path and the defect.
 """
 
 from __future__ import annotations
@@ -30,9 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import FieldFileError, GridMismatch
 
-_MAGIC = b"CLW1"
+_MAGIC = b"CLW2"
+_SHARED = struct.Struct("<IIddd")
+_SHARED_NAMES = ("dim", "nx", "lo", "hi", "bound_M")
+_TIME = struct.Struct("<d")
+_HEADER_SIZE = len(_MAGIC) + _SHARED.size + _TIME.size
 
 
 @dataclass
@@ -87,73 +90,12 @@ class GridField:
             raise GridMismatch("fields do not share stored time levels")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def write_csv(field: GridField, path) -> None:
-    """Export ``field`` as CSV (layout in the module docstring).
-
-    The ``x[,y]`` column text is formatted once; each stored level is then
-    one ``%.17g`` template filled with that level's values and written
-    before the next level is formatted, so memory stays at one level.
-    """
-    xs = [_fmt(x) for x in field.centers]
-    if field.dim == 1:
-        header = "time,x,value\n"
-        cells = [f",{x},%.17g" for x in xs]
-    else:
-        header = "time,x,y,value\n"
-        cells = [f",{x},{y},%.17g" for x in xs for y in xs]
-    with open(Path(path), "w") as fh:
-        fh.write(header)
-        for n, t in enumerate(field.times):
-            ts = _fmt(t)
-            template = ts + f"\n{ts}".join(cells) + "\n"
-            fh.write(template % tuple(field.data[n].ravel().tolist()))
-
-
-def read_csv(path) -> GridField:
-    path = Path(path)
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    raw = np.atleast_2d(raw)
-    ncols = raw.shape[1]
-    if ncols == 3:
-        dim = 1
-    elif ncols == 4:
-        dim = 2
-    else:
-        raise ValueError(f"{path}: expected 3 or 4 columns, got {ncols}")
-    times = np.unique(raw[:, 0])
-    xs = np.unique(raw[:, 1])
-    nx = len(xs)
-    dx = xs[1] - xs[0] if nx > 1 else 1.0
-    lo, hi = xs[0] - 0.5 * dx, xs[-1] + 0.5 * dx
-    if dim == 1:
-        data = np.empty((len(times), nx))
-        for n, t in enumerate(times):
-            rows = raw[raw[:, 0] == t]
-            order = np.argsort(rows[:, 1])
-            data[n] = rows[order, 2]
-    else:
-        data = np.empty((len(times), nx, nx))
-        for n, t in enumerate(times):
-            rows = raw[raw[:, 0] == t]
-            order = np.lexsort((rows[:, 2], rows[:, 1]))
-            data[n] = rows[order, 3].reshape(nx, nx)
-    bound = float(np.abs(data).max())
-    return GridField(dim, float(lo), float(hi), nx, times, data, bound)
-
-
 def write_slab(path, field: GridField, level: int) -> None:
     """Write one stored level in the documented binary layout."""
-    path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", field.dim, field.nx))
-        fh.write(struct.pack("<d", field.dx))
-        fh.write(struct.pack(f"<{field.dim}d", *([field.lo] * field.dim)))
-        fh.write(struct.pack("<d", float(field.times[level])))
+        fh.write(_MAGIC + _SHARED.pack(field.dim, field.nx, field.lo,
+                                       field.hi, field.bound_M)
+                 + _TIME.pack(field.times[level]))
         fh.write(np.ascontiguousarray(field.data[level], dtype="<f8").tobytes())
 
 
@@ -168,56 +110,63 @@ def write_slabs(directory, field: GridField, basename: str = "u") -> list:
     return paths
 
 
-def read_slab(path):
-    """Return (dim, nx, dx, origin, time, data) for one slab file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        dim, nx = struct.unpack("<II", fh.read(8))
-        (dx,) = struct.unpack("<d", fh.read(8))
-        origin = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (time,) = struct.unpack("<d", fh.read(8))
-        payload = np.frombuffer(fh.read(8 * nx ** dim), dtype="<f8")
-    shape = (nx,) if dim == 1 else (nx, nx)
-    return dim, nx, dx, origin, time, payload.reshape(shape).copy()
+def _read_slab(path: Path):
+    """Return (shared header bytes, time, data) of one slab file."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FieldFileError(f"{path}: {exc.strerror or exc}") from exc
+    magic = raw[:len(_MAGIC)]
+    if magic == b"CLW1":
+        raise FieldFileError(
+            f"{path}: slab version CLW1 is no longer read (it lacks hi and "
+            "bound_M); run the experiment again to write CLW2 slabs")
+    if magic != _MAGIC:
+        raise FieldFileError(f"{path}: not a slab file (magic {magic!r})")
+    if len(raw) < _HEADER_SIZE:
+        raise FieldFileError(f"{path}: header cut short ({len(raw)} of "
+                             f"{_HEADER_SIZE} bytes)")
+    shared = raw[len(_MAGIC):len(_MAGIC) + _SHARED.size]
+    dim, nx = _SHARED.unpack(shared)[:2]
+    if dim not in (1, 2) or nx < 1:
+        raise FieldFileError(f"{path}: bad grid (dim {dim}, nx {nx})")
+    payload = len(raw) - _HEADER_SIZE
+    if payload != 8 * nx ** dim:
+        raise FieldFileError(f"{path}: {payload} data bytes, expected "
+                             f"{8 * nx ** dim} for nx**dim = {nx ** dim} "
+                             "cells")
+    (time,) = _TIME.unpack_from(raw, _HEADER_SIZE - _TIME.size)
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER_SIZE)
+    return shared, time, data.reshape((nx,) * dim)
 
 
 def read_slabs(source) -> GridField:
-    """Assemble a GridField from a directory of slab files or a path list."""
-    src = Path(source) if not isinstance(source, (list, tuple)) else source
-    if isinstance(src, Path):
-        if src.is_dir():
-            paths = sorted(src.glob("*.slab"))
-        else:
-            paths = [src]
+    """Assemble a GridField from a slab file, a directory of slab files or
+    a list of slab files; levels are ordered by their stored time."""
+    if isinstance(source, (list, tuple)):
+        paths = [Path(p) for p in source]
     else:
-        paths = [Path(p) for p in src]
+        src = Path(source)
+        paths = sorted(src.glob("*.slab")) if src.is_dir() else [src]
     if not paths:
-        raise ValueError(f"no slab files found in {source}")
-    records = [read_slab(p) for p in paths]
-    dim, nx, dx, origin = records[0][:4]
-    for rec in records[1:]:
-        if rec[:4] != (dim, nx, dx, origin):
-            raise GridMismatch("slab files disagree on grid geometry")
-    records.sort(key=lambda r: r[4])
-    times = np.array([r[4] for r in records])
-    data = np.stack([r[5] for r in records])
-    lo = origin[0]
-    hi = lo + nx * dx
-    return GridField(dim, float(lo), float(hi), nx, times, data,
-                     float(np.abs(data).max()))
+        raise FieldFileError(f"{source}: no slab files")
+    records = [_read_slab(p) for p in paths]
+    head = _SHARED.unpack(records[0][0])
+    for p, rec in zip(paths[1:], records[1:]):
+        if rec[0] != records[0][0]:
+            diff = ", ".join(
+                f"{name} {a!r} vs {b!r}" for name, a, b
+                in zip(_SHARED_NAMES, _SHARED.unpack(rec[0]), head)
+                if repr(a) != repr(b))
+            raise GridMismatch(f"{p} and {paths[0]} disagree on {diff}")
+    records.sort(key=lambda r: r[1])
+    dim, nx, lo, hi, bound = head
+    return GridField(dim, lo, hi, nx, np.array([r[1] for r in records]),
+                     np.stack([r[2] for r in records]), bound)
 
 
-def load_field(path) -> GridField:
-    """Dispatch on path: .csv file, .slab file, or directory of slabs."""
-    p = Path(path)
-    if p.is_dir():
-        return read_slabs(p)
-    if p.suffix == ".csv":
-        return read_csv(p)
-    return read_slabs(p)
+# a field's one reader: a slab file, a directory of them, or a list
+load_field = read_slabs
 
 
 @dataclass(frozen=True)

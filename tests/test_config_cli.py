@@ -64,16 +64,83 @@ def _set_args(params: dict) -> list:
     return out
 
 
+# an x-dependent 2-d flux whose solver bound M exceeds max|u| over the
+# stored levels (store_every = 10), so a field that loses M on disk shows
+PRODUCT_2D = """
+[flux]
+name = product2d
+
+[initial_data]
+kind = box
+height = 1.0
+lo = -0.5
+hi = 0.0
+
+[initial_data2]
+kind = box
+height = 1.0
+lo = -0.4
+hi = 0.1
+
+[grid]
+lo = -3.0
+hi = 3.0
+nx = 80
+dim = 2
+t_end = 0.5
+store_every = 10
+
+[scheme]
+kind = rusanov
+cfl = 0.9
+boundary = outflow
+
+[output]
+dir = product2d
+
+[checks]
+tasks = cone, kato
+
+[check.cone]
+kind = cone_contraction
+r = 2.0
+
+[check.kato]
+kind = kato
+r = 2.0
+"""
+
+
 @pytest.fixture(scope="module")
 def bundled_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundled")
+    (root / "product2d.cfg").write_text(PRODUCT_2D)
     runs = {}
-    for name in ("entropy_burgers", "burgers_contraction"):
-        cfg = load_config(CONFIGS / f"{name}.cfg")
-        assert main(["run", str(CONFIGS / f"{name}.cfg"),
-                     "--out", str(root / name)]) == 0
+    for name, path in (("entropy_burgers", CONFIGS / "entropy_burgers.cfg"),
+                       ("burgers_contraction",
+                        CONFIGS / "burgers_contraction.cfg"),
+                       ("product2d", root / "product2d.cfg")):
+        cfg = load_config(path)
+        assert main(["run", str(path), "--out", str(root / name)]) == 0
         runs[name] = (cfg, root / name)
     return runs
+
+
+@pytest.fixture(params=["missing", "empty_dir", "not_a_slab", "cut_short"])
+def unreadable_field(request, bundled_runs, tmp_path):
+    """(path, defect) of a field that cannot be read as slabs."""
+    _, outdir = bundled_runs["burgers_contraction"]
+    if request.param == "missing":
+        return tmp_path / "nowhere", "No such file"
+    if request.param == "empty_dir":
+        (tmp_path / "empty").mkdir()
+        return tmp_path / "empty", "no slab files"
+    if request.param == "not_a_slab":
+        return outdir / "config.cfg", "not a slab file"
+    slab = sorted((outdir / "u_slabs").glob("*.slab"))[0]
+    cut = tmp_path / "cut.slab"
+    cut.write_bytes(slab.read_bytes()[:-8])
+    return cut, "data bytes"
 
 
 class TestConfigParsing:
@@ -193,10 +260,13 @@ class TestCliRun:
     def test_run_produces_artifacts(self, tmp_path):
         code, outdir = self.run_small(tmp_path)
         assert code == 0
-        for expected in ("config.cfg", "summary.txt", "summary.csv", "u.csv",
-                         "v.csv", "report_cone.json", "report_glob.json",
-                         "profile_cone.csv", "u_snapshots.svg"):
+        for expected in ("config.cfg", "summary.txt", "summary.csv",
+                         "u_slabs", "v_slabs", "report_cone.json",
+                         "report_glob.json", "profile_cone.csv",
+                         "u_snapshots.svg"):
             assert (outdir / expected).exists(), expected
+        assert not (outdir / "u.csv").exists()
+        assert not (outdir / "v.csv").exists()
         assert not (outdir / "FAILED").exists()
         profile = (outdir / "profile_cone.csv").read_text().splitlines()
         assert profile[0] == "t,radius,l1_mass"
@@ -218,7 +288,12 @@ class TestCliRun:
         cfg_path.write_text(SMALL_CONTRACTION.replace(
             "dir = out", f"dir = {tmp_path / 'b'}"))
         assert main(["run", str(cfg_path)]) == 0
-        for rel in ("u.csv", "v.csv", "profile_cone.csv", "summary.csv"):
+        slabs = sorted(p.relative_to(out1)
+                       for p in out1.glob("[uv]_slabs/*.slab"))
+        assert len(slabs) > 2
+        assert slabs == sorted(p.relative_to(tmp_path / "b") for p in
+                               (tmp_path / "b").glob("[uv]_slabs/*.slab"))
+        for rel in [*slabs, "profile_cone.csv", "summary.csv"]:
             assert (out1 / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
 
@@ -258,7 +333,8 @@ class TestCliRun:
         assert main(["run", str(cfg_path)]) == 0
         rep = json.loads((tmp_path / "run2d" / "report_cone.json").read_text())
         assert rep["passed"] is True
-        assert (tmp_path / "run2d" / "u.csv").exists()
+        assert (tmp_path / "run2d" / "u_slabs").is_dir()
+        assert not (tmp_path / "run2d" / "u.csv").exists()
 
     def test_two_dimensional_entropy_check(self, tmp_path):
         # the default sweep adds smooth pairs n = 4, 16, 64 to the Kruzkov
@@ -313,13 +389,6 @@ class TestCliOther:
         assert rep["kind"] == "cone_contraction"
         assert rep["passed"] is True
 
-    def test_verify_reads_csv(self, tmp_path, capsys):
-        code, outdir = TestCliRun().run_small(tmp_path)
-        code = main(["verify", str(outdir / "u.csv"), str(outdir / "v.csv"),
-                     "--check", "global_contraction", "--flux", "burgers1d",
-                     "--set", "r_list=1,2,4"])
-        assert code == 0
-
     def test_bundled_uniqueness_run_passes(self, tmp_path):
         text = (CONFIGS / "uniqueness_burgers.cfg").read_text()
         text = text.replace("nx = 250", "nx = 120").replace(
@@ -357,7 +426,7 @@ class TestCliOther:
     def test_verify_entropy_on_single_field(self, tmp_path, capsys):
         code, outdir = TestCliRun().run_small(tmp_path)
         capsys.readouterr()
-        code = main(["verify", str(outdir / "u.csv"),
+        code = main(["verify", str(outdir / "u_slabs"),
                      "--check", "entropy_inequality", "--flux", "burgers1d",
                      "--set", "k0_count=3", "--set", "phi_radius=1.0"])
         assert code == 0
@@ -401,6 +470,33 @@ class TestCliOther:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2-d" in err
+
+    def test_verify_refuses_unreadable_field(self, unreadable_field, capsys):
+        path, defect = unreadable_field
+        capsys.readouterr()
+        assert main(["verify", str(path), "--check", "entropy_inequality",
+                     "--flux", "burgers1d"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert defect in captured.err
+
+    def test_file_initial_data_unreadable(self, unreadable_field, tmp_path,
+                                          capsys):
+        path, _ = unreadable_field
+        capsys.readouterr()
+        main(["verify", str(path), "--check", "entropy_inequality",
+              "--flux", "burgers1d"])
+        verify_err = capsys.readouterr().err
+        text = SMALL_CONTRACTION.replace(
+            "[initial_data]\nkind = box\nheight = 1.0\nlo = -0.5\nhi = 0.0",
+            f"[initial_data]\nkind = file\npath = {path}").replace(
+            "dir = out", f"dir = {tmp_path / 'fromfile'}")
+        cfg_path = tmp_path / "fromfile.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == verify_err
+        assert (tmp_path / "fromfile" / "FAILED").exists()
 
     def test_study_smooth_self_convergence(self, tmp_path, capsys):
         text = "\n".join([
@@ -457,6 +553,8 @@ class TestVerifyReproducesRun:
         ("burgers_contraction", "cone"),
         ("burgers_contraction", "glob"),
         ("burgers_contraction", "kato"),
+        ("product2d", "cone"),
+        ("product2d", "kato"),
     ])
     def test_same_report(self, bundled_runs, capsys, config, check_name):
         cfg, outdir = bundled_runs[config]

@@ -1,10 +1,9 @@
 """The vectorized paths against the plain loops they replaced.
 
-Each reference below is the straightforward implementation: a CSV writer
-that formats one value per call, solver sweeps that evaluate the interface
-flux through ``eval``/``dk`` on every call, runs that set up each datum on
-their own and give a pair's shared step back to two separate runs, a
-Lipschitz estimate that materializes every difference quotient, and a
+Each reference below is the straightforward implementation: solver sweeps
+that evaluate the interface flux through ``eval``/``dk`` on every call,
+runs that set up each datum on their own and give a pair's shared step
+back to two separate runs, a Lipschitz estimate that materializes every difference quotient, and a
 weak-form quadrature that evaluates the test function on the whole domain
 level by level.  The fast paths do the same arithmetic in another
 arrangement, so results must agree bit for bit, except the weak-form sums
@@ -26,7 +25,7 @@ from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
 from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
                           lipschitz_constant)
 from clawlab.grids import (GridField, box_data, field_from_function,
-                           riemann_data, sine_data, write_csv)
+                           riemann_data, sine_data)
 from clawlab.mollifiers import (ConeSpec, bump_test_function,
                                 contraction_test_function)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
@@ -89,64 +88,6 @@ def test_factored_eval_and_dk_match_closed_forms(name):
     assert _bitwise_equal(flux.eval(x, k), f(x, kk))
     assert _bitwise_equal(flux.dk(x, k), fk(x, kk))
     assert flux.factors is not None
-
-
-# -- CSV --------------------------------------------------------------------
-
-def _reference_write_csv(field: GridField, path) -> None:
-    def fmt(v):
-        return format(float(v), ".17g")
-
-    with open(path, "w") as fh:
-        if field.dim == 1:
-            fh.write("time,x,value\n")
-            xs = field.centers
-            for n, t in enumerate(field.times):
-                ts = fmt(t)
-                for i in range(field.nx):
-                    fh.write(f"{ts},{fmt(xs[i])},{fmt(field.data[n, i])}\n")
-        else:
-            fh.write("time,x,y,value\n")
-            xs = field.centers
-            for n, t in enumerate(field.times):
-                ts = fmt(t)
-                for i in range(field.nx):
-                    xi = fmt(xs[i])
-                    for j in range(field.nx):
-                        fh.write(f"{ts},{xi},{fmt(xs[j])},"
-                                 f"{fmt(field.data[n, i, j])}\n")
-
-
-def _random_field(dim, nx, nt, seed=RNG_SEED):
-    rng = np.random.default_rng(seed)
-    shape = (nt, nx) if dim == 1 else (nt, nx, nx)
-    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    times = np.sort(rng.uniform(0.0, 3.0, nt))
-    return GridField(dim, -1.0 / 3.0, 2.0 / 7.0, nx, times, data, 1.0)
-
-
-@pytest.mark.parametrize("dim,nx,nt", [(1, 37, 4), (2, 9, 3), (1, 1, 3),
-                                       (2, 1, 2), (1, 50, 1), (2, 6, 1)])
-def test_csv_bytes_match_reference(tmp_path, dim, nx, nt):
-    field = _random_field(dim, nx, nt)
-    write_csv(field, tmp_path / "fast.csv")
-    _reference_write_csv(field, tmp_path / "ref.csv")
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_csv_special_values_match_reference(tmp_path, dim):
-    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-               1.7976931348623157e308, 0.1, -1.0 / 3.0]
-    field = _random_field(dim, 5 if dim == 1 else 3, 2)
-    flat = field.data.reshape(-1)
-    flat[:len(special)] = special
-    write_csv(field, tmp_path / "fast.csv")
-    _reference_write_csv(field, tmp_path / "ref.csv")
-    text = (tmp_path / "fast.csv").read_text()
-    assert text == (tmp_path / "ref.csv").read_text()
-    for token in (",nan\n", ",inf\n", ",-inf\n", ",-0\n"):
-        assert token in text
 
 
 # -- solver sweeps ----------------------------------------------------------

@@ -1,14 +1,17 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clawlab.errors import (BlowUp, CFLViolation, GridMismatch,
-                            MissingTimeLevels)
+from clawlab.errors import (BlowUp, CFLViolation, FieldFileError,
+                            GridMismatch, MissingTimeLevels)
 from clawlab.flux import catalog_lookup
-from clawlab.grids import (box_data, constant_data, field_from_function,
-                           read_csv, read_slabs, riemann_data, sine_data,
-                           write_csv, write_slabs)
+from clawlab.grids import (GridField, box_data, constant_data,
+                           field_from_function, read_slabs, riemann_data,
+                           sine_data, write_slab, write_slabs)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             exact_riemann_burgers, l1_distance_full,
                             l1_distance_on_ball, solve, solve_pair,
@@ -294,18 +297,9 @@ class TestTwoDim:
 
 class TestSerialization:
     def make_field(self):
-        cfg = SchemeConfig(lo=-1, hi=1, nx=64, t_end=0.25, store_every=10)
-        return solve(BURGERS, riemann_data(1.0, 0.0, 0.0), cfg)
-
-    def test_csv_roundtrip(self, tmp_path):
-        u = self.make_field()
-        path = tmp_path / "u.csv"
-        write_csv(u, path)
-        back = read_csv(path)
-        assert back.dim == u.dim and back.nx == u.nx
-        assert np.array_equal(back.times, u.times)
-        assert np.array_equal(back.data, u.data)
-        assert abs(back.lo - u.lo) < 1e-12 and abs(back.hi - u.hi) < 1e-12
+        # lo + nx * dx is one ulp above hi on this grid
+        cfg = SchemeConfig(lo=0.1, hi=0.9, nx=333, t_end=0.25, store_every=10)
+        return solve(BURGERS, riemann_data(1.0, 0.0, 0.5), cfg)
 
     def test_slab_roundtrip(self, tmp_path):
         u = self.make_field()
@@ -314,14 +308,50 @@ class TestSerialization:
         assert np.array_equal(back.times, u.times)
         assert np.array_equal(back.data, u.data)
         assert back.dx == u.dx
+        assert back.hi == u.hi
+        assert back.bound_M == u.bound_M
 
     def test_single_slab_loads(self, tmp_path):
-        from clawlab.grids import load_field, write_slab
+        from clawlab.grids import load_field
         u = self.make_field()
         write_slab(tmp_path / "one.slab", u, 0)
         single = load_field(tmp_path / "one.slab")
         assert len(single.times) == 1
         assert np.array_equal(single.data[0], u.data[0])
+
+    @pytest.mark.parametrize("attr", ["hi", "bound_M", "nx"])
+    def test_refuses_mixed_headers(self, tmp_path, attr):
+        u = self.make_field()
+        if attr == "nx":
+            odd = replace(u, nx=u.nx + 1, data=np.zeros((1, u.nx + 1)))
+        else:
+            odd = replace(u, **{attr: getattr(u, attr) + 1e-9})
+        write_slab(tmp_path / "odd.slab", odd, 0)
+        with pytest.raises(GridMismatch, match=attr):
+            read_slabs(write_slabs(tmp_path, u) + [tmp_path / "odd.slab"])
+
+    def test_refuses_old_version(self, tmp_path):
+        u = self.make_field()
+        # the CLW1 layout: magic, dim, nx, dx, origin per axis, time, data
+        (tmp_path / "old.slab").write_bytes(
+            b"CLW1" + struct.pack("<IIddd", 1, u.nx, u.dx, u.lo, 0.0)
+            + u.data[0].tobytes())
+        with pytest.raises(FieldFileError, match="CLW1"):
+            read_slabs(tmp_path)
+
+    @pytest.mark.parametrize("header,payload,defect", [
+        (b"CLW2" + bytes(10), b"", "header cut short"),
+        (b"CLW2" + struct.pack("<IIdddd", 3, 2, 0.0, 1.0, 1.0, 0.0),
+         bytes(64), "bad grid"),
+        (b"CLW2" + struct.pack("<IIdddd", 1, 0, 0.0, 1.0, 1.0, 0.0),
+         b"", "bad grid"),
+        (b"CLW2" + struct.pack("<IIdddd", 1, 4, 0.0, 1.0, 1.0, 0.0),
+         bytes(33), "33 data bytes"),
+    ], ids=["short_header", "dim_3", "nx_0", "long_payload"])
+    def test_refuses_malformed(self, tmp_path, header, payload, defect):
+        (tmp_path / "bad.slab").write_bytes(header + payload)
+        with pytest.raises(FieldFileError, match=defect):
+            read_slabs(tmp_path / "bad.slab")
 
     def test_unknown_initial_kind_rejected(self):
         from clawlab.grids import InitialData
@@ -329,14 +359,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match="wiggle"):
             bad.sample(np.zeros((3, 1)))
 
-    def test_csv_roundtrip_2d(self, tmp_path):
-        fb2 = catalog_lookup("burgers2d")
-        cfg = SchemeConfig(lo=-1, hi=1, nx=16, t_end=0.1, dim=2,
-                           store_every=10 ** 9)
-        u = solve(fb2, constant_data(0.3), cfg)
-        write_csv(u, tmp_path / "u2.csv")
-        back = read_csv(tmp_path / "u2.csv")
-        assert np.array_equal(back.data, u.data)
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]),
+           grid=st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6),
+                          st.integers(1, 40)).map(
+               lambda t: (t[0], t[0] + t[1], t[2])),
+           times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3,
+                          unique=True).map(sorted),
+           values=st.lists(st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                                -2.2250738585072014e-308])),
+               min_size=1, max_size=64),
+           excess=st.floats(0.5, 1e3))
+    @example(dim=1, grid=(0.1, 0.9, 333), times=[0.25],
+             values=[0.5, -0.0, 5e-324], excess=1.0)
+    @example(dim=2, grid=(0.1, 0.9, 333), times=[0.0, 0.5],
+             values=[np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.75],
+             excess=0.5)
+    @example(dim=2, grid=(-1.0, 1.0, 1), times=[0.0], values=[-0.0],
+             excess=2.0)
+    def test_slab_roundtrip_exact(self, tmp_path_factory, dim, grid, times,
+                                  values, excess):
+        lo, hi, nx = grid
+        # the drawn values tiled over every stored cell
+        arr = np.resize(np.array(values, dtype=float),
+                        (len(times),) + (nx,) * dim)
+        finite = np.abs(arr[np.isfinite(arr)])
+        bound = (finite.max() if finite.size else 0.0) + excess
+        u = GridField(dim, lo, hi, nx, np.array(times), arr, bound)
+        back = read_slabs(write_slabs(tmp_path_factory.mktemp("s"), u))
+        assert (back.dim, back.nx) == (u.dim, u.nx)
+        assert back.lo == u.lo and back.hi == u.hi
+        assert back.bound_M == u.bound_M
+        assert back.times.tobytes() == u.times.tobytes()
+        assert back.data.shape == u.data.shape
+        assert back.data.tobytes() == u.data.tobytes()
 
 
 class TestFileInitialData:
@@ -344,8 +402,8 @@ class TestFileInitialData:
         from clawlab.grids import file_data
         cfg = SchemeConfig(lo=-1, hi=1, nx=64, t_end=0.2, store_every=10 ** 9)
         u = solve(BURGERS, sine_data(0.3, 1.0, 0.5), cfg)
-        write_csv(u, tmp_path / "seed.csv")
-        data = file_data(tmp_path / "seed.csv")
+        write_slabs(tmp_path / "seed", u)
+        data = file_data(tmp_path / "seed")
         pts = u.centers_points()
         assert np.allclose(data(pts), u.data[0], atol=1e-15)
         # restarting from the stored initial slab reproduces the run
