@@ -20,6 +20,7 @@ root for relative output directories.  Exit code 0 iff every check passed.
 slab files.  Its ``--set`` keys are those of a ``[check.*]`` section of
 that kind, read by the same parser, so unknown, duplicate or missing
 required keys are errors, and so is a field that cannot be read (exit 2).
+A flux that takes parameters reads them from the run's ``config.cfg``.
 It prints the report and writes no files.  ``run``, ``study`` and
 ``verify`` run these checks through one builder whose defaults come from
 the domain and the stored time range, and the slabs hold the run's grid
@@ -44,22 +45,15 @@ from .config import (PAIR_KINDS, CheckSpec, ExperimentConfig, load_config,
                      parse_check)
 from .entropy import default_k0_sweep, make_kruzkov_pair, make_smooth_pair
 from .errors import ClawError, ConfigError, GridMismatch
-from .flux import catalog_lookup, catalog_names, lipschitz_constant
+from .flux import (catalog_lookup, catalog_names, catalog_params,
+                   lipschitz_constant)
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
-from .solver import (SchemeConfig, exact_riemann_burgers, solve, solve_pair)
-from .verifier import (ResidualReport, cone_contraction_profile,
+from .solver import exact_riemann_burgers, solve, solve_pair
+from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
                        kato_lhs, uniqueness_experiment, write_profile_csv)
-
-
-def _scheme_config(cfg: ExperimentConfig) -> SchemeConfig:
-    g, s = cfg.grid, cfg.scheme
-    return SchemeConfig(lo=g.lo, hi=g.hi, nx=g.nx, t_end=g.t_end,
-                        scheme=s.kind, cfl=s.cfl, boundary=s.boundary,
-                        store_every=g.store_every, dim=g.dim,
-                        viscosity=s.viscosity)
 
 
 def _resolve_outdir(cfg_dir: str, override: str | None) -> Path:
@@ -151,13 +145,24 @@ def _run_check(check: CheckSpec, flux, u, v, box):
     raise ConfigError(f"unhandled check kind {check.kind!r}")
 
 
+def _burgers_oracle(cfg: ExperimentConfig):
+    """The exact solution at t_end of a Burgers Riemann config, as a
+    function of points (..., 1); None for any other config."""
+    ini = cfg.initial_data
+    if cfg.flux_name != "burgers1d" or ini.kind != "riemann":
+        return None
+    ul, ur, x0 = ini.params["ul"], ini.params["ur"], ini.params.get("x0", 0.0)
+    return lambda pts: exact_riemann_burgers(ul, ur, pts[..., 0] - x0,
+                                             cfg.grid.t_end)
+
+
 def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
     """Run a check that needs the config's initial data, scheme or seed
     (``uniqueness``, ``doubling``); ``clawlab run`` only."""
     p = check.params
 
     if check.kind == "uniqueness":
-        base = replace(_scheme_config(cfg), store_every=10 ** 9)
+        base = replace(cfg.scheme_config(), store_every=10 ** 9)
         variants = [replace(base, scheme="rusanov", cfl=c, viscosity=0.0)
                     for c in p.get("cfl_list", [0.9, 0.45])]
         coeff = p.get("viscous_coeff", 2.0)
@@ -165,16 +170,9 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
             dx = (base.hi - base.lo) / base.nx
             variants.append(replace(base, scheme="viscous",
                                     viscosity=coeff * dx))
-        oracle = None
-        ini = cfg.initial_data
-        if cfg.flux_name == "burgers1d" and ini.kind == "riemann":
-            def oracle(pts, _ini=ini, _t=base.t_end):
-                return exact_riemann_burgers(
-                    _ini.params["ul"], _ini.params["ur"],
-                    pts[..., 0] - _ini.params.get("x0", 0.0), _t)
         return uniqueness_experiment(
-            flux, ini, variants, center=p.get("center"),
-            radius=p.get("radius"), exact_at_t_end=oracle,
+            flux, cfg.initial_data, variants, center=p.get("center"),
+            radius=p.get("radius"), exact_at_t_end=_burgers_oracle(cfg),
             min_ratio=p.get("min_ratio", 1.5))
 
     if check.kind == "doubling":
@@ -183,10 +181,8 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
         t_sample = p.get("t_sample", 0.5 * cfg.grid.t_end)
         lev = int(np.argmin(np.abs(u.times - t_sample)))
         tstar = float(u.times[lev])
-        scale = max(np.abs(np.diff(u.data[0])).max(),
-                    np.abs(np.diff(v.data[0])).max())
         margin = int(np.ceil(max(eps_list) / u.dx)) + 2
-        xs = find_smooth_samples(u, v, lev, count, 10.0 * scale,
+        xs = find_smooth_samples(u, v, lev, count, 10.0 * _jump_scale(u, v),
                                  margin_cells=margin, seed=cfg.seed)
         table = doubling_diagnostics(u, v, flux, eps_list,
                                      [(float(x), tstar) for x in xs])
@@ -195,14 +191,13 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
             all(a >= b - 1e-14 for a, b in zip(dev[key], dev[key][1:]))
             for key in dev)
         worst = float(max(dev[key][-1] for key in dev))
-        report = ResidualReport(
+        return ResidualReport(
             kind="doubling", value=worst, tolerance=float("nan"),
             passed=trending,
             metadata={"eps": eps_list, "seed": cfg.seed,
                       "samples": table["samples"],
                       "max_deviation": {k: list(map(float, d))
                                         for k, d in dev.items()}})
-        return report
 
     raise ConfigError(f"unhandled check kind {check.kind!r}")
 
@@ -211,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
-        scheme_cfg = _scheme_config(cfg)
+        scheme_cfg = cfg.scheme_config()
         if cfg.initial_data2 is not None:
             u, v = solve_pair(flux, cfg.initial_data, cfg.initial_data2,
                               scheme_cfg)
@@ -276,7 +271,7 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
-        base = _scheme_config(cfg)
+        base = cfg.scheme_config()
         runs = []
         for lev in range(levels):
             sc = replace(base.refined(2 ** lev), store_every=10 ** 9)
@@ -286,17 +281,11 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
                 u, v = solve(flux, cfg.initial_data, sc), None
             runs.append((sc, u, v))
 
-        ini = cfg.initial_data
-        exact = None
-        if cfg.flux_name == "burgers1d" and ini.kind == "riemann" and base.dim == 1:
-            def exact(xs):
-                return exact_riemann_burgers(ini.params["ul"], ini.params["ur"],
-                                             xs - ini.params.get("x0", 0.0),
-                                             base.t_end)
+        exact = _burgers_oracle(cfg)
         dxs, errs = [], []
         for lev, (sc, u, _) in enumerate(runs):
             if exact is not None:
-                ref = u.data[-1] - exact(u.centers)
+                ref = u.data[-1] - exact(u.centers_points())
             elif lev + 1 < levels:
                 # self-convergence: consecutive levels, fine restricted
                 ref = u.data[-1] - _restrict(runs[lev + 1][1].data[-1], 2)
@@ -348,6 +337,23 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
         raise
 
 
+def _run_flux(name: str, field: Path):
+    """The catalog flux ``name``; one that takes parameters reads them from
+    the config.cfg of the run that wrote ``field`` (the parent of a slab
+    directory, the grandparent of a slab file), which must name it."""
+    if not catalog_params(name):
+        return catalog_lookup(name, {})
+    cfg_path = (field if field.is_dir() else field.parent).parent / "config.cfg"
+    if not cfg_path.is_file():
+        raise ConfigError(f"flux {name} takes parameters, and the run's "
+                          f"config {cfg_path} does not exist")
+    cfg = load_config(cfg_path)
+    if cfg.flux_name != name:
+        raise ConfigError(f"--flux {name}, but {cfg_path} names flux "
+                          f"{cfg.flux_name}")
+    return catalog_lookup(name, cfg.flux_params)
+
+
 def cmd_verify(args) -> int:
     section = {"kind": (args.check, "--check")}
     for kv in args.set or []:
@@ -364,7 +370,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{check.kind} takes {need} field(s), "
                           f"got {len(fields)}")
     u, v = fields if need == 2 else (fields[0], None)
-    flux = catalog_lookup(args.flux, {})
+    flux = _run_flux(args.flux, Path(args.fields[0]))
     if flux.dim != u.dim:
         raise GridMismatch(f"flux {flux.name} is {flux.dim}-d, "
                            f"the fields are {u.dim}-d")

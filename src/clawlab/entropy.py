@@ -145,38 +145,31 @@ def _geometric_panels(k0: float, k: float, scale: float) -> np.ndarray:
     return k0 + np.sign(k - k0) * offs
 
 
-def _flat_pairs(pts: Array, k, dim: int):
-    """Points (..., d) and states broadcast against each other, flattened
-    to one (point, state) pair per row: returns (states (np,), points
-    (np, d), the broadcast shape)."""
+def _state_integral(flux: FluxSpec, k0: float, n: int, pts: Array, k,
+                    panel_sum):
+    """int_{k0}^{k} dw for points (..., d) and states broadcast against
+    each other, flattened to np (point, state) pairs: composite
+    Gauss-Legendre on panels refined toward k0 (where eta_n'' concentrates),
+    remapped per pair onto [0, 1] so one node set serves the whole batch.
+
+    ``panel_sum(flat points (np, d), nodes w (m, np))`` is one panel's
+    Gauss-weighted sum, shape (np, ...).  Returns (states (np,), flat
+    points, broadcast shape, integrals (np, ...)).
+    """
     kk = np.asarray(k, dtype=float)
     shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-    flat = np.broadcast_to(pts, shape + (dim,)).reshape(-1, dim)
-    return np.broadcast_to(kk, shape).ravel(), flat, shape
-
-
-def _q_smooth_field(flux: FluxSpec, ent: SmoothEntropy, k0: float, n: int,
-                    pts: Array, k: Array) -> Array:
-    """Vectorized q(x_i, k_i) for a batch of (point, state) pairs.
-
-    Composite Gauss-Legendre on panels refined toward k0 (where eta_n''
-    concentrates); the state integral is remapped per pair onto [0, 1] so a
-    single node set serves the whole batch.
-    """
-    kk, flat, shape = _flat_pairs(pts, k, flux.dim)
+    flat = np.broadcast_to(pts, shape + (flux.dim,)).reshape(-1, flux.dim)
+    kk = np.broadcast_to(kk, shape).ravel()
     kmax = float(np.max(np.abs(kk - k0))) if kk.size else 0.0
     edges = _geometric_panels(0.0, 1.0, (1.0 / np.sqrt(n)) / max(kmax, 1e-12))
-    total = np.zeros((kk.size, flux.dim))
     span = kk - k0                                   # (np,)
+    total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * GAUSS_NODES                      # (m,) in [0, 1]
-        w = k0 + span[None, :] * t[:, None]          # (m, np)
-        vals = flux.dk(flat[None, :, :], w)          # (m, np, d)
-        ep = ent.eta_prime(w)
-        total += half * np.einsum("m,mp,mpi->pi", GAUSS_WEIGHTS, ep, vals)
-    total *= span[:, None]
-    return total.reshape(shape + (flux.dim,))
+        t = mid + half * GAUSS_NODES                 # (m,) in [0, 1]
+        total = total + half * panel_sum(flat, k0 + span[None, :] * t[:, None])
+    total = total * span.reshape(span.shape + (1,) * (np.ndim(total) - 1))
+    return kk, flat, shape, total
 
 
 def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
@@ -185,31 +178,30 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
     The flux q is evaluated by quadrature of eta_n' d_k f; the divergence
     uses the integration-by-parts form
         div_x q(x,k) = -int eta_n'' div_x f dw + eta_n'(k) div_x f(x,k),
-    which is exact because eta_n'(k0) = 0.
+    which is exact because eta_n'(k0) = 0.  Batches of points share one
+    panel set (``_state_integral``).
     """
     ent = sqrt_entropy(k0, n)
+
+    def q_panel(flat, w):
+        return np.einsum("m,mp,mpi->pi", GAUSS_WEIGHTS, ent.eta_prime(w),
+                         flux.dk(flat[None, :, :], w))
+
+    def div_panel(flat, w):
+        return np.einsum("m,mp,mp->p", GAUSS_WEIGHTS, ent.eta_pp(w),
+                         flux.div_x(flat[None, :, :], w))
 
     def q(x, k):
         pts = as_points(x, flux.dim)
         if np.ndim(k) == 0 and pts.size == flux.dim:
             return q_build_quadrature(flux, ent.eta_prime, k0, pts, float(k))
-        return _q_smooth_field(flux, ent, k0, n, pts, k)
+        _, _, shape, total = _state_integral(flux, k0, n, pts, k, q_panel)
+        return total.reshape(shape + (flux.dim,))
 
     def div_x_q(x, k):
         pts = flux.nudge_off_singular(as_points(x, flux.dim))
-        kk, flat, shape = _flat_pairs(pts, k, flux.dim)
-        kmax = float(np.max(np.abs(kk - k0))) if kk.size else 0.0
-        edges = _geometric_panels(0.0, 1.0, (1.0 / np.sqrt(n)) / max(kmax, 1e-12))
-        span = kk - k0
-        integ = np.zeros(kk.size)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            t = mid + half * GAUSS_NODES
-            w = k0 + span[None, :] * t[:, None]
-            dv = flux.div_x(flat[None, :, :], w)     # (m, np)
-            epp = ent.eta_pp(w)
-            integ += half * np.einsum("m,mp,mp->p", GAUSS_WEIGHTS, epp, dv)
-        integ *= span
+        kk, flat, shape, integ = _state_integral(flux, k0, n, pts, k,
+                                                 div_panel)
         out = -integ + ent.eta_prime(kk) * flux.div_x(flat, kk)
         return out.reshape(shape)
 

@@ -21,6 +21,15 @@ is evaluated once per chunk, at every level time and midpoint of the chunk
 in one call, and all terms of a sweep (``entropy_residual_sweep``) share
 those values.
 
+The doubling diagnostics quadrature the four integrals of the doubling of
+variables around each sample (x, t) over every stored level n with
+|t_n - t| < eps, weighted by omega_eps(t - t_n) np.gradient(times)[n], and
+every cell with |y - x| < eps, weighted by rho_eps(x - y) dx; each
+integrand is evaluated once on that (levels, cells) array.  One jump rule
+serves sampling and guard: a jump of u or v above the threshold between
+cells b and b + 1 marks the cells b - m .. b + m + 1.  Samples avoid them
+with m = ``margin_cells``; a sample marked with m = 2 raises SampleNearShock.
+
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
 flux by dx-halving studies and recorded in every report.
@@ -29,7 +38,7 @@ flux by dx-halving studies and recorded in every report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -359,19 +368,17 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
         for f in fields[1:]:
             if not fields[0].same_grid(f):
                 raise GridMismatch("variants produced different grids")
-        pts = fields[0].centers_points()
-        r = np.sqrt(((pts - center) ** 2).sum(axis=-1))
-        mask = r <= radius
-        cell = fields[0].dx ** fields[0].dim
-        npairs = len(fields)
-        dist = np.zeros((npairs, npairs))
-        for i in range(npairs):
-            for j in range(i + 1, npairs):
-                d = float(np.abs(fields[i].data[-1]
-                                 - fields[j].data[-1])[mask].sum() * cell)
-                dist[i, j] = dist[j, i] = d
+        finals = [replace(f, times=f.times[-1:], data=f.data[-1:])
+                  for f in fields]
+        dist = np.zeros((len(fields),) * 2)
+        for i, j in zip(*np.triu_indices(len(fields), k=1)):
+            dist[i, j] = dist[j, i] = l1_distance_on_ball(
+                finals[i], finals[j], t_end, center, radius)
         oracle = None
         if exact_at_t_end is not None:
+            pts = fields[0].centers_points()
+            mask = np.sqrt(((pts - center) ** 2).sum(axis=-1)) <= radius
+            cell = fields[0].dx ** fields[0].dim
             exact = np.asarray(exact_at_t_end(pts), dtype=float)
             oracle = [float((np.abs(f.data[-1] - exact)[mask]).sum() * cell)
                       for f in fields]
@@ -407,21 +414,27 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
                   "nx_levels": [seeds[0].nx, 2 * seeds[0].nx]})
 
 
+def _near_jump(u: GridField, v: GridField, level: int, threshold: float,
+               m: int) -> Array:
+    """Mask of the cells within ``m`` cells of a jump of u or v at
+    ``level`` (1-d): a jump above ``threshold`` between cells b and b + 1
+    marks the cells b - m .. b + m + 1."""
+    # jumps[b]: u or v jumps between cells b and b + 1
+    jumps = np.append((np.abs(np.diff([u.data[level], v.data[level]]))
+                       > threshold).any(axis=0), False)
+    # cell c is marked iff a jump b lies in [c - m - 1, c + m]
+    hits = np.convolve(jumps, np.ones(2 * m + 2, dtype=int))
+    return hits[m:m + u.nx] > 0
+
+
 def find_smooth_samples(u: GridField, v: GridField, level: int, count: int,
                         jump_threshold: float, margin_cells: int = 4,
                         seed: int = 20260809):
     """Deterministically pick cell-center sample points away from detected
     jumps at the given level (1-d)."""
-    flags = np.zeros(u.nx, dtype=bool)
-    for f in (u, v):
-        jumps = np.abs(np.diff(f.data[level]))
-        bad = np.where(jumps > jump_threshold)[0]
-        for b in bad:
-            lo = max(0, b - margin_cells)
-            hi = min(u.nx, b + margin_cells + 2)
-            flags[lo:hi] = True
+    flags = _near_jump(u, v, level, jump_threshold, margin_cells)
     flags[:margin_cells] = True
-    flags[-margin_cells:] = True
+    flags[u.nx - margin_cells:] = True
     ok = np.where(~flags)[0]
     if len(ok) < count:
         raise SampleNearShock("not enough smooth cells at the requested level")
@@ -431,12 +444,9 @@ def find_smooth_samples(u: GridField, v: GridField, level: int, count: int,
 
 
 def _jump_scale(u: GridField, v: GridField) -> float:
-    s = 0.0
-    for f in (u, v):
-        if f.nx > 1:
-            s = max(s, float(np.abs(np.diff(f.data[0],
-                                            axis=0)).max()))
-    return s
+    """The largest jump of u or v between neighbouring cells at t = 0."""
+    return max([float(np.abs(np.diff(f.data[0], axis=0)).max())
+                for f in (u, v) if f.nx > 1], default=0.0)
 
 
 def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
@@ -457,75 +467,52 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
     eps_list = [float(e) for e in eps_list]
     samples = [(float(x), float(t)) for (x, t) in sample_points]
     threshold = jump_factor * _jump_scale(u, v)
-    centers = u.centers
-    times = u.times
-    dts = np.gradient(times)
-    cell = u.dx
-    P = u.centers_points()
-    Pn = flux.nudge_off_singular(P)
-
-    n_e, n_s = len(eps_list), len(samples)
-    dev = {key: np.zeros((n_e, n_s)) for key in ("I1", "I2", "I3", "I4")}
-    raw = {key: np.zeros((n_e, n_s)) for key in ("I1", "I2", "I3", "I4")}
-    limits = {key: np.zeros(n_s) for key in ("I1", "I2", "I3", "I4")}
-
+    centers, times, dts = u.centers, u.times, np.gradient(u.times)
+    Pn = flux.nudge_off_singular(u.centers_points())
+    raw = np.zeros((4, len(eps_list), len(samples)))
+    limits = np.zeros((4, len(samples)))
     for j, (xs, ts) in enumerate(samples):
         lev = u.level_index(ts)
         ci = int(np.clip(round((xs - u.lo) / u.dx - 0.5), 0, u.nx - 1))
-        window = slice(max(0, ci - 3), min(u.nx, ci + 4))
-        for f in (u, v):
-            if np.abs(np.diff(f.data[lev][window])).max(initial=0.0) > threshold:
-                raise SampleNearShock(f"sample at x={xs}, t={ts} sits near a jump")
-        ustar = float(u.data[lev][ci])
-        vstar = float(v.data[lev][ci])
-        x0 = np.array([[xs]])
+        if _near_jump(u, v, lev, threshold, 2)[ci]:
+            raise SampleNearShock(f"sample at x={xs}, t={ts} sits near a jump")
+        ustar, vstar = u.data[lev][ci], v.data[lev][ci]
         s0 = np.sign(ustar - vstar)
-        limits["I1"][j] = abs(ustar - vstar)
-        limits["I2"][j] = s0 * (flux.eval(x0, ustar)
-                                - flux.eval(x0, vstar))[..., 0].item()
-        div_u = flux.div_x(flux.nudge_off_singular(x0), ustar).item()
-        div_v = flux.div_x(flux.nudge_off_singular(x0), vstar).item()
-        limits["I3"][j] = s0 * (div_u - div_v)
-        limits["I4"][j] = -limits["I3"][j]
-
+        x0 = np.array([[xs]])
+        x0n = flux.nudge_off_singular(x0)
+        fx_u = flux.eval(x0, ustar)[..., 0]
+        i3 = (s0 * (flux.div_x(x0n, ustar) - flux.div_x(x0n, vstar))).item()
+        limits[:, j] = (abs(ustar - vstar),
+                        (s0 * (fx_u - flux.eval(x0, vstar)[..., 0])).item(),
+                        i3, -i3)
         for e, eps in enumerate(eps_list):
             rho = Mollifier(1, eps)
-            lmask = np.where(np.abs(times - ts) < eps)[0]
-            if len(lmask) < 3:
+            levels = np.nonzero(np.abs(times - ts) < eps)[0]
+            if len(levels) < 3:
                 raise MissingTimeLevels(
                     f"need stored levels within {eps} of t={ts}")
-            cmask = np.abs(centers - xs) < eps
-            ym = centers[cmask][:, None]
-            ymn = Pn[cmask]
-            wx = rho.value((xs - ym))
-            fy_u = flux.eval(ym, ustar)[..., 0]
-            fx_u = flux.eval(x0, ustar)[..., 0].item()
-            div_y_u = flux.div_x(ymn, ustar)
-            grad_rho = rho.grad((xs - ym))[..., 0] * (-1.0)   # d/dy of rho(x-y)
-            acc = {key: 0.0 for key in ("I1", "I2", "I3", "I4")}
-            for n in lmask:
-                wt = float(omega_value(eps, ts - times[n])) * dts[n]
-                if wt == 0.0:
-                    continue
-                vy = v.data[n][cmask]
-                sgn = np.sign(ustar - vy)
-                fx_v = flux.eval(x0, vy)[..., 0]
-                fy_v = flux.eval(ym, vy)[..., 0]
-                div_x_v = flux.div_x(
-                    flux.nudge_off_singular(np.full((len(vy), 1), xs)), vy)
-                q_at_x = sgn * (fx_u - fx_v)
-                q_at_y = sgn * (fy_u - fy_v)
-                acc["I1"] += wt * float((wx * np.abs(ustar - vy)).sum()) * cell
-                acc["I2"] += wt * float((wx * q_at_x).sum()) * cell
-                acc["I3"] += wt * float(
-                    (wx * sgn * (div_y_u - div_x_v)).sum()) * cell
-                acc["I4"] += wt * float((grad_rho * (q_at_y - q_at_x)).sum()) * cell
-            for key in acc:
-                raw[key][e, j] = acc[key]
-                dev[key][e, j] = abs(acc[key] - limits[key][j])
-    return {"eps": eps_list, "samples": samples, "limits": limits,
-            "raw": raw, "deviation": dev,
-            "max_deviation": {key: dev[key].max(axis=1) for key in dev}}
+            cells = np.abs(centers - xs) < eps
+            y = centers[cells][:, None]
+            V = v.data[levels][:, cells]                   # (levels, cells)
+            sgn = np.sign(ustar - V)
+            q_x = sgn * (fx_u - flux.eval(x0, V)[..., 0])
+            q_y = sgn * (flux.eval(y, ustar)[..., 0] - flux.eval(y, V)[..., 0])
+            div = sgn * (flux.div_x(Pn[cells], ustar) - flux.div_x(x0n, V))
+            wx = rho.value(xs - y)
+            grad_rho = -rho.grad(xs - y)[..., 0]           # d/dy of rho(x-y)
+            sums = np.stack([wx * np.abs(ustar - V), wx * q_x, wx * div,
+                             grad_rho * (q_y - q_x)]).sum(axis=2)
+            wt = omega_value(eps, ts - times[levels]) * dts[levels]
+            # added over the levels in time order
+            raw[:, e, j] = np.cumsum(wt * sums * u.dx, axis=1)[:, -1]
+
+    dev = np.abs(raw - limits[:, None, :])
+    keys = ("I1", "I2", "I3", "I4")
+    return {"eps": eps_list, "samples": samples,
+            "limits": dict(zip(keys, limits)),
+            "raw": dict(zip(keys, raw)),
+            "deviation": dict(zip(keys, dev)),
+            "max_deviation": dict(zip(keys, dev.max(axis=2)))}
 
 
 def write_profile_csv(path, profile) -> None:

@@ -1,10 +1,11 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clawlab.cli import main
+from clawlab.cli import _run_flux, main
 from clawlab.config import load_config, parse_config
 from clawlab.errors import ConfigError
 
@@ -214,6 +215,22 @@ class TestConfigParsing:
         needed = "r_list" if name == "glob" else "r"
         with pytest.raises(ConfigError,
                            match=rf"\[check\.{name}\] missing .*'{needed}'"):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("store_every = 10", "store_every = 0", "store_every"),
+        ("cfl = 0.9", "cfl = 1.5", "cfl"),
+        ("kind = rusanov", "kind = viscous", "viscosity"),
+    ], ids=["store_every", "cfl", "viscous"])
+    def test_bad_scheme_value_refused_before_output(self, tmp_path, old, new,
+                                                    match):
+        text = SMALL_CONTRACTION.replace(old, new).replace(
+            "dir = out", f"dir = {tmp_path / 'out'}")
+        with pytest.raises(ConfigError, match=match):
             parse_config(text)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)
@@ -572,6 +589,41 @@ class TestVerifyReproducesRun:
         assert stored["metadata"].pop("check_name") == check_name
         assert stored["metadata"].pop("seed") == cfg.seed
         assert printed == stored
+
+    def test_parameterized_flux_read_from_run(self, tmp_path, capsys):
+        text = SMALL_CONTRACTION.replace(
+            "[flux]\nname = burgers1d",
+            "[flux]\nname = advection1d\nc = 3.0").replace("nx = 600",
+                                                           "nx = 150")
+        cfg_path = tmp_path / "adv.cfg"
+        cfg_path.write_text(text)
+        outdir = tmp_path / "adv"
+        assert main(["run", str(cfg_path), "--out", str(outdir)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(outdir / "u_slabs"), str(outdir / "v_slabs"),
+                     "--check", "cone_contraction", "--flux", "advection1d",
+                     "--set", "r=2.0"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        stored = json.loads((outdir / "report_cone.json").read_text())
+        assert printed["metadata"]["N"] == pytest.approx(3.0, rel=1e-12)
+        del stored["metadata"]["check_name"], stored["metadata"]["seed"]
+        assert printed == stored
+        # a slab file reads the config of its grandparent
+        slab = sorted((outdir / "u_slabs").glob("*.slab"))[0]
+        assert _run_flux("advection1d", slab).params == {"c": 3.0}
+
+    def test_parameterized_flux_needs_matching_config(self, bundled_runs,
+                                                      tmp_path, capsys):
+        _, outdir = bundled_runs["burgers_contraction"]
+        copied = tmp_path / "u_slabs"
+        shutil.copytree(outdir / "u_slabs", copied)
+        for field, needle in ((outdir / "u_slabs", "burgers1d"),
+                              (copied, "config.cfg")):
+            capsys.readouterr()
+            assert main(["verify", str(field), "--check",
+                         "entropy_inequality", "--flux", "advection1d"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err
 
     def test_global_profile_radius_is_inf(self, bundled_runs):
         _, outdir = bundled_runs["burgers_contraction"]

@@ -21,16 +21,19 @@ from clawlab import solver as solver_mod
 from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
                              make_smooth_pair)
 from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
-                            NonFiniteFlux, SupportExceedsDomain)
+                            NonFiniteFlux, SampleNearShock,
+                            SupportExceedsDomain)
 from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
                           lipschitz_constant)
 from clawlab.grids import (GridField, box_data, field_from_function,
                            riemann_data, sine_data)
-from clawlab.mollifiers import (ConeSpec, bump_test_function,
-                                contraction_test_function)
+from clawlab.mollifiers import (ConeSpec, Mollifier, bump_test_function,
+                                contraction_test_function, omega_value)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             solve, solve_pair)
-from clawlab.verifier import entropy_residual_sweep, kato_lhs
+from clawlab.verifier import (_jump_scale, _near_jump, doubling_diagnostics,
+                              entropy_residual_sweep, find_smooth_samples,
+                              kato_lhs)
 
 RNG_SEED = 20260809
 
@@ -526,3 +529,192 @@ def test_two_interval_window_matches_reference():
     fast = [r.value for r in entropy_residual_sweep(u, flux, pairs, phi)]
     refs = [_reference_entropy_value(u, flux, p, phi) for p in pairs]
     _assert_matches(fast, refs, exact=1)
+
+
+# -- doubling of variables -------------------------------------------------
+
+# raw and deviation against the level loop, relative to the largest
+# magnitude of their key's table; limits are bitwise equal
+DOUBLING_RTOL = 1e-12
+
+
+def _reference_smooth_flags(u, v, level, threshold, margin):
+    """The per-jump loop: each jump b between cells b and b + 1 flags the
+    cells b - margin .. b + margin + 1."""
+    flags = np.zeros(u.nx, dtype=bool)
+    for f in (u, v):
+        for b in np.where(np.abs(np.diff(f.data[level])) > threshold)[0]:
+            flags[max(0, b - margin):min(u.nx, b + margin + 2)] = True
+    return flags
+
+
+def _reference_doubling(u, v, flux, eps_list, sample_points,
+                        jump_factor: float = 10.0):
+    """The per-level loop ``doubling_diagnostics`` replaced: flux
+    evaluations per stored level, a 7-cell jump guard per sample, and dict
+    accumulators."""
+    u.require_compatible(v)
+    if u.dim != 1:
+        raise ValueError("doubling diagnostics implemented for 1-d fields")
+    eps_list = [float(e) for e in eps_list]
+    samples = [(float(x), float(t)) for (x, t) in sample_points]
+    threshold = jump_factor * _jump_scale(u, v)
+    centers = u.centers
+    times = u.times
+    dts = np.gradient(times)
+    cell = u.dx
+    P = u.centers_points()
+    Pn = flux.nudge_off_singular(P)
+
+    n_e, n_s = len(eps_list), len(samples)
+    dev = {key: np.zeros((n_e, n_s)) for key in ("I1", "I2", "I3", "I4")}
+    raw = {key: np.zeros((n_e, n_s)) for key in ("I1", "I2", "I3", "I4")}
+    limits = {key: np.zeros(n_s) for key in ("I1", "I2", "I3", "I4")}
+
+    for j, (xs, ts) in enumerate(samples):
+        lev = u.level_index(ts)
+        ci = int(np.clip(round((xs - u.lo) / u.dx - 0.5), 0, u.nx - 1))
+        window = slice(max(0, ci - 3), min(u.nx, ci + 4))
+        for f in (u, v):
+            if np.abs(np.diff(f.data[lev][window])).max(initial=0.0) > threshold:
+                raise SampleNearShock(f"sample at x={xs}, t={ts} sits near a jump")
+        ustar = float(u.data[lev][ci])
+        vstar = float(v.data[lev][ci])
+        x0 = np.array([[xs]])
+        s0 = np.sign(ustar - vstar)
+        limits["I1"][j] = abs(ustar - vstar)
+        limits["I2"][j] = s0 * (flux.eval(x0, ustar)
+                                - flux.eval(x0, vstar))[..., 0].item()
+        div_u = flux.div_x(flux.nudge_off_singular(x0), ustar).item()
+        div_v = flux.div_x(flux.nudge_off_singular(x0), vstar).item()
+        limits["I3"][j] = s0 * (div_u - div_v)
+        limits["I4"][j] = -limits["I3"][j]
+
+        for e, eps in enumerate(eps_list):
+            rho = Mollifier(1, eps)
+            lmask = np.where(np.abs(times - ts) < eps)[0]
+            if len(lmask) < 3:
+                raise MissingTimeLevels(
+                    f"need stored levels within {eps} of t={ts}")
+            cmask = np.abs(centers - xs) < eps
+            ym = centers[cmask][:, None]
+            ymn = Pn[cmask]
+            wx = rho.value((xs - ym))
+            fy_u = flux.eval(ym, ustar)[..., 0]
+            fx_u = flux.eval(x0, ustar)[..., 0].item()
+            div_y_u = flux.div_x(ymn, ustar)
+            grad_rho = rho.grad((xs - ym))[..., 0] * (-1.0)   # d/dy of rho(x-y)
+            acc = {key: 0.0 for key in ("I1", "I2", "I3", "I4")}
+            for n in lmask:
+                wt = float(omega_value(eps, ts - times[n])) * dts[n]
+                if wt == 0.0:
+                    continue
+                vy = v.data[n][cmask]
+                sgn = np.sign(ustar - vy)
+                fx_v = flux.eval(x0, vy)[..., 0]
+                fy_v = flux.eval(ym, vy)[..., 0]
+                div_x_v = flux.div_x(
+                    flux.nudge_off_singular(np.full((len(vy), 1), xs)), vy)
+                q_at_x = sgn * (fx_u - fx_v)
+                q_at_y = sgn * (fy_u - fy_v)
+                acc["I1"] += wt * float((wx * np.abs(ustar - vy)).sum()) * cell
+                acc["I2"] += wt * float((wx * q_at_x).sum()) * cell
+                acc["I3"] += wt * float(
+                    (wx * sgn * (div_y_u - div_x_v)).sum()) * cell
+                acc["I4"] += wt * float((grad_rho * (q_at_y - q_at_x)).sum()) * cell
+            for key in acc:
+                raw[key][e, j] = acc[key]
+                dev[key][e, j] = abs(acc[key] - limits[key][j])
+    return {"eps": eps_list, "samples": samples, "limits": limits,
+            "raw": raw, "deviation": dev,
+            "max_deviation": {key: dev[key].max(axis=1) for key in dev}}
+
+
+
+
+def _doubling_pair(name, nx=640, t_end=0.33, store_every=1):
+    flux = catalog_lookup(name)
+    u, v = solve_pair(flux, sine_data(0.3, 1.0, 0.5),
+                      sine_data(0.25, 1.0, 0.45),
+                      SchemeConfig(lo=-1.0, hi=1.0, nx=nx, t_end=t_end,
+                                   store_every=store_every,
+                                   boundary="periodic"))
+    return flux, u, v
+
+
+def _assert_doubling_matches(fast, ref):
+    assert fast["eps"] == ref["eps"] and fast["samples"] == ref["samples"]
+    for key in ("I1", "I2", "I3", "I4"):
+        assert _bitwise_equal(fast["limits"][key], ref["limits"][key]), key
+        for part in ("raw", "deviation"):
+            a, b = fast[part][key], ref[part][key]
+            assert a.shape == b.shape
+            scale = float(np.abs(b).max())
+            assert np.abs(a - b).max() <= DOUBLING_RTOL * scale, (part, key)
+        assert fast["max_deviation"][key].shape == (len(ref["eps"]),)
+
+
+@pytest.mark.parametrize("name", ["burgers1d", "product1d", "xsquared1d",
+                                  "kink1d"])
+def test_doubling_matches_reference(name):
+    flux, u, v = _doubling_pair(name)
+    lev = int(np.argmin(np.abs(u.times - 0.2)))
+    tstar = float(u.times[lev])
+    xs = find_smooth_samples(u, v, lev, 6, 10.0 * _jump_scale(u, v),
+                             margin_cells=90)
+    # x = 0 is the singular point of kink1d, where div_x needs the nudge;
+    # u is steep there, so that sample runs with the jump guard off
+    eps = [0.1, 0.05, 0.025]
+    for samples, factor in (([(float(x), tstar) for x in xs], 10.0),
+                            ([(0.0, tstar), (0.3, tstar)], np.inf)):
+        _assert_doubling_matches(
+            doubling_diagnostics(u, v, flux, eps, samples, factor),
+            _reference_doubling(u, v, flux, eps, samples, factor))
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 5, 30])
+def test_jump_rule_matches_reference(margin):
+    flux, u, v = _doubling_pair("burgers1d", nx=200, t_end=0.8)
+    lev = len(u.times) - 1
+    threshold = 10.0 * _jump_scale(u, v)
+    flags = _reference_smooth_flags(u, v, lev, threshold, margin)
+    assert flags.any() and not flags.all()
+    assert _bitwise_equal(_near_jump(u, v, lev, threshold, margin), flags)
+    if margin > 0:
+        flags[:margin] = flags[-margin:] = True
+    ok = np.where(~flags)[0]
+    picked = np.sort(np.random.default_rng(7).choice(ok, 8, replace=False))
+    assert _bitwise_equal(
+        find_smooth_samples(u, v, lev, 8, threshold, margin, seed=7),
+        u.centers[picked])
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (SampleNearShock, MissingTimeLevels) as exc:
+        return type(exc)
+    return None
+
+
+def test_doubling_errors_match_reference():
+    flux, u, v = _doubling_pair("burgers1d", nx=200, t_end=0.8)
+    lev = len(u.times) - 1
+    tstar = float(u.times[lev])
+    shock = int(np.argmax(np.abs(np.diff(u.data[lev]))))
+    # every cell around the shock: the guard flags cells b - 2 .. b + 3
+    raised = set()
+    for ci in range(shock - 6, shock + 8):
+        args = (u, v, flux, [0.05], [(float(u.centers[ci]), tstar)])
+        outcome = _outcome(doubling_diagnostics, *args)
+        assert outcome == _outcome(_reference_doubling, *args), ci
+        raised.add(outcome)
+    assert raised == {SampleNearShock, None}
+    # too few levels in the window, and a time that is not stored
+    smooth = float(find_smooth_samples(u, v, lev, 1, 10.0 * _jump_scale(u, v),
+                                       margin_cells=5)[0])
+    dt = float(np.diff(u.times).min())
+    for eps, t in ((0.5 * dt, tstar), (0.05, tstar - 0.5 * dt)):
+        args = (u, v, flux, [0.1, eps], [(smooth, t)])
+        assert _outcome(doubling_diagnostics, *args) is MissingTimeLevels
+        assert _outcome(_reference_doubling, *args) is MissingTimeLevels
