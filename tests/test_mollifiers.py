@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
+import clawlab
 from clawlab.errors import BadWindow
-from clawlab.mollifiers import (ConeSpec, Mollifier, bump_test_function,
-                                chi_epsilon, contraction_test_function,
-                                doubling_kernel, kernel_cdf,
-                                kernel_cdf_quadrature, mollifier_constant,
-                                omega_value)
+from clawlab.mollifiers import (ConeSpec, Mollifier, _pchip_slopes,
+                                _Pchip, _unit_cdf_table,
+                                bump_test_function, chi_epsilon,
+                                contraction_test_function, doubling_kernel,
+                                kernel_cdf, kernel_cdf_quadrature,
+                                mollifier_constant, omega_value)
 from clawlab.quadrature import adaptive_gauss_legendre
 
 
@@ -76,6 +84,113 @@ class TestCdf:
     def test_range_property(self, h, sigma):
         v = kernel_cdf(h, sigma)
         assert 0.0 <= v <= 1.0
+
+
+def _table_values():
+    table = _unit_cdf_table()
+    return table.nodes, table.coef[3]
+
+
+def _random_monotone(rng, n, uniform):
+    """Non-decreasing data on n nodes, with flat runs and steep steps."""
+    if uniform:
+        x = np.linspace(-2.0, 3.0, n)
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    steps = rng.exponential(1.0, n - 1)
+    steps[rng.random(n - 1) < 0.2] = 0.0
+    steps[rng.random(n - 1) < 0.05] *= 100.0
+    return x, np.concatenate([[0.0], np.cumsum(steps)])
+
+
+class TestPchipAgainstScipy:
+    """scipy's PchipInterpolator is the oracle for the numpy PCHIP."""
+
+    @staticmethod
+    def assert_slopes_match(x, y):
+        oracle = PchipInterpolator(x, y)(x, 1)
+        scale = np.abs(oracle).max()
+        assert np.abs(_pchip_slopes(x, y) - oracle).max() <= 1e-14 * scale
+
+    @staticmethod
+    def assert_values_match(x, y, s):
+        got = _Pchip(x, y)(s)
+        assert np.abs(got - PchipInterpolator(x, y)(s)).max() \
+            <= 1e-14 * np.abs(y).max()
+
+    def test_cdf_table(self):
+        x, y = _table_values()
+        self.assert_slopes_match(x, y)
+        s = np.random.default_rng(4).uniform(-1.0, 1.0, 300_000)
+        s = np.concatenate([s, x[:-1], np.nextafter(x[1:], -np.inf)])
+        self.assert_values_match(x, y, s)
+        assert np.abs(kernel_cdf(1.0, s) - PchipInterpolator(x, y)(s)).max() \
+            <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_monotone_data(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 400))
+        self.assert_slopes_match(*_random_monotone(rng, n, uniform=False))
+        x, y = _random_monotone(rng, n, uniform=True)
+        self.assert_slopes_match(x, y)
+        s = np.concatenate([rng.uniform(x[0], x[-1], 5000), x])
+        self.assert_values_match(x, y, s)
+
+    def test_slopes_on_data_that_turns(self):
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.0, 10.0, 200))
+        self.assert_slopes_match(x, np.sin(3.0 * x) + 0.1 * rng.random(200))
+
+
+class TestCdfTable:
+    def test_ends_shapes_and_nan(self):
+        x, y = _table_values()
+        assert (x[0], x[-1], y[0], y[-1]) == (-1.0, 1.0, 0.0, 1.0)
+        below = np.nextafter(1.0, 0.0)
+        s = np.array([[-np.inf, -3.0, -1.0, -below],
+                      [below, 1.0, 3.0, np.inf]])
+        vals = kernel_cdf(1.0, s)
+        assert vals.shape == s.shape
+        assert np.array_equal(vals[0, :3], [0.0, 0.0, 0.0])
+        assert np.array_equal(vals[1, 1:], [1.0, 1.0, 1.0])
+        assert 0.0 <= vals[0, 3] < 1e-12 and 0.0 <= 1.0 - vals[1, 0] < 1e-12
+        assert np.isnan(kernel_cdf(1.0, [0.2, np.nan])[1])
+        assert np.isnan(kernel_cdf(1.0, np.nan))
+        assert type(kernel_cdf(1.0, -0.0)) is float
+        assert kernel_cdf(1.0, -0.0) == 0.5
+
+    def test_nodes_against_direct_quadrature(self):
+        x, y = _table_values()
+        idx = np.random.default_rng(9).choice(len(x), 25, replace=False)
+        for i in idx:
+            assert y[i] == pytest.approx(kernel_cdf_quadrature(1.0, x[i]),
+                                         abs=1e-12)
+
+    def test_monotone_inside_cells(self):
+        x = _unit_cdf_table().nodes
+        # the flat ends, where table steps shrink to roundoff, and the steep
+        # middle
+        for first in (0, 4990, len(x) - 11):
+            s = np.linspace(x[first], x[first + 10], 100_001)
+            assert np.all(np.diff(kernel_cdf(1.0, s)) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 2.0),
+           st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=300))
+    def test_non_decreasing_property(self, h, sigma):
+        vals = kernel_cdf(h, np.sort(sigma))
+        assert np.all(np.diff(vals) >= 0.0)
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(clawlab.__file__).resolve().parent.parent)
+        code = ("import sys, clawlab; clawlab.kernel_cdf(1.0, [0.3, -0.2]); "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCone:
