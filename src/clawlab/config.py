@@ -50,6 +50,7 @@ Layout::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -75,16 +76,30 @@ def _int_list(s: str):
     return [int(p.strip()) for p in s.split(",") if p.strip()]
 
 
+def _radius(s: str) -> float:
+    r = float(s)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"a radius must be finite and > 0, got {s.strip()!r}")
+    return r
+
+
+def _radius_list(s: str):
+    radii = [_radius(p) for p in s.split(",") if p.strip()]
+    if not radii:
+        raise ValueError("needs at least one radius, finite and > 0")
+    return radii
+
+
 # [check.*] keys per kind with their converters; the keys in
 # _REQUIRED_CHECK_KEYS have no default
 _CHECK_KEYS = {
     "entropy_inequality": {"k0_count": int, "smooth_n": _int_list,
                            "phi_center": float, "phi_radius": float,
                            "phi_t0": float, "phi_t1": float, "c_tol": float},
-    "kato": {"r": float, "rho": float, "tau": float, "h": float,
+    "kato": {"r": _radius, "rho": float, "tau": float, "h": float,
              "eps": float, "c_tol": float},
-    "cone_contraction": {"r": float, "c_cal": float},
-    "global_contraction": {"r_list": _float_list, "c_cal": float},
+    "cone_contraction": {"r": _radius, "c_cal": float},
+    "global_contraction": {"r_list": _radius_list, "c_cal": float},
     "uniqueness": {"cfl_list": _float_list, "viscous_coeff": float,
                    "radius": float, "center": float, "min_ratio": float},
     "doubling": {"eps_list": _float_list, "points": int, "t_sample": float},

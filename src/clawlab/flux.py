@@ -11,8 +11,10 @@ Every catalog flux is separable, f_i(x, k) = g_i(x) h(k).  Each entry
 declares its factors once as a ``Separable`` (g on points, h and h'
 elementwise on states) and its ``eval``/``dk`` are the products of those
 factors, so the solver can freeze g at its interface lattice once per run
-and evaluate only h and h' per sweep.  A FluxSpec built by hand without
-factors is evaluated through ``eval``/``dk`` alone.
+and evaluate only h and h' per sweep, and ``lipschitz_constant`` samples g
+on the ball and h, h' on the states once instead of f on their product.
+A FluxSpec built by hand without factors is evaluated through
+``eval``/``dk`` alone.
 
 Point convention: spatial points are arrays whose last axis has length
 ``dim``.  For 1-d fluxes a bare scalar or an array of coordinates is
@@ -73,9 +75,10 @@ class FluxSpec:
     component i with shape (..., d).  ``singular_points`` lists the finitely
     many x where the spatial differential may fail to exist.  ``factors``
     are the separable factors ``eval``/``dk`` are built from, or None for a
-    flux that is only given through ``eval``/``dk``; the solver uses them
-    in place of ``eval``/``dk``, so a copy whose ``eval`` or ``dk`` computes
-    something else must set ``factors=None``.
+    flux that is only given through ``eval``/``dk``; the solver and
+    ``lipschitz_constant`` use them in place of ``eval``/``dk``, so a copy
+    whose ``eval`` or ``dk`` computes something else must set
+    ``factors=None``.
     """
 
     name: str
@@ -310,11 +313,9 @@ def _max_chord_slope(fv: Array, ks: Array) -> float:
     return best
 
 
-def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
-    # odd counts keep 0 and the endpoints on every refinement level
-    n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
-    pts = _ball_lattice(R, flux.dim, n_x)
-    ks = np.linspace(-M, M, n)
+def _sampled_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
+    """Max of the chord slopes and of |d_k f| sampled at every point of
+    ``pts`` (npts, d) and state of ``ks``, from ``eval`` and ``dk``."""
     fv = flux.eval(pts[None, :, :], ks[:, None])          # (nk, npts, d)
     if not np.all(np.isfinite(fv)):
         raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
@@ -327,18 +328,105 @@ def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
     return max(best, float(np.sqrt(sq.max())))
 
 
+# rows g(p) with |g(p)| at least (1 - _CANDIDATE_BAND) max|g| are sampled in
+# full by _factored_estimate; every other row is only bounded from above
+_CANDIDATE_BAND = 2.0 ** -20
+# relative slack of those bounds: far more than the few dozen roundings
+# between a row's float values and its sampled quotients
+_ROUNDING_SLACK = 64 * np.finfo(float).eps
+# absolute slack of those bounds: far more than underflow in the squares
+# of tiny differences can take away (sqrt(3 * 2^-1074) < 2^-535)
+_UNDERFLOW_SLACK = 2.0 ** -500
+# factors with max|g|, max|g| max|h| or max|g| max|h'| above this (or not
+# finite) go to the full sampling, so no bound or sampled square overflows
+_FACTOR_CEILING = 2.0 ** 500
+
+
+def _factored_estimate(factors: Separable, pts: Array, ks: Array) -> float | None:
+    """``_sampled_estimate`` of a separable flux from its factors, bit for
+    bit, or None where the reduction cannot certify that.
+
+    g is evaluated on the points and h, h' on the states once, with the
+    shapes ``eval``/``dk`` pass them, so every product g_i(p) h(k) is the
+    sampled one.  A point enters the sampled quotients only through its
+    row g(p): the full sampling runs on one point per distinct row with
+    |g(p)| in the top band, which gives the estimate E over those rows.
+    Any other row's sampled chord quotients are at most
+    |g(p)| (S + 4 sqrt(d) eps max|h| / min dk), where S is the largest
+    |h(k') - h(k)| / (k' - k) over the same strides and the second term
+    covers the rounding of g_i h(k') - g_i h(k); its sampled |d_k f| is at
+    most |g(p)| max|h'|; both up to the slacks above.  When both bounds,
+    taken over every other row, are at most E, the full sampled maximum
+    is E; otherwise the caller samples in full.
+    """
+    g = factors.g(pts[None])[0]                           # (npts, d)
+    hk = factors.h(ks[:, None])[:, 0]
+    dh = factors.h_prime(ks[:, None])[:, 0]
+    g_max = float(np.abs(g).max())
+    h_max, dh_max = float(np.abs(hk).max()), float(np.abs(dh).max())
+    # a NaN or inf in any factor makes one of these NaN or inf, which fails
+    if not (g_max <= _FACTOR_CEILING and g_max * h_max <= _FACTOR_CEILING
+            and g_max * dh_max <= _FACTOR_CEILING):
+        return None
+    norms = np.sqrt((g * g).sum(axis=-1))
+    top = norms >= (1.0 - _CANDIDATE_BAND) * norms.max()
+    rows = np.unique(g[top], axis=0)
+    best = _max_chord_slope(rows[None] * hk[:, None, None], ks)
+    dkv = rows[None] * dh[:, None, None]
+    est = max(best, float(np.sqrt(_sum_squares(
+        [dkv[..., i] for i in range(dkv.shape[-1])]).max())))
+    if top.all():
+        return est
+    dk_min = float((ks[1:] - ks[:-1]).min())
+    if not dk_min > 0.0:
+        return None
+    n, slope, stride = len(ks), 0.0, 1
+    while stride < n:
+        w = n - stride
+        slope = max(slope, float((np.abs(hk[stride:] - hk[:w])
+                                  / (ks[stride:] - ks[:w])).max()))
+        stride *= 2
+    lift = 1.0 + _ROUNDING_SLACK
+    g_out = float(norms[~top].max()) * lift + _UNDERFLOW_SLACK
+    # h constant on ks (slope 0) or h' = 0 make the products, and so the
+    # sampled differences or derivatives, exactly equal or zero
+    chord_out = 0.0
+    if slope > 0.0:
+        rounding = 4.0 * np.sqrt(g.shape[1]) * np.finfo(float).eps * h_max
+        chord_out = (g_out * (slope * lift + _UNDERFLOW_SLACK + rounding / dk_min)
+                     + _UNDERFLOW_SLACK / dk_min)
+    deriv_out = g_out * dh_max * lift + _UNDERFLOW_SLACK if dh_max > 0.0 else 0.0
+    if chord_out <= est and deriv_out <= est:
+        return est
+    return None
+
+
+def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
+    # odd counts keep 0 and the endpoints on every refinement level
+    n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
+    pts = _ball_lattice(R, flux.dim, n_x)
+    ks = np.linspace(-M, M, n)
+    if flux.factors is not None:
+        est = _factored_estimate(flux.factors, pts, ks)
+        if est is not None:
+            return est
+    return _sampled_estimate(flux, pts, ks)
+
+
 def lipschitz_constant(flux: FluxSpec, R: float, M: float,
                        base_grid: int = 201) -> float:
     """Sampled sup of |f(x,k)-f(x,k')|/|k-k'| over B_R x [-M, M]^2.
 
     The grid is doubled until two successive estimates agree within 1%;
     the returned value is the larger of the two, which dominates every
-    sampled quotient and the sampled sup of |d_k f|.
+    sampled quotient and the sampled sup of |d_k f|.  A flux with
+    ``factors`` is sampled through them (``_factored_estimate``), with the
+    same value bit for bit.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if M < 0:
-        raise ValueError("M must be non-negative")
+    if not (np.isfinite(R) and R > 0):
+        raise ValueError(f"R must be finite and positive, got {R}")
+    if not (np.isfinite(M) and M >= 0):
+        raise ValueError(f"M must be finite and non-negative, got {M}")
     if M == 0.0:
         fv = flux.eval(_ball_lattice(R, flux.dim, 33), 0.0)
         if not np.all(np.isfinite(fv)):

@@ -237,6 +237,24 @@ class TestConfigParsing:
         assert main(["run", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("r = 2.0", "r = 0"), ("r = 2.0", "r = -1"), ("r = 2.0", "r = inf"),
+        ("r = 2.0", "r = nan"), ("r_list = 1, 2, 4, 8", "r_list = 1, inf"),
+        ("r_list = 1, 2, 4, 8", "r_list = 1, nan"),
+        ("r_list = 1, 2, 4, 8", "r_list = 1, 0"),
+        ("r_list = 1, 2, 4, 8", "r_list = ,"),
+    ], ids=["r_zero", "r_negative", "r_inf", "r_nan", "r_list_inf",
+            "r_list_nan", "r_list_zero", "r_list_empty"])
+    def test_bad_radius_refused_before_output(self, tmp_path, old, new):
+        text = SMALL_CONTRACTION.replace(old, new).replace(
+            "dir = out", f"dir = {tmp_path / 'out'}")
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flux,dim", [("burgers2d", 1), ("product2d", 1),
                                           ("burgers1d", 2)])
     def test_flux_dim_mismatch_refused_before_output(self, tmp_path, flux,
@@ -481,6 +499,27 @@ class TestCliOther:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("check,sets", [
+        ("cone_contraction", ["r=-1"]), ("cone_contraction", ["r=0"]),
+        ("cone_contraction", ["r=inf"]), ("global_contraction", ["r_list=1, inf"]),
+        ("global_contraction", ["r_list=1, nan"]),
+        ("global_contraction", ["r_list="]),
+        ("kato", ["r=nan", "rho=0.25", "tau=0.75", "h=0.1", "eps=0.2"]),
+    ], ids=["cone_negative", "cone_zero", "cone_inf", "global_inf",
+            "global_nan", "global_empty", "kato_nan"])
+    def test_verify_refuses_bad_radius(self, bundled_runs, capsys, check, sets):
+        _, outdir = bundled_runs["burgers_contraction"]
+        capsys.readouterr()
+        args = ["verify", str(outdir / "u_slabs"), str(outdir / "v_slabs"),
+                "--check", check, "--flux", "burgers1d"]
+        for kv in sets:
+            args += ["--set", kv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "finite and > 0" in captured.err
 
     def test_verify_refuses_wrong_field_count(self, bundled_runs, capsys):
         _, outdir = bundled_runs["burgers_contraction"]

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawlab import flux as flux_mod
 from clawlab.errors import NonFiniteFlux, SingularPoint, UnknownFlux
-from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
+from clawlab.flux import (FluxSpec, Separable, catalog_lookup, catalog_names,
                           lipschitz_constant, uniform_diffquot_deficit)
 
 RNG_SEED = 20260809
@@ -135,6 +138,117 @@ class TestLipschitzConstant:
                         grad_x_components=bad.grad_x_components)
         with pytest.raises(NonFiniteFlux):
             lipschitz_constant(spec, 1.0, 1.0)
+
+
+# Separable fluxes built from random factors.  g acts per component with
+# its own coefficients; h and h' act on states.
+G_FAMILIES = {
+    "arctan": lambda a, b, c: (lambda x: a * np.arctan(b * x * x) + c),
+    "abs": lambda a, b, c: (lambda x: np.abs(x) + c),
+    "const": lambda a, b, c: (lambda x: np.zeros_like(x) + c),
+}
+H_FAMILIES = {
+    "sin": (np.sin, np.cos),
+    "half_square": (lambda k: 0.5 * k * k, lambda k: k),
+    "abs": (np.abs, np.sign),
+    "tanh": (np.tanh, lambda k: 1.0 - np.tanh(k) ** 2),
+    "cube": (lambda k: k ** 3, lambda k: 3.0 * k * k),
+}
+
+
+def _separable_flux(dim, g, h, h_prime):
+    return flux_mod._separable("random", dim, Separable(g, h, h_prime),
+                               flux_mod._zero_div(dim),
+                               flux_mod._zero_grad(dim))
+
+
+def _sampled_only(flux):
+    return dataclasses.replace(flux, factors=None)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts the calls of the full sampling made by ``lipschitz_constant``."""
+    calls = []
+    sampled = flux_mod._sampled_estimate
+
+    def spy(flux, pts, ks):
+        calls.append(flux.name)
+        return sampled(flux, pts, ks)
+
+    monkeypatch.setattr(flux_mod, "_sampled_estimate", spy)
+    return calls
+
+
+coefficients = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+
+
+class TestFactoredLipschitz:
+    """The factored estimate equals the full sampling of eval/dk bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), g_family=st.sampled_from(sorted(G_FAMILIES)),
+           h_family=st.sampled_from(sorted(H_FAMILIES)), a=coefficients,
+           b=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2),
+           c=coefficients, R=st.floats(0.1, 8.0), M=st.floats(0.05, 3.0))
+    def test_equals_sampled_path(self, dim, g_family, h_family, a, b, c, R, M):
+        g = G_FAMILIES[g_family](*(np.array(v[:dim]) for v in (a, b, c)))
+        f = _separable_flux(dim, g, *H_FAMILIES[h_family])
+        # a coarse base grid keeps the full sampling of 2-d fluxes small
+        fast = lipschitz_constant(f, R, M, base_grid=33)
+        assert fast == lipschitz_constant(_sampled_only(f), R, M, base_grid=33)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_needs_no_fallback(self, name, fallback_calls):
+        f = catalog_lookup(name)
+        grid = [(R, M) for R in (0.5, 2.0, 8.0) for M in (0.3, 1.0959, 2.5)]
+        fast = [lipschitz_constant(f, R, M) for R, M in grid]
+        assert fallback_calls == []
+        assert fast == [lipschitz_constant(_sampled_only(f), R, M)
+                        for R, M in grid]
+
+    def test_rows_inside_the_band_need_no_fallback(self, fallback_calls):
+        # every row |g(x)| lies within 2^-20 of the largest, so all of them
+        # are sampled in full and none needs a bound
+        f = _separable_flux(1, lambda x: 1.0 + 2.0 ** -50 * x, np.sin, np.cos)
+        fast = lipschitz_constant(f, 1.0, 1.0)
+        assert fallback_calls == []
+        assert fast == lipschitz_constant(_sampled_only(f), 1.0, 1.0)
+
+    def test_fallback_when_bound_does_not_certify(self, fallback_calls):
+        # h is nearly constant: the rounding of g h(k') - g h(k) outweighs
+        # the chord slopes of h, so the rows below the top band cannot be
+        # bounded under the top row's value and the full sampling runs
+        f = _separable_flux(1, lambda x: np.arctan(x * x) + 1.0,
+                            lambda k: 1.0 + 2.0 ** -45 * k,
+                            lambda k: np.full(k.shape, 2.0 ** -45))
+        fast = lipschitz_constant(f, 1.0, 1.0)
+        assert fallback_calls
+        assert fast == lipschitz_constant(_sampled_only(f), 1.0, 1.0)
+
+    @pytest.mark.parametrize("g,h,h_prime,M", [
+        (lambda x: np.where(x == 0.0, np.nan, 1.0 + x), np.sin, np.cos, 1.0),
+        (lambda x: np.arctan(x * x) + 1.0, np.exp, np.exp, 800.0),
+        (lambda x: np.zeros_like(x) + 1e200, lambda k: 1e200 * k,
+         lambda k: np.full(k.shape, 1e200), 1.0),
+        (lambda x: np.arctan(x * x) + 1.0, lambda k: np.sqrt(np.abs(k)),
+         lambda k: 0.5 * np.sign(k) / np.sqrt(np.abs(k)), 1.0),
+    ], ids=["g_nan_on_lattice", "h_overflows", "product_overflows",
+            "h_prime_infinite_at_0"])
+    def test_nonfinite_still_raises(self, g, h, h_prime, M):
+        f = _separable_flux(1, g, h, h_prime)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteFlux):
+                lipschitz_constant(f, 1.0, M)
+            with pytest.raises(NonFiniteFlux):
+                lipschitz_constant(_sampled_only(f), 1.0, M)
+
+    @pytest.mark.parametrize("R,M", [(np.inf, 1.0), (np.nan, 1.0),
+                                     (-np.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                     (1.0, np.inf), (1.0, np.nan), (1.0, -1.0)])
+    def test_radius_and_bound_must_be_finite(self, R, M):
+        with pytest.raises(ValueError):
+            lipschitz_constant(catalog_lookup("product2d"), R, M)
 
 
 class TestUniformDiffquot:
