@@ -2,9 +2,10 @@
 conservation laws with space-dependent flux f(x, u)."""
 
 from .errors import (BadWindow, BlowUp, CFLViolation, ClawError, ConfigError,
-                     EmptyCone, FieldFileError, GridMismatch, MissingTimeLevels,
-                     NonFiniteFlux, QuadratureNonConvergent, SampleNearShock,
-                     SingularPoint, SupportExceedsDomain, UnknownFlux)
+                     EmptyCone, FieldFileError, GridMismatch,
+                     LipschitzNonConvergent, MissingTimeLevels, NonFiniteFlux,
+                     QuadratureNonConvergent, SampleNearShock, SingularPoint,
+                     SupportExceedsDomain, UnknownFlux)
 from .flux import (FluxSpec, catalog_lookup, catalog_names, lipschitz_constant,
                    uniform_diffquot_deficit)
 from .entropy import (EntropyPair, SmoothEntropy, default_k0_sweep,

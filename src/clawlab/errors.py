@@ -21,6 +21,10 @@ class QuadratureNonConvergent(ClawError):
     """Adaptive quadrature hit its depth limit before reaching tolerance."""
 
 
+class LipschitzNonConvergent(ClawError):
+    """Sampled Lipschitz estimates kept changing as the grid was refined."""
+
+
 class BadWindow(ClawError):
     """Time-window parameters violate 0 < rho < tau < t_max constraints."""
 

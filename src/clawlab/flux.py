@@ -7,14 +7,15 @@ construction, so local Lipschitz continuity and the uniform-differentiability
 property are documented catalog facts rather than runtime checks; the
 operations below only *sample* them.
 
-Every catalog flux is separable, f_i(x, k) = g_i(x) h(k).  Each entry
-declares its factors once as a ``Separable`` (g on points, h and h'
-elementwise on states) and its ``eval``/``dk`` are the products of those
-factors, so the solver can freeze g at its interface lattice once per run
-and evaluate only h and h' per sweep, and ``lipschitz_constant`` samples g
+Every catalog flux is separable, f_i(x, k) = g_i(x) h(k) with g_i a function
+of x_i alone.  Each entry is one ``Separable`` (g and g' on points, h and h'
+elementwise on states), and ``eval``, ``dk``, ``div_x`` and
+``grad_x_components`` are all built from those factors, so no derivative is
+written twice.  The solver freezes g at its interface lattice once per run
+and evaluates only h and h' per sweep, and ``lipschitz_constant`` samples g
 on the ball and h, h' on the states once instead of f on their product.
-A FluxSpec built by hand without factors is evaluated through
-``eval``/``dk`` alone.
+A FluxSpec built by hand without factors is evaluated through its four
+callables alone.
 
 Point convention: spatial points are arrays whose last axis has length
 ``dim``.  For 1-d fluxes a bare scalar or an array of coordinates is
@@ -28,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteFlux, SingularPoint, UnknownFlux
+from .errors import (LipschitzNonConvergent, NonFiniteFlux, SingularPoint,
+                     UnknownFlux)
 
 Array = np.ndarray
 
@@ -55,13 +57,18 @@ def as_points(x, dim: int) -> Array:
 
 @dataclass(frozen=True)
 class Separable:
-    """Declared factors of f_i(x, k) = g_i(x) h(k).
+    """Declared factors of f_i(x, k) = g_i(x) h(k), where g_i depends on
+    x_i alone.
 
-    ``g`` maps points (..., d) to (..., d); ``h`` and ``h_prime`` (= h')
-    act elementwise on states, so d_k f_i = g_i(x) h'(k).
+    ``g`` and ``g_prime`` map points (..., d) to (..., d); component i of
+    ``g_prime`` is dg_i/dx_i, the only non-zero entry of row i of the
+    Jacobian of g.  ``h`` and ``h_prime`` (= h') act elementwise on states.
+    So d_k f_i = g_i(x) h'(k), div_x f = (g'_1 + ... + g'_d)(x) h(k) and
+    grad_x f_i = e_i g'_i(x) h(k).
     """
 
     g: Callable[[Array], Array]
+    g_prime: Callable[[Array], Array]
     h: Callable[[Array], Array]
     h_prime: Callable[[Array], Array]
 
@@ -74,8 +81,8 @@ class FluxSpec:
     (...); ``grad_x_components(x, k, i)`` returns the spatial gradient of
     component i with shape (..., d).  ``singular_points`` lists the finitely
     many x where the spatial differential may fail to exist.  ``factors``
-    are the separable factors ``eval``/``dk`` are built from, or None for a
-    flux that is only given through ``eval``/``dk``; the solver and
+    are the separable factors all four callables are built from, or None
+    for a flux that is only given through its callables; the solver and
     ``lipschitz_constant`` use them in place of ``eval``/``dk``, so a copy
     whose ``eval`` or ``dk`` computes something else must set
     ``factors=None``.
@@ -117,16 +124,29 @@ class FluxSpec:
         return False
 
 
-def _separable(name: str, dim: int, factors: Separable, div, grad,
-               **extra) -> FluxSpec:
-    """A FluxSpec whose ``eval``/``dk`` are the products of ``factors``."""
-    g, h, h_prime = factors.g, factors.h, factors.h_prime
+def _separable(name: str, dim: int, factors: Separable, **extra) -> FluxSpec:
+    """A FluxSpec whose four callables are built from ``factors``."""
+    g, g_prime, h, h_prime = factors.g, factors.g_prime, factors.h, factors.h_prime
 
     def ev(x, k):
         return g(as_points(x, dim)) * h(np.asarray(k, dtype=float))[..., None]
 
     def dk(x, k):
         return g(as_points(x, dim)) * h_prime(np.asarray(k, dtype=float))[..., None]
+
+    def div(x, k):
+        gp = g_prime(as_points(x, dim))
+        # summed in component order; in 1-d this is a view of g'
+        total = gp[..., 0]
+        for i in range(1, dim):
+            total = total + gp[..., i]
+        return total * h(np.asarray(k, dtype=float))
+
+    def grad(x, k, i):
+        gi = g_prime(as_points(x, dim))[..., i] * h(np.asarray(k, dtype=float))
+        out = np.zeros(gi.shape + (dim,))
+        out[..., i] = gi
+        return out
 
     return FluxSpec(name, dim, ev, dk, div, grad, factors=factors, **extra)
 
@@ -135,50 +155,27 @@ def _identity(k):
     return k
 
 
-def _zero_div(dim: int):
-    def div(x, k):
-        pts = as_points(x, dim)
-        return np.zeros(np.broadcast_shapes(pts.shape[:-1], np.shape(k)))
-    return div
-
-
-def _zero_grad(dim: int):
-    def grad(x, k, i):
-        pts = as_points(x, dim)
-        shape = np.broadcast_shapes(pts.shape[:-1], np.shape(k))
-        return np.zeros(shape + (dim,))
-    return grad
-
-
 def _burgers(dim: int, params) -> FluxSpec:
     # f_i(x, k) = k^2 / 2
     return _separable(f"burgers{dim}d", dim,
-                      Separable(np.ones_like, lambda k: 0.5 * k * k, _identity),
-                      _zero_div(dim), _zero_grad(dim))
+                      Separable(np.ones_like, np.zeros_like,
+                                lambda k: 0.5 * k * k, _identity))
 
 
 def _advection1d(params) -> FluxSpec:
     # f(x, k) = c k
     c = float(params.get("c", 1.0))
     return _separable("advection1d", 1,
-                      Separable(lambda x: np.full(x.shape, c), _identity,
-                                np.ones_like),
-                      _zero_div(1), _zero_grad(1), params={"c": c})
+                      Separable(lambda x: np.full(x.shape, c), np.zeros_like,
+                                _identity, np.ones_like),
+                      params={"c": c})
 
 
 def _xsquared1d(params) -> FluxSpec:
     # f(x, k) = x^2: a pure source, independent of the state
-    def div(x, k):
-        pts = as_points(x, 1)
-        xx = pts[..., 0]
-        return np.broadcast_to(2.0 * xx, np.broadcast_shapes(xx.shape, np.shape(k))).copy()
-
-    def grad(x, k, i):
-        return div(x, k)[..., None]
-
     return _separable("xsquared1d", 1,
-                      Separable(lambda x: x * x, np.ones_like, np.zeros_like),
-                      div, grad)
+                      Separable(lambda x: x * x, lambda x: 2.0 * x,
+                                np.ones_like, np.zeros_like))
 
 
 def _g_arctan(x):
@@ -189,51 +186,17 @@ def _g_arctan_prime(x):
     return 2.0 * x / (1.0 + x ** 4)
 
 
-def _product1d(params) -> FluxSpec:
-    # f(x, k) = g(x) h(k) with g = arctan(x^2) + 1, h = sin(k)
-    def div(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        return _g_arctan_prime(pts[..., 0]) * np.sin(kk)
-
-    def grad(x, k, i):
-        return div(x, k)[..., None]
-
-    return _separable("product1d", 1, Separable(_g_arctan, np.sin, np.cos),
-                      div, grad)
+def _product(dim: int, params) -> FluxSpec:
+    # f_i(x, k) = (arctan(x_i^2) + 1) sin(k)
+    return _separable(f"product{dim}d", dim,
+                      Separable(_g_arctan, _g_arctan_prime, np.sin, np.cos))
 
 
 def _kink1d(params) -> FluxSpec:
     # f(x, k) = |x| k: locally Lipschitz, spatial derivative fails at x = 0
-    def div(x, k):
-        pts = as_points(x, 1)
-        kk = np.asarray(k, dtype=float)
-        return np.sign(pts[..., 0]) * kk + np.zeros(pts.shape[:-1])
-
-    def grad(x, k, i):
-        return div(x, k)[..., None]
-
-    return _separable("kink1d", 1, Separable(np.abs, _identity, np.ones_like),
-                      div, grad, singular_points=((0.0,),))
-
-
-def _product2d(params) -> FluxSpec:
-    # f_i(x, k) = (arctan(x_i^2) + 1) sin(k)
-    def div(x, k):
-        pts = as_points(x, 2)
-        kk = np.asarray(k, dtype=float)
-        return (_g_arctan_prime(pts[..., 0]) + _g_arctan_prime(pts[..., 1])) * np.sin(kk)
-
-    def grad(x, k, i):
-        pts = as_points(x, 2)
-        kk = np.asarray(k, dtype=float)
-        gi = _g_arctan_prime(pts[..., i]) * np.sin(kk) + np.zeros(pts.shape[:-1])
-        out = np.zeros(gi.shape + (2,))
-        out[..., i] = gi
-        return out
-
-    return _separable("product2d", 2, Separable(_g_arctan, np.sin, np.cos),
-                      div, grad)
+    return _separable("kink1d", 1,
+                      Separable(np.abs, np.sign, _identity, np.ones_like),
+                      singular_points=((0.0,),))
 
 
 _CATALOG = {
@@ -241,8 +204,8 @@ _CATALOG = {
     "burgers2d": (lambda p: _burgers(2, p), set()),
     "advection1d": (_advection1d, {"c"}),
     "xsquared1d": (_xsquared1d, set()),
-    "product1d": (_product1d, set()),
-    "product2d": (_product2d, set()),
+    "product1d": (lambda p: _product(1, p), set()),
+    "product2d": (lambda p: _product(2, p), set()),
     "kink1d": (_kink1d, set()),
 }
 
@@ -419,9 +382,11 @@ def lipschitz_constant(flux: FluxSpec, R: float, M: float,
 
     The grid is doubled until two successive estimates agree within 1%;
     the returned value is the larger of the two, which dominates every
-    sampled quotient and the sampled sup of |d_k f|.  A flux with
-    ``factors`` is sampled through them (``_factored_estimate``), with the
-    same value bit for bit.
+    sampled quotient and the sampled sup of |d_k f|.  If they still differ
+    after six doublings the flux is taken not to be Lipschitz in k there,
+    and LipschitzNonConvergent is raised.  A flux with ``factors`` is
+    sampled through them (``_factored_estimate``), with the same value bit
+    for bit.
     """
     if not (np.isfinite(R) and R > 0):
         raise ValueError(f"R must be finite and positive, got {R}")
@@ -433,14 +398,16 @@ def lipschitz_constant(flux: FluxSpec, R: float, M: float,
             raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
         return 0.0
     n = base_grid
-    prev = _lipschitz_estimate(flux, R, M, n)
+    cur = _lipschitz_estimate(flux, R, M, n)
     for _ in range(6):
-        n = 2 * n - 1
+        n, prev = 2 * n - 1, cur
         cur = _lipschitz_estimate(flux, R, M, n)
         if abs(cur - prev) <= 0.01 * max(cur, 1e-300):
             return max(cur, prev)
-        prev = cur
-    return max(cur, prev)
+    raise LipschitzNonConvergent(
+        f"{flux.name}: estimates {prev:.6g} at grid {(n + 1) // 2} and "
+        f"{cur:.6g} at grid {n} still differ by more than 1% on "
+        f"B_{R:g} x [-{M:g}, {M:g}]")
 
 
 def uniform_diffquot_deficit(flux: FluxSpec, x, K, radii,

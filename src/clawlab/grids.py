@@ -74,9 +74,6 @@ class GridField:
             raise MissingTimeLevels(f"time {t} is not a stored level")
         return idx
 
-    def values_at(self, t: float) -> np.ndarray:
-        return self.data[self.level_index(t)]
-
     def same_grid(self, other: "GridField") -> bool:
         return (self.dim == other.dim and self.nx == other.nx
                 and abs(self.lo - other.lo) < 1e-12

@@ -97,11 +97,6 @@ class Mollifier:
         scale = -2.0 * self.normalization * prof / denom / self.epsilon ** (self.dim + 1)
         return scale[..., None] * z
 
-    @property
-    def peak(self) -> float:
-        """sup |rho_eps| = rho_eps(0)."""
-        return self.normalization * math.exp(-1.0) / self.epsilon ** self.dim
-
 
 def omega_value(h: float, sigma) -> Array:
     """1-d kernel omega_h evaluated on plain scalars/arrays."""

@@ -75,14 +75,3 @@ def adaptive_gauss_legendre(fn, a: float, b: float, tol: float = 1e-10,
         total = node["value"] if total is None else total + node["value"]
     return sign * total
 
-
-def fixed_panel_integral(fn, a: float, b: float, panels: int = 8):
-    """Non-adaptive composite 16-node rule; cheap path for smooth integrands."""
-    if a == b:
-        probe = np.asarray(fn(np.array([0.5 * (a + b)])), dtype=float)
-        return np.zeros(probe.shape[1:]) if probe.ndim > 1 else 0.0
-    edges = np.linspace(a, b, panels + 1)
-    total = _panel(fn, edges[0], edges[1])
-    for i in range(1, panels):
-        total = total + _panel(fn, edges[i], edges[i + 1])
-    return total

@@ -25,8 +25,9 @@ combinations are refused.
 one setup (``_Run``): it checks the flux against the config, samples each
 initial datum once (non-finite data raise ``BlowUp``), and derives one dt
 and step count from the a-priori bound of the largest datum, so a pair
-shares its time levels.  Every step checks each datum against its own
-blow-up threshold, ten times its own a-priori bound.
+shares its time levels.  All three march through one loop (``_Run.steps``),
+which checks each datum after every step against its own blow-up
+threshold, ten times its own a-priori bound.
 
 The same interface flux induces a numerical entropy flux for |u - k|:
 
@@ -282,6 +283,15 @@ class _Run:
                          f"(threshold {threshold:.3e})")
         return amax
 
+    def steps(self, datum: int):
+        """Step the given datum to t_end, yielding (n, u^{n-1}, u^n, max|u^n|)
+        after each step n has passed the BlowUp check."""
+        u = self.u0s[datum]
+        for n in range(1, self.nsteps + 1):
+            unew = self.stepper.step(u, self.dt)
+            yield n, u, unew, self.checked_max(unew, n, datum)
+            u = unew
+
     def march(self, datum: int) -> GridField:
         """March the given datum to t_end, storing every store_every-th
         level and the last one into one preallocated array."""
@@ -294,9 +304,8 @@ class _Run:
         data[0] = u
         bound = float(np.abs(u).max())
         level = 1
-        for n in range(1, nsteps + 1):
-            u = self.stepper.step(u, dt)
-            bound = max(bound, self.checked_max(u, n, datum))
+        for n, _, u, amax in self.steps(datum):
+            bound = max(bound, amax)
             if n % every == 0 or n == nsteps:
                 times[level] = n * dt
                 data[level] = u
@@ -380,23 +389,18 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
     run = _Run(flux, config, [u0])
     iface = run.stepper.interfaces[0]
     mu = run.dt / run.stepper.dx
-    # f(x_{i+1/2}, k) is the same on every step
-    ks = [float(k) for k in np.atleast_1d(k_values)]
-    f_ks = [iface.at(k) for k in ks]
+    # one row per k: k and f(x_{i+1/2}, k), the same on every step
+    ks = np.array([float(k) for k in np.atleast_1d(k_values)])[:, None]
+    f_ks = np.stack([iface.at(k) for k in ks[:, 0]])
     worst = -math.inf
-    u = run.u0s[0]
-    for n in range(1, run.nsteps + 1):
+    for _, u, unew, _ in run.steps(0):
         ug = _ghost(u, 0, config.boundary)
-        uL, uR, fL, fR, lam = iface.sides(ug)
-        unew = u - mu * np.diff(_rusanov(uL, uR, fL, fR, lam))
-        run.checked_max(unew, n, 0)
-        for k, f_k in zip(ks, f_ks):
-            # interface entropy flux Q_{i+1/2} with the same local speeds
-            rel = ug - k
-            sign, dist = np.sign(rel), np.abs(rel)
-            Q = (0.5 * (sign[:-1] * (fL - f_k) + sign[1:] * (fR - f_k))
-                 - 0.5 * lam * (dist[1:] - dist[:-1]))
-            viol = (np.abs(unew - k) - dist[1:-1] + mu * np.diff(Q)).max()
-            worst = max(worst, float(viol))
-        u = unew
+        _, _, fL, fR, lam = iface.sides(ug)
+        # interface entropy flux Q_{i+1/2} with the same local speeds
+        rel = ug - ks
+        sign, dist = np.sign(rel), np.abs(rel)
+        Q = (0.5 * (sign[:, :-1] * (fL - f_ks) + sign[:, 1:] * (fR - f_ks))
+             - 0.5 * lam * (dist[:, 1:] - dist[:, :-1]))
+        viol = np.abs(unew - ks) - dist[:, 1:-1] + mu * np.diff(Q, axis=1)
+        worst = max(worst, float(viol.max()))
     return worst

@@ -500,8 +500,11 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
             div = sgn * (flux.div_x(Pn[cells], ustar) - flux.div_x(x0n, V))
             wx = rho.value(xs - y)
             grad_rho = -rho.grad(xs - y)[..., 0]           # d/dy of rho(x-y)
-            sums = np.stack([wx * np.abs(ustar - V), wx * q_x, wx * div,
-                             grad_rho * (q_y - q_x)]).sum(axis=2)
+            # numpy's summation order follows the operands' memory layout,
+            # which follows the flux's; a C-ordered copy fixes the order
+            sums = np.ascontiguousarray(np.stack(
+                [wx * np.abs(ustar - V), wx * q_x, wx * div,
+                 grad_rho * (q_y - q_x)])).sum(axis=2)
             wt = omega_value(eps, ts - times[levels]) * dts[levels]
             # added over the levels in time order
             raw[:, e, j] = np.cumsum(wt * sums * u.dx, axis=1)[:, -1]

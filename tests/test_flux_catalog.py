@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawlab import flux as flux_mod
+from clawlab import LipschitzNonConvergent
 from clawlab.errors import NonFiniteFlux, SingularPoint, UnknownFlux
 from clawlab.flux import (FluxSpec, Separable, catalog_lookup, catalog_names,
                           lipschitz_constant, uniform_diffquot_deficit)
@@ -69,7 +70,9 @@ def test_dk_matches_central_difference(name):
         assert np.abs(cd - exact).max() <= 1.0 * h ** 2 + 1e-12
 
 
-@pytest.mark.parametrize("name", ["xsquared1d", "product1d", "product2d"])
+# kink1d: every sampled point lies more than 6e-3 from its kink at x = 0,
+# beyond both steps h
+@pytest.mark.parametrize("name", catalog_names())
 def test_div_matches_central_difference(name):
     f = catalog_lookup(name)
     rng = np.random.default_rng(RNG_SEED + 1)
@@ -79,6 +82,24 @@ def test_div_matches_central_difference(name):
         cd = np.stack([_central_div(f, pts[i], ks[i], h) for i in range(100)])
         exact = np.stack([f.div_x(pts[i], ks[i]) for i in range(100)])
         assert np.abs(cd.squeeze() - exact.squeeze()).max() <= 2.0 * h ** 2 + 1e-10
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_grad_matches_central_difference(name):
+    f = catalog_lookup(name, {"c": 3.0} if name == "advection1d" else {})
+    rng = np.random.default_rng(RNG_SEED + 2)
+    pts = rng.uniform(-2, 2, size=(100, f.dim))
+    ks = rng.uniform(-3, 3, size=100)
+    # kink1d: central differences only away from its kink at x = 0
+    keep = np.abs(pts).min(axis=-1) > 0.01
+    pts, ks = pts[keep], ks[keep]
+    for h in (1e-3, 1e-4):
+        for i in range(f.dim):
+            cd = np.stack([(f.eval(pts + e, ks)[..., i] - f.eval(pts - e, ks)[..., i])
+                           / (2.0 * h) for e in h * np.eye(f.dim)], axis=-1)
+            exact = f.grad_x_components(pts, ks, i)
+            assert exact.shape == cd.shape
+            assert np.abs(cd - exact).max() <= 2.0 * h ** 2 + 1e-10
 
 
 def test_product1d_derivatives_at_random_points():
@@ -157,9 +178,9 @@ H_FAMILIES = {
 
 
 def _separable_flux(dim, g, h, h_prime):
-    return flux_mod._separable("random", dim, Separable(g, h, h_prime),
-                               flux_mod._zero_div(dim),
-                               flux_mod._zero_grad(dim))
+    # g' = 0: these fluxes exercise the Lipschitz sampling, which reads no g'
+    return flux_mod._separable("random", dim,
+                               Separable(g, np.zeros_like, h, h_prime))
 
 
 def _sampled_only(flux):
@@ -249,6 +270,17 @@ class TestFactoredLipschitz:
     def test_radius_and_bound_must_be_finite(self, R, M):
         with pytest.raises(ValueError):
             lipschitz_constant(catalog_lookup("product2d"), R, M)
+
+    def test_non_lipschitz_flux_raises(self):
+        # h = floor(4k)/4 jumps by 1/4 at every quarter, so the sampled sup
+        # doubles with the grid instead of settling
+        f = _separable_flux(1, np.ones_like, lambda k: np.floor(4.0 * k) / 4.0,
+                            np.zeros_like)
+        for base_grid in (26, 201):
+            with pytest.raises(LipschitzNonConvergent, match="more than 1%"):
+                lipschitz_constant(f, 1.0, 1.0, base_grid=base_grid)
+        with pytest.raises(LipschitzNonConvergent):
+            lipschitz_constant(_sampled_only(f), 1.0, 1.0, base_grid=26)
 
 
 class TestUniformDiffquot:

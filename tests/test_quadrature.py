@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawlab.errors import QuadratureNonConvergent
-from clawlab.quadrature import adaptive_gauss_legendre, fixed_panel_integral
+from clawlab.quadrature import adaptive_gauss_legendre
 
 
 def test_polynomial_exact():
@@ -39,12 +39,6 @@ def test_nonconvergence_raises():
     with pytest.raises(QuadratureNonConvergent):
         adaptive_gauss_legendre(lambda x: 1.0 / np.abs(x - 0.5), 0.0, 1.0,
                                 tol=1e-12, max_depth=8)
-
-
-def test_fixed_panel_matches_adaptive():
-    a = fixed_panel_integral(np.sin, 0.0, 3.0, panels=8)
-    b = adaptive_gauss_legendre(np.sin, 0.0, 3.0)
-    assert abs(a - b) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

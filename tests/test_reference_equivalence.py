@@ -79,6 +79,39 @@ _CLOSED_FORMS = {
 }
 
 
+def _g_arctan_prime(x):
+    return 2.0 * x / (1.0 + x ** 4)
+
+
+def _unit(i, dim, value):
+    """e_i value: ``value`` in component i, exact zeros elsewhere."""
+    out = np.zeros(value.shape + (dim,))
+    out[..., i] = value
+    return out
+
+
+# closed forms of div_x f and of grad_x f_i (as a function of x, k and i),
+# written out per catalog entry
+_CLOSED_FORMS.update({
+    ("burgers1d", "div_x"): lambda x, k: _full(0.0, x[..., 0], k),
+    ("burgers1d", "grad_x"): lambda x, k, i: _full(0.0, x, k[..., None]),
+    ("burgers2d", "div_x"): lambda x, k: _full(0.0, x[..., 0], k),
+    ("burgers2d", "grad_x"): lambda x, k, i: _full(0.0, x, k[..., None]),
+    ("advection1d", "div_x"): lambda x, k: _full(0.0 * k, x[..., 0], k),
+    ("advection1d", "grad_x"): lambda x, k, i: _full(0.0 * k[..., None], x, k[..., None]),
+    ("xsquared1d", "div_x"): lambda x, k: _full(2.0 * x[..., 0], x[..., 0], k),
+    ("xsquared1d", "grad_x"): lambda x, k, i: _full(2.0 * x, x, k[..., None]),
+    ("product1d", "div_x"): lambda x, k: _g_arctan_prime(x[..., 0]) * np.sin(k),
+    ("product1d", "grad_x"): lambda x, k, i: _g_arctan_prime(x) * np.sin(k[..., None]),
+    ("product2d", "div_x"): lambda x, k: ((_g_arctan_prime(x[..., 0])
+                                           + _g_arctan_prime(x[..., 1])) * np.sin(k)),
+    ("product2d", "grad_x"): lambda x, k, i: _unit(i, 2, _g_arctan_prime(x[..., i])
+                                                   * np.sin(k)),
+    ("kink1d", "div_x"): lambda x, k: np.sign(x[..., 0]) * k,
+    ("kink1d", "grad_x"): lambda x, k, i: np.sign(x) * k[..., None],
+})
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_factored_eval_and_dk_match_closed_forms(name):
     flux = _lookup(name)
@@ -91,6 +124,20 @@ def test_factored_eval_and_dk_match_closed_forms(name):
     assert _bitwise_equal(flux.eval(x, k), f(x, kk))
     assert _bitwise_equal(flux.dk(x, k), fk(x, kk))
     assert flux.factors is not None
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_factored_derivatives_match_closed_forms(name):
+    flux = _lookup(name)
+    div, grad = _CLOSED_FORMS[name, "div_x"], _CLOSED_FORMS[name, "grad_x"]
+    rng = np.random.default_rng(RNG_SEED)
+    x = rng.uniform(-3.0, 3.0, (40, 1, flux.dim))
+    x[0] = 0.0
+    k = rng.uniform(-3.0, 3.0, (1, 30))
+    k[0, :2] = (0.0, -0.0)
+    assert _bitwise_equal(flux.div_x(x, k), div(x, k))
+    for i in range(flux.dim):
+        assert _bitwise_equal(flux.grad_x_components(x, k, i), grad(x, k, i))
 
 
 # -- solver sweeps ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,23 @@ class TestDoubling:
                                      [(0.2, tstar)])
         assert np.all(table["raw"]["I2"] == 0.0)
         assert np.all(table["raw"]["I4"] == 0.0)
+
+    def test_results_independent_of_div_x_layout(self):
+        # the same div_x values handed over C- and Fortran-ordered must give
+        # the same sums bit for bit
+        u, v = self.make_smooth_pair(BURGERS)
+        lev = int(np.argmin(np.abs(u.times - 0.2)))
+        samples = [(x, float(u.times[lev])) for x in (-0.4, 0.0, 0.3)]
+        tables = []
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            flux = dataclasses.replace(
+                BURGERS, div_x=lambda x, k, layout=layout: layout(BURGERS.div_x(x, k)))
+            tables.append(doubling_diagnostics(u, v, flux, [0.1, 0.05, 0.025],
+                                               samples, np.inf))
+        for part in ("raw", "deviation"):
+            for key in ("I1", "I2", "I3", "I4"):
+                assert np.array_equal(tables[0][part][key],
+                                      tables[1][part][key]), (part, key)
 
     def test_sample_near_shock_raises(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=400, t_end=0.8, store_every=1,
