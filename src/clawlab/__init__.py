@@ -9,9 +9,10 @@ from .errors import (BadWindow, BlowUp, CFLViolation, ClawError, ConfigError,
 from .flux import (FluxSpec, catalog_lookup, catalog_names, lipschitz_constant,
                    uniform_diffquot_deficit)
 from .entropy import (EntropyPair, SmoothEntropy, default_k0_sweep,
-                      kruzkov_div_deficit, kruzkov_limit_deficit, leibniz_check,
-                      make_kruzkov_pair, make_smooth_pair, q_build_ibp,
-                      q_build_quadrature, sqrt_entropy)
+                      kruzkov_div, kruzkov_div_deficit, kruzkov_flux,
+                      kruzkov_limit_deficit, leibniz_check, make_kruzkov_pair,
+                      make_smooth_pair, q_build_ibp, q_build_quadrature,
+                      sqrt_entropy)
 from .mollifiers import (ConeSpec, Mollifier, TestFunction, bump_test_function,
                          chi_epsilon, contraction_test_function, doubling_kernel,
                          kernel_cdf, kernel_cdf_quadrature, mollifier_constant,

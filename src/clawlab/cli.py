@@ -49,7 +49,7 @@ from .flux import (catalog_lookup, catalog_names, catalog_params,
                    lipschitz_constant)
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
-from .solver import exact_riemann_burgers, solve, solve_pair
+from .solver import exact_riemann_burgers, l1_distance_full, solve, solve_pair
 from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
@@ -266,8 +266,10 @@ def _restrict(fine: np.ndarray, factor: int) -> np.ndarray:
 
 
 def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
-    """Halve dx per level; report L1 errors against the exact oracle (or the
-    finest grid) and contraction-violation shrink ratios."""
+    """Halve dx per level; report L1 errors (the sum over cells of |error|
+    dx^dim) against the exact oracle or, without one, against the next finer
+    level restricted to the coarse grid, and contraction-violation shrink
+    ratios."""
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
@@ -285,13 +287,15 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
         dxs, errs = [], []
         for lev, (sc, u, _) in enumerate(runs):
             if exact is not None:
-                ref = u.data[-1] - exact(u.centers_points())
+                ref = exact(u.centers_points())
             elif lev + 1 < levels:
                 # self-convergence: consecutive levels, fine restricted
-                ref = u.data[-1] - _restrict(runs[lev + 1][1].data[-1], 2)
+                ref = _restrict(runs[lev + 1][1].data[-1], 2)
             else:
                 break
-            errs.append(float(np.abs(ref).sum() * u.dx))
+            final = replace(u, times=u.times[-1:], data=u.data[-1:])
+            errs.append(l1_distance_full(
+                final, replace(final, data=ref[None]), sc.t_end))
             dxs.append(u.dx)
         orders = [float(np.log2(errs[i] / errs[i + 1]))
                   for i in range(len(errs) - 1)
@@ -310,11 +314,11 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
                       for i in range(len(per_level) - 1)]
             viol_rows.append((check.name, per_level, ratios))
 
-        lines = ["dx,l1_error,order"]
-        for i, (dx, e) in enumerate(zip(dxs, errs)):
-            o = f"{orders[i - 1]:.3f}" if 0 < i <= len(orders) else ""
-            lines.append(f"{dx:.17g},{e:.17g},{o}")
-        (outdir / "study.csv").write_text("\n".join(lines) + "\n")
+        rows = [(dx, e, f"{orders[i - 1]:.3f}" if 0 < i <= len(orders) else "")
+                for i, (dx, e) in enumerate(zip(dxs, errs))]
+        (outdir / "study.csv").write_text("\n".join(
+            ["dx,l1_error,order"] + [f"{dx:.17g},{e:.17g},{o}"
+                                     for dx, e, o in rows]) + "\n")
         svgplot.line_plot(outdir / "study.svg",
                           [(dxs, errs, "L1 error"),
                            (dxs, [errs[0] * d / dxs[0] for d in dxs],
@@ -322,9 +326,8 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
                           title="refinement study", xlabel="dx",
                           ylabel="L1 error", logx=True, logy=True)
         print(f"{'dx':>12} {'L1 error':>14} {'order':>7}")
-        for i, (dx, e) in enumerate(zip(dxs, errs)):
-            o = f"{orders[i - 1]:.3f}" if 0 < i <= len(orders) else "-"
-            print(f"{dx:>12.5g} {e:>14.6e} {o:>7}")
+        for dx, e, o in rows:
+            print(f"{dx:>12.5g} {e:>14.6e} {o or '-':>7}")
         for name, per_level, ratios in viol_rows:
             print(f"violations[{name}]: " +
                   ", ".join(f"{v:.3e}" for v in per_level) +

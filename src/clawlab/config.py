@@ -331,10 +331,6 @@ def parse_config(text: str) -> ExperimentConfig:
         store_every=_take(grid_sec, "grid", "store_every", int),
     )
     _reject_leftovers(grid_sec, "grid")
-    if grid.hi <= grid.lo or grid.nx <= 0 or grid.t_end <= 0:
-        raise ConfigError("[grid] needs hi > lo, nx > 0, t_end > 0")
-    if grid.dim not in (1, 2):
-        raise ConfigError("[grid] dim must be 1 or 2")
     flux_dim = catalog_lookup(flux_name, flux_params).dim
     if flux_dim != grid.dim:
         raise ConfigError(f"[flux] {flux_name} is {flux_dim}-d but [grid] dim "

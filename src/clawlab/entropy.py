@@ -193,8 +193,6 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
 
     def q(x, k):
         pts = as_points(x, flux.dim)
-        if np.ndim(k) == 0 and pts.size == flux.dim:
-            return q_build_quadrature(flux, ent.eta_prime, k0, pts, float(k))
         _, _, shape, total = _state_integral(flux, k0, n, pts, k, q_panel)
         return total.reshape(shape + (flux.dim,))
 
@@ -209,6 +207,18 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
                        kind="smooth", n=int(n))
 
 
+def kruzkov_flux(flux: FluxSpec, x, u, v) -> Array:
+    """q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)), shape (..., d): the
+    flux of |u - k0| at v = k0, and of Kato's inequality for |u - v|."""
+    return np.sign(u - v)[..., None] * (flux.eval(x, u) - flux.eval(x, v))
+
+
+def kruzkov_div(flux: FluxSpec, x, u, v) -> Array:
+    """div_x q(x, u, v) at frozen states, shape (...); ``x`` must be off
+    the flux's singular points (``FluxSpec.nudge_off_singular``)."""
+    return np.sign(u - v) * (flux.div_x(x, u) - flux.div_x(x, v))
+
+
 def make_kruzkov_pair(flux: FluxSpec, k0: float) -> EntropyPair:
     """Closed-form absolute-value pair at reference state k0."""
     k0 = float(k0)
@@ -220,16 +230,12 @@ def make_kruzkov_pair(flux: FluxSpec, k0: float) -> EntropyPair:
         return np.sign(np.asarray(k, dtype=float) - k0)
 
     def q(x, k):
-        pts = as_points(x, flux.dim)
-        kk = np.asarray(k, dtype=float)
-        s = np.sign(kk - k0)
-        return s[..., None] * (flux.eval(pts, kk) - flux.eval(pts, k0))
+        return kruzkov_flux(flux, as_points(x, flux.dim),
+                            np.asarray(k, dtype=float), k0)
 
     def div_x_q(x, k):
         pts = flux.nudge_off_singular(as_points(x, flux.dim))
-        kk = np.asarray(k, dtype=float)
-        s = np.sign(kk - k0)
-        return s * (flux.div_x(pts, kk) - flux.div_x(pts, k0))
+        return kruzkov_div(flux, pts, np.asarray(k, dtype=float), k0)
 
     return EntropyPair(eta, eta_prime, k0, q, div_x_q, kind="kruzkov")
 
@@ -237,26 +243,19 @@ def make_kruzkov_pair(flux: FluxSpec, k0: float) -> EntropyPair:
 def kruzkov_limit_deficit(flux: FluxSpec, k0: float, x, k: float,
                           n_list) -> list[float]:
     """|q_n(x,k) - q(x,k)| for each smoothing index n; trends to zero."""
-    kz = make_kruzkov_pair(flux, k0)
-    target = kz.q(x, k)
-    out = []
-    for n in n_list:
-        ent = sqrt_entropy(k0, int(n))
-        qn = q_build_quadrature(flux, ent.eta_prime, k0, x, k)
-        out.append(float(np.max(np.abs(qn - target))))
-    return out
+    target = make_kruzkov_pair(flux, k0).q(x, k)
+    return [float(np.max(np.abs(q_build_quadrature(
+        flux, sqrt_entropy(k0, int(n)).eta_prime, k0, x, k) - target)))
+        for n in n_list]
 
 
 def kruzkov_div_deficit(flux: FluxSpec, k0: float, x, k: float,
                         n_list) -> list[float]:
     """|div_x q_n(x,k) - div_x q(x,k)| over the smoothing sweep."""
-    kz = make_kruzkov_pair(flux, k0)
-    target = kz.div_x_q(x, k)
-    out = []
-    for n in n_list:
-        pair = make_smooth_pair(flux, k0, int(n))
-        out.append(float(np.max(np.abs(pair.div_x_q(x, k) - target))))
-    return out
+    target = make_kruzkov_pair(flux, k0).div_x_q(x, k)
+    return [float(np.max(np.abs(
+        make_smooth_pair(flux, k0, int(n)).div_x_q(x, k) - target)))
+        for n in n_list]
 
 
 def leibniz_check(flux: FluxSpec, xi, B, x, h_list) -> list[float]:

@@ -70,6 +70,13 @@ class SchemeConfig:
     viscosity: float = 0.0
 
     def __post_init__(self):
+        for bad, rule in (
+                (not all(map(math.isfinite, (self.lo, self.hi, self.t_end))),
+                 "finite lo, hi and t_end"), (self.hi <= self.lo, "hi > lo"),
+                (self.nx < 1, "nx >= 1"), (self.t_end <= 0.0, "t_end > 0"),
+                (self.dim not in (1, 2), "dim 1 or 2")):
+            if bad:
+                raise ValueError(f"the grid needs {rule}, got {self}")
         if not (0.0 < self.cfl <= 1.0):
             raise CFLViolation(f"cfl must be in (0, 1], got {self.cfl}")
         if self.scheme not in ("rusanov", "godunov_burgers", "viscous"):

@@ -237,6 +237,28 @@ class TestConfigParsing:
         assert main(["run", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new,match", [
+        ("t_end = 1.0", "t_end = nan", "finite"),
+        ("t_end = 1.0", "t_end = inf", "finite"),
+        ("t_end = 1.0", "t_end = 0", "t_end > 0"),
+        ("t_end = 1.0", "t_end = -0.5", "t_end > 0"),
+        ("lo = -3.0", "lo = -inf", "finite"),
+        ("hi = 3.0", "hi = -3.0", "hi > lo"),
+        ("nx = 600", "nx = 0", "nx >= 1"),
+        ("dim = 1", "dim = 3", "dim = 3"),
+    ], ids=["t_end_nan", "t_end_inf", "t_end_zero", "t_end_negative",
+            "lo_inf", "hi_below_lo", "nx_zero", "dim_3"])
+    def test_bad_grid_value_refused_before_output(self, tmp_path, old, new,
+                                                  match):
+        text = SMALL_CONTRACTION.replace(old, new).replace(
+            "dir = out", f"dir = {tmp_path / 'out'}")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old,new", [
         ("r = 2.0", "r = 0"), ("r = 2.0", "r = -1"), ("r = 2.0", "r = inf"),
         ("r = 2.0", "r = nan"), ("r_list = 1, 2, 4, 8", "r_list = 1, inf"),
@@ -569,12 +591,18 @@ class TestCliOther:
         assert capsys.readouterr().err == verify_err
         assert (tmp_path / "fromfile" / "FAILED").exists()
 
-    def test_study_smooth_self_convergence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flux,nx,dim,freq", [
+        ("burgers1d", 100, 1, 1.0), ("burgers2d", 20, 2, 0.5)],
+        ids=["1d", "2d"])
+    def test_study_smooth_self_convergence(self, tmp_path, capsys, flux, nx,
+                                           dim, freq):
+        # the error is the L1 norm, |error| dx^dim summed over cells; a 2-d
+        # study weighted by dx alone reports an order 1 too low
         text = "\n".join([
-            "[flux]", "name = burgers1d", "",
-            "[initial_data]", "kind = sine", "amp = 0.3", "freq = 1.0",
+            "[flux]", f"name = {flux}", "",
+            "[initial_data]", "kind = sine", "amp = 0.3", f"freq = {freq}",
             "offset = 0.5", "",
-            "[grid]", "lo = -1.0", "hi = 1.0", "nx = 100", "dim = 1",
+            "[grid]", "lo = -1.0", "hi = 1.0", f"nx = {nx}", f"dim = {dim}",
             "t_end = 0.3", "store_every = 1000000", "",
             "[scheme]", "kind = rusanov", "cfl = 0.9",
             "boundary = periodic", "",
@@ -585,7 +613,7 @@ class TestCliOther:
         assert main(["study", str(cfg_path), "--levels", "3"]) == 0
         study = (tmp_path / "smooth" / "study.csv").read_text().splitlines()
         orders = [float(r.split(",")[2]) for r in study[2:] if r.split(",")[2]]
-        assert all(0.8 <= o <= 1.3 for o in orders)
+        assert orders and all(0.8 <= o <= 1.3 for o in orders)
 
     def test_study_produces_orders(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

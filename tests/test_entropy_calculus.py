@@ -3,15 +3,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawlab.entropy import (SmoothEntropy, kruzkov_div_deficit,
-                             kruzkov_limit_deficit, leibniz_check,
-                             make_kruzkov_pair, make_smooth_pair, q_build_ibp,
+from clawlab.entropy import (SmoothEntropy, kruzkov_div, kruzkov_div_deficit,
+                             kruzkov_flux, kruzkov_limit_deficit,
+                             leibniz_check, make_kruzkov_pair,
+                             make_smooth_pair, q_build_ibp,
                              q_build_quadrature, sqrt_entropy)
-from clawlab.flux import catalog_lookup
+from clawlab.flux import catalog_lookup, catalog_names
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
 XSQ = catalog_lookup("xsquared1d")
+
+
+@st.composite
+def _kruzkov_states(draw):
+    """A catalog flux, points (n, d), states u, v (n,) equal on a drawn
+    subset (a point may sit on a singular point), and a scalar k."""
+    flux = catalog_lookup(draw(st.sampled_from(catalog_names())))
+    n = draw(st.integers(1, 6))
+    coord = st.floats(-2.0, 2.0) | st.just(0.0)
+    state = st.floats(-2.0, 2.0)
+    pts = np.array(draw(st.lists(coord, min_size=n * flux.dim,
+                                 max_size=n * flux.dim))).reshape(n, flux.dim)
+    u = np.array(draw(st.lists(state, min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(state, min_size=n, max_size=n)))
+    same = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    v[same] = u[same]
+    return flux, pts, u, v, draw(state)
+
+
+class TestKruzkovFlux:
+    """q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)) and its divergence, the
+    one definition behind the Kruzkov pairs and Kato's inequality."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kruzkov_states())
+    def test_symmetric_zero_on_diagonal_and_pair_flux(self, case):
+        flux, pts, u, v, k = case
+        ptn = flux.nudge_off_singular(pts)
+        q, d = kruzkov_flux(flux, pts, u, v), kruzkov_div(flux, ptn, u, v)
+        assert q.shape == pts.shape and d.shape == u.shape
+        # the flux of |u - v|: sign(u - v) and f(u) - f(v) both flip sign
+        # exactly under the swap, so their product is bitwise unchanged
+        assert np.array_equal(q, kruzkov_flux(flux, pts, v, u))
+        assert np.array_equal(d, kruzkov_div(flux, ptn, v, u))
+        assert np.all(q[u == v] == 0.0) and np.all(d[u == v] == 0.0)
+        # the larger state's flux minus the smaller one's
+        hi, lo = np.maximum(u, v), np.minimum(u, v)
+        off = u != v
+        assert np.array_equal(q[off], (flux.eval(pts, hi)
+                                       - flux.eval(pts, lo))[off])
+        assert np.array_equal(d[off], (flux.div_x(ptn, hi)
+                                       - flux.div_x(ptn, lo))[off])
+        pair = make_kruzkov_pair(flux, k)
+        assert np.array_equal(kruzkov_flux(flux, pts, u, k), pair.q(pts, u))
+        assert np.array_equal(kruzkov_div(flux, ptn, u, k),
+                              pair.div_x_q(pts, u))
 
 
 class TestSmoothPair:

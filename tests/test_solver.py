@@ -123,6 +123,24 @@ class TestStability:
             with pytest.raises(ValueError, match="store_every"):
                 SchemeConfig(lo=0, hi=1, nx=10, t_end=1.0, store_every=every)
 
+    @pytest.mark.parametrize("change,match", [
+        ({"t_end": -0.5}, "t_end > 0"), ({"t_end": 0.0}, "t_end > 0"),
+        ({"t_end": float("nan")}, "finite"),
+        ({"t_end": float("inf")}, "finite"),
+        ({"lo": float("-inf")}, "finite"), ({"hi": float("nan")}, "finite"),
+        ({"hi": 0.0}, "hi > lo"), ({"hi": -1.0}, "hi > lo"),
+        ({"nx": 0}, "nx >= 1"), ({"nx": -4}, "nx >= 1"),
+        ({"dim": 3}, "dim 1 or 2"), ({"dim": 0}, "dim 1 or 2"),
+    ], ids=["t_end_negative", "t_end_zero", "t_end_nan", "t_end_inf",
+            "lo_inf", "hi_nan", "hi_eq_lo", "hi_below_lo", "nx_zero",
+            "nx_negative", "dim_3", "dim_0"])
+    def test_unrunnable_grid_rejected(self, change, match):
+        # these grids used to march backwards (t_end < 0), store two levels
+        # at t = 0 (t_end = 0) or fail deep in the solver (nx = 0, NaN)
+        base = dict(lo=0.0, hi=1.0, nx=10, t_end=1.0)
+        with pytest.raises(ValueError, match=match):
+            SchemeConfig(**{**base, **change})
+
     def test_godunov_2d_rejected(self):
         with pytest.raises(ValueError, match="1-d"):
             SchemeConfig(lo=0, hi=1, nx=10, t_end=1.0, dim=2,
