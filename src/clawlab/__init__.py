@@ -14,12 +14,12 @@ from .entropy import (EntropyPair, SmoothEntropy, default_k0_sweep,
                       make_smooth_pair, q_build_ibp, q_build_quadrature,
                       sqrt_entropy)
 from .mollifiers import (ConeSpec, Mollifier, TestFunction, bump_test_function,
-                         chi_epsilon, contraction_test_function, doubling_kernel,
-                         kernel_cdf, kernel_cdf_quadrature, mollifier_constant,
+                         chi_epsilon, contraction_test_function, kernel_cdf,
+                         kernel_cdf_quadrature, mollifier_constant,
                          omega_value)
 from .grids import (GridField, InitialData, box_data, constant_data, file_data,
-                    load_field, read_slabs, riemann_data, sine_data,
-                    write_slab, write_slabs)
+                    load_field, riemann_data, sine_data, write_slab,
+                    write_slabs)
 from .solver import (SchemeConfig, discrete_entropy_max_violation,
                      exact_riemann_burgers, l1_distance_full,
                      l1_distance_on_ball, solve, solve_viscous)

@@ -23,9 +23,11 @@ required keys are errors, and so is a field that cannot be read (exit 2).
 A flux that takes parameters reads them from the run's ``config.cfg``.
 It prints the report and writes no files.  ``run``, ``study`` and
 ``verify`` run these checks through one builder whose defaults come from
-the domain and the stored time range, and the slabs hold the run's grid
-and bound M exactly, so on a run's slabs ``verify`` with the section's keys
-prints that run's report (without the run's ``check_name`` and ``seed``).
+the fields themselves (their domain and stored time range), and the slabs
+hold the run's grid and bound M exactly, so on a run's slabs ``verify``
+with the section's keys prints that run's report (without the run's
+``check_name`` and ``seed``).  ``run`` and ``study`` solve on the config's
+one ``SchemeConfig`` (``study`` on its refinements).
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from .flux import (catalog_lookup, catalog_names, catalog_params,
                    lipschitz_constant)
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
-from .solver import exact_riemann_burgers, l1_distance_full, solve, solve_pair
+from .solver import (SchemeConfig, exact_riemann_burgers, l1_distance_full,
+                     solve, solve_pair)
 from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
@@ -84,15 +87,15 @@ def _snapshot_plot(field: GridField, path: Path, title: str) -> None:
     svgplot.line_plot(path, series, title=title, xlabel="x", ylabel="u")
 
 
-def _run_check(check: CheckSpec, flux, u, v, box):
+def _run_check(check: CheckSpec, flux, u, v):
     """Run one check that needs no config on the fields ``u`` (and ``v``).
 
-    ``box`` is (lo, hi, dim, t_start, t_end): the domain and the stored
-    time range the defaults are taken from.  Returns (report, profile);
-    profile is the rows (t, radius, l1_mass) of a contraction check, else
-    None.  Writes no files."""
+    The defaults are taken from the domain and the stored time range of
+    ``u``.  Returns (report, profile); profile is the rows (t, radius,
+    l1_mass) of a contraction check, else None.  Writes no files."""
     p = check.params
-    lo, hi, dim, t_start, t_end = box
+    lo, hi, dim = u.lo, u.hi, u.dim
+    t_start, t_end = float(u.times[0]), float(u.times[-1])
 
     if check.kind == "entropy_inequality":
         center = p.get("phi_center", 0.5 * (lo + hi))
@@ -162,14 +165,13 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
     p = check.params
 
     if check.kind == "uniqueness":
-        base = replace(cfg.scheme_config(), store_every=10 ** 9)
+        base = replace(cfg.grid, store_every=10 ** 9)
         variants = [replace(base, scheme="rusanov", cfl=c, viscosity=0.0)
                     for c in p.get("cfl_list", [0.9, 0.45])]
         coeff = p.get("viscous_coeff", 2.0)
         if coeff > 0:
-            dx = (base.hi - base.lo) / base.nx
             variants.append(replace(base, scheme="viscous",
-                                    viscosity=coeff * dx))
+                                    viscosity=coeff * base.dx))
         return uniqueness_experiment(
             flux, cfg.initial_data, variants, center=p.get("center"),
             radius=p.get("radius"), exact_at_t_end=_burgers_oracle(cfg),
@@ -202,30 +204,31 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
     raise ConfigError(f"unhandled check kind {check.kind!r}")
 
 
+def _solve(cfg: ExperimentConfig, flux, scheme: SchemeConfig):
+    """The config's solution u on ``scheme``, and v, the solution from its
+    second datum on the same time levels, or None without one."""
+    if cfg.initial_data2 is None:
+        return solve(flux, cfg.initial_data, scheme), None
+    return solve_pair(flux, cfg.initial_data, cfg.initial_data2, scheme)
+
+
 def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
-        scheme_cfg = cfg.scheme_config()
-        if cfg.initial_data2 is not None:
-            u, v = solve_pair(flux, cfg.initial_data, cfg.initial_data2,
-                              scheme_cfg)
-        else:
-            u = solve(flux, cfg.initial_data, scheme_cfg)
-            v = None
+        u, v = _solve(cfg, flux, cfg.grid)
         write_slabs(outdir / "u_slabs", u)
         _snapshot_plot(u, outdir / "u_snapshots.svg", "solution snapshots")
         if v is not None:
             write_slabs(outdir / "v_slabs", v)
             _snapshot_plot(v, outdir / "v_snapshots.svg", "second solution")
 
-        box = (cfg.grid.lo, cfg.grid.hi, cfg.grid.dim, 0.0, cfg.grid.t_end)
         reports = []
         for check in cfg.checks:
             if check.kind in ("uniqueness", "doubling"):
                 report = _run_config_check(check, cfg, flux, u, v)
             else:
-                report, profile = _run_check(check, flux, u, v, box)
+                report, profile = _run_check(check, flux, u, v)
                 if profile is not None:
                     write_profile_csv(outdir / f"profile_{check.name}.csv",
                                       profile)
@@ -273,29 +276,23 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
-        base = cfg.scheme_config()
-        runs = []
-        for lev in range(levels):
-            sc = replace(base.refined(2 ** lev), store_every=10 ** 9)
-            if cfg.initial_data2 is not None:
-                u, v = solve_pair(flux, cfg.initial_data, cfg.initial_data2, sc)
-            else:
-                u, v = solve(flux, cfg.initial_data, sc), None
-            runs.append((sc, u, v))
+        runs = [_solve(cfg, flux, replace(cfg.grid.refined(2 ** lev),
+                                          store_every=10 ** 9))
+                for lev in range(levels)]
 
         exact = _burgers_oracle(cfg)
         dxs, errs = [], []
-        for lev, (sc, u, _) in enumerate(runs):
+        for lev, (u, _) in enumerate(runs):
             if exact is not None:
                 ref = exact(u.centers_points())
             elif lev + 1 < levels:
                 # self-convergence: consecutive levels, fine restricted
-                ref = _restrict(runs[lev + 1][1].data[-1], 2)
+                ref = _restrict(runs[lev + 1][0].data[-1], 2)
             else:
                 break
             final = replace(u, times=u.times[-1:], data=u.data[-1:])
             errs.append(l1_distance_full(
-                final, replace(final, data=ref[None]), sc.t_end))
+                final, replace(final, data=ref[None]), final.times[0]))
             dxs.append(u.dx)
         orders = [float(np.log2(errs[i] / errs[i + 1]))
                   for i in range(len(errs) - 1)
@@ -305,10 +302,8 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
         for check in cfg.checks:
             if check.kind not in ("cone_contraction", "global_contraction"):
                 continue
-            per_level = [
-                _run_check(check, flux, u, v,
-                           (sc.lo, sc.hi, sc.dim, 0.0, sc.t_end))[0].value
-                for sc, u, v in runs]
+            per_level = [_run_check(check, flux, u, v)[0].value
+                         for u, v in runs]
             ratios = [per_level[i] / per_level[i + 1]
                       if per_level[i + 1] > 0 else float("inf")
                       for i in range(len(per_level) - 1)]
@@ -377,8 +372,7 @@ def cmd_verify(args) -> int:
     if flux.dim != u.dim:
         raise GridMismatch(f"flux {flux.name} is {flux.dim}-d, "
                            f"the fields are {u.dim}-d")
-    box = (u.lo, u.hi, u.dim, float(u.times[0]), float(u.times[-1]))
-    report, _ = _run_check(check, flux, u, v, box)
+    report, _ = _run_check(check, flux, u, v)
     print(report.to_json())
     return 0 if report.passed else 1
 

@@ -4,6 +4,11 @@ Strict schema: every section and key must be known, physical parameters
 (grid, flux) carry no defaults, and unknown keys are errors naming the
 offending line.  Configs round-trip losslessly through ``to_text``.
 
+The ``[grid]`` and ``[scheme]`` sections are read into one
+``solver.SchemeConfig`` (``ExperimentConfig.grid``), built once while
+parsing, so its rules refuse a config as a ``ConfigError`` before any
+output is written, and the solver runs on that very object.
+
 Layout::
 
     [flux]
@@ -119,42 +124,15 @@ class CheckSpec:
 
 
 @dataclass
-class GridSection:
-    lo: float
-    hi: float
-    nx: int
-    dim: int
-    t_end: float
-    store_every: int
-
-
-@dataclass
-class SchemeSection:
-    kind: str = "rusanov"
-    cfl: float = 0.9
-    boundary: str = "outflow"
-    viscosity: float = 0.0
-
-
-@dataclass
 class ExperimentConfig:
     flux_name: str
     flux_params: dict
     initial_data: InitialData
-    grid: GridSection
-    scheme: SchemeSection
+    grid: SchemeConfig            # the [grid] and [scheme] sections
     output_dir: str
     checks: list
     initial_data2: InitialData | None = None
     seed: int = 20260809
-
-    def scheme_config(self) -> SchemeConfig:
-        """The solver's run parameters; ``parse_config`` applies its rules."""
-        g, s = self.grid, self.scheme
-        return SchemeConfig(lo=g.lo, hi=g.hi, nx=g.nx, t_end=g.t_end,
-                            scheme=s.kind, cfl=s.cfl, boundary=s.boundary,
-                            store_every=g.store_every, dim=g.dim,
-                            viscosity=s.viscosity)
 
     def to_text(self) -> str:
         lines = ["[flux]", f"name = {self.flux_name}"]
@@ -174,9 +152,8 @@ class ExperimentConfig:
         lines += ["[grid]", f"lo = {_fmt(g.lo)}", f"hi = {_fmt(g.hi)}",
                   f"nx = {g.nx}", f"dim = {g.dim}", f"t_end = {_fmt(g.t_end)}",
                   f"store_every = {g.store_every}", ""]
-        s = self.scheme
-        lines += ["[scheme]", f"kind = {s.kind}", f"cfl = {_fmt(s.cfl)}",
-                  f"boundary = {s.boundary}", f"viscosity = {_fmt(s.viscosity)}",
+        lines += ["[scheme]", f"kind = {g.scheme}", f"cfl = {_fmt(g.cfl)}",
+                  f"boundary = {g.boundary}", f"viscosity = {_fmt(g.viscosity)}",
                   ""]
         lines += ["[output]", f"dir = {self.output_dir}", ""]
         lines += ["[run]", f"seed = {self.seed}", ""]
@@ -322,34 +299,34 @@ def parse_config(text: str) -> ExperimentConfig:
     grid_sec = sections.pop("grid", None)
     if grid_sec is None:
         raise ConfigError("missing [grid] section")
-    grid = GridSection(
-        lo=_take(grid_sec, "grid", "lo", float),
-        hi=_take(grid_sec, "grid", "hi", float),
-        nx=_take(grid_sec, "grid", "nx", int),
-        dim=_take(grid_sec, "grid", "dim", int),
-        t_end=_take(grid_sec, "grid", "t_end", float),
-        store_every=_take(grid_sec, "grid", "store_every", int),
-    )
+    kw = {key: _take(grid_sec, "grid", key, conv)
+          for key, conv in (("lo", float), ("hi", float), ("nx", int),
+                            ("dim", int), ("t_end", float),
+                            ("store_every", int))}
     _reject_leftovers(grid_sec, "grid")
     flux_dim = catalog_lookup(flux_name, flux_params).dim
-    if flux_dim != grid.dim:
+    if flux_dim != kw["dim"]:
         raise ConfigError(f"[flux] {flux_name} is {flux_dim}-d but [grid] dim "
-                          f"= {grid.dim}")
+                          f"= {kw['dim']}")
 
     scheme_sec = sections.pop("scheme", None)
     if scheme_sec is None:
         raise ConfigError("missing [scheme] section")
-    scheme = SchemeSection(
-        kind=_take(scheme_sec, "scheme", "kind", str),
+    kw.update(
+        scheme=_take(scheme_sec, "scheme", "kind", str),
         cfl=_take(scheme_sec, "scheme", "cfl", float),
         boundary=_take(scheme_sec, "scheme", "boundary", str),
         viscosity=_take(scheme_sec, "scheme", "viscosity", float,
                         required=False, default=0.0),
     )
     _reject_leftovers(scheme_sec, "scheme")
-    if scheme.kind == "godunov_burgers" and flux_name != "burgers1d":
+    if kw["scheme"] == "godunov_burgers" and flux_name != "burgers1d":
         raise ConfigError("[scheme] godunov_burgers is implemented for the 1-d "
                           "burgers1d flux only")
+    try:
+        grid = SchemeConfig(**kw)
+    except (ValueError, CFLViolation) as exc:
+        raise ConfigError(f"[grid]/[scheme] {exc}") from exc
 
     out_sec = sections.pop("output", None)
     if out_sec is None:
@@ -383,13 +360,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if initial2 is None and any(c.kind in PAIR_KINDS for c in checks):
         raise ConfigError("pair checks need an [initial_data2] section")
 
-    cfg = ExperimentConfig(flux_name, flux_params, initial, grid, scheme,
-                           output_dir, checks, initial2, seed)
-    try:
-        cfg.scheme_config()
-    except (ValueError, CFLViolation) as exc:
-        raise ConfigError(f"[grid]/[scheme] {exc}") from exc
-    return cfg
+    return ExperimentConfig(flux_name, flux_params, initial, grid, output_dir,
+                            checks, initial2, seed)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,7 +4,7 @@ A GridField stores a uniform-grid numerical solution: one slab of cell
 averages per stored time level on the box [lo, hi]^dim.  On disk a field is
 a directory (or explicit list) of slab files, one binary file per stored
 level, ordered by their stored time.  A slab header holds exactly the
-fields of a GridField, so ``read_slabs(write_slabs(f))`` equals ``f``
+fields of a GridField, so ``load_field(write_slabs(f))`` equals ``f``
 bitwise.  Byte layout, little-endian:
 
     magic    4 bytes  b"CLW2"
@@ -137,9 +137,10 @@ def _read_slab(path: Path):
     return shared, time, data.reshape((nx,) * dim)
 
 
-def read_slabs(source) -> GridField:
-    """Assemble a GridField from a slab file, a directory of slab files or
-    a list of slab files; levels are ordered by their stored time."""
+def load_field(source) -> GridField:
+    """A field's one reader: assemble a GridField from a slab file, a
+    directory of slab files or a list of slab files; levels are ordered by
+    their stored time."""
     if isinstance(source, (list, tuple)):
         paths = [Path(p) for p in source]
     else:
@@ -160,10 +161,6 @@ def read_slabs(source) -> GridField:
     dim, nx, lo, hi, bound = head
     return GridField(dim, lo, hi, nx, np.array([r[1] for r in records]),
                      np.stack([r[2] for r in records]), bound)
-
-
-# a field's one reader: a slab file, a directory of them, or a list
-load_field = read_slabs
 
 
 @dataclass(frozen=True)

@@ -391,16 +391,3 @@ def bump_test_function(center, radius: float, t_lo: float, t_hi: float,
     box = (c - radius, c + radius, t_lo, t_hi)
     return TestFunction(dim, value, dt, grad_x, box, lip)
 
-
-def doubling_kernel(eps: float, x, t, y, s):
-    """The doubled-variable kernel omega_eps(t-s) rho_eps(x-y) and its
-    gradient in y.  Shapes broadcast; the gradient has a trailing dim axis."""
-    xp = np.asarray(x, dtype=float)
-    dim = xp.shape[-1] if xp.ndim > 0 else 1
-    rho = Mollifier(dim, eps)
-    xx = as_points(x, dim)
-    yy = as_points(y, dim)
-    w = omega_value(eps, np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
-    val = w * rho.value(xx - yy)
-    grad_y = -w[..., None] * rho.grad(xx - yy) if np.ndim(w) else -w * rho.grad(xx - yy)
-    return val, grad_y

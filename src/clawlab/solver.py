@@ -43,6 +43,7 @@ roundoff; ``discrete_entropy_max_violation`` measures it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,6 +72,9 @@ class SchemeConfig:
 
     def __post_init__(self):
         for bad, rule in (
+                (not all(isinstance(n, numbers.Integral)
+                         for n in (self.nx, self.store_every, self.dim)),
+                 "integer nx, store_every and dim"),
                 (not all(map(math.isfinite, (self.lo, self.hi, self.t_end))),
                  "finite lo, hi and t_end"), (self.hi <= self.lo, "hi > lo"),
                 (self.nx < 1, "nx >= 1"), (self.t_end <= 0.0, "t_end > 0"),
@@ -89,6 +93,11 @@ class SchemeConfig:
             raise ValueError("godunov_burgers is implemented in 1-d only")
         if self.store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {self.store_every}")
+
+    @property
+    def dx(self) -> float:
+        """The cell width, the one dx of the run."""
+        return (self.hi - self.lo) / self.nx
 
     def refined(self, factor: int = 2) -> "SchemeConfig":
         """Same run with dx (and, for viscous runs, eps) divided by factor."""
@@ -191,9 +200,8 @@ class _Stepper:
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         self.config = config
-        dx = (config.hi - config.lo) / config.nx
-        self.dx = dx
-        c = config.lo + (np.arange(config.nx) + 0.5) * dx
+        dx = config.dx
+        self.centers = c = config.lo + (np.arange(config.nx) + 0.5) * dx
         e = config.lo + np.arange(config.nx + 1) * dx
         # interface points of the sweep along each axis: edges on that axis,
         # cell centers on the others, shape (..., dim)
@@ -213,10 +221,11 @@ class _Stepper:
                            iface.at(np.minimum(uR, 0.0)))
         else:
             F = _rusanov(*iface.sides(ug))
-        unew = u - (dt / self.dx) * np.diff(F, axis=axis)
+        dx = self.config.dx
+        unew = u - (dt / dx) * np.diff(F, axis=axis)
         if self.config.scheme == "viscous":
             lap = _slab(ug, axis, 2, None) - 2.0 * u + _slab(ug, axis, 0, -2)
-            unew = unew + (self.config.viscosity * dt / self.dx ** 2) * lap
+            unew = unew + (self.config.viscosity * dt / dx ** 2) * lap
         return unew
 
 
@@ -233,7 +242,7 @@ class _Stepper2D(_Stepper):
 
 
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
-    dx = (config.hi - config.lo) / config.nx
+    dx = config.dx
     lam_max = _estimate_speed(flux, config, m_bound)
     budget = config.cfl / (2.0 if config.dim == 2 else 1.0)
     if config.scheme == "viscous":
@@ -262,8 +271,7 @@ class _Run:
                              f"got {flux.name}")
         self.config = config
         self.stepper = (_Stepper1D if config.dim == 1 else _Stepper2D)(flux, config)
-        c = config.lo + (np.arange(config.nx) + 0.5) * self.stepper.dx
-        pts = _tensor_points(c, config.dim)
+        pts = _tensor_points(self.stepper.centers, config.dim)
         self.u0s = []
         for u0 in data:
             u = np.asarray(u0(pts), dtype=float) + np.zeros(pts.shape[:-1])
@@ -395,7 +403,7 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
         raise ValueError("the entropy flux form matches the rusanov scheme")
     run = _Run(flux, config, [u0])
     iface = run.stepper.interfaces[0]
-    mu = run.dt / run.stepper.dx
+    mu = run.dt / config.dx
     # one row per k: k and f(x_{i+1/2}, k), the same on every step
     ks = np.array([float(k) for k in np.atleast_1d(k_values)])[:, None]
     f_ks = np.stack([iface.at(k) for k in ks[:, 0]])

@@ -182,13 +182,6 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
     return values, float(np.diff(times)[levels.start:levels.stop].max())
 
 
-def _support_measure(phi: TestFunction) -> float:
-    lo, hi, t0, t1 = phi.support_box
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    return float(np.prod(hi - lo) * (t1 - t0))
-
-
 def _entropy_term(flux: FluxSpec, pair: EntropyPair):
     def term(P, U):
         source = pair.div_x_q(P, U) - pair.eta_prime(U) * flux.div_x(P, U)
@@ -211,9 +204,7 @@ def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
     P = flux.nudge_off_singular(u.centers_points())
     values, dt_used = _weak_sums(
         (u,), phi, [_entropy_term(flux, pair) for pair in pairs], P)
-    if c_tol is None:
-        c_tol = 10.0 * phi.lip * max(u.bound_M, 1e-12)
-    tol = c_tol * (u.dx + dt_used) * _support_measure(phi)
+    c_tol, tol = _weak_slack((u,), phi, dt_used, c_tol)
     return [ResidualReport(
         kind="entropy_inequality", value=value, tolerance=tol,
         passed=bool(value >= -tol),
@@ -239,13 +230,25 @@ def kato_lhs(u: GridField, v: GridField, flux: FluxSpec, psi: TestFunction,
         return np.abs(U - V), kruzkov_flux(flux, P, U, V), None
 
     (value,), dt_used = _weak_sums((u, v), psi, [term], u.centers_points())
-    if c_tol is None:
-        c_tol = 10.0 * psi.lip * max(u.bound_M, v.bound_M, 1e-12)
-    tol = c_tol * (u.dx + dt_used) * _support_measure(psi)
+    c_tol, tol = _weak_slack((u, v), psi, dt_used, c_tol)
     return ResidualReport(
         kind="kato", value=value, tolerance=tol, passed=bool(value >= -tol),
         metadata={"flux": flux.name, "nx": u.nx, "dx": u.dx, "dt": dt_used,
                   "c_tol": c_tol})
+
+
+def _weak_slack(fields, phi: TestFunction, dt_used: float,
+                c_tol: float | None):
+    """The slack of a weak-form inequality on ``fields``: c_tol (dx + dt)
+    |supp phi|, with the default c_tol = 10 Lip(phi) M, M the fields' joint
+    bound.  Returns (c_tol, slack)."""
+    if c_tol is None:
+        c_tol = 10.0 * phi.lip * max(*(f.bound_M for f in fields), 1e-12)
+    lo, hi, t0, t1 = phi.support_box
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    measure = float(np.prod(hi - lo) * (t1 - t0))
+    return c_tol, c_tol * (fields[0].dx + dt_used) * measure
 
 
 def _contraction_slack(u: GridField, v: GridField, c_cal: float | None):

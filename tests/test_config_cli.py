@@ -112,15 +112,53 @@ r = 2.0
 """
 
 
+# 20 steps of t_end / 20 land one ulp past t_end, so an entropy window
+# taken from t_end instead of the stored times moves the report
+LAST_LEVEL_OFF_T_END = """
+[flux]
+name = burgers1d
+
+[initial_data]
+kind = sine
+amp = 0.3
+freq = 1.0
+offset = 0.5
+
+[grid]
+lo = -1.0
+hi = 1.0
+nx = 200
+dim = 1
+t_end = 0.2185
+store_every = 1
+
+[scheme]
+kind = rusanov
+cfl = 0.9
+boundary = periodic
+
+[output]
+dir = last_level_off_t_end
+
+[checks]
+tasks = entropy
+
+[check.entropy]
+kind = entropy_inequality
+"""
+
+
 @pytest.fixture(scope="module")
 def bundled_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundled")
     (root / "product2d.cfg").write_text(PRODUCT_2D)
+    (root / "off_t_end.cfg").write_text(LAST_LEVEL_OFF_T_END)
     runs = {}
     for name, path in (("entropy_burgers", CONFIGS / "entropy_burgers.cfg"),
                        ("burgers_contraction",
                         CONFIGS / "burgers_contraction.cfg"),
-                       ("product2d", root / "product2d.cfg")):
+                       ("product2d", root / "product2d.cfg"),
+                       ("off_t_end", root / "off_t_end.cfg")):
         cfg = load_config(path)
         assert main(["run", str(path), "--out", str(root / name)]) == 0
         runs[name] = (cfg, root / name)
@@ -191,7 +229,7 @@ class TestConfigParsing:
     def test_godunov_only_for_burgers1d(self):
         text = SMALL_CONTRACTION.replace("kind = rusanov",
                                          "kind = godunov_burgers")
-        assert parse_config(text).scheme.kind == "godunov_burgers"
+        assert parse_config(text).grid.scheme == "godunov_burgers"
         with pytest.raises(ConfigError, match="godunov_burgers"):
             parse_config(text.replace("[flux]\nname = burgers1d",
                                       "[flux]\nname = burgers2d")
@@ -654,6 +692,7 @@ class TestVerifyReproducesRun:
         ("burgers_contraction", "kato"),
         ("product2d", "cone"),
         ("product2d", "kato"),
+        ("off_t_end", "entropy"),
     ])
     def test_same_report(self, bundled_runs, capsys, config, check_name):
         cfg, outdir = bundled_runs[config]

@@ -15,8 +15,8 @@ from clawlab.errors import BadWindow
 from clawlab.mollifiers import (ConeSpec, Mollifier, _pchip_slopes,
                                 _Pchip, _unit_cdf_table,
                                 bump_test_function, chi_epsilon,
-                                contraction_test_function, doubling_kernel,
-                                kernel_cdf, kernel_cdf_quadrature,
+                                contraction_test_function, kernel_cdf,
+                                kernel_cdf_quadrature,
                                 mollifier_constant, omega_value)
 from clawlab.quadrature import adaptive_gauss_legendre
 
@@ -348,12 +348,6 @@ def test_value_batched_over_times_matches_scalar_times(phi):
 
 
 class TestDoublingKernel:
-    def test_zero_outside_ball(self):
-        val, grad = doubling_kernel(0.2, np.array([0.0]), 0.0,
-                                    np.array([0.3]), 0.0)
-        assert val.item() == 0.0
-        assert np.all(grad == 0.0)
-
     def test_gradient_antisymmetry(self):
         # grad_x rho(x - y) = -grad_y rho(x - y) at random offsets
         rng = np.random.default_rng(9)

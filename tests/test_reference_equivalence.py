@@ -198,7 +198,7 @@ def test_stepper_matches_reference(name, boundary, scheme):
     u = rng.uniform(-1.5, 1.5, (config.nx,) * flux.dim)
     u.reshape(-1)[:3] = (0.0, -0.0, np.pi)   # zero states and a zero of sin
     ref = u.copy()
-    dt = 0.2 * stepper.dx / 3.0
+    dt = 0.2 * config.dx / 3.0
     for _ in range(4):
         u = stepper.step(u, dt)
         ref = _reference_step(flux, config, ref, dt)
@@ -233,7 +233,7 @@ def _reference_solve(flux, u0, config, shared_dt=None):
     handed back, checked against this datum's own stable step."""
     stepper = (solver_mod._Stepper1D if config.dim == 1
                else solver_mod._Stepper2D)(flux, config)
-    c = config.lo + (np.arange(config.nx) + 0.5) * stepper.dx
+    c = config.lo + (np.arange(config.nx) + 0.5) * config.dx
     if config.dim == 1:
         pts = c[:, None]
     else:

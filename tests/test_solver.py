@@ -10,7 +10,7 @@ from clawlab.errors import (BlowUp, CFLViolation, FieldFileError,
                             GridMismatch, MissingTimeLevels)
 from clawlab.flux import catalog_lookup
 from clawlab.grids import (GridField, box_data, constant_data,
-                           field_from_function, read_slabs, riemann_data,
+                           field_from_function, load_field, riemann_data,
                            sine_data, write_slab, write_slabs)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             exact_riemann_burgers, l1_distance_full,
@@ -131,12 +131,17 @@ class TestStability:
         ({"hi": 0.0}, "hi > lo"), ({"hi": -1.0}, "hi > lo"),
         ({"nx": 0}, "nx >= 1"), ({"nx": -4}, "nx >= 1"),
         ({"dim": 3}, "dim 1 or 2"), ({"dim": 0}, "dim 1 or 2"),
+        ({"nx": 10.5}, "integer nx"), ({"nx": 10.0}, "integer nx"),
+        ({"store_every": 2.5}, "integer nx, store_every"),
+        ({"dim": 1.0}, "integer nx, store_every and dim"),
     ], ids=["t_end_negative", "t_end_zero", "t_end_nan", "t_end_inf",
             "lo_inf", "hi_nan", "hi_eq_lo", "hi_below_lo", "nx_zero",
-            "nx_negative", "dim_3", "dim_0"])
+            "nx_negative", "dim_3", "dim_0", "nx_fraction", "nx_float",
+            "store_every_fraction", "dim_float"])
     def test_unrunnable_grid_rejected(self, change, match):
         # these grids used to march backwards (t_end < 0), store two levels
-        # at t = 0 (t_end = 0) or fail deep in the solver (nx = 0, NaN)
+        # at t = 0 (t_end = 0), fail deep in the solver (nx = 0, NaN) or
+        # solve on 11 cells and write an unreadable field (nx = 10.5)
         base = dict(lo=0.0, hi=1.0, nx=10, t_end=1.0)
         with pytest.raises(ValueError, match=match):
             SchemeConfig(**{**base, **change})
@@ -322,7 +327,7 @@ class TestSerialization:
     def test_slab_roundtrip(self, tmp_path):
         u = self.make_field()
         write_slabs(tmp_path / "slabs", u)
-        back = read_slabs(tmp_path / "slabs")
+        back = load_field(tmp_path / "slabs")
         assert np.array_equal(back.times, u.times)
         assert np.array_equal(back.data, u.data)
         assert back.dx == u.dx
@@ -330,7 +335,6 @@ class TestSerialization:
         assert back.bound_M == u.bound_M
 
     def test_single_slab_loads(self, tmp_path):
-        from clawlab.grids import load_field
         u = self.make_field()
         write_slab(tmp_path / "one.slab", u, 0)
         single = load_field(tmp_path / "one.slab")
@@ -346,7 +350,7 @@ class TestSerialization:
             odd = replace(u, **{attr: getattr(u, attr) + 1e-9})
         write_slab(tmp_path / "odd.slab", odd, 0)
         with pytest.raises(GridMismatch, match=attr):
-            read_slabs(write_slabs(tmp_path, u) + [tmp_path / "odd.slab"])
+            load_field(write_slabs(tmp_path, u) + [tmp_path / "odd.slab"])
 
     def test_refuses_old_version(self, tmp_path):
         u = self.make_field()
@@ -355,7 +359,7 @@ class TestSerialization:
             b"CLW1" + struct.pack("<IIddd", 1, u.nx, u.dx, u.lo, 0.0)
             + u.data[0].tobytes())
         with pytest.raises(FieldFileError, match="CLW1"):
-            read_slabs(tmp_path)
+            load_field(tmp_path)
 
     @pytest.mark.parametrize("header,payload,defect", [
         (b"CLW2" + bytes(10), b"", "header cut short"),
@@ -369,7 +373,7 @@ class TestSerialization:
     def test_refuses_malformed(self, tmp_path, header, payload, defect):
         (tmp_path / "bad.slab").write_bytes(header + payload)
         with pytest.raises(FieldFileError, match=defect):
-            read_slabs(tmp_path / "bad.slab")
+            load_field(tmp_path / "bad.slab")
 
     def test_unknown_initial_kind_rejected(self):
         from clawlab.grids import InitialData
@@ -406,7 +410,7 @@ class TestSerialization:
         finite = np.abs(arr[np.isfinite(arr)])
         bound = (finite.max() if finite.size else 0.0) + excess
         u = GridField(dim, lo, hi, nx, np.array(times), arr, bound)
-        back = read_slabs(write_slabs(tmp_path_factory.mktemp("s"), u))
+        back = load_field(write_slabs(tmp_path_factory.mktemp("s"), u))
         assert (back.dim, back.nx) == (u.dim, u.nx)
         assert back.lo == u.lo and back.hi == u.hi
         assert back.bound_M == u.bound_M
