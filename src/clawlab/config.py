@@ -81,6 +81,20 @@ def _int_list(s: str):
     return [int(p.strip()) for p in s.split(",") if p.strip()]
 
 
+def _count(s: str) -> int:
+    c = int(s)
+    if c < 0:
+        raise ValueError(f"a count must be >= 0, got {s.strip()!r}")
+    return c
+
+
+def _smoothing_indices(s: str):
+    ns = _int_list(s)
+    if any(n < 1 for n in ns):
+        raise ValueError(f"smoothing indices must be >= 1, got {s.strip()!r}")
+    return ns
+
+
 def _radius(s: str) -> float:
     r = float(s)
     if not (math.isfinite(r) and r > 0):
@@ -98,7 +112,7 @@ def _radius_list(s: str):
 # [check.*] keys per kind with their converters; the keys in
 # _REQUIRED_CHECK_KEYS have no default
 _CHECK_KEYS = {
-    "entropy_inequality": {"k0_count": int, "smooth_n": _int_list,
+    "entropy_inequality": {"k0_count": _count, "smooth_n": _smoothing_indices,
                            "phi_center": float, "phi_radius": float,
                            "phi_t0": float, "phi_t1": float, "c_tol": float},
     "kato": {"r": _radius, "rho": float, "tau": float, "h": float,
@@ -248,6 +262,9 @@ def parse_check(name: str, section: dict) -> CheckSpec:
     for key in _REQUIRED_CHECK_KEYS.get(kind, ()):
         if key not in params:
             raise ConfigError(f"[{secname}] missing required key {key!r}")
+    if params.get("k0_count") == 0 and params.get("smooth_n") == []:
+        raise ConfigError(f"[{secname}] k0_count = 0 and an empty smooth_n "
+                          "leave no entropy pair to check")
     return CheckSpec(name, kind, params)
 
 

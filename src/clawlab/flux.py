@@ -14,8 +14,9 @@ elementwise on states), and ``eval``, ``dk``, ``div_x`` and
 written twice.  The solver freezes g at its interface lattice once per run
 and evaluates only h and h' per sweep, and ``lipschitz_constant`` samples g
 on the ball and h, h' on the states once instead of f on their product.
-A FluxSpec built by hand without factors is evaluated through its four
-callables alone.
+The smooth entropy pairs take g and g'_1 + ... + g'_d once per point
+batch and integrate h and h' in the state alone.  A FluxSpec built by
+hand without factors is evaluated through its four callables alone.
 
 Point convention: spatial points are arrays whose last axis has length
 ``dim``.  For 1-d fluxes a bare scalar or an array of coordinates is
@@ -72,6 +73,15 @@ class Separable:
     h: Callable[[Array], Array]
     h_prime: Callable[[Array], Array]
 
+    def g_prime_sum(self, pts: Array) -> Array:
+        """(g'_1 + ... + g'_d)(pts), shape (...): the x-factor of div_x f,
+        summed in component order (in 1-d a view of g')."""
+        gp = self.g_prime(pts)
+        total = gp[..., 0]
+        for i in range(1, gp.shape[-1]):
+            total = total + gp[..., i]
+        return total
+
 
 @dataclass(frozen=True)
 class FluxSpec:
@@ -82,10 +92,11 @@ class FluxSpec:
     component i with shape (..., d).  ``singular_points`` lists the finitely
     many x where the spatial differential may fail to exist.  ``factors``
     are the separable factors all four callables are built from, or None
-    for a flux that is only given through its callables; the solver and
-    ``lipschitz_constant`` use them in place of ``eval``/``dk``, so a copy
-    whose ``eval`` or ``dk`` computes something else must set
-    ``factors=None``.
+    for a flux that is only given through its callables; the solver,
+    ``lipschitz_constant`` and the smooth entropy pairs
+    (``entropy.make_smooth_pair``) use them in place of ``eval``, ``dk``
+    and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x`` computes
+    something else must set ``factors=None``.
     """
 
     name: str
@@ -135,12 +146,7 @@ def _separable(name: str, dim: int, factors: Separable, **extra) -> FluxSpec:
         return g(as_points(x, dim)) * h_prime(np.asarray(k, dtype=float))[..., None]
 
     def div(x, k):
-        gp = g_prime(as_points(x, dim))
-        # summed in component order; in 1-d this is a view of g'
-        total = gp[..., 0]
-        for i in range(1, dim):
-            total = total + gp[..., i]
-        return total * h(np.asarray(k, dtype=float))
+        return factors.g_prime_sum(as_points(x, dim)) * h(np.asarray(k, dtype=float))
 
     def grad(x, k, i):
         gi = g_prime(as_points(x, dim))[..., i] * h(np.asarray(k, dtype=float))

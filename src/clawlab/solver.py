@@ -381,9 +381,12 @@ def l1_distance_on_ball(a: GridField, b: GridField, t: float, center,
     pts = a.centers_points()
     cvec = np.zeros(a.dim) + np.asarray(center, dtype=float)
     r = np.sqrt(((pts - cvec) ** 2).sum(axis=-1))
-    mask = r <= radius
-    diff = np.abs(a.data[n] - b.data[n])
-    return float(diff[mask].sum() * a.dx ** a.dim)
+    return _l1_on_mask(a, b, n, r <= radius)
+
+
+def _l1_on_mask(a: GridField, b: GridField, n: int, mask) -> float:
+    """Midpoint-rule L1 distance of level n over the cells in ``mask``."""
+    return float(np.abs(a.data[n] - b.data[n])[mask].sum() * a.dx ** a.dim)
 
 
 def l1_distance_full(a: GridField, b: GridField, t: float) -> float:

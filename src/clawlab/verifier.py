@@ -32,7 +32,9 @@ with m = ``margin_cells``; a sample marked with m = 2 raises SampleNearShock.
 
 Kato's flux q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)) and its divergence
 are ``entropy.kruzkov_flux``/``kruzkov_div``, which the Kruzkov pairs share;
-L1 masses are ``solver.l1_distance_on_ball``/``l1_distance_full``.
+L1 masses are ``solver.l1_distance_on_ball``/``l1_distance_full``; the
+cone check sums its balls through the masked sum of the former, on one
+distance array for all levels.
 
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
@@ -53,7 +55,7 @@ from .errors import (EmptyCone, GridMismatch, MissingTimeLevels,
 from .flux import FluxSpec, lipschitz_constant
 from .grids import GridField
 from .mollifiers import Mollifier, TestFunction, omega_value
-from .solver import l1_distance_full, l1_distance_on_ball, solve
+from .solver import _l1_on_mask, l1_distance_full, l1_distance_on_ball, solve
 
 Array = np.ndarray
 
@@ -289,8 +291,9 @@ def cone_contraction_profile(u: GridField, v: GridField, flux: FluxSpec,
     excess = -np.inf
     for n in usable:
         radius = float(radii[n])
-        mass = l1_distance_on_ball(u, v, float(u.times[n]), 0.0, radius)
-        mask = (r <= radius) & off_origin
+        ball = r <= radius
+        mass = _l1_on_mask(u, v, n, ball)
+        mask = ball & off_origin
         if np.any(mask):
             un, vn, pm = u.data[n][mask], v.data[n][mask], pts[mask]
             radial = (kruzkov_flux(flux, pm, un, vn)

@@ -17,7 +17,7 @@ from clawlab.quadrature import adaptive_gauss_legendre
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             exact_riemann_burgers, solve_pair)
 from clawlab.verifier import (cone_contraction_profile, doubling_diagnostics,
-                              entropy_residual, find_smooth_samples,
+                              entropy_residual_sweep, find_smooth_samples,
                               global_contraction_check, uniqueness_experiment)
 
 BURGERS = catalog_lookup("burgers1d")
@@ -130,16 +130,13 @@ def test_criterion_05_weak_residual_and_anti_test():
         lambda p, t: np.where(p[..., 0] < 0.5 * t, 0.0, 1.0),
         -0.5, 1.0, nx, times)
     phi = bump_test_function(0.125, 0.25, 0.05, 0.45)
-    sweep = default_k0_sweep(1.0, 9)
-    ent_ok = True
-    worst_margin = np.inf
-    for k0 in sweep:
-        rep = entropy_residual(entropic, BURGERS, make_kruzkov_pair(BURGERS, k0),
-                               phi)
-        ent_ok &= rep.passed
-        worst_margin = min(worst_margin, rep.value + rep.tolerance)
-    anti = [entropy_residual(expansion, BURGERS, make_kruzkov_pair(BURGERS, k0),
-                             phi) for k0 in sweep]
+    pairs = [make_kruzkov_pair(BURGERS, k0) for k0 in default_k0_sweep(1.0, 9)]
+    # one pass per field; each pair's value is the one a separate
+    # entropy_residual call gives, bit for bit
+    reps = entropy_residual_sweep(entropic, BURGERS, pairs, phi)
+    ent_ok = all(rep.passed for rep in reps)
+    worst_margin = min(rep.value + rep.tolerance for rep in reps)
+    anti = entropy_residual_sweep(expansion, BURGERS, pairs, phi)
     anti_failures = [r for r in anti if r.value < -r.tolerance]
     ok = ent_ok and len(anti_failures) >= 1
     _record(5, "entropic shock passes, expansion shock fails", ok,

@@ -56,6 +56,15 @@ r_list = 1, 2, 4, 8
 """
 
 
+# entropy-sweep keys that leave a pair that cannot run, or no pair at all,
+# with a word of the error each must print
+_BAD_PAIR_SETS = [(["smooth_n=0"], ">= 1"), (["smooth_n=-4"], ">= 1"),
+                  (["k0_count=-1"], ">= 0"),
+                  (["k0_count=0", "smooth_n="], "no entropy pair")]
+_BAD_PAIR_IDS = ["smooth_n_zero", "smooth_n_negative", "k0_count_negative",
+                 "no_pair"]
+
+
 def _set_args(params: dict) -> list:
     """``--set`` arguments that carry a check's parsed keys."""
     out = []
@@ -580,6 +589,36 @@ class TestCliOther:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "finite and > 0" in captured.err
+
+    @pytest.mark.parametrize("sets,needle", _BAD_PAIR_SETS,
+                             ids=_BAD_PAIR_IDS)
+    def test_verify_refuses_bad_pairs(self, bundled_runs, capsys, sets,
+                                      needle):
+        _, outdir = bundled_runs["entropy_burgers"]
+        capsys.readouterr()
+        args = ["verify", str(outdir / "u_slabs"), "--check",
+                "entropy_inequality", "--flux", "burgers1d"]
+        for kv in sets:
+            args += ["--set", kv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+
+    @pytest.mark.parametrize("sets,needle", _BAD_PAIR_SETS,
+                             ids=_BAD_PAIR_IDS)
+    def test_run_refuses_bad_pairs(self, tmp_path, capsys, sets, needle):
+        text = (CONFIGS / "entropy_burgers.cfg").read_text().replace(
+            "k0_count = 9\n", "".join(kv.replace("=", " = ") + "\n"
+                                      for kv in sets)).replace(
+            "dir = runs/entropy_burgers", f"dir = {tmp_path / 'out'}")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_refuses_wrong_field_count(self, bundled_runs, capsys):
         _, outdir = bundled_runs["burgers_contraction"]

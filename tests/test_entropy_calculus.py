@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from clawlab.entropy import (SmoothEntropy, kruzkov_div, kruzkov_div_deficit,
                              leibniz_check, make_kruzkov_pair,
                              make_smooth_pair, q_build_ibp,
                              q_build_quadrature, sqrt_entropy)
-from clawlab.flux import catalog_lookup, catalog_names
+from clawlab.flux import Separable, _separable, catalog_lookup, catalog_names
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
@@ -100,6 +102,93 @@ class TestSmoothPair:
             xs = np.linspace(-2, 2, 9)[:, None]
             assert np.all(pair.q(xs, 0.4) == 0.0)
             assert np.all(pair.div_x_q(xs, 0.4) == 0.0)
+
+
+@st.composite
+def _smooth_pair_batches(draw):
+    """A catalog flux (every entry has factors), a smooth pair's k0 and n,
+    points (m, d) (a point may sit on a singular point) and states (m,)
+    drawn from a small pool that holds k0 itself, so duplicates and states
+    on both sides of k0 are common; m may be 0.  Also a scalar state."""
+    flux = catalog_lookup(draw(st.sampled_from(catalog_names())))
+    # subnormal coordinates would make g'(x) subnormal, whose products
+    # carry fewer significant bits than any roundoff bound assumes
+    num = st.floats(-2.0, 2.0, allow_subnormal=False)
+    k0 = draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+    n = draw(st.sampled_from([1, 4, 16, 64, 10 ** 4]))
+    m = draw(st.integers(0, 12))
+    pool = draw(st.lists(num, min_size=1, max_size=5))
+    state = st.sampled_from(pool + [k0])
+    coord = num | st.just(0.0)
+    pts = np.array(draw(st.lists(coord, min_size=m * flux.dim,
+                                 max_size=m * flux.dim))).reshape(m, flux.dim)
+    u = np.array(draw(st.lists(state, min_size=m, max_size=m)), dtype=float)
+    return flux, k0, n, pts, u, draw(state)
+
+
+class TestTabulatedSmoothPair:
+    """A flux with factors takes q = g(x) A(u) and div_x q = (sum g')(x) B(u)
+    from one state table per call; a copy without factors integrates f at
+    every (point, state) pair, and the two agree to roundoff."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_smooth_pair_batches())
+    def test_matches_panel_path(self, case):
+        flux, k0, n, pts, u, k = case
+        tab = make_smooth_pair(flux, k0, n)
+        ref = make_smooth_pair(dataclasses.replace(flux, factors=None), k0, n)
+        for states in (u, k):
+            q, q_ref = tab.q(pts, states), ref.q(pts, states)
+            d, d_ref = tab.div_x_q(pts, states), ref.div_x_q(pts, states)
+            assert q.shape == q_ref.shape and d.shape == d_ref.shape
+            # the batch maxima of |d_k f| times the state range and of
+            # |div_x f|, over the points and the states between k0 and the
+            # call's states, bound |q| and |div_x q| / 2 for every pair
+            ws = np.linspace(min(k0, np.min(states, initial=k0)),
+                             max(k0, np.max(states, initial=k0)), 65)
+            q_scale = np.abs(flux.dk(pts[:, None, :], ws[None, :])).max(
+                initial=0.0) * (ws[-1] - ws[0])
+            d_scale = np.abs(flux.div_x(flux.nudge_off_singular(pts)[:, None, :],
+                                        ws[None, :])).max(initial=0.0)
+            assert np.all(np.abs(q - q_ref) <= 1e-13 * q_scale)
+            assert np.all(np.abs(d - d_ref) <= 1e-13 * d_scale)
+
+    def test_nan_state_poisons_only_its_entries(self):
+        tab = make_smooth_pair(PRODUCT, 0.0, 64)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.0, 1.0, (200, 1))
+        u = rng.uniform(-1.0, 1.0, 200)
+        poisoned = u.copy()
+        poisoned[7] = np.nan
+        keep = np.arange(200) != 7
+        for fn in (tab.q, tab.div_x_q):
+            clean, out = fn(pts, u), fn(pts, poisoned)
+            assert np.all(np.isnan(out[7]))
+            assert np.all(np.abs(out[keep] - clean[keep])
+                          <= 1e-14 * np.abs(clean).max())
+
+    def test_one_call_evaluates_g_once(self):
+        calls = []
+
+        def g(x):
+            calls.append(x.shape)
+            return np.arctan(x * x) + 1.0
+
+        fac = PRODUCT.factors
+        flux = _separable("counted", 1, Separable(g, fac.g_prime, fac.h,
+                                                  fac.h_prime))
+        pair = make_smooth_pair(flux, 0.2, 64)
+        pts = np.linspace(-1.0, 1.0, 50)[:, None]
+        states = np.linspace(-1.0, 1.5, 50)
+        pair.q(pts, states)
+        assert calls == [pts.shape]
+
+    def test_smoothing_index_below_one_refused(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError, match=">= 1"):
+                sqrt_entropy(0.0, n)
+            with pytest.raises(ValueError, match=">= 1"):
+                make_smooth_pair(PRODUCT, 0.0, n)
 
 
 class TestKruzkovPair:
