@@ -22,7 +22,7 @@ from .grids import (GridField, InitialData, box_data, constant_data, file_data,
                     write_slabs)
 from .solver import (SchemeConfig, discrete_entropy_max_violation,
                      exact_riemann_burgers, l1_distance_full,
-                     l1_distance_on_ball, solve, solve_viscous)
+                     l1_distance_on_ball, solve)
 from .verifier import (ResidualReport, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual,
                        entropy_residual_sweep, find_smooth_samples,

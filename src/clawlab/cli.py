@@ -261,11 +261,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
 
 def _restrict(fine: np.ndarray, factor: int) -> np.ndarray:
     """Average fine cells onto the coarse grid (cell-average restriction)."""
-    n = fine.shape[0] // factor
-    if fine.ndim == 1:
-        return fine[:n * factor].reshape(n, factor).mean(axis=1)
-    return fine[:n * factor, :n * factor].reshape(
-        n, factor, n, factor).mean(axis=(1, 3))
+    n, dim = fine.shape[0] // factor, fine.ndim
+    blocks = fine[(slice(n * factor),) * dim].reshape((n, factor) * dim)
+    return blocks.mean(axis=tuple(range(1, 2 * dim, 2)))
 
 
 def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:

@@ -26,7 +26,8 @@ class LipschitzNonConvergent(ClawError):
 
 
 class BadWindow(ClawError):
-    """Time-window parameters violate 0 < rho < tau < t_max constraints."""
+    """A test function's window or width is degenerate: not 0 < rho < tau <
+    t_max, or a width that is not positive (or NaN)."""
 
 
 class CFLViolation(ClawError):

@@ -25,6 +25,7 @@ accepted and promoted.  State values broadcast against the point batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import (LipschitzNonConvergent, NonFiniteFlux, SingularPoint,
                      UnknownFlux)
+from .grids import _tensor_points
 
 Array = np.ndarray
 
@@ -242,12 +244,11 @@ def _ball_lattice(R: float, dim: int, n_per_axis: int) -> Array:
     """Deterministic lattice covering the closed ball B_R; always includes 0
     and the axis endpoints so sampled sups anchor at the same points as the
     lattice refines."""
-    axis = np.linspace(-R, R, n_per_axis)
-    if dim == 1:
-        return axis[:, None]
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
-    keep = np.sqrt((pts ** 2).sum(axis=-1)) <= R + 1e-15
+    pts = _tensor_points(np.linspace(-R, R, n_per_axis), dim).reshape(-1, dim)
+    # |p| <= R + 1e-15 taken at a power-of-two scale near 1/R: the scaling
+    # is exact, so the test is the unscaled one wherever no square overflows
+    s = 2.0 ** -min(max(math.frexp(R)[1], -1000), 1000)
+    keep = np.sqrt(((s * pts) ** 2).sum(axis=-1)) <= s * (R + 1e-15)
     return pts[keep]
 
 
@@ -416,11 +417,11 @@ def lipschitz_constant(flux: FluxSpec, R: float, M: float,
         f"B_{R:g} x [-{M:g}, {M:g}]")
 
 
-def uniform_diffquot_deficit(flux: FluxSpec, x, K, radii,
-                             n_k: int = 65, n_dir: int = 64) -> list[float]:
+def uniform_diffquot_deficit(flux: FluxSpec, x, K, radii) -> list[float]:
     """Sampled sup_k |f(y,k)-f(x,k)-D_xf(x,k)(y-x)|/|y-x| at |y-x| = r.
 
-    One deficit per radius.  For continuously differentiable catalog entries
+    One deficit per radius, over 65 states of [K[0], K[1]] and, in 2-d, 64
+    directions.  For continuously differentiable catalog entries
     the sequence decays to zero as the radii do; the caller asserts trends.
     """
     if flux.is_singular(x):
@@ -429,11 +430,11 @@ def uniform_diffquot_deficit(flux: FluxSpec, x, K, radii,
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     x0 = as_points(x, flux.dim).reshape(flux.dim)
-    ks = np.linspace(float(K[0]), float(K[1]), n_k)
+    ks = np.linspace(float(K[0]), float(K[1]), 65)
     if flux.dim == 1:
         dirs = np.array([[-1.0], [1.0]])
     else:
-        th = np.linspace(0.0, 2.0 * np.pi, n_dir, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
     # Jacobian rows at x: J[i, :] = grad of component i
     jac = np.stack([flux.grad_x_components(x0, ks, i) for i in range(flux.dim)],

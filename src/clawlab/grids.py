@@ -38,6 +38,11 @@ _TIME = struct.Struct("<d")
 _HEADER_SIZE = len(_MAGIC) + _SHARED.size + _TIME.size
 
 
+def _tensor_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """Every point of the lattice axis^dim, shape (n,) * dim + (dim,)."""
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+
+
 @dataclass
 class GridField:
     """Cell-averaged values on [lo, hi]^dim at the stored time levels."""
@@ -60,12 +65,8 @@ class GridField:
         return self.lo + (np.arange(self.nx) + 0.5) * self.dx
 
     def centers_points(self) -> np.ndarray:
-        """All cell centers as points, shape (nx, 1) or (nx, nx, 2)."""
-        c = self.centers
-        if self.dim == 1:
-            return c[:, None]
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+        """All cell centers as points, shape (nx,) * dim + (dim,)."""
+        return _tensor_points(self.centers, self.dim)
 
     def level_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -96,12 +97,13 @@ def write_slab(path, field: GridField, level: int) -> None:
         fh.write(np.ascontiguousarray(field.data[level], dtype="<f8").tobytes())
 
 
-def write_slabs(directory, field: GridField, basename: str = "u") -> list:
+def write_slabs(directory, field: GridField) -> list:
+    """Write every stored level as ``u_<level>.slab`` into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for n in range(len(field.times)):
-        p = directory / f"{basename}_{n:05d}.slab"
+        p = directory / f"u_{n:05d}.slab"
         write_slab(p, field, n)
         paths.append(p)
     return paths
@@ -222,9 +224,7 @@ def field_from_function(fn, lo: float, hi: float, nx: int, times,
 
 def _nearest_sample(src: GridField, pts: np.ndarray) -> np.ndarray:
     idx = np.clip(((pts - src.lo) / src.dx - 0.5).round().astype(int), 0, src.nx - 1)
-    if src.dim == 1:
-        return src.data[0][idx[..., 0]]
-    return src.data[0][idx[..., 0], idx[..., 1]]
+    return src.data[0][tuple(idx[..., a] for a in range(src.dim))]
 
 
 def riemann_data(ul: float, ur: float, x0: float = 0.0) -> InitialData:

@@ -298,10 +298,12 @@ def contraction_test_function(cone: ConeSpec, rho: float, tau: float,
     t_max = cone.t_max
     if not (0.0 < rho < tau < t_max):
         raise BadWindow(f"need 0 < rho < tau < t_max, got {rho}, {tau}, {t_max}")
+    if not h > 0:                           # refuses NaN too
+        raise BadWindow(f"h must be positive, got {h}")
     if h >= min(rho, t_max - tau):
         raise BadWindow(f"h = {h} too wide for window ({rho}, {tau}) in (0, {t_max})")
-    if eps <= 0:
-        raise BadWindow("eps must be positive")
+    if not eps > 0:
+        raise BadWindow(f"eps must be positive, got {eps}")
     R, N, dim = cone.R, cone.N, cone.dim
 
     lags = np.array([rho, tau])
@@ -354,8 +356,9 @@ def bump_test_function(center, radius: float, t_lo: float, t_hi: float,
     """
     c = np.asarray(center, dtype=float).reshape(dim)
     T = float(t_hi - t_lo)
-    if T <= 0 or radius <= 0:
-        raise BadWindow("bump needs t_hi > t_lo and radius > 0")
+    if not (T > 0 and radius > 0):          # refuses NaN too
+        raise BadWindow(f"bump needs t_hi > t_lo and radius > 0, got window "
+                        f"[{t_lo}, {t_hi}] and radius {radius}")
 
     def tprof(t):
         tt = (np.asarray(t, dtype=float) - t_lo) / T

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BlowUp, CFLViolation, GridMismatch
 from .flux import FluxSpec
-from .grids import GridField
+from .grids import GridField, _tensor_points
 
 Array = np.ndarray
 
@@ -103,11 +103,6 @@ class SchemeConfig:
         """Same run with dx (and, for viscous runs, eps) divided by factor."""
         return replace(self, nx=self.nx * factor,
                        viscosity=self.viscosity / factor)
-
-
-def _tensor_points(axis: Array, dim: int) -> Array:
-    """Every point of the lattice axis^dim, shape (n,) * dim + (dim,)."""
-    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
 
 
 def _sample_points(config: SchemeConfig) -> Array:
@@ -344,12 +339,6 @@ def solve_pair(flux: FluxSpec, u0a, u0b, config: SchemeConfig):
     the stored levels coincide and the fields can be compared level by level."""
     run = _Run(flux, config, [u0a, u0b])
     return run.march(0), run.march(1)
-
-
-def solve_viscous(flux: FluxSpec, u0, eps: float, config: SchemeConfig) -> GridField:
-    """Viscous regularization run; as eps -> 0 the output approaches the
-    monotone-scheme solution."""
-    return solve(flux, u0, replace(config, scheme="viscous", viscosity=float(eps)))
 
 
 def exact_riemann_burgers(uL: float, uR: float, x, t: float):

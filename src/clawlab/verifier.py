@@ -19,7 +19,9 @@ chunks of whole levels holding at most ``nx**dim`` cells, one full level
 of the field, so no temporary outgrows a one-level pass.  The test function
 is evaluated once per chunk, at every level time and midpoint of the chunk
 in one call, and all terms of a sweep (``entropy_residual_sweep``) share
-those values.
+those values.  Each check hands the quadrature one term function, a
+generator that yields one (eta, q, source) per term for a chunk's points
+and states; the sweep's evaluates div_x f once per chunk for all its pairs.
 
 The doubling diagnostics quadrature the four integrals of the doubling of
 variables around each sample (x, t) over every stored level n with
@@ -133,9 +135,11 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
 
     ``fields`` are GridFields on one grid (the first sets the geometry);
     ``points`` are the cell-center points (cells..., d) the terms see.
-    Each term maps (points, *states) to (eta, q, source): states are the
-    fields' values on a chunk of levels, shape (L, cells...); eta and
-    source (or None) have that shape and q has a trailing axis d.
+    ``terms(points, *states)`` yields one (eta, q, source) per term, in the
+    same order on every chunk: states are the fields' values on a chunk of
+    levels, shape (L, cells...); eta and source (or None) have that shape
+    and q has a trailing axis d.  As a generator it builds what its terms
+    share (the sweep's div_x f) once per chunk, and one term at a time.
 
     The quadrature runs over the support window only and in chunks of
     whole levels holding at most ``nx**dim`` cells, one full level of the
@@ -151,7 +155,7 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
     dx, dim = field_.dx, field_.dim
     cell = dx ** dim
     chunk = max(1, field_.nx ** dim // P[..., 0].size)
-    values = [0.0] * len(terms)
+    values = []
     for n0 in range(levels.start, levels.stop, chunk):
         n1 = min(n0 + chunk, levels.stop)
         edges = times[n0:n1 + 1]
@@ -165,8 +169,7 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
         phi_mid = ph[1::2]
         grads = [np.gradient(phi_mid, dx, axis=1 + a) for a in range(dim)]
         states = [f.data[(slice(n0, n1),) + box] for f in fields]
-        for j, term in enumerate(terms):
-            eta, q, source = term(points, *states)
+        for j, (eta, q, source) in enumerate(terms(points, *states)):
             rest = grads[0] * q[..., 0]
             for a in range(1, dim):
                 rest = rest + grads[a] * q[..., a]
@@ -176,19 +179,14 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
             # adds them, so values match one up to rounding
             s_dt = (dphi * eta).reshape(len(dts), -1).sum(axis=1).tolist()
             s_rest = rest.reshape(len(dts), -1).sum(axis=1).tolist()
+            if j == len(values):
+                values.append(0.0)
             value = values[j]
             for sd, sr, dtn in zip(s_dt, s_rest, dts.tolist()):
                 value += cell * sd
                 value += cell * dtn * sr
             values[j] = value
     return values, float(np.diff(times)[levels.start:levels.stop].max())
-
-
-def _entropy_term(flux: FluxSpec, pair: EntropyPair):
-    def term(P, U):
-        source = pair.div_x_q(P, U) - pair.eta_prime(U) * flux.div_x(P, U)
-        return pair.eta(U), pair.q(P, U), source
-    return term
 
 
 def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
@@ -200,12 +198,19 @@ def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
     Each value is the quadrature of
         dt(phi) eta(u) + phi (div_x q - eta'(u) div_x f) + grad(phi) . q(x, u)
     over the support of phi; non-negative up to discretization slack for
-    entropy solutions.
+    entropy solutions.  div_x f is evaluated once per chunk of levels and
+    shared by the sources of all pairs.
     """
     pairs = list(pairs)
-    P = flux.nudge_off_singular(u.centers_points())
+
+    def terms(P, U):
+        div_f = flux.div_x(P, U)
+        for pair in pairs:
+            yield (pair.eta(U), pair.q(P, U),
+                   pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
+
     values, dt_used = _weak_sums(
-        (u,), phi, [_entropy_term(flux, pair) for pair in pairs], P)
+        (u,), phi, terms, flux.nudge_off_singular(u.centers_points()))
     c_tol, tol = _weak_slack((u,), phi, dt_used, c_tol)
     return [ResidualReport(
         kind="entropy_inequality", value=value, tolerance=tol,
@@ -228,10 +233,10 @@ def kato_lhs(u: GridField, v: GridField, flux: FluxSpec, psi: TestFunction,
     dt(psi) |u - v| + grad(psi) . sign(u - v)(f(x,u) - f(x,v))."""
     u.require_compatible(v)
 
-    def term(P, U, V):
-        return np.abs(U - V), kruzkov_flux(flux, P, U, V), None
+    def terms(P, U, V):
+        yield np.abs(U - V), kruzkov_flux(flux, P, U, V), None
 
-    (value,), dt_used = _weak_sums((u, v), psi, [term], u.centers_points())
+    (value,), dt_used = _weak_sums((u, v), psi, terms, u.centers_points())
     c_tol, tol = _weak_slack((u, v), psi, dt_used, c_tol)
     return ResidualReport(
         kind="kato", value=value, tolerance=tol, passed=bool(value >= -tol),

@@ -64,6 +64,20 @@ _BAD_PAIR_SETS = [(["smooth_n=0"], ">= 1"), (["smooth_n=-4"], ">= 1"),
 _BAD_PAIR_IDS = ["smooth_n_zero", "smooth_n_negative", "k0_count_negative",
                  "no_pair"]
 
+# test-function widths that are not positive, or NaN, on the bundled runs:
+# (run, check kind, --set keys, a word of the error each must print)
+_BAD_WINDOW_CASES = [
+    ("burgers_contraction", "kato", ["r=2.0", "h=-0.05"], "h must be positive"),
+    ("burgers_contraction", "kato", ["r=2.0", "h=0"], "h must be positive"),
+    ("burgers_contraction", "kato", ["r=2.0", "h=nan"], "h must be positive"),
+    ("burgers_contraction", "kato", ["r=2.0", "eps=nan"],
+     "eps must be positive"),
+    ("entropy_burgers", "entropy_inequality", ["phi_radius=nan"],
+     "radius > 0"),
+]
+_BAD_WINDOW_IDS = ["kato_h_negative", "kato_h_zero", "kato_h_nan",
+                   "kato_eps_nan", "entropy_radius_nan"]
+
 
 def _set_args(params: dict) -> list:
     """``--set`` arguments that carry a check's parsed keys."""
@@ -619,6 +633,43 @@ class TestCliOther:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and needle in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("run,check,sets,needle", _BAD_WINDOW_CASES,
+                             ids=_BAD_WINDOW_IDS)
+    def test_verify_refuses_bad_window(self, bundled_runs, capsys, run, check,
+                                       sets, needle):
+        _, outdir = bundled_runs[run]
+        capsys.readouterr()
+        args = ["verify", str(outdir / "u_slabs")]
+        if check == "kato":
+            args.append(str(outdir / "v_slabs"))
+        args += ["--check", check, "--flux", "burgers1d"]
+        for kv in sets:
+            args += ["--set", kv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name,line,bad,needle", [
+        ("burgers_contraction", "h = 0.1\n", "h = 0\n", "h must be positive"),
+        ("entropy_burgers", "phi_radius = 0.35\n", "phi_radius = nan\n",
+         "radius > 0"),
+    ], ids=["kato_h_zero", "entropy_radius_nan"])
+    def test_run_refuses_bad_window(self, tmp_path, capsys, name, line, bad,
+                                    needle):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert line in text
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text.replace(line, bad))
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert "Traceback" not in captured.err
+        assert (tmp_path / "out" / "FAILED").exists()
 
     def test_verify_refuses_wrong_field_count(self, bundled_runs, capsys):
         _, outdir = bundled_runs["burgers_contraction"]

@@ -149,6 +149,16 @@ class TestLipschitzConstant:
         n2 = lipschitz_constant(fp2, 2.0, 1.0)
         assert n2 >= n1 > 0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_radius_whose_square_overflows(self, dim):
+        # the ball lattice keeps its points where |x|^2 overflows: far from
+        # the origin every g_i of the product flux is pi/2 + 1
+        f = catalog_lookup(f"product{dim}d")
+        with np.errstate(over="ignore"):
+            lip = lipschitz_constant(f, 1e200, 1.0)
+        assert lip == pytest.approx((0.5 * np.pi + 1.0) * np.sqrt(dim),
+                                    rel=1e-12)
+
     def test_nonfinite_flux_raises(self):
         bad = catalog_lookup("burgers1d")
         spec = FluxSpec("bad", 1,

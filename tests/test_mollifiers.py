@@ -298,6 +298,15 @@ class TestContractionTestFunction:
         with pytest.raises(BadWindow):
             contraction_test_function(self.CONE, 0.6, 0.3, 0.05, 0.1)
 
+    @pytest.mark.parametrize("h,eps", [
+        (0.0, 0.1), (-0.05, 0.1), (np.nan, 0.1), (0.1, np.nan),
+    ], ids=["h_zero", "h_negative", "h_nan", "eps_nan"])
+    def test_degenerate_width_raises(self, h, eps):
+        # a width that is not positive would give a window that is zero or
+        # negative on (rho, tau), or divide by zero
+        with pytest.raises(BadWindow):
+            self.make(h=h, eps=eps)
+
     def test_gradient_defined_at_origin(self):
         psi = self.make()
         assert np.all(psi.grad_x(np.zeros((1, 1)), 0.4) == 0.0)
@@ -320,6 +329,13 @@ class TestBump:
             fd_x = (phi.value(x + h, t) - phi.value(x - h, t)) / (2 * h)
             assert abs(fd_t - phi.dt(x, t)) < 1e-6
             assert abs(fd_x - phi.grad_x(x, t)[..., 0]) < 1e-6
+
+    @pytest.mark.parametrize("radius,t_lo,t_hi", [
+        (np.nan, 0.1, 0.9), (0.4, np.nan, 0.9), (0.4, 0.1, np.nan),
+    ], ids=["radius_nan", "t_lo_nan", "t_hi_nan"])
+    def test_degenerate_support_raises(self, radius, t_lo, t_hi):
+        with pytest.raises(BadWindow):
+            bump_test_function(0.1, radius, t_lo, t_hi)
 
 
 def _batched_test_functions():

@@ -14,8 +14,7 @@ from clawlab.grids import (GridField, box_data, constant_data,
                            sine_data, write_slab, write_slabs)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             exact_riemann_burgers, l1_distance_full,
-                            l1_distance_on_ball, solve, solve_pair,
-                            solve_viscous)
+                            l1_distance_on_ball, solve, solve_pair)
 
 BURGERS = catalog_lookup("burgers1d")
 XSQ = catalog_lookup("xsquared1d")
@@ -179,18 +178,21 @@ class TestViscous:
         base = solve(BURGERS, riemann_data(1.0, 0.0, 0.0), cfg)
         dists = []
         for eps in (0.02, 0.01, 0.005):
-            v = solve_viscous(BURGERS, riemann_data(1.0, 0.0, 0.0), eps, cfg)
+            v = solve(BURGERS, riemann_data(1.0, 0.0, 0.0),
+                      replace(cfg, scheme="viscous", viscosity=eps))
             dists.append(np.abs(v.data[-1] - base.data[-1]).sum() * base.dx)
         assert dists[0] > dists[1] > dists[2]
 
     def test_constant_preserved(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.3)
-        u = solve_viscous(BURGERS, constant_data(0.4), 0.01, cfg)
+        u = solve(BURGERS, constant_data(0.4),
+                  replace(cfg, scheme="viscous", viscosity=0.01))
         assert np.abs(u.data[-1] - 0.4).max() == 0.0
 
     def test_large_eps_smooths_profile(self):
         cfg = SchemeConfig(lo=-4, hi=4, nx=400, t_end=0.5, store_every=10 ** 9)
-        u = solve_viscous(BURGERS, riemann_data(1.0, 0.0, 0.0), 1.0, cfg)
+        u = solve(BURGERS, riemann_data(1.0, 0.0, 0.0),
+                  replace(cfg, scheme="viscous", viscosity=1.0))
         # diagnostic only per the contract: report the largest jump
         assert np.abs(np.diff(u.data[-1])).max() < 0.05
 

@@ -133,6 +133,35 @@ class TestEntropyResidual:
             assert (a.value, a.tolerance, a.passed, a.metadata) == \
                 (b.value, b.tolerance, b.passed, b.metadata)
 
+    def test_sweep_shares_div_x_per_chunk(self):
+        # div_x f is evaluated once per chunk of levels, whatever the number
+        # of pairs; the smooth pairs of a flux with factors never call it,
+        # and phi is evaluated once per chunk too
+        calls = {"div_x": 0, "phi": 0}
+
+        def div_x(x, k):
+            calls["div_x"] += 1
+            return PRODUCT.div_x(x, k)
+
+        def phi_value(x, t):
+            calls["phi"] += 1
+            return bump.value(x, t)
+
+        flux = dataclasses.replace(PRODUCT, div_x=div_x)
+        assert flux.factors is PRODUCT.factors
+        cfg = SchemeConfig(lo=-1, hi=1, nx=300, t_end=0.5)
+        u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
+        bump = bump_test_function(0.1, 0.45, 0.05, 0.4)
+        phi = dataclasses.replace(bump, value=phi_value)
+        counts = []
+        for ns in ((16,), (4, 16, 64)):
+            calls.update(div_x=0, phi=0)
+            entropy_residual_sweep(
+                u, flux, [make_smooth_pair(flux, 0.0, n) for n in ns], phi)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["div_x"] == counts[0]["phi"] > 1
+
     def test_sweep_anti_test_fails(self):
         u = shock_field(0.0, 1.0)
         phi = bump_test_function(0.125, 0.25, 0.05, 0.45)
