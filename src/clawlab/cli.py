@@ -43,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .config import (PAIR_KINDS, CheckSpec, ExperimentConfig, load_config,
-                     parse_check)
+from .config import (DEFAULT_CFL_LIST, DEFAULT_VISCOUS_COEFF, PAIR_KINDS,
+                     CheckSpec, ExperimentConfig, load_config, parse_check)
 from .entropy import default_k0_sweep, make_kruzkov_pair, make_smooth_pair
 from .errors import ClawError, ConfigError, GridMismatch
 from .flux import (catalog_lookup, catalog_names, catalog_params,
@@ -167,8 +167,8 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
     if check.kind == "uniqueness":
         base = replace(cfg.grid, store_every=10 ** 9)
         variants = [replace(base, scheme="rusanov", cfl=c, viscosity=0.0)
-                    for c in p.get("cfl_list", [0.9, 0.45])]
-        coeff = p.get("viscous_coeff", 2.0)
+                    for c in p.get("cfl_list", DEFAULT_CFL_LIST)]
+        coeff = p.get("viscous_coeff", DEFAULT_VISCOUS_COEFF)
         if coeff > 0:
             variants.append(replace(base, scheme="viscous",
                                     viscosity=coeff * base.dx))

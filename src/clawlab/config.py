@@ -109,19 +109,62 @@ def _radius_list(s: str):
     return radii
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {s.strip()!r}")
+    return x
+
+
+def _nonnegative(s: str) -> float:
+    x = float(s)
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"must be finite and >= 0, got {s.strip()!r}")
+    return x
+
+
+def _shrink_ratio(s: str) -> float:
+    r = float(s)
+    if not (math.isfinite(r) and r >= 1):
+        raise ValueError(f"a shrink ratio must be finite and >= 1, "
+                         f"got {s.strip()!r}")
+    return r
+
+
+def _cfl_list(s: str):
+    cfls = _float_list(s)
+    if not all(0.0 < c <= 1.0 for c in cfls):       # refuses NaN too
+        raise ValueError(f"CFL numbers must be in (0, 1], got {s.strip()!r}")
+    return cfls
+
+
+def _sample_count(s: str) -> int:
+    c = int(s)
+    if c < 1:
+        raise ValueError(f"needs at least one sample, got {s.strip()!r}")
+    return c
+
+
+# the uniqueness check's scheme variants where its section leaves them out
+DEFAULT_CFL_LIST = (0.9, 0.45)
+DEFAULT_VISCOUS_COEFF = 2.0
+
 # [check.*] keys per kind with their converters; the keys in
 # _REQUIRED_CHECK_KEYS have no default
 _CHECK_KEYS = {
     "entropy_inequality": {"k0_count": _count, "smooth_n": _smoothing_indices,
-                           "phi_center": float, "phi_radius": float,
-                           "phi_t0": float, "phi_t1": float, "c_tol": float},
+                           "phi_center": _finite, "phi_radius": float,
+                           "phi_t0": float, "phi_t1": float,
+                           "c_tol": _nonnegative},
     "kato": {"r": _radius, "rho": float, "tau": float, "h": float,
-             "eps": float, "c_tol": float},
-    "cone_contraction": {"r": _radius, "c_cal": float},
-    "global_contraction": {"r_list": _radius_list, "c_cal": float},
-    "uniqueness": {"cfl_list": _float_list, "viscous_coeff": float,
-                   "radius": float, "center": float, "min_ratio": float},
-    "doubling": {"eps_list": _float_list, "points": int, "t_sample": float},
+             "eps": float, "c_tol": _nonnegative},
+    "cone_contraction": {"r": _radius, "c_cal": _nonnegative},
+    "global_contraction": {"r_list": _radius_list, "c_cal": _nonnegative},
+    "uniqueness": {"cfl_list": _cfl_list, "viscous_coeff": _nonnegative,
+                   "radius": _radius, "center": _finite,
+                   "min_ratio": _shrink_ratio},
+    "doubling": {"eps_list": _radius_list, "points": _sample_count,
+                 "t_sample": _finite},
 }
 _REQUIRED_CHECK_KEYS = {"kato": ("r",), "cone_contraction": ("r",),
                         "global_contraction": ("r_list",)}
@@ -265,6 +308,14 @@ def parse_check(name: str, section: dict) -> CheckSpec:
     if params.get("k0_count") == 0 and params.get("smooth_n") == []:
         raise ConfigError(f"[{secname}] k0_count = 0 and an empty smooth_n "
                           "leave no entropy pair to check")
+    if kind == "uniqueness":
+        # equal CFL numbers run the same scheme, at distance 0 whatever u
+        variants = (len(set(params.get("cfl_list", DEFAULT_CFL_LIST)))
+                    + (params.get("viscous_coeff", DEFAULT_VISCOUS_COEFF) > 0))
+        if variants < 2:
+            raise ConfigError(f"[{secname}] cfl_list and viscous_coeff give "
+                              f"{variants} distinct scheme variant(s); "
+                              "uniqueness compares at least two")
     return CheckSpec(name, kind, params)
 
 

@@ -245,9 +245,8 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
             kk = np.asarray(k, dtype=float)
             integ = _state_table(k0, n, kk,
                                  lambda w: ent.eta_pp(w) * fac.h(w))
-            pts = flux.nudge_off_singular(as_points(x, flux.dim))
-            return fac.g_prime_sum(pts) * (ent.eta_prime(kk) * fac.h(kk)
-                                           - integ)
+            return (fac.g_prime_sum(as_points(x, flux.dim))
+                    * (ent.eta_prime(kk) * fac.h(kk) - integ))
     else:
         def q_panel(flat, w):
             return np.einsum("m,mp,mpi->pi", GAUSS_WEIGHTS, ent.eta_prime(w),
@@ -264,9 +263,8 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
             return total.reshape(shape + (flux.dim,))
 
         def div_x_q(x, k):
-            pts = flux.nudge_off_singular(as_points(x, flux.dim))
-            kk, flat, shape, integ = _state_integral(flux, k0, n, pts, k,
-                                                     div_panel)
+            kk, flat, shape, integ = _state_integral(
+                flux, k0, n, as_points(x, flux.dim), k, div_panel)
             out = -integ + ent.eta_prime(kk) * flux.div_x(flat, kk)
             return out.reshape(shape)
 
@@ -281,8 +279,8 @@ def kruzkov_flux(flux: FluxSpec, x, u, v) -> Array:
 
 
 def kruzkov_div(flux: FluxSpec, x, u, v) -> Array:
-    """div_x q(x, u, v) at frozen states, shape (...); ``x`` must be off
-    the flux's singular points (``FluxSpec.nudge_off_singular``)."""
+    """div_x q(x, u, v) at frozen states, shape (...); at a singular point
+    of the flux it takes div_x f there, the mean of its one-sided values."""
     return np.sign(u - v) * (flux.div_x(x, u) - flux.div_x(x, v))
 
 
@@ -301,8 +299,8 @@ def make_kruzkov_pair(flux: FluxSpec, k0: float) -> EntropyPair:
                             np.asarray(k, dtype=float), k0)
 
     def div_x_q(x, k):
-        pts = flux.nudge_off_singular(as_points(x, flux.dim))
-        return kruzkov_div(flux, pts, np.asarray(k, dtype=float), k0)
+        return kruzkov_div(flux, as_points(x, flux.dim),
+                           np.asarray(k, dtype=float), k0)
 
     return EntropyPair(eta, eta_prime, k0, q, div_x_q, kind="kruzkov")
 

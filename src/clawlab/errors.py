@@ -27,7 +27,8 @@ class LipschitzNonConvergent(ClawError):
 
 class BadWindow(ClawError):
     """A test function's window or width is degenerate: not 0 < rho < tau <
-    t_max, or a width that is not positive (or NaN)."""
+    t_max, a width that is not positive (or NaN), or a center that is not
+    finite."""
 
 
 class CFLViolation(ClawError):

@@ -18,6 +18,11 @@ The smooth entropy pairs take g and g'_1 + ... + g'_d once per point
 batch and integrate h and h' in the state alone.  A FluxSpec built by
 hand without factors is evaluated through its four callables alone.
 
+An entry lists the x where div_x f may not exist (f need only be locally
+Lipschitz in x) as ``singular_points``.  Derivative formulas are evaluated
+there as written and return the mean of their one-sided values (kink1d's
+g' = sign gives 0), the limit a symmetric mollifier sees.
+
 Point convention: spatial points are arrays whose last axis has length
 ``dim``.  For 1-d fluxes a bare scalar or an array of coordinates is
 accepted and promoted.  State values broadcast against the point batch.
@@ -36,10 +41,6 @@ from .errors import (LipschitzNonConvergent, NonFiniteFlux, SingularPoint,
 from .grids import _tensor_points
 
 Array = np.ndarray
-
-# derivative evaluations exactly on a declared singular point are nudged by
-# this relative amount (the singular set has measure zero; any side works)
-_SINGULAR_JITTER = 1e-12
 
 
 def as_points(x, dim: int) -> Array:
@@ -92,10 +93,11 @@ class FluxSpec:
     ``eval``/``dk`` map (points (..., d), k) -> (..., d); ``div_x`` maps to
     (...); ``grad_x_components(x, k, i)`` returns the spatial gradient of
     component i with shape (..., d).  ``singular_points`` lists the finitely
-    many x where the spatial differential may fail to exist.  ``factors``
-    are the separable factors all four callables are built from, or None
-    for a flux that is only given through its callables; the solver,
-    ``lipschitz_constant`` and the smooth entropy pairs
+    many x where the spatial differential may fail to exist; there ``div_x``
+    and ``grad_x_components`` return the mean of their one-sided values.
+    ``factors`` are the separable factors all four callables are built
+    from, or None for a flux that is only given through its callables; the
+    solver, ``lipschitz_constant`` and the smooth entropy pairs
     (``entropy.make_smooth_pair``) use them in place of ``eval``, ``dk``
     and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x`` computes
     something else must set ``factors=None``.
@@ -111,30 +113,10 @@ class FluxSpec:
     params: dict = field(default_factory=dict)
     factors: Separable | None = None
 
-    def nudge_off_singular(self, pts: Array) -> Array:
-        """Shift points lying exactly on a singular point by a tiny offset.
-
-        Derivative formulas are only defined off the singular set; callers
-        that sample derivatives route their points through here.
-        """
-        if not self.singular_points:
-            return pts
-        pts = np.array(pts, dtype=float, copy=True)
-        flat = pts.reshape(-1, self.dim)
-        for sp in self.singular_points:
-            spv = np.asarray(sp, dtype=float).reshape(self.dim)
-            hit = np.all(flat == spv, axis=-1)
-            if np.any(hit):
-                flat[hit, 0] += _SINGULAR_JITTER * max(1.0, float(np.max(np.abs(spv))))
-        return flat.reshape(pts.shape)
-
     def is_singular(self, x) -> bool:
-        pts = as_points(x, self.dim).reshape(-1, self.dim)
-        for sp in self.singular_points:
-            spv = np.asarray(sp, dtype=float).reshape(self.dim)
-            if np.any(np.all(pts == spv, axis=-1)):
-                return True
-        return False
+        pts = as_points(x, self.dim).reshape(-1, 1, self.dim)
+        sps = np.asarray(self.singular_points, dtype=float).reshape(-1, self.dim)
+        return bool(np.all(pts == sps, axis=-1).any())
 
 
 def _separable(name: str, dim: int, factors: Separable, **extra) -> FluxSpec:

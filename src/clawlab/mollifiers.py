@@ -356,9 +356,11 @@ def bump_test_function(center, radius: float, t_lo: float, t_hi: float,
     """
     c = np.asarray(center, dtype=float).reshape(dim)
     T = float(t_hi - t_lo)
-    if not (T > 0 and radius > 0):          # refuses NaN too
-        raise BadWindow(f"bump needs t_hi > t_lo and radius > 0, got window "
-                        f"[{t_lo}, {t_hi}] and radius {radius}")
+    if not (T > 0 and radius > 0                   # refuses NaN too
+            and np.all(np.isfinite(c))):
+        raise BadWindow(f"bump needs t_hi > t_lo, radius > 0 and a finite "
+                        f"center, got window [{t_lo}, {t_hi}], radius "
+                        f"{radius} and center {c}")
 
     def tprof(t):
         tt = (np.asarray(t, dtype=float) - t_lo) / T

@@ -130,16 +130,17 @@ def _support_window(field_: GridField, phi: TestFunction):
     return range(int(idx[0]), int(idx[-1]) + 1), box
 
 
-def _weak_sums(fields, phi: TestFunction, terms, points):
+def _weak_sums(fields, phi: TestFunction, terms):
     """Shared space-time quadrature core: one value per term.
 
-    ``fields`` are GridFields on one grid (the first sets the geometry);
-    ``points`` are the cell-center points (cells..., d) the terms see.
+    ``fields`` are GridFields on one grid (the first sets the geometry).
     ``terms(points, *states)`` yields one (eta, q, source) per term, in the
-    same order on every chunk: states are the fields' values on a chunk of
-    levels, shape (L, cells...); eta and source (or None) have that shape
-    and q has a trailing axis d.  As a generator it builds what its terms
-    share (the sweep's div_x f) once per chunk, and one term at a time.
+    same order on every chunk: points are the support box's cell centers
+    (cells..., d), where phi is evaluated too; states are the fields' values
+    on a chunk of levels, shape (L, cells...); eta and source (or None) have
+    that shape and q has a trailing axis d.  As a generator it builds what
+    its terms share (the sweep's div_x f) once per chunk, and one term at a
+    time.
 
     The quadrature runs over the support window only and in chunks of
     whole levels holding at most ``nx**dim`` cells, one full level of the
@@ -150,7 +151,6 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
     field_ = fields[0]
     levels, box = _support_window(field_, phi)
     P = field_.centers_points()[box]
-    points = points[box]
     times = field_.times
     dx, dim = field_.dx, field_.dim
     cell = dx ** dim
@@ -169,7 +169,7 @@ def _weak_sums(fields, phi: TestFunction, terms, points):
         phi_mid = ph[1::2]
         grads = [np.gradient(phi_mid, dx, axis=1 + a) for a in range(dim)]
         states = [f.data[(slice(n0, n1),) + box] for f in fields]
-        for j, (eta, q, source) in enumerate(terms(points, *states)):
+        for j, (eta, q, source) in enumerate(terms(P, *states)):
             rest = grads[0] * q[..., 0]
             for a in range(1, dim):
                 rest = rest + grads[a] * q[..., a]
@@ -209,8 +209,7 @@ def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
             yield (pair.eta(U), pair.q(P, U),
                    pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
 
-    values, dt_used = _weak_sums(
-        (u,), phi, terms, flux.nudge_off_singular(u.centers_points()))
+    values, dt_used = _weak_sums((u,), phi, terms)
     c_tol, tol = _weak_slack((u,), phi, dt_used, c_tol)
     return [ResidualReport(
         kind="entropy_inequality", value=value, tolerance=tol,
@@ -236,7 +235,7 @@ def kato_lhs(u: GridField, v: GridField, flux: FluxSpec, psi: TestFunction,
     def terms(P, U, V):
         yield np.abs(U - V), kruzkov_flux(flux, P, U, V), None
 
-    (value,), dt_used = _weak_sums((u, v), psi, terms, u.centers_points())
+    (value,), dt_used = _weak_sums((u, v), psi, terms)
     c_tol, tol = _weak_slack((u, v), psi, dt_used, c_tol)
     return ResidualReport(
         kind="kato", value=value, tolerance=tol, passed=bool(value >= -tol),
@@ -459,7 +458,8 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
     increment) are quadratured over (y, s) and compared with their limits
     |u-v|, q(x,u,v), div_x q(x,u,v) and -div_x q(x,u,v) at the sample point.
     Deviations must trend down in eps at smooth points; sampling at a
-    detected jump raises SampleNearShock.
+    detected jump raises SampleNearShock.  At a singular point of the flux
+    the limits take div_x f as written, the mean a symmetric rho_eps sees.
     """
     u.require_compatible(v)
     if u.dim != 1:
@@ -468,7 +468,6 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
     samples = [(float(x), float(t)) for (x, t) in sample_points]
     threshold = jump_factor * _jump_scale(u, v)
     centers, times, dts = u.centers, u.times, np.gradient(u.times)
-    Pn = flux.nudge_off_singular(u.centers_points())
     raw = np.zeros((4, len(eps_list), len(samples)))
     limits = np.zeros((4, len(samples)))
     for j, (xs, ts) in enumerate(samples):
@@ -478,8 +477,7 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
             raise SampleNearShock(f"sample at x={xs}, t={ts} sits near a jump")
         ustar, vstar = u.data[lev][ci], v.data[lev][ci]
         x0 = np.array([[xs]])
-        x0n = flux.nudge_off_singular(x0)
-        i3 = kruzkov_div(flux, x0n, ustar, vstar).item()
+        i3 = kruzkov_div(flux, x0, ustar, vstar).item()
         limits[:, j] = (abs(ustar - vstar),
                         kruzkov_flux(flux, x0, ustar, vstar).item(), i3, -i3)
         for e, eps in enumerate(eps_list):
@@ -495,8 +493,8 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
             q_y = kruzkov_flux(flux, y, ustar, V)[..., 0]
             # div_x f at y for u* against div_x f at x for V: not a
             # one-point Kruzkov flux
-            div = np.sign(ustar - V) * (flux.div_x(Pn[cells], ustar)
-                                        - flux.div_x(x0n, V))
+            div = np.sign(ustar - V) * (flux.div_x(y, ustar)
+                                        - flux.div_x(x0, V))
             wx = rho.value(xs - y)
             grad_rho = -rho.grad(xs - y)[..., 0]           # d/dy of rho(x-y)
             # numpy's summation order follows the operands' memory layout,

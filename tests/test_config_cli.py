@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clawlab.cli import _run_flux, main
-from clawlab.config import load_config, parse_config
+from clawlab.config import PAIR_KINDS, load_config, parse_config
 from clawlab.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -64,7 +64,8 @@ _BAD_PAIR_SETS = [(["smooth_n=0"], ">= 1"), (["smooth_n=-4"], ">= 1"),
 _BAD_PAIR_IDS = ["smooth_n_zero", "smooth_n_negative", "k0_count_negative",
                  "no_pair"]
 
-# test-function widths that are not positive, or NaN, on the bundled runs:
+# test-function widths that are not positive, or NaN, and check values
+# that would pass a check whatever the data, on the bundled runs:
 # (run, check kind, --set keys, a word of the error each must print)
 _BAD_WINDOW_CASES = [
     ("burgers_contraction", "kato", ["r=2.0", "h=-0.05"], "h must be positive"),
@@ -74,9 +75,63 @@ _BAD_WINDOW_CASES = [
      "eps must be positive"),
     ("entropy_burgers", "entropy_inequality", ["phi_radius=nan"],
      "radius > 0"),
+    ("burgers_contraction", "cone_contraction", ["r=2.0", "c_cal=inf"],
+     ">= 0"),
+    ("burgers_contraction", "global_contraction", ["r_list=1, 2", "c_cal=nan"],
+     ">= 0"),
+    ("burgers_contraction", "kato", ["r=2.0", "c_tol=inf"], ">= 0"),
+    ("burgers_contraction", "kato", ["r=2.0", "c_tol=-0.5"], ">= 0"),
+    ("entropy_burgers", "entropy_inequality", ["c_tol=inf"], ">= 0"),
+    ("entropy_burgers", "entropy_inequality", ["phi_center=nan"], "finite"),
 ]
 _BAD_WINDOW_IDS = ["kato_h_negative", "kato_h_zero", "kato_h_nan",
-                   "kato_eps_nan", "entropy_radius_nan"]
+                   "kato_eps_nan", "entropy_radius_nan", "cone_c_cal_inf",
+                   "global_c_cal_nan", "kato_c_tol_inf", "kato_c_tol_negative",
+                   "entropy_c_tol_inf", "entropy_phi_center_nan"]
+
+# check values that would pass a check whatever the data, or crash it, in
+# a bundled config: (config, line, its replacement, a word of the error)
+_BAD_CHECK_VALUES = {
+    "cone_c_cal_inf": ("burgers_contraction", "kind = cone_contraction\n",
+                       "kind = cone_contraction\nc_cal = inf\n", ">= 0"),
+    "cone_c_cal_negative": ("burgers_contraction",
+                            "kind = cone_contraction\n",
+                            "kind = cone_contraction\nc_cal = -1\n", ">= 0"),
+    "global_c_cal_nan": ("burgers_contraction", "kind = global_contraction\n",
+                         "kind = global_contraction\nc_cal = nan\n", ">= 0"),
+    "kato_c_tol_inf": ("burgers_contraction", "kind = kato\n",
+                       "kind = kato\nc_tol = inf\n", ">= 0"),
+    "entropy_c_tol_nan": ("entropy_burgers", "phi_center = 0.0\n",
+                          "phi_center = 0.0\nc_tol = nan\n", ">= 0"),
+    "phi_center_nan": ("entropy_burgers", "phi_center = 0.0\n",
+                       "phi_center = nan\n", "finite"),
+    "t_sample_nan": ("entropy_burgers", "t_sample = 0.2\n",
+                     "t_sample = nan\n", "finite"),
+    "points_zero": ("entropy_burgers", "points = 6\n", "points = 0\n",
+                    "at least one sample"),
+    "eps_list_zero": ("entropy_burgers", "eps_list = 0.1, 0.05, 0.025\n",
+                      "eps_list = 0.1, 0.05, 0\n", "finite and > 0"),
+    "eps_list_empty": ("entropy_burgers", "eps_list = 0.1, 0.05, 0.025\n",
+                       "eps_list = \n", "finite and > 0"),
+    "center_nan": ("uniqueness_burgers", "min_ratio = 1.5\n",
+                   "min_ratio = 1.5\ncenter = nan\n", "finite"),
+    "min_ratio_nan": ("uniqueness_burgers", "min_ratio = 1.5\n",
+                      "min_ratio = nan\n", ">= 1"),
+    "min_ratio_zero": ("uniqueness_burgers", "min_ratio = 1.5\n",
+                       "min_ratio = 0\n", ">= 1"),
+    "radius_negative": ("uniqueness_burgers", "min_ratio = 1.5\n",
+                        "min_ratio = 1.5\nradius = -1\n", "finite and > 0"),
+    "cfl_above_one": ("uniqueness_burgers", "cfl_list = 0.9, 0.45\n",
+                      "cfl_list = 1.5, 0.45\n", "(0, 1]"),
+    "viscous_coeff_nan": ("uniqueness_burgers", "viscous_coeff = 2.0\n",
+                          "viscous_coeff = nan\n", ">= 0"),
+    "single_variant": ("uniqueness_burgers",
+                       "cfl_list = 0.9, 0.45\nviscous_coeff = 2.0\n",
+                       "cfl_list = 0.9\nviscous_coeff = 0\n", "variant"),
+    "equal_variants": ("uniqueness_burgers",
+                       "cfl_list = 0.9, 0.45\nviscous_coeff = 2.0\n",
+                       "cfl_list = 0.9, 0.9\nviscous_coeff = 0\n", "variant"),
+}
 
 
 def _set_args(params: dict) -> list:
@@ -641,7 +696,7 @@ class TestCliOther:
         _, outdir = bundled_runs[run]
         capsys.readouterr()
         args = ["verify", str(outdir / "u_slabs")]
-        if check == "kato":
+        if check in PAIR_KINDS:
             args.append(str(outdir / "v_slabs"))
         args += ["--check", check, "--flux", "burgers1d"]
         for kv in sets:
@@ -670,6 +725,23 @@ class TestCliOther:
         assert captured.err.startswith("error: ") and needle in captured.err
         assert "Traceback" not in captured.err
         assert (tmp_path / "out" / "FAILED").exists()
+
+    @pytest.mark.parametrize("name,line,bad,needle",
+                             list(_BAD_CHECK_VALUES.values()),
+                             ids=list(_BAD_CHECK_VALUES))
+    def test_run_refuses_bad_check_value(self, tmp_path, capsys, name, line,
+                                         bad, needle):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert line in text
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text.replace(line, bad))
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "--out",
+                     str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_refuses_wrong_field_count(self, bundled_runs, capsys):
         _, outdir = bundled_runs["burgers_contraction"]

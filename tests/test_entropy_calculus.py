@@ -42,24 +42,23 @@ class TestKruzkovFlux:
     @given(_kruzkov_states())
     def test_symmetric_zero_on_diagonal_and_pair_flux(self, case):
         flux, pts, u, v, k = case
-        ptn = flux.nudge_off_singular(pts)
-        q, d = kruzkov_flux(flux, pts, u, v), kruzkov_div(flux, ptn, u, v)
+        q, d = kruzkov_flux(flux, pts, u, v), kruzkov_div(flux, pts, u, v)
         assert q.shape == pts.shape and d.shape == u.shape
         # the flux of |u - v|: sign(u - v) and f(u) - f(v) both flip sign
         # exactly under the swap, so their product is bitwise unchanged
         assert np.array_equal(q, kruzkov_flux(flux, pts, v, u))
-        assert np.array_equal(d, kruzkov_div(flux, ptn, v, u))
+        assert np.array_equal(d, kruzkov_div(flux, pts, v, u))
         assert np.all(q[u == v] == 0.0) and np.all(d[u == v] == 0.0)
         # the larger state's flux minus the smaller one's
         hi, lo = np.maximum(u, v), np.minimum(u, v)
         off = u != v
         assert np.array_equal(q[off], (flux.eval(pts, hi)
                                        - flux.eval(pts, lo))[off])
-        assert np.array_equal(d[off], (flux.div_x(ptn, hi)
-                                       - flux.div_x(ptn, lo))[off])
+        assert np.array_equal(d[off], (flux.div_x(pts, hi)
+                                       - flux.div_x(pts, lo))[off])
         pair = make_kruzkov_pair(flux, k)
         assert np.array_equal(kruzkov_flux(flux, pts, u, k), pair.q(pts, u))
-        assert np.array_equal(kruzkov_div(flux, ptn, u, k),
+        assert np.array_equal(kruzkov_div(flux, pts, u, k),
                               pair.div_x_q(pts, u))
 
 
@@ -148,7 +147,7 @@ class TestTabulatedSmoothPair:
                              max(k0, np.max(states, initial=k0)), 65)
             q_scale = np.abs(flux.dk(pts[:, None, :], ws[None, :])).max(
                 initial=0.0) * (ws[-1] - ws[0])
-            d_scale = np.abs(flux.div_x(flux.nudge_off_singular(pts)[:, None, :],
+            d_scale = np.abs(flux.div_x(pts[:, None, :],
                                         ws[None, :])).max(initial=0.0)
             assert np.all(np.abs(q - q_ref) <= 1e-13 * q_scale)
             assert np.all(np.abs(d - d_ref) <= 1e-13 * d_scale)

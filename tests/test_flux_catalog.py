@@ -335,10 +335,34 @@ class TestUniformDiffquot:
         assert max(out[1:]) < 1e-12
 
 
-def test_singular_nudge_keeps_divergence_finite():
+def test_divergence_at_singular_point_is_finite_sign_zero_times_k():
     f = catalog_lookup("kink1d")
-    pts = np.array([[0.0], [0.5]])
-    vals = f.div_x(f.nudge_off_singular(pts), 1.0)
-    assert np.all(np.isfinite(vals))
-    # the nudged origin lands on the positive side
-    assert vals[0] == pytest.approx(1.0)
+    pts = np.array([[0.0], [0.5], [-0.5]])
+    for k in (1.0, -2.5, 0.0):
+        vals = f.div_x(pts, k)
+        assert np.all(np.isfinite(vals))
+        # div_x (|x| k) = sign(x) k, and sign(0) k = 0 at the kink
+        assert np.array_equal(vals, [np.sign(0.0) * k, k, -k])
+
+
+def test_derivatives_at_singular_points_are_one_sided_means():
+    # the convention every caller relies on: at a declared singular point
+    # div_x and grad_x_components return the mean of their one-sided values
+    ks = np.linspace(-2.0, 2.0, 41)
+    rough = [f for f in map(catalog_lookup, catalog_names())
+             if f.singular_points]
+    assert rough
+    for f in rough:
+        def derivs(x):
+            return np.concatenate(
+                [f.div_x(x, ks)[..., None]]
+                + [f.grad_x_components(x, ks, i) for i in range(f.dim)],
+                axis=-1)
+
+        for sp in f.singular_points:
+            x0 = np.asarray(sp, dtype=float).reshape(1, f.dim)
+            for step in 1e-9 * np.eye(f.dim):
+                left, right = derivs(x0 - step), derivs(x0 + step)
+                scale = max(1.0, float(np.abs([left, right]).max()))
+                assert np.allclose(derivs(x0), 0.5 * (left + right),
+                                   rtol=0.0, atol=1e-6 * scale), (f.name, sp)

@@ -330,12 +330,16 @@ class TestBump:
             assert abs(fd_t - phi.dt(x, t)) < 1e-6
             assert abs(fd_x - phi.grad_x(x, t)[..., 0]) < 1e-6
 
-    @pytest.mark.parametrize("radius,t_lo,t_hi", [
-        (np.nan, 0.1, 0.9), (0.4, np.nan, 0.9), (0.4, 0.1, np.nan),
-    ], ids=["radius_nan", "t_lo_nan", "t_hi_nan"])
-    def test_degenerate_support_raises(self, radius, t_lo, t_hi):
+    @pytest.mark.parametrize("center,radius,t_lo,t_hi", [
+        (0.1, np.nan, 0.1, 0.9), (0.1, 0.4, np.nan, 0.9),
+        (0.1, 0.4, 0.1, np.nan), (np.nan, 0.4, 0.1, 0.9),
+        (-np.inf, 0.4, 0.1, 0.9),
+    ], ids=["radius_nan", "t_lo_nan", "t_hi_nan", "center_nan", "center_inf"])
+    def test_degenerate_support_raises(self, center, radius, t_lo, t_hi):
         with pytest.raises(BadWindow):
-            bump_test_function(0.1, radius, t_lo, t_hi)
+            bump_test_function(center, radius, t_lo, t_hi)
+        with pytest.raises(BadWindow):
+            bump_test_function([0.1, center], radius, t_lo, t_hi, dim=2)
 
 
 def _batched_test_functions():

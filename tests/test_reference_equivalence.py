@@ -457,7 +457,7 @@ def _reference_weak_sum(field_, phi, eta_at, q_at, source_at=None):
 
 
 def _reference_entropy_value(u, flux, pair, phi):
-    P = flux.nudge_off_singular(u.centers_points())
+    P = u.centers_points()
 
     def source_at(n):
         un = u.data[n]
@@ -611,7 +611,6 @@ def _reference_doubling(u, v, flux, eps_list, sample_points,
     dts = np.gradient(times)
     cell = u.dx
     P = u.centers_points()
-    Pn = flux.nudge_off_singular(P)
 
     n_e, n_s = len(eps_list), len(samples)
     dev = {key: np.zeros((n_e, n_s)) for key in ("I1", "I2", "I3", "I4")}
@@ -632,8 +631,8 @@ def _reference_doubling(u, v, flux, eps_list, sample_points,
         limits["I1"][j] = abs(ustar - vstar)
         limits["I2"][j] = s0 * (flux.eval(x0, ustar)
                                 - flux.eval(x0, vstar))[..., 0].item()
-        div_u = flux.div_x(flux.nudge_off_singular(x0), ustar).item()
-        div_v = flux.div_x(flux.nudge_off_singular(x0), vstar).item()
+        div_u = flux.div_x(x0, ustar).item()
+        div_v = flux.div_x(x0, vstar).item()
         limits["I3"][j] = s0 * (div_u - div_v)
         limits["I4"][j] = -limits["I3"][j]
 
@@ -645,11 +644,10 @@ def _reference_doubling(u, v, flux, eps_list, sample_points,
                     f"need stored levels within {eps} of t={ts}")
             cmask = np.abs(centers - xs) < eps
             ym = centers[cmask][:, None]
-            ymn = Pn[cmask]
             wx = rho.value((xs - ym))
             fy_u = flux.eval(ym, ustar)[..., 0]
             fx_u = flux.eval(x0, ustar)[..., 0].item()
-            div_y_u = flux.div_x(ymn, ustar)
+            div_y_u = flux.div_x(P[cmask], ustar)
             grad_rho = rho.grad((xs - ym))[..., 0] * (-1.0)   # d/dy of rho(x-y)
             acc = {key: 0.0 for key in ("I1", "I2", "I3", "I4")}
             for n in lmask:
@@ -660,8 +658,7 @@ def _reference_doubling(u, v, flux, eps_list, sample_points,
                 sgn = np.sign(ustar - vy)
                 fx_v = flux.eval(x0, vy)[..., 0]
                 fy_v = flux.eval(ym, vy)[..., 0]
-                div_x_v = flux.div_x(
-                    flux.nudge_off_singular(np.full((len(vy), 1), xs)), vy)
+                div_x_v = flux.div_x(np.full((len(vy), 1), xs), vy)
                 q_at_x = sgn * (fx_u - fx_v)
                 q_at_y = sgn * (fy_u - fy_v)
                 acc["I1"] += wt * float((wx * np.abs(ustar - vy)).sum()) * cell
@@ -709,8 +706,9 @@ def test_doubling_matches_reference(name):
     tstar = float(u.times[lev])
     xs = find_smooth_samples(u, v, lev, 6, 10.0 * _jump_scale(u, v),
                              margin_cells=90)
-    # x = 0 is the singular point of kink1d, where div_x needs the nudge;
-    # u is steep there, so that sample runs with the jump guard off
+    # x = 0 is the singular point of kink1d, where div_x takes the mean of
+    # its one-sided values; u is steep there, so that sample runs with the
+    # jump guard off
     eps = [0.1, 0.05, 0.025]
     for samples, factor in (([(float(x), tstar) for x in xs], 10.0),
                             ([(0.0, tstar), (0.3, tstar)], np.inf)):

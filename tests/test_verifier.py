@@ -483,6 +483,23 @@ class TestDoubling:
                 assert np.array_equal(tables[0][part][key],
                                       tables[1][part][key]), (part, key)
 
+    def test_limits_at_kink_are_the_mollified_ones(self):
+        # even fields on a grid with x = 0 as a cell center: the mollified
+        # I3 and I4 at kink1d's singular point cancel by symmetry, and so
+        # do their limits, which take div_x f there as sign(0) k = 0
+        kink = catalog_lookup("kink1d")
+        times = np.linspace(0.0, 0.4, 161)
+        u = field_from_function(lambda p, t: 0.5 + 0.1 * np.cos(p[..., 0]),
+                                -1.0, 1.0, 641, times)
+        v = field_from_function(lambda p, t: 0.2 + 0.05 * np.cos(p[..., 0]),
+                                -1.0, 1.0, 641, times)
+        assert u.centers[320] == 0.0
+        table = doubling_diagnostics(u, v, kink, [0.1, 0.05, 0.025],
+                                     [(0.0, 0.2)])
+        for key in ("I3", "I4"):
+            assert table["limits"][key][0] == 0.0
+            assert np.all(table["deviation"][key] <= 1e-12), key
+
     def test_sample_near_shock_raises(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=400, t_end=0.8, store_every=1,
                            boundary="periodic")
