@@ -15,8 +15,10 @@ written twice.  The solver freezes g at its interface lattice once per run
 and evaluates only h and h' per sweep, and ``lipschitz_constant`` samples g
 on the ball and h, h' on the states once instead of f on their product.
 The smooth entropy pairs take g and g'_1 + ... + g'_d once per point
-batch and integrate h and h' in the state alone.  A FluxSpec built by
-hand without factors is evaluated through its four callables alone.
+batch and integrate h and h' in the state alone, and the weak entropy
+sweep takes g, g'_1 + ... + g'_d and h once per chunk for all its pairs.
+A FluxSpec built by hand without factors is evaluated through its four
+callables alone.
 
 An entry lists the x where div_x f may not exist (f need only be locally
 Lipschitz in x) as ``singular_points``.  Derivative formulas are evaluated
@@ -97,10 +99,11 @@ class FluxSpec:
     and ``grad_x_components`` return the mean of their one-sided values.
     ``factors`` are the separable factors all four callables are built
     from, or None for a flux that is only given through its callables; the
-    solver, ``lipschitz_constant`` and the smooth entropy pairs
-    (``entropy.make_smooth_pair``) use them in place of ``eval``, ``dk``
-    and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x`` computes
-    something else must set ``factors=None``.
+    solver, ``lipschitz_constant``, the smooth entropy pairs
+    (``entropy.make_smooth_pair``) and the weak entropy sweep
+    (``entropy.factored_sweep_terms``) use them in place of ``eval``,
+    ``dk`` and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x``
+    computes something else must set ``factors=None``.
     """
 
     name: str

@@ -15,11 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
-from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
-                             make_smooth_pair)
+from clawlab.entropy import (default_k0_sweep, factored_sweep_terms,
+                             make_kruzkov_pair, make_smooth_pair)
 from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
                             NonFiniteFlux, SampleNearShock,
                             SupportExceedsDomain)
@@ -576,6 +578,102 @@ def test_two_interval_window_matches_reference():
     fast = [r.value for r in entropy_residual_sweep(u, flux, pairs, phi)]
     refs = [_reference_entropy_value(u, flux, p, phi) for p in pairs]
     _assert_matches(fast, refs, exact=1)
+
+
+# -- the factored entropy sweep ---------------------------------------------
+#
+# For a flux with factors the sweep takes its terms from
+# ``factored_sweep_terms``: closed-form Kruzkov terms and smooth-pair tables
+# shared per k0.  A ``replace(flux, factors=None)`` copy takes every pair's
+# own callables, the panel quadrature for the smooth pairs and div_x f for
+# the sources, and shares no table code.  The two agree up to rounding:
+# measured at most 1.6e-13 of the case's largest |value| over 2,000
+# examples of the test below, asserted within FACTORED_RTOL.
+
+FACTORED_RTOL = 1e-12
+
+
+@st.composite
+def _factored_sweep_cases(draw):
+    """A catalog flux, a rough sign-changing field on [-1, 1]^d, a bump
+    and pairs in a drawn order: Kruzkov states (some equal to field
+    values), smooth pairs at k0 = 0 and three smooth pairs at a k0 != 0."""
+    flux = _lookup(draw(st.sampled_from(catalog_names())))
+    dim = flux.dim
+    nx = draw(st.integers(24, 64) if dim == 1 else st.integers(10, 16))
+    times = np.linspace(0.0, 1.0, draw(st.integers(4, 9)))
+    M = draw(st.floats(0.1, 2.0))
+    rough = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = GridField(dim, -1.0, 1.0, nx, times, np.empty(0), 0.0)
+    x = grid.centers_points().sum(axis=-1)
+    wave = np.sin(np.pi * (x[None] + times.reshape((-1,) + (1,) * dim))
+                  + rng.uniform(0.0, 2.0 * np.pi))
+    data = M * ((1.0 - rough) * wave
+                + rough * rng.uniform(-1.0, 1.0, wave.shape))
+    u = replace(grid, data=data, bound_M=float(np.abs(data).max()))
+    state = st.sampled_from(data.ravel().tolist()) | st.floats(-M, M)
+    kruzkov = draw(st.lists(state | st.just(0.0), min_size=2, max_size=5))
+    smooth_n = st.integers(1, 400)
+    k0 = draw(state.filter(lambda k: k != 0.0))
+    smooth = ([(0.0, n) for n in draw(st.lists(smooth_n, min_size=1,
+                                               max_size=2))]
+              + [(k0, n) for n in draw(st.lists(smooth_n, min_size=3,
+                                                max_size=3))])
+    specs = draw(st.permutations([("kruzkov", k) for k in kruzkov]
+                                 + [("smooth", k, n) for k, n in smooth]))
+    phi = bump_test_function(np.zeros(dim), draw(st.floats(0.3, 0.55)),
+                             draw(st.floats(0.0, 0.3)),
+                             draw(st.floats(0.6, 1.0)), dim=dim)
+    return u, flux, specs, phi
+
+
+def _build_pairs(flux, specs):
+    return [make_kruzkov_pair(flux, spec[1]) if spec[0] == "kruzkov"
+            else make_smooth_pair(flux, spec[1], spec[2]) for spec in specs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored_sweep_cases())
+def test_factored_sweep_matches_generic_path(case):
+    u, flux, specs, phi = case
+    generic = replace(flux, factors=None)
+    fast = [r.value for r in entropy_residual_sweep(
+        u, flux, _build_pairs(flux, specs), phi)]
+    ref = [r.value for r in entropy_residual_sweep(
+        u, generic, _build_pairs(generic, specs), phi)]
+    scale = float(np.max(np.abs(ref)))
+    assert np.all(np.isfinite(fast))
+    assert np.max(np.abs(np.subtract(fast, ref))) <= FACTORED_RTOL * scale
+
+
+@pytest.mark.parametrize("name", ["product1d", "product2d", "burgers1d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factored_terms_non_finite_state_poisons_only_its_entries(name, bad):
+    flux = catalog_lookup(name)
+    rng = np.random.default_rng(RNG_SEED)
+    shape = (3,) + (12,) * flux.dim
+    P = rng.uniform(-1.0, 1.0, shape[1:] + (flux.dim,))
+    U = rng.uniform(-1.0, 1.0, shape)
+    pairs = _build_pairs(flux, [("kruzkov", 0.3), ("kruzkov", -0.2),
+                                ("smooth", 0.0, 16), ("smooth", 0.4, 4),
+                                ("smooth", 0.4, 64)])
+    terms = factored_sweep_terms(flux.factors, pairs)
+    poisoned = U.copy()
+    hit = (1,) + (5,) * flux.dim
+    poisoned[hit] = bad
+    keep = np.ones(shape, dtype=bool)
+    keep[hit] = False
+    with np.errstate(invalid="ignore"):          # sin(inf) is NaN
+        outs = list(terms(P, poisoned))
+    for clean, out in zip(terms(P, U), outs, strict=True):
+        # eta is not finite at the state; a Kruzkov source at an infinite
+        # state is -sign(u - k0) h(k0) times the sum of g', finite as the
+        # closed form says
+        assert not np.isfinite(out[0][hit])
+        for a, b in zip(clean, out):
+            assert np.all(np.abs(b[keep] - a[keep])
+                          <= 1e-14 * np.abs(a[keep]).max())
 
 
 # -- doubling of variables -------------------------------------------------

@@ -1,12 +1,15 @@
+import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from clawlab import entropy
 from clawlab.entropy import make_kruzkov_pair, make_smooth_pair
 from clawlab.errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
                             SupportExceedsDomain)
-from clawlab.flux import catalog_lookup
+from clawlab.flux import Separable, _separable, catalog_lookup
 from clawlab.grids import box_data, field_from_function, sine_data
 from clawlab.mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from clawlab.quadrature import adaptive_gauss_legendre
@@ -133,34 +136,86 @@ class TestEntropyResidual:
             assert (a.value, a.tolerance, a.passed, a.metadata) == \
                 (b.value, b.tolerance, b.passed, b.metadata)
 
-    def test_sweep_shares_div_x_per_chunk(self):
-        # div_x f is evaluated once per chunk of levels, whatever the number
-        # of pairs; the smooth pairs of a flux with factors never call it,
-        # and phi is evaluated once per chunk too
-        calls = {"div_x": 0, "phi": 0}
+    def test_sweep_takes_factors_once_per_chunk(self):
+        # per chunk of levels, g, the sum of g' and h are each called once
+        # and h' once if there are smooth pairs, whatever the number of
+        # pairs; phi is evaluated once per chunk too, the smooth pairs of
+        # one k0 share one breakpoint set, and no FluxSpec or EntropyPair
+        # callable is called
+        calls = collections.Counter()
 
-        def div_x(x, k):
-            calls["div_x"] += 1
-            return PRODUCT.div_x(x, k)
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
 
-        def phi_value(x, t):
-            calls["phi"] += 1
-            return bump.value(x, t)
+        fac = PRODUCT.factors
 
-        flux = dataclasses.replace(PRODUCT, div_x=div_x)
-        assert flux.factors is PRODUCT.factors
+        class CountedFactors(Separable):
+            def g_prime_sum(self, pts):
+                calls["g_prime_sum"] += 1
+                return super().g_prime_sum(pts)
+
+        flux = _separable("counted", 1, CountedFactors(
+            counted("g", fac.g), fac.g_prime, counted("h", fac.h),
+            counted("h_prime", fac.h_prime)))
+        flux = dataclasses.replace(flux, **{
+            name: counted(name, getattr(flux, name))
+            for name in ("eval", "dk", "div_x", "grad_x_components")})
         cfg = SchemeConfig(lo=-1, hi=1, nx=300, t_end=0.5)
         u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
         bump = bump_test_function(0.1, 0.45, 0.05, 0.4)
-        phi = dataclasses.replace(bump, value=phi_value)
+        phi = dataclasses.replace(bump, value=counted("phi", bump.value))
+
+        def pair(make, *args):
+            p = make(flux, *args)
+            return dataclasses.replace(p, **{
+                name: counted("pair", getattr(p, name))
+                for name in ("eta", "eta_prime", "q", "div_x_q")})
+
+        tables = entropy._state_tables
+
+        def state_tables(k0, k):
+            calls["tables"] += 1
+            return tables(k0, k)
+
+        one = [pair(make_kruzkov_pair, 0.2)]
+        twelve = ([pair(make_kruzkov_pair, k0)
+                   for k0 in np.linspace(-0.6, 0.6, 8)]
+                  + [pair(make_smooth_pair, 0.0, n) for n in (4, 16, 64)]
+                  + [pair(make_smooth_pair, 0.3, 16)])
         counts = []
-        for ns in ((16,), (4, 16, 64)):
-            calls.update(div_x=0, phi=0)
-            entropy_residual_sweep(
-                u, flux, [make_smooth_pair(flux, 0.0, n) for n in ns], phi)
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert counts[0]["div_x"] == counts[0]["phi"] > 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_state_tables", state_tables)
+            for pairs in (one, twelve):
+                calls.clear()
+                entropy_residual_sweep(u, flux, pairs, phi)
+                counts.append(dict(calls))
+        chunks = counts[0]["phi"]
+        assert chunks > 1
+        assert counts[0] == {"phi": chunks, "g": chunks,
+                             "g_prime_sum": chunks, "h": chunks}
+        assert counts[1] == {**counts[0], "h_prime": chunks,
+                             "tables": 2 * chunks}
+
+    def test_pair_of_another_flux_refused(self):
+        # the factored sweep reads only a pair's kind, k0 and n, so a pair
+        # built for another flux would add its flux's q to this one's
+        # div_x f; the sweep refuses it instead
+        u = const_field(0.4)
+        phi = bump_test_function(0.0, 0.5, 0.2, 0.8)
+        for pair in (make_kruzkov_pair(BURGERS, 0.2),
+                     make_smooth_pair(BURGERS, 0.0, 16)):
+            with pytest.raises(ValueError, match=re.escape(pair.label)):
+                entropy_residual_sweep(
+                    u, PRODUCT, [make_kruzkov_pair(PRODUCT, 0.1), pair], phi)
+            with pytest.raises(ValueError, match=re.escape(pair.label)):
+                entropy_residual(u, PRODUCT, pair, phi)
+        # another object of the same catalog entry is another flux too
+        other = catalog_lookup("product1d")
+        with pytest.raises(ValueError, match="kruzkov"):
+            entropy_residual(u, PRODUCT, make_kruzkov_pair(other, 0.1), phi)
 
     def test_sweep_anti_test_fails(self):
         u = shock_field(0.0, 1.0)
