@@ -21,6 +21,15 @@ parabolic step restriction.  The exact Godunov interface flux
 (``godunov_burgers``) exists for the 1-d Burgers flux only; other
 combinations are refused.
 
+The stepper owns its sweep buffers: one ghost buffer and the interface
+buffers fL, fR, lam and F (plus a work array), each one storage that the
+axes share.  A sweep writes the interior and the two ghost layers of u
+into the ghost buffer, and computes F and the update with ``out=`` ufuncs
+in the association written above (``_rusanov``), so its states are bitwise
+those of the plain expressions.  Apart from the values of h and h' (and
+the Godunov branch's f), a step allocates only the array it returns; it
+never writes its input.
+
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
 one setup (``_Run``): it checks the flux against the config, samples each
 initial datum once (non-finite data raise ``BlowUp``), and derives one dt
@@ -37,7 +46,10 @@ The same interface flux induces a numerical entropy flux for |u - k|:
 
 and for homogeneous fluxes the per-cell inequality
 |u^{n+1}-k| - |u^n-k| + (dt/dx)(Q_{i+1/2} - Q_{i-1/2}) <= 0 holds to
-roundoff; ``discrete_entropy_max_violation`` measures it.
+roundoff; ``discrete_entropy_max_violation`` measures it.  It reads the
+ghosted states, fL, fR and lam of each step from the stepper's buffers
+(``_Stepper.last_sides``), so h and h' are evaluated once per step, and it
+refuses an empty or non-finite list of k before any solving.
 """
 
 from __future__ import annotations
@@ -129,39 +141,29 @@ def _estimate_speed(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> flo
     return float(np.abs(flux.dk(pts[:, None, :], ks[None, :])).max())
 
 
-def _ghost(u: Array, axis: int, boundary: str) -> Array:
-    if boundary == "periodic":
-        first = np.take(u, [-1], axis=axis)
-        last = np.take(u, [0], axis=axis)
-    else:
-        first = np.take(u, [0], axis=axis)
-        last = np.take(u, [-1], axis=axis)
-    return np.concatenate([first, u, last], axis=axis)
-
-
-def _slab(a: Array, axis: int, start, stop) -> Array:
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    return a[tuple(index)]
-
-
-def _sides(a: Array, axis: int):
-    """The left and right neighbours of every interface along ``axis``."""
-    return _slab(a, axis, 0, -1), _slab(a, axis, 1, None)
+def _along(axis: int, ndim: int, index) -> tuple:
+    """The index tuple that applies ``index`` along ``axis`` of an ndim array."""
+    return tuple(index if a == axis else slice(None) for a in range(ndim))
 
 
 class _InterfaceFlux:
-    """Component ``axis`` of f and d_k f at the fixed interface points ``xi``.
+    """Component ``axis`` of f and d_k f at the fixed interface points ``xi``,
+    with the interface buffers fL, fR, lam, F and work of its sweep.
 
     For a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
     here once per run, and a sweep takes h and h' once on the ghosted
     states; any other flux goes through ``eval``/``dk``.
     """
 
-    def __init__(self, flux: FluxSpec, xi: Array, axis: int):
+    def __init__(self, flux: FluxSpec, xi: Array, axis: int, store):
         self.flux, self.xi, self.axis = flux, xi, axis
         self.g = None if flux.factors is None else flux.factors.g(xi)[..., axis]
         self.abs_g = None if self.g is None else np.abs(self.g)
+        ndim = xi.ndim - 1
+        self.left = _along(axis, ndim, slice(0, -1))
+        self.right = _along(axis, ndim, slice(1, None))
+        self.fL, self.fR, self.lam, self.F, self.work = (
+            s.reshape(xi.shape[:-1]) for s in store)
 
     def at(self, k) -> Array:
         """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the lattice."""
@@ -169,71 +171,156 @@ class _InterfaceFlux:
             return self.flux.eval(self.xi, k)[..., self.axis]
         return self.g * self.flux.factors.h(np.asarray(k, dtype=float))
 
-    def sides(self, ug: Array):
-        """(uL, uR, fL, fR, lam) at every interface of the ghosted ``ug``,
-        lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) the local speed."""
-        axis = self.axis
-        uL, uR = _sides(ug, axis)
+    def sides(self, ug: Array) -> None:
+        """Write fL = f(x, uL), fR = f(x, uR) and the local speed
+        lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) at every interface of the
+        ghosted ``ug`` into the interface buffers."""
+        left, right = self.left, self.right
         if self.g is None:
-            flux, xi = self.flux, self.xi
-            lam = np.maximum(np.abs(flux.dk(xi, uL)[..., axis]),
-                             np.abs(flux.dk(xi, uR)[..., axis]))
-            return uL, uR, self.at(uL), self.at(uR), lam
-        hL, hR = _sides(self.flux.factors.h(ug), axis)
-        # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
-        sL, sR = _sides(np.abs(self.flux.factors.h_prime(ug)), axis)
-        lam = self.abs_g * np.maximum(sL, sR)
-        return uL, uR, self.g * hL, self.g * hR, lam
+            flux, xi, axis = self.flux, self.xi, self.axis
+            uL, uR = ug[left], ug[right]
+            dL, dR = flux.dk(xi, uL)[..., axis], flux.dk(xi, uR)[..., axis]
+            np.copyto(self.fL, self.at(uL))
+            np.copyto(self.fR, self.at(uR))
+        else:
+            h = self.flux.factors.h(ug)
+            np.multiply(self.g, h[left], out=self.fL)
+            np.multiply(self.g, h[right], out=self.fR)
+            # h' may return ug itself, so it is only read
+            h_prime = self.flux.factors.h_prime(ug)
+            dL, dR = h_prime[left], h_prime[right]
+        lam = self.lam
+        np.abs(dL, out=lam)
+        np.maximum(lam, np.abs(dR, out=self.work), out=lam)
+        if self.g is not None:
+            # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
+            np.multiply(self.abs_g, lam, out=lam)
 
 
-def _rusanov(uL, uR, fL, fR, lam) -> Array:
-    return 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+def _rusanov(uL, uR, fL, fR, lam, out=None, work=None) -> Array:
+    """F = 0.5 (fL + fR) - 0.5 lam (uR - uL), associated as written, into
+    ``out`` with ``work`` for the second term; both are allocated in the
+    broadcast shape of the arguments when ``out`` is not given."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (uL, uR, fL, fR, lam)))
+        out, work = np.empty(shape), np.empty(shape)
+    np.subtract(uR, uL, out=work)
+    np.multiply(0.5, lam, out=out)
+    np.multiply(out, work, out=work)
+    np.add(fL, fR, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.subtract(out, work, out=out)
+
+
+class _Axis:
+    """Views of the stepper's ghost buffer in the shape of one axis's sweep:
+    the ghosted states ``ug`` with its interior, its two ghost layers and
+    their sources under the boundary rule, the neighbours of every
+    interface and the +-1 cell offsets for the Laplacian; and the two sides
+    of the interface flux F for the update."""
+
+    __slots__ = ("iface", "ug", "inner", "ghosts", "uL", "uR", "plus", "minus",
+                 "F_right", "F_left")
+
+    def __init__(self, iface: _InterfaceFlux, ug: Array, periodic: bool):
+        axis, ndim = iface.axis, ug.ndim
+
+        def along(start, stop):
+            return ug[_along(axis, ndim, slice(start, stop))]
+
+        self.iface, self.ug = iface, ug
+        self.inner = along(1, -1)
+        # the ghost layers copy the first and last cells (outflow), or the
+        # opposite ones (periodic)
+        first, last = along(1, 2), along(-2, -1)
+        if periodic:
+            first, last = last, first
+        self.ghosts = ((along(0, 1), first), (along(-1, None), last))
+        self.uL, self.uR = ug[iface.left], ug[iface.right]
+        self.plus, self.minus = along(2, None), along(0, -2)
+        self.F_right, self.F_left = iface.F[iface.right], iface.F[iface.left]
 
 
 class _Stepper:
-    """Interface geometry and flux factors bound once for repeated sweeps."""
+    """Interface geometry, flux factors and sweep buffers bound once for
+    repeated sweeps.
+
+    The axes share one storage per buffer (every axis has nx cells, so
+    the sizes agree), and a sweep writes each buffer before it reads it.
+    After a rusanov or viscous step, ``last_sides`` = (ug, fL, fR, lam) holds
+    the ghosted states, interface fluxes and local speeds of the step's
+    last sweep, until the next step.
+    """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         self.config = config
-        dx = config.dx
-        self.centers = c = config.lo + (np.arange(config.nx) + 0.5) * dx
-        e = config.lo + np.arange(config.nx + 1) * dx
+        self.scheme, self.dx = config.scheme, config.dx
+        n, dim, dx = config.nx, config.dim, config.dx
+        self.centers = c = config.lo + (np.arange(n) + 0.5) * dx
+        e = config.lo + np.arange(n + 1) * dx
+        cells = (n,) * dim
+        ghosted = np.empty((n + 2) * n ** (dim - 1))
+        faces = [np.empty((n + 1) * n ** (dim - 1)) for _ in range(5)]
+        self.lap = np.empty(cells) if config.scheme == "viscous" else None
+        # the 2-d x sweep writes here; the y sweep reads it
+        self.mid = np.empty(cells) if dim == 2 else None
         # interface points of the sweep along each axis: edges on that axis,
         # cell centers on the others, shape (..., dim)
-        self.interfaces = []
-        for axis in range(config.dim):
-            grids = np.meshgrid(*[e if a == axis else c for a in range(config.dim)],
+        self.axes = []
+        for axis in range(dim):
+            grids = np.meshgrid(*[e if a == axis else c for a in range(dim)],
                                 indexing="ij")
-            self.interfaces.append(_InterfaceFlux(flux, np.stack(grids, axis=-1), axis))
+            xi = np.stack(grids, axis=-1)
+            iface = _InterfaceFlux(flux, xi, axis, faces)
+            shape = tuple(n + 2 if a == axis else n for a in range(dim))
+            self.axes.append(_Axis(iface, ghosted.reshape(shape),
+                                   config.boundary == "periodic"))
+        last = self.axes[-1]
+        self.last_sides = (last.ug, last.iface.fL, last.iface.fR,
+                           last.iface.lam)
 
-    def _sweep(self, u: Array, dt: float, axis: int) -> Array:
-        iface = self.interfaces[axis]
-        ug = _ghost(u, axis, self.config.boundary)
-        if self.config.scheme == "godunov_burgers":
+    def _sweep(self, u: Array, dt: float, axis: int, out: Array) -> Array:
+        """One sweep of ``u`` along ``axis``, written into ``out``."""
+        a = self.axes[axis]
+        np.copyto(a.inner, u)
+        for ghost, source in a.ghosts:
+            np.copyto(ghost, source)
+        iface = a.iface
+        if self.scheme == "godunov_burgers":
             # exact Godunov flux for convex f with minimum at u = 0
-            uL, uR = _sides(ug, axis)
-            F = np.maximum(iface.at(np.maximum(uL, 0.0)),
-                           iface.at(np.minimum(uR, 0.0)))
+            np.maximum(iface.at(np.maximum(a.uL, 0.0)),
+                       iface.at(np.minimum(a.uR, 0.0)), out=iface.F)
         else:
-            F = _rusanov(*iface.sides(ug))
-        dx = self.config.dx
-        unew = u - (dt / dx) * np.diff(F, axis=axis)
-        if self.config.scheme == "viscous":
-            lap = _slab(ug, axis, 2, None) - 2.0 * u + _slab(ug, axis, 0, -2)
-            unew = unew + (self.config.viscosity * dt / dx ** 2) * lap
-        return unew
+            iface.sides(a.ug)
+            _rusanov(a.uL, a.uR, iface.fL, iface.fR, iface.lam,
+                     out=iface.F, work=iface.work)
+        # u - (dt / dx) (F_{i+1/2} - F_{i-1/2})
+        dx = self.dx
+        np.subtract(a.F_right, a.F_left, out=out)
+        np.multiply(dt / dx, out, out=out)
+        np.subtract(u, out, out=out)
+        if self.scheme == "viscous":
+            # (u_{i+1} - 2 u_i + u_{i-1}) scaled by eps dt / dx^2
+            lap = self.lap
+            np.multiply(2.0, u, out=lap)
+            np.subtract(a.plus, lap, out=lap)
+            np.add(lap, a.minus, out=lap)
+            np.multiply(self.config.viscosity * dt / dx ** 2, lap, out=lap)
+            np.add(out, lap, out=out)
+        return out
 
 
 class _Stepper1D(_Stepper):
     def step(self, u: Array, dt: float) -> Array:
-        return self._sweep(u, dt, 0)
+        return self._sweep(u, dt, 0, np.empty(u.shape))
 
 
 class _Stepper2D(_Stepper):
     """Godunov splitting: an x sweep, then a y sweep."""
 
     def step(self, u: Array, dt: float) -> Array:
-        return self._sweep(self._sweep(u, dt, 0), dt, 1)
+        return self._sweep(self._sweep(u, dt, 0, self.mid), dt, 1,
+                           np.empty(u.shape))
 
 
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
@@ -393,16 +480,21 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
         raise ValueError("entropy scan is 1-d")
     if config.scheme != "rusanov":
         raise ValueError("the entropy flux form matches the rusanov scheme")
+    ks = np.array([float(k) for k in np.atleast_1d(k_values)])[:, None]
+    if ks.size == 0:
+        raise ValueError("the entropy scan needs at least one k")
+    bad = ks[~np.isfinite(ks)]
+    if bad.size:
+        raise ValueError(f"the entropy scan needs finite k, got {bad.tolist()}")
     run = _Run(flux, config, [u0])
-    iface = run.stepper.interfaces[0]
+    iface = run.stepper.axes[0].iface
     mu = run.dt / config.dx
     # one row per k: k and f(x_{i+1/2}, k), the same on every step
-    ks = np.array([float(k) for k in np.atleast_1d(k_values)])[:, None]
     f_ks = np.stack([iface.at(k) for k in ks[:, 0]])
+    # the sides of the step that made unew from u, read in place
+    ug, fL, fR, lam = run.stepper.last_sides
     worst = -math.inf
-    for _, u, unew, _ in run.steps(0):
-        ug = _ghost(u, 0, config.boundary)
-        _, _, fL, fR, lam = iface.sides(ug)
+    for _, _, unew, _ in run.steps(0):
         # interface entropy flux Q_{i+1/2}: the scheme's flux applied to
         # (|u - k|, q_k) with the same local speeds
         rel = ug - ks

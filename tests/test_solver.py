@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clawlab import solver as solver_mod
 from clawlab.errors import (BlowUp, CFLViolation, FieldFileError,
                             GridMismatch, MissingTimeLevels)
 from clawlab.flux import catalog_lookup
@@ -273,6 +274,91 @@ class TestDiscreteEntropy:
         with pytest.raises(GridMismatch):
             discrete_entropy_max_violation(
                 catalog_lookup("burgers2d"), constant_data(0.3), cfg, [0.0])
+
+    @pytest.mark.parametrize("ks,match", [([np.nan], "nan"),
+                                          ([0.5, np.nan], r"\[nan\]"),
+                                          ([np.inf], "inf"),
+                                          ([], "at least one k")])
+    def test_refuses_nonfinite_or_missing_k(self, ks, match):
+        # max(-inf, nan) is -inf: a non-finite k would pass any data, so it
+        # is refused before the datum is even sampled
+        def unsampled(p):
+            raise AssertionError("the datum was sampled")
+
+        cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.1)
+        with pytest.raises(ValueError, match=match):
+            discrete_entropy_max_violation(BURGERS, unsampled, cfg, ks)
+
+    def test_h_and_h_prime_once_per_step(self):
+        # the scan reads the sides of the step it checks, so h and h' are
+        # taken once per step; h once more per k for f(x, k)
+        calls = {"h": 0, "h_prime": 0}
+
+        def counted(name):
+            fn = getattr(BURGERS.factors, name)
+
+            def call(k):
+                calls[name] += 1
+                return fn(k)
+            return call
+
+        flux = replace(BURGERS, factors=replace(
+            BURGERS.factors, h=counted("h"), h_prime=counted("h_prime")))
+        cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.3)
+        ini, ks = riemann_data(1.0, -0.2, 0.1), np.linspace(-1, 1, 5)
+        nsteps = len(solve(BURGERS, ini, cfg).times) - 1
+        viol = discrete_entropy_max_violation(flux, ini, cfg, ks)
+        assert calls == {"h": nsteps + len(ks), "h_prime": nsteps}
+        assert viol == discrete_entropy_max_violation(BURGERS, ini, cfg, ks)
+
+
+_OWNERSHIP_CASES = [(dim, boundary, scheme)
+                    for dim in (1, 2) for boundary in ("outflow", "periodic")
+                    for scheme in ("rusanov", "viscous", "godunov_burgers")
+                    if not (dim == 2 and scheme == "godunov_burgers")]
+
+
+def _ownership_config(dim, boundary, scheme):
+    return SchemeConfig(lo=-1, hi=1, nx=40 if dim == 1 else 12, t_end=0.3,
+                        scheme=scheme, boundary=boundary, dim=dim,
+                        viscosity=0.02 if scheme == "viscous" else 0.0)
+
+
+class TestBufferOwnership:
+    """The stepper sweeps through buffers it keeps; what it returns and
+    what it is given stay the caller's."""
+
+    @pytest.mark.parametrize("dim,boundary,scheme", _OWNERSHIP_CASES)
+    def test_steps_return_fresh_states_and_keep_input(self, dim, boundary,
+                                                      scheme):
+        flux = catalog_lookup(f"burgers{dim}d")
+        config = _ownership_config(dim, boundary, scheme)
+        make = solver_mod._Stepper1D if dim == 1 else solver_mod._Stepper2D
+        dt = 0.2 * config.dx
+        u0 = np.random.default_rng(7).uniform(-1.0, 1.0, (config.nx,) * dim)
+        stepper, states = make(flux, config), [u0]
+        for _ in range(5):
+            given = states[-1].tobytes()
+            states.append(stepper.step(states[-1], dt))
+            assert states[-2].tobytes() == given
+        # every kept state still holds its step, recomputed afterwards by
+        # another stepper from copies
+        fresh, u = make(flux, config), u0.copy()
+        for kept in states[1:]:
+            u = fresh.step(u.copy(), dt)
+            assert kept.tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("dim,boundary,scheme", _OWNERSHIP_CASES)
+    def test_pair_of_one_datum_is_two_equal_fields(self, dim, boundary,
+                                                   scheme):
+        # a run that wrote its sampled u0 would start the second field
+        # from another state
+        flux = catalog_lookup(f"burgers{dim}d")
+        config = _ownership_config(dim, boundary, scheme)
+        ini = sine_data(0.4, 1.0, 0.2)
+        u, v = solve_pair(flux, ini, ini, config)
+        assert u.data.tobytes() == v.data.tobytes()
+        assert u.times.tobytes() == v.times.tobytes()
 
 
 class TestFiniteSpeed:
