@@ -23,17 +23,18 @@ and admits the equivalent integration-by-parts representation
 Agreement of the two routes (each computed by independent quadrature) is a
 checked identity, not an assumption.
 
-For a separable flux f_i = g_i(x) h(k) the smooth pairs factor:
+Every state integral of a smooth pair comes from one rule,
+``_state_tables``: cumulative Gauss-Legendre tables over rows of states
+that share one integrand, each row with its own breakpoints (its finite
+states, k0 and a geometric ladder toward k0), looked up exactly.  The
+breakpoints depend on k0 and the row's states only, so every n shares
+them.  For a separable flux f_i = g_i(x) h(k) the pairs factor:
 q(x, u) = g(x) A(u) and div_x q(x, u) = (g'_1 + ... + g'_d)(x) B(u), where
-A and B are state integrals of h' and h alone.  They are read from
-cumulative Gauss-Legendre tables over the states at hand, looked up
-exactly (``_state_tables``); the breakpoints depend on k0 and the states
-only, so every n shares them.  Against the per-(point, state) panel
-quadrature that a flux without factors takes, the tables differ by
-roundoff: at most 2.2e-15 (q) and 1.6e-15 (div_x q) of the batch maximum
-over every weak-sum batch of the product1d entropy sweeps of the benchmark
-seeds 1-3 (up to 456 states), and 1e-13 of the largest |d_k f| times the
-state range (|div_x f|) in the property tests.
+A and B are state integrals of h' and h alone, so one row holds every
+state of a call.  A flux without factors has an integrand that depends on
+x, so every (point, state) pair is a row of its own; its eta_n' and
+eta_n'' are taken at the nodes' offsets from k0 before rounding, which
+keeps the relative accuracy of q for states close to a k0 away from 0.
 
 The weak entropy sweep of a flux with factors (``factored_sweep_terms``)
 calls no pair: per chunk of the quadrature it takes g, the sum of g' and
@@ -41,8 +42,8 @@ h once, and the Kruzkov terms in closed form,
     q = sign(u - k0) (h(u) - h(k0)) g(x),
     div_x q - eta'(u) div_x f = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x),
 where the h(u) terms cancel exactly.  The smooth pairs of one k0 share one
-table set.  Its values agree with the pair-by-pair path of a copy without
-factors to at most 1.6e-13 of the largest |value| (measured over 2,000
+table row.  Its values agree with the pair-by-pair sweep of a copy without
+factors to at most 4.5e-14 of the largest |value| (measured over 2,600
 random fields, catalog fluxes in 1-d and 2-d).
 
 Sign convention throughout: sign(0) = 0 (numpy's convention).
@@ -156,101 +157,78 @@ def q_build_ibp(flux: FluxSpec, entropy: SmoothEntropy, k0: float, x, k: float,
     return -integral + boundary
 
 
-def _geometric_panels(k0: float, k: float, scale: float) -> np.ndarray:
-    """Panel edges of [k0, k] geometrically refined toward k0, where the
-    smoothed sign function varies on the length scale ``scale``."""
-    span = abs(k - k0)
-    if span == 0.0:
-        return np.array([k0, k])
-    s = min(max(scale, 1e-8), span)
-    # offsets 0 < s/8 < s/2 < s < 4s < ... < span
-    offs = [0.0]
-    step = s / 8.0
-    while step < span:
-        offs.append(step)
-        step *= 4.0
-    offs.append(span)
-    offs = np.unique(np.asarray(offs))
-    return k0 + np.sign(k - k0) * offs
-
-
-def _state_integral(flux: FluxSpec, k0: float, n: int, pts: Array, k,
-                    panel_sum):
-    """int_{k0}^{k} dw of an integrand that depends on the point (a flux
-    without factors), for points (..., d) and states broadcast against
-    each other, flattened to np (point, state) pairs: composite
-    Gauss-Legendre on panels refined toward k0 (where eta_n'' concentrates),
-    remapped per pair onto [0, 1] so one node set serves the whole batch.
-
-    ``panel_sum(flat points (np, d), nodes w (m, np))`` is one panel's
-    Gauss-weighted sum, shape (np, ...).  Returns (states (np,), flat
-    points, broadcast shape, integrals (np, ...)).
-    """
-    kk = np.asarray(k, dtype=float)
-    shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-    flat = np.broadcast_to(pts, shape + (flux.dim,)).reshape(-1, flux.dim)
-    kk = np.broadcast_to(kk, shape).ravel()
-    kmax = float(np.max(np.abs(kk - k0))) if kk.size else 0.0
-    edges = _geometric_panels(0.0, 1.0, (1.0 / np.sqrt(n)) / max(kmax, 1e-12))
-    span = kk - k0                                   # (np,)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * GAUSS_NODES                 # (m,) in [0, 1]
-        total = total + half * panel_sum(flat, k0 + span[None, :] * t[:, None])
-    total = total * span.reshape(span.shape + (1,) * (np.ndim(total) - 1))
-    return kk, flat, shape, total
-
-
 # offsets 4^j 2^-30 from k0, j = 0 .. 526, up to 2^1022: the panel edges
 # of every state table (see ``_state_tables``)
 _PANEL_LADDER = 4.0 ** np.arange(-15, 512)
 
+# (point, state) pairs per table of a flux without factors, so that its
+# node arrays stay near 2^18 entries
+_TABLE_ROWS = 1024
+
 
 def _state_tables(k0: float, k: Array):
-    """Cumulative Gauss-Legendre tables toward k0 over the states ``k``
-    (any shape), one breakpoint set for every smoothing index n.
+    """Cumulative Gauss-Legendre tables toward k0 over rows of states ``k``
+    (R, S), one breakpoint set per row for every smoothing index n.
 
-    The breakpoints are the distinct finite states, k0 and the offsets
-    4^j 2^-30 from k0 on each side of k0 that holds states: panels refined
-    geometrically toward k0, where eta_n'' concentrates on the scale
-    n^{-1/2}, at ratio 4 down to 2^-30, an eighth of that scale for every
-    n <= 2^54.  The set does not depend on n, so a pair's table is the same
-    alone as in a sweep.  Each interval gets one 16-node Gauss-Legendre sum.
+    A row holds the states that share one integrand.  Its breakpoints are
+    its distinct finite states, k0 and the offsets 4^j 2^-30 from k0 on
+    each side of k0 where the row holds states, below the row's span:
+    panels refined geometrically toward k0, where eta_n'' concentrates on
+    the scale n^{-1/2}, at ratio 4 down to 2^-30, an eighth of that scale
+    for every n <= 2^54.  The set does not depend on n, so a pair's table
+    is the same alone as in a sweep.  Each interval gets one 16-node
+    Gauss-Legendre sum; rows are padded to a common width with intervals
+    of zero width at their largest breakpoint, which add exactly 0.0, so
+    every row's values are bitwise those of the row tabulated alone.
 
-    Returns the nodes w (J, m) and ``tabulate(ns, hw, hpw)``, which takes
-    h and h' at those nodes and yields, per n of ``ns``, the pair
-    (A(k), I(k)) with A(u) = int_{k0}^{u} eta_n' h' dw and
-    I(u) = int_{k0}^{u} eta_n'' h dw: one ``cumsum``, shifted to 0 at k0,
-    read at the states through one shared ``searchsorted``.  Every state is
-    a breakpoint, so the lookup is exact; NaN where u is not finite.
+    Returns the nodes w (R, J, m), their offsets t from k0 before w = k0 + t
+    is rounded (eta_n at a node is ``sqrt_entropy(0, n)`` at t, without the
+    rounding of w - k0), and ``lookup(integrand)``, which takes an
+    integrand at those nodes and yields int_{k0}^{u} of it at every state
+    u (R, S): one ``cumsum`` per row, shifted to 0 at k0, read at each
+    state's breakpoint, found through the sort permutation.  Every state
+    is a breakpoint, so the lookup is exact; NaN where u is not finite.
     """
+    R, S = k.shape
     fin = np.isfinite(k)
-    states = k[fin]
-    below = k0 - float(states.min(initial=k0))
-    above = float(states.max(initial=k0)) - k0
-    bp = np.unique(np.concatenate(
-        [states, [k0], k0 - _PANEL_LADDER[_PANEL_LADDER < below],
-         k0 + _PANEL_LADDER[_PANEL_LADDER < above]]))
+    kf = np.where(fin, k, k0)
+    below = k0 - kf.min(axis=1, initial=k0)
+    above = kf.max(axis=1, initial=k0) - k0
+    nb = np.searchsorted(_PANEL_LADDER, below)
+    na = np.searchsorted(_PANEL_LADDER, above)
+    ladder = _PANEL_LADDER[:max(nb.max(initial=0), na.max(initial=0))]
+    used = np.arange(ladder.size)
+    # unused ladder slots hold k0, a breakpoint already
+    cand = np.concatenate(
+        [kf, np.full((R, 1), k0),
+         np.where(used < nb[:, None], k0 - ladder, k0),
+         np.where(used < na[:, None], k0 + ladder, k0)], axis=1)
+    rows = np.arange(R)[:, None]
+    order = np.argsort(cand, axis=1, kind="stable")
+    srt = cand[rows, order]
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    rank = np.cumsum(first, axis=1) - 1          # breakpoint of each entry
+    bp = np.repeat(srt[:, -1:], rank[:, -1].max(initial=0) + 1, axis=1)
+    bp[np.nonzero(first)[0], rank[first]] = srt[first]
+    pos = np.empty_like(rank)
+    pos[rows, order] = rank
+    at, zero = pos[:, :S], pos[:, S:S + 1]
     # nodes placed by their offset from k0, so w - k0 is rounded once
     off = bp - k0
-    mid, half = 0.5 * (off[1:] + off[:-1]), 0.5 * (off[1:] - off[:-1])
-    w = k0 + (mid[:, None] + half[:, None] * GAUSS_NODES)      # (J, m)
-    at = np.searchsorted(bp, np.where(fin, k, k0))
-    zero = np.searchsorted(bp, k0)
+    mid = 0.5 * (off[:, 1:] + off[:, :-1])
+    half = 0.5 * (off[:, 1:] - off[:, :-1])
+    t = np.multiply.outer(half, GAUSS_NODES)                    # (R, J, m)
+    t += mid[..., None]
 
     def lookup(integrand):
-        table = np.concatenate(
-            ([0.0], np.cumsum(half * np.einsum("jm,m->j", integrand,
-                                               GAUSS_WEIGHTS))))
-        return np.where(fin, table[at] - table[zero], np.nan)
+        sums = np.einsum("jm,m->j", integrand.reshape(-1, GAUSS_NODES.size),
+                         GAUSS_WEIGHTS).reshape(half.shape)
+        table = np.concatenate([np.zeros((R, 1)),
+                                np.cumsum(half * sums, axis=1)], axis=1)
+        return np.where(fin, table[rows, at] - table[rows, zero], np.nan)
 
-    def tabulate(ns, hw, hpw):
-        for n in ns:
-            ent = sqrt_entropy(k0, n)
-            yield lookup(ent.eta_prime(w) * hpw), lookup(ent.eta_pp(w) * hw)
-
-    return w, tabulate
+    return k0 + t, t, lookup
 
 
 def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
@@ -259,62 +237,72 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
     The flux q is the state integral of eta_n' d_k f; the divergence uses
     the integration-by-parts form
         div_x q(x,k) = -int eta_n'' div_x f dw + eta_n'(k) div_x f(x,k),
-    which is exact because eta_n'(k0) = 0.
+    which is exact because eta_n'(k0) = 0.  Both integrals are read from
+    ``_state_tables``, the one state-integral rule of every pair and of
+    the weak entropy sweep.
 
     For a flux with ``factors`` f_i = g_i(x) h(k) the x-dependence factors
     out: q(x, u) = g(x) A(u) and div_x q(x, u) = (g'_1 + ... + g'_d)(x) B(u)
     with A(u) = int_{k0}^{u} eta_n' h' dw and
     B(u) = eta_n'(u) h(u) - int_{k0}^{u} eta_n'' h dw.  Each call takes g
     (or the sum of g') once on its points and A (or the integral in B) from
-    one cumulative table over its states, built by ``_state_tables``, the
-    function that builds the weak entropy sweep's tables too; they agree
-    with the panel path below to roundoff (see the module docstring).  The
-    sweep (``factored_sweep_terms``) calls no pair: it yields this pair's
-    q = g(x) A(u) and source -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw
-    next to the closed-form Kruzkov terms
-    q = sign(u - k0) (h(u) - h(k0)) g(x) and
-    source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x), and its values
-    agree with calls of the pairs of a copy without factors to at most
-    1.6e-13 of the largest |value|.  A flux without factors integrates
-    f itself for every (point, state) pair: batches share one panel set
-    (``_state_integral``).
+    one table row over its states.  The sweep (``factored_sweep_terms``)
+    calls no pair: it yields this pair's q = g(x) A(u) and source
+    -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw next to the
+    closed-form Kruzkov terms q = sign(u - k0) (h(u) - h(k0)) g(x) and
+    source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x).  A flux without
+    factors has an integrand that depends on x, so every (point, state)
+    pair is a row of its own, with d_k f and div_x f evaluated at its
+    point on its row's nodes.
     """
     ent = sqrt_entropy(k0, n)
     fac = flux.factors
     if fac is not None:
-        def tables(kk):
-            w, tabulate = _state_tables(k0, kk)
-            return next(tabulate((n,), fac.h(w), fac.h_prime(w)))
+        def table(kk, integrand):
+            w, _, lookup = _state_tables(k0, kk.reshape(1, -1))
+            return lookup(integrand(w)).reshape(kk.shape)
 
         def q(x, k):
-            A, _ = tables(np.asarray(k, dtype=float))
+            A = table(np.asarray(k, dtype=float),
+                      lambda w: ent.eta_prime(w) * fac.h_prime(w))
             return fac.g(as_points(x, flux.dim)) * A[..., None]
 
         def div_x_q(x, k):
             kk = np.asarray(k, dtype=float)
-            _, integ = tables(kk)
+            integ = table(kk, lambda w: ent.eta_pp(w) * fac.h(w))
             return (fac.g_prime_sum(as_points(x, flux.dim))
                     * (ent.eta_prime(kk) * fac.h(kk) - integ))
     else:
-        def q_panel(flat, w):
-            return np.einsum("m,mp,mpi->pi", GAUSS_WEIGHTS, ent.eta_prime(w),
-                             flux.dk(flat[None, :, :], w))
+        at_offset = sqrt_entropy(0.0, n)
 
-        def div_panel(flat, w):
-            return np.einsum("m,mp,mp->p", GAUSS_WEIGHTS, ent.eta_pp(w),
-                             flux.div_x(flat[None, :, :], w))
+        def integrals(pts, kk, integrand):
+            # one row per (point, state) pair, _TABLE_ROWS rows per table;
+            # integrand(P (B, 1, 1, d), w, t) is (B, J, m, c), the result
+            # (..., c)
+            shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
+            P = np.broadcast_to(pts, shape + (flux.dim,)).reshape(
+                -1, 1, 1, flux.dim)
+            K = np.broadcast_to(kk, shape).reshape(-1, 1)
+            blocks = []
+            for r in range(0, max(len(K), 1), _TABLE_ROWS):
+                w, t, lookup = _state_tables(k0, K[r:r + _TABLE_ROWS])
+                vals = integrand(P[r:r + _TABLE_ROWS], w, t)
+                blocks.append(np.concatenate(
+                    [lookup(vals[..., i]) for i in range(vals.shape[-1])],
+                    axis=1))
+            return np.concatenate(blocks).reshape(shape + vals.shape[-1:])
 
         def q(x, k):
-            pts = as_points(x, flux.dim)
-            _, _, shape, total = _state_integral(flux, k0, n, pts, k,
-                                                 q_panel)
-            return total.reshape(shape + (flux.dim,))
+            return integrals(
+                as_points(x, flux.dim), np.asarray(k, dtype=float),
+                lambda P, w, t: (at_offset.eta_prime(t)[..., None]
+                                 * flux.dk(P, w)))
 
         def div_x_q(x, k):
-            kk, flat, shape, integ = _state_integral(
-                flux, k0, n, as_points(x, flux.dim), k, div_panel)
-            out = -integ + ent.eta_prime(kk) * flux.div_x(flat, kk)
-            return out.reshape(shape)
+            pts, kk = as_points(x, flux.dim), np.asarray(k, dtype=float)
+            integ = integrals(pts, kk, lambda P, w, t: (
+                at_offset.eta_pp(t) * flux.div_x(P, w))[..., None])
+            return -integ[..., 0] + ent.eta_prime(kk) * flux.div_x(pts, kk)
 
     return EntropyPair(ent.eta, ent.eta_prime, float(k0), q, div_x_q,
                        kind="smooth", n=int(n), flux=flux)
@@ -347,24 +335,17 @@ def factored_sweep_terms(factors: Separable, pairs):
     """
     pairs = list(pairs)
     kruzkov = [p.k0 for p in pairs if p.kind == "kruzkov"]
-    groups: dict[float, list[int]] = {}
-    for p in pairs:
-        if p.kind == "smooth":
-            groups.setdefault(p.k0, []).append(p.n)
-    etas = {(p.k0, p.n): sqrt_entropy(p.k0, p.n).eta
+    ents = {(p.k0, p.n): sqrt_entropy(p.k0, p.n)
             for p in pairs if p.kind == "smooth"}
+    smooth_k0 = list(dict.fromkeys(k0 for k0, _ in ents))
 
     def terms(P, U):
         g, g_sum = factors.g(P), factors.g_prime_sum(P)
-        nodes, tabulates = [], []
-        for k0 in groups:
-            w, tabulate = _state_tables(k0, U)
-            nodes.append(w)
-            tabulates.append(tabulate)
+        tabs = [_state_tables(k0, U.reshape(1, -1)) for k0 in smooth_k0]
+        nodes = [w for w, _, _ in tabs]
         hU, hk, *hw = _call_once(factors.h, [U, kruzkov, *nodes])
         hpw = _call_once(factors.h_prime, nodes) if nodes else []
-        tables = {k0: tab(ns, a, b) for (k0, ns), tab, a, b
-                  in zip(groups.items(), tabulates, hw, hpw)}
+        tables = dict(zip(smooth_k0, zip(tabs, hw, hpw)))
         h_k0 = iter(hk)
         for pair in pairs:
             if pair.kind == "kruzkov":
@@ -373,9 +354,11 @@ def factored_sweep_terms(factors: Separable, pairs):
                 yield (np.abs(U - pair.k0), (s * (hU - hk0))[..., None] * g,
                        -(s * hk0) * g_sum)
             else:
-                A, integ = next(tables[pair.k0])
-                yield (etas[pair.k0, pair.n](U), A[..., None] * g,
-                       -g_sum * integ)
+                ent = ents[pair.k0, pair.n]
+                (w, _, lookup), h_w, hp_w = tables[pair.k0]
+                A = lookup(ent.eta_prime(w) * hp_w).reshape(U.shape)
+                integ = lookup(ent.eta_pp(w) * h_w).reshape(U.shape)
+                yield ent.eta(U), A[..., None] * g, -g_sum * integ
 
     return terms
 

@@ -26,10 +26,9 @@ and states.  For a flux with factors f_i = g_i(x) h(k) the sweep's is
 h once for all pairs, a Kruzkov pair in closed form,
 q = sign(u - k0) (h(u) - h(k0)) g(x) with source
 -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x), and the smooth pairs of one k0
-from one shared table set; its values agree with the pair-by-pair path to
-at most 1.6e-13 of the largest |value| (see ``entropy``).  For a flux
-without factors the sweep evaluates div_x f once per chunk and calls each
-pair.
+from one shared table row.  For a flux without factors the sweep
+evaluates div_x f once per chunk and calls each pair, whose tables follow
+the one rule with a row per (point, state) pair (see ``entropy``).
 
 The doubling diagnostics quadrature the four integrals of the doubling of
 variables around each sample (x, t) over every stored level n with

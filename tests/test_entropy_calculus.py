@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawlab.entropy import (SmoothEntropy, kruzkov_div, kruzkov_div_deficit,
-                             kruzkov_flux, kruzkov_limit_deficit,
-                             leibniz_check, make_kruzkov_pair,
-                             make_smooth_pair, q_build_ibp,
+from clawlab.entropy import (SmoothEntropy, _state_tables, kruzkov_div,
+                             kruzkov_div_deficit, kruzkov_flux,
+                             kruzkov_limit_deficit, leibniz_check,
+                             make_kruzkov_pair, make_smooth_pair, q_build_ibp,
                              q_build_quadrature, sqrt_entropy)
 from clawlab.flux import Separable, _separable, catalog_lookup, catalog_names
+from clawlab.quadrature import adaptive_gauss_legendre
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
@@ -125,17 +126,34 @@ def _smooth_pair_batches(draw):
     return flux, k0, n, pts, u, draw(state)
 
 
+def _without_factors(flux):
+    return dataclasses.replace(flux, factors=None)
+
+
+def _eta_gap(u, k0, n):
+    """eta_n(u) - eta_n(k0) = s^2 / (eta_n(u) + n^{-1/2}), s = u - k0,
+    without cancellation."""
+    s = np.asarray(u, dtype=float) - k0
+    return s * s / (np.sqrt(s * s + 1.0 / n) + np.sqrt(1.0 / n))
+
+
 class TestTabulatedSmoothPair:
-    """A flux with factors takes q = g(x) A(u) and div_x q = (sum g')(x) B(u)
-    from one state table per call; a copy without factors integrates f at
-    every (point, state) pair, and the two agree to roundoff."""
+    """Every smooth pair reads its state integrals from ``_state_tables``,
+    the one rule: a flux with factors takes q = g(x) A(u) and
+    div_x q = (sum g')(x) B(u) from one table row per call, a copy without
+    factors takes one row per (point, state) pair with d_k f and div_x f at
+    its point.  Both are checked against closed forms and adaptive
+    quadrature, and against each other."""
 
     @settings(max_examples=150, deadline=None)
     @given(_smooth_pair_batches())
-    def test_matches_panel_path(self, case):
+    def test_matches_copy_without_factors(self, case):
+        """One row per call against one row per (point, state) pair of the
+        copy without factors: other breakpoints and integrands, the same
+        rule, so they agree to roundoff."""
         flux, k0, n, pts, u, k = case
         tab = make_smooth_pair(flux, k0, n)
-        ref = make_smooth_pair(dataclasses.replace(flux, factors=None), k0, n)
+        ref = make_smooth_pair(_without_factors(flux), k0, n)
         for states in (u, k):
             q, q_ref = tab.q(pts, states), ref.q(pts, states)
             d, d_ref = tab.div_x_q(pts, states), ref.div_x_q(pts, states)
@@ -152,19 +170,98 @@ class TestTabulatedSmoothPair:
             assert np.all(np.abs(q - q_ref) <= 1e-13 * q_scale)
             assert np.all(np.abs(d - d_ref) <= 1e-13 * d_scale)
 
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_advection_closed_form(self, factors):
+        # f = c k: q = c (eta_n(u) - eta_n(k0)), div_x q = 0
+        flux = catalog_lookup("advection1d", {"c": -1.7})
+        flux = flux if factors else _without_factors(flux)
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(-2.0, 2.0, (300, 1))
+        for k0 in (0.0, 0.45, -1.3):
+            u = np.concatenate([rng.uniform(-2.0, 2.0, 297), [k0, k0, 2.0]])
+            for n in (1, 16, 10 ** 4):
+                pair = make_smooth_pair(flux, k0, n)
+                exact = -1.7 * _eta_gap(u, k0, n)
+                q = pair.q(pts, u)[:, 0]
+                assert np.all(np.abs(q - exact) <= 1e-14 * np.abs(exact).max())
+                assert np.all(pair.div_x_q(pts, u) == 0.0)
+
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_kink_closed_form(self, factors):
+        # f = |x| k: q = |x| (eta_n(u) - eta_n(k0)) and, by parts,
+        # div_x q = sign(x) (eta_n(u) - eta_n(k0)), 0 at the singular x = 0
+        flux = catalog_lookup("kink1d")
+        flux = flux if factors else _without_factors(flux)
+        rng = np.random.default_rng(32)
+        x = np.concatenate([[0.0, 0.0], rng.uniform(-2.0, 2.0, 198)])
+        for k0 in (0.0, 0.8):
+            u = np.concatenate([[1.5, k0], rng.uniform(-2.0, 2.0, 198)])
+            for n in (1, 64, 10 ** 4):
+                pair = make_smooth_pair(flux, k0, n)
+                gap = _eta_gap(u, k0, n)
+                q, d = pair.q(x, u)[:, 0], pair.div_x_q(x, u)
+                assert np.all(np.abs(q - np.abs(x) * gap)
+                              <= 1e-14 * np.abs(gap).max())
+                assert np.all(np.abs(d - np.sign(x) * gap)
+                              <= 1e-14 * np.abs(gap).max())
+                assert q[0] == 0.0 and d[0] == 0.0
+
+    @pytest.mark.parametrize("name", ["burgers1d", "product1d", "product2d"])
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_matches_adaptive_quadrature(self, name, factors):
+        """q against ``q_build_quadrature`` and ``q_build_ibp``, div_x q
+        against eta_n'(u) div_x f - int eta_n'' div_x f dw, all adaptive
+        to 1e-13."""
+        flux = catalog_lookup(name)
+        flux = flux if factors else _without_factors(flux)
+        rng = np.random.default_rng(33)
+        for k0, n in ((0.0, 4), (0.6, 64), (-0.4, 10 ** 4)):
+            ent = sqrt_entropy(k0, n)
+            pair = make_smooth_pair(flux, k0, n)
+            pts = rng.uniform(-1.5, 1.5, (6, flux.dim))
+            u = np.concatenate([rng.uniform(-1.5, 1.5, 5), [k0 + 1e-3]])
+            q, d = pair.q(pts, u), pair.div_x_q(pts, u)
+            for x, k, qi, di in zip(pts, u, q, d):
+                quad = q_build_quadrature(flux, ent.eta_prime, k0, x, k,
+                                          tol=1e-13)
+                ibp = q_build_ibp(flux, ent, k0, x, k, tol=1e-13)
+                integ = adaptive_gauss_legendre(
+                    lambda w: ent.eta_pp(w) * flux.div_x(x, w), k0, k,
+                    tol=1e-13)
+                div = ent.eta_prime(k) * flux.div_x(x, k) - integ
+                assert np.abs(qi - quad.ravel()).max() <= 1e-12
+                assert np.abs(qi - ibp.ravel()).max() <= 1e-12
+                assert np.abs(di - div).max() <= 1e-12
+
+    def test_copy_without_factors_keeps_relative_accuracy_near_k0(self):
+        # each (point, state) pair is a table row of its own, with its
+        # nodes placed by their offset from k0, so a state close to a k0
+        # away from 0 keeps its relative accuracy
+        flux = _without_factors(catalog_lookup("advection1d", {"c": 2.5}))
+        rng = np.random.default_rng(34)
+        for k0 in (-1.0, 0.7):
+            for n in (1, 64, 10 ** 4):
+                u = k0 + (rng.choice([-1.0, 1.0], 200)
+                          * 10.0 ** rng.uniform(-6.0, -2.0, 200))
+                pts = rng.uniform(-1.0, 1.0, (200, 1))
+                exact = 2.5 * _eta_gap(u, k0, n)
+                q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
+                assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
+
     def test_nan_state_poisons_only_its_entries(self):
-        tab = make_smooth_pair(PRODUCT, 0.0, 64)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1.0, 1.0, (200, 1))
         u = rng.uniform(-1.0, 1.0, 200)
         poisoned = u.copy()
         poisoned[7] = np.nan
         keep = np.arange(200) != 7
-        for fn in (tab.q, tab.div_x_q):
-            clean, out = fn(pts, u), fn(pts, poisoned)
-            assert np.all(np.isnan(out[7]))
-            assert np.all(np.abs(out[keep] - clean[keep])
-                          <= 1e-14 * np.abs(clean).max())
+        for flux in (PRODUCT, _without_factors(PRODUCT)):
+            tab = make_smooth_pair(flux, 0.0, 64)
+            for fn in (tab.q, tab.div_x_q):
+                clean, out = fn(pts, u), fn(pts, poisoned)
+                assert np.all(np.isnan(out[7]))
+                assert np.all(np.abs(out[keep] - clean[keep])
+                              <= 1e-14 * np.abs(clean).max())
 
     def test_one_call_evaluates_g_once(self):
         calls = []
@@ -188,6 +285,57 @@ class TestTabulatedSmoothPair:
                 sqrt_entropy(0.0, n)
             with pytest.raises(ValueError, match=">= 1"):
                 make_smooth_pair(PRODUCT, 0.0, n)
+
+
+@st.composite
+def _table_rows(draw):
+    """k0 and rows of states (R, S), each row drawn from a pool of its own
+    that holds k0, so rows differ in span and side and hold duplicates, k0
+    itself and the odd state that is not finite."""
+    k0 = draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+    width = draw(st.integers(0, 6))
+    state = (st.floats(-3.0, 3.0, allow_subnormal=False)
+             | st.sampled_from([k0 + 1e-7, k0 - 1e-9, np.nan, np.inf]))
+    rows = draw(st.integers(1, 5))
+    K = np.empty((rows, width))
+    for r in range(rows):
+        pool = draw(st.lists(state, min_size=1, max_size=4)) + [k0]
+        K[r] = draw(st.lists(st.sampled_from(pool), min_size=width,
+                             max_size=width))
+    return k0, K
+
+
+def _row_integrals(k0, K, x):
+    """int_{k0}^{u} eta_16'(w) cos(w + x) dw for rows K with one x each."""
+    w, t, lookup = _state_tables(k0, K)
+    return lookup(sqrt_entropy(0.0, 16).eta_prime(t)
+                  * np.cos(w + x[:, None, None]))
+
+
+class TestStateTables:
+    """``_state_tables`` takes rows of states with one integrand each."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_table_rows(), st.data())
+    def test_rows_alone_and_extra_states_change_nothing(self, case, data):
+        """A batch of rows equals each row tabulated alone, and duplicate
+        states or states equal to k0 added to the rows change no value,
+        bit for bit; a state that is not finite reads NaN."""
+        k0, K = case
+        x = np.linspace(-1.0, 1.0, len(K))
+        batch = _row_integrals(k0, K, x)
+        assert batch.shape == K.shape
+        assert np.array_equal(np.isnan(batch), ~np.isfinite(K))
+        for r in range(len(K)):
+            alone = _row_integrals(k0, K[r:r + 1], x[r:r + 1])
+            assert alone.tobytes() == batch[r:r + 1].tobytes()
+        # each extra column repeats a column of K or holds k0
+        cols = data.draw(st.lists(st.integers(-1, K.shape[1] - 1),
+                                  min_size=1, max_size=6))
+        extra = np.stack([K[:, c] if c >= 0 else np.full(len(K), k0)
+                          for c in cols], axis=1)
+        wider = _row_integrals(k0, np.concatenate([K, extra], axis=1), x)
+        assert wider[:, :K.shape[1]].tobytes() == batch.tobytes()
 
 
 class TestKruzkovPair:

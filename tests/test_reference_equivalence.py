@@ -402,9 +402,10 @@ def test_lipschitz_matches_reference(name, monkeypatch):
 # -- weak-form quadrature ---------------------------------------------------
 #
 # The batched core adds each level up over the support box only, and the
-# smooth pairs take their quadrature panels from max|k - k0| over a chunk
-# of levels instead of one level.  Values therefore agree with the
-# per-level loop up to rounding and panel placement, not bit for bit:
+# smooth pairs read one state table over the states of a chunk of levels
+# instead of one level: the one rule, on other breakpoints.  Values
+# therefore agree with the per-level loop up to rounding and breakpoint
+# placement, not bit for bit:
 # every value within WEAK_RTOL of the case's largest |value|, and Kruzkov
 # and Kato values (no state quadrature) within ROUNDOFF of the summed
 # magnitude of the products the loop adds up.  Measured on these cases:
@@ -593,10 +594,11 @@ def test_two_interval_window_matches_reference():
 # For a flux with factors the sweep takes its terms from
 # ``factored_sweep_terms``: closed-form Kruzkov terms and smooth-pair tables
 # shared per k0.  A ``replace(flux, factors=None)`` copy takes every pair's
-# own callables, the panel quadrature for the smooth pairs and div_x f for
-# the sources, and shares no table code.  The two agree up to rounding:
-# measured at most 1.6e-13 of the case's largest |value| over 2,000
-# examples of the test below, asserted within FACTORED_RTOL.
+# own callables, div_x f for the sources and, for the smooth pairs, the
+# one state-table rule with a row per (point, state) pair and d_k f or
+# div_x f on its nodes.  The two agree up to rounding: measured at most
+# 4.5e-14 of the case's largest |value| over 2,600 examples of the test
+# below, asserted within FACTORED_RTOL.
 
 FACTORED_RTOL = 1e-12
 
@@ -643,7 +645,10 @@ def _build_pairs(flux, specs):
 
 @settings(max_examples=60, deadline=None)
 @given(_factored_sweep_cases())
-def test_factored_sweep_matches_generic_path(case):
+def test_factored_sweep_matches_copy_without_factors(case):
+    """The factored terms against every pair's own callables on a copy
+    without factors, whose smooth pairs tabulate each (point, state) pair
+    in a row of its own."""
     u, flux, specs, phi = case
     generic = replace(flux, factors=None)
     fast = [r.value for r in entropy_residual_sweep(
