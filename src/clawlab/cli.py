@@ -43,8 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .config import (DEFAULT_CFL_LIST, DEFAULT_VISCOUS_COEFF, PAIR_KINDS,
-                     CheckSpec, ExperimentConfig, load_config, parse_check)
+from .config import (_CHECK_KEYS, DEFAULT_CFL_LIST, DEFAULT_VISCOUS_COEFF,
+                     PAIR_KINDS, CheckSpec, ExperimentConfig, load_config,
+                     parse_check)
 from .entropy import default_k0_sweep, make_kruzkov_pair, make_smooth_pair
 from .errors import ClawError, ConfigError, GridMismatch
 from .flux import (catalog_lookup, catalog_names, catalog_params,
@@ -57,6 +58,11 @@ from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
                        kato_lhs, uniqueness_experiment, write_profile_csv)
+
+
+# check kinds that need the config's initial data, scheme or seed: ``run``
+# only; ``verify`` takes every other kind
+CONFIG_KINDS = ("uniqueness", "doubling")
 
 
 def _resolve_outdir(cfg_dir: str, override: str | None) -> Path:
@@ -160,8 +166,7 @@ def _burgers_oracle(cfg: ExperimentConfig):
 
 
 def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
-    """Run a check that needs the config's initial data, scheme or seed
-    (``uniqueness``, ``doubling``); ``clawlab run`` only."""
+    """Run a check of one of the ``CONFIG_KINDS``; ``clawlab run`` only."""
     p = check.params
 
     if check.kind == "uniqueness":
@@ -225,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
 
         reports = []
         for check in cfg.checks:
-            if check.kind in ("uniqueness", "doubling"):
+            if check.kind in CONFIG_KINDS:
                 report = _run_config_check(check, cfg, flux, u, v)
             else:
                 report, profile = _run_check(check, flux, u, v)
@@ -400,8 +405,8 @@ def main(argv=None) -> int:
     p_ver.add_argument("fields", nargs="+",
                        help="field: a .slab file or a directory of slab files")
     p_ver.add_argument("--check", required=True,
-                       choices=["entropy_inequality", "kato",
-                                "cone_contraction", "global_contraction"])
+                       choices=[k for k in _CHECK_KEYS
+                                if k not in CONFIG_KINDS])
     p_ver.add_argument("--flux", required=True)
     p_ver.add_argument("--set", action="append", metavar="KEY=VALUE")
 

@@ -33,7 +33,7 @@ Layout::
     kind = rusanov        # rusanov | godunov_burgers (burgers1d only) | viscous
     cfl = 0.9
     boundary = outflow    # outflow | periodic
-    viscosity = 0.0       # required > 0 for viscous
+    viscosity = 0.0       # finite and > 0 for viscous, else 0 (the default)
 
     [output]
     dir = runs/demo

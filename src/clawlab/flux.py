@@ -12,8 +12,9 @@ of x_i alone.  Each entry is one ``Separable`` (g and g' on points, h and h'
 elementwise on states), and ``eval``, ``dk``, ``div_x`` and
 ``grad_x_components`` are all built from those factors, so no derivative is
 written twice.  The solver freezes g at its interface lattice once per run
-and evaluates only h and h' per sweep, and ``lipschitz_constant`` samples g
-on the ball and h, h' on the states once instead of f on their product.
+and evaluates only h and h' per sweep, and ``lipschitz_constant`` takes
+max|g| on the ball times the slope of h on the states, the exact product
+of the two sampled maxima, instead of sampling f on their product.
 The smooth entropy pairs take g and g'_1 + ... + g'_d once per point
 batch and integrate h and h' in the state alone, and the weak entropy
 sweep takes g, g'_1 + ... + g'_d and h once per chunk for all its pairs.
@@ -103,7 +104,8 @@ class FluxSpec:
     (``entropy.make_smooth_pair``) and the weak entropy sweep
     (``entropy.factored_sweep_terms``) use them in place of ``eval``,
     ``dk`` and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x``
-    computes something else must set ``factors=None``.
+    computes something else must set ``factors=None``.  ``lipschitz_constant``
+    reads max|g| times the slope of h, free of the rounding of g h(k).
     """
 
     name: str
@@ -225,6 +227,12 @@ def catalog_lookup(name: str, params: dict | None = None) -> FluxSpec:
     return builder(params)
 
 
+def _pow2_scale(top: float) -> float:
+    """A power of two near 1 / ``top``: multiplying by it is exact (short of
+    underflow) and keeps the squares of values up to ``top`` finite."""
+    return 2.0 ** -min(max(math.frexp(top)[1], -1000), 1000)
+
+
 def _ball_lattice(R: float, dim: int, n_per_axis: int) -> Array:
     """Deterministic lattice covering the closed ball B_R; always includes 0
     and the axis endpoints so sampled sups anchor at the same points as the
@@ -232,7 +240,7 @@ def _ball_lattice(R: float, dim: int, n_per_axis: int) -> Array:
     pts = _tensor_points(np.linspace(-R, R, n_per_axis), dim).reshape(-1, dim)
     # |p| <= R + 1e-15 taken at a power-of-two scale near 1/R: the scaling
     # is exact, so the test is the unscaled one wherever no square overflows
-    s = 2.0 ** -min(max(math.frexp(R)[1], -1000), 1000)
+    s = _pow2_scale(R)
     keep = np.sqrt(((s * pts) ** 2).sum(axis=-1)) <= s * (R + 1e-15)
     return pts[keep]
 
@@ -283,77 +291,26 @@ def _sampled_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
     return max(best, float(np.sqrt(sq.max())))
 
 
-# rows g(p) with |g(p)| at least (1 - _CANDIDATE_BAND) max|g| are sampled in
-# full by _factored_estimate; every other row is only bounded from above
-_CANDIDATE_BAND = 2.0 ** -20
-# relative slack of those bounds: far more than the few dozen roundings
-# between a row's float values and its sampled quotients
-_ROUNDING_SLACK = 64 * np.finfo(float).eps
-# absolute slack of those bounds: far more than underflow in the squares
-# of tiny differences can take away (sqrt(3 * 2^-1074) < 2^-535)
-_UNDERFLOW_SLACK = 2.0 ** -500
-# factors with max|g|, max|g| max|h| or max|g| max|h'| above this (or not
-# finite) go to the full sampling, so no bound or sampled square overflows
-_FACTOR_CEILING = 2.0 ** 500
-
-
-def _factored_estimate(factors: Separable, pts: Array, ks: Array) -> float | None:
-    """``_sampled_estimate`` of a separable flux from its factors, bit for
-    bit, or None where the reduction cannot certify that.
-
-    g is evaluated on the points and h, h' on the states once, with the
-    shapes ``eval``/``dk`` pass them, so every product g_i(p) h(k) is the
-    sampled one.  A point enters the sampled quotients only through its
-    row g(p): the full sampling runs on one point per distinct row with
-    |g(p)| in the top band, which gives the estimate E over those rows.
-    Any other row's sampled chord quotients are at most
-    |g(p)| (S + 4 sqrt(d) eps max|h| / min dk), where S is the largest
-    |h(k') - h(k)| / (k' - k) over the same strides and the second term
-    covers the rounding of g_i h(k') - g_i h(k); its sampled |d_k f| is at
-    most |g(p)| max|h'|; both up to the slacks above.  When both bounds,
-    taken over every other row, are at most E, the full sampled maximum
-    is E; otherwise the caller samples in full.
+def _factored_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
+    """N = G S for f_i = g_i(x) h(k), the exact product of two sampled
+    maxima: G = max|g(p)| over ``pts``, S the larger of the chord slopes of
+    h over the strides of ``_max_chord_slope`` and max|h'| on ``ks``.  The
+    sampling of g_i(p) h(k) (``_sampled_estimate``) reads it up to its own
+    rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps G S, and the
+    underflow of its squares, 2^-500 / min dk.
     """
-    g = factors.g(pts[None])[0]                           # (npts, d)
+    factors = flux.factors
+    g = np.abs(factors.g(pts[None])[0])                  # (npts, d)
     hk = factors.h(ks[:, None])[:, 0]
-    dh = factors.h_prime(ks[:, None])[:, 0]
-    g_max = float(np.abs(g).max())
-    h_max, dh_max = float(np.abs(hk).max()), float(np.abs(dh).max())
-    # a NaN or inf in any factor makes one of these NaN or inf, which fails
-    if not (g_max <= _FACTOR_CEILING and g_max * h_max <= _FACTOR_CEILING
-            and g_max * dh_max <= _FACTOR_CEILING):
-        return None
-    norms = np.sqrt((g * g).sum(axis=-1))
-    top = norms >= (1.0 - _CANDIDATE_BAND) * norms.max()
-    rows = np.unique(g[top], axis=0)
-    best = _max_chord_slope(rows[None] * hk[:, None, None], ks)
-    dkv = rows[None] * dh[:, None, None]
-    est = max(best, float(np.sqrt(_sum_squares(
-        [dkv[..., i] for i in range(dkv.shape[-1])]).max())))
-    if top.all():
-        return est
-    dk_min = float((ks[1:] - ks[:-1]).min())
-    if not dk_min > 0.0:
-        return None
-    n, slope, stride = len(ks), 0.0, 1
-    while stride < n:
-        w = n - stride
-        slope = max(slope, float((np.abs(hk[stride:] - hk[:w])
-                                  / (ks[stride:] - ks[:w])).max()))
-        stride *= 2
-    lift = 1.0 + _ROUNDING_SLACK
-    g_out = float(norms[~top].max()) * lift + _UNDERFLOW_SLACK
-    # h constant on ks (slope 0) or h' = 0 make the products, and so the
-    # sampled differences or derivatives, exactly equal or zero
-    chord_out = 0.0
-    if slope > 0.0:
-        rounding = 4.0 * np.sqrt(g.shape[1]) * np.finfo(float).eps * h_max
-        chord_out = (g_out * (slope * lift + _UNDERFLOW_SLACK + rounding / dk_min)
-                     + _UNDERFLOW_SLACK / dk_min)
-    deriv_out = g_out * dh_max * lift + _UNDERFLOW_SLACK if dh_max > 0.0 else 0.0
-    if chord_out <= est and deriv_out <= est:
-        return est
-    return None
+    s = _pow2_scale(float(g.max()))
+    G = float(np.sqrt(_sum_squares(list(s * g.T)).max())) / s
+    h_max = float(np.abs(hk).max())
+    dh_max = float(np.abs(factors.h_prime(ks[:, None])[:, 0]).max())
+    if not all(map(math.isfinite, (G, G * h_max, G * dh_max))):
+        raise NonFiniteFlux(f"{flux.name}: non-finite factors on sample set "
+                            f"(max|g| {G}, max|h| {h_max}, max|h'| {dh_max})")
+    t = _pow2_scale(h_max)
+    return G * max(_max_chord_slope(t * hk[:, None, None], ks) / t, dh_max)
 
 
 def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
@@ -361,11 +318,8 @@ def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
     n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
     pts = _ball_lattice(R, flux.dim, n_x)
     ks = np.linspace(-M, M, n)
-    if flux.factors is not None:
-        est = _factored_estimate(flux.factors, pts, ks)
-        if est is not None:
-            return est
-    return _sampled_estimate(flux, pts, ks)
+    estimate = _sampled_estimate if flux.factors is None else _factored_estimate
+    return estimate(flux, pts, ks)
 
 
 def lipschitz_constant(flux: FluxSpec, R: float, M: float,
@@ -376,9 +330,10 @@ def lipschitz_constant(flux: FluxSpec, R: float, M: float,
     the returned value is the larger of the two, which dominates every
     sampled quotient and the sampled sup of |d_k f|.  If they still differ
     after six doublings the flux is taken not to be Lipschitz in k there,
-    and LipschitzNonConvergent is raised.  A flux with ``factors`` is
-    sampled through them (``_factored_estimate``), with the same value bit
-    for bit.
+    and LipschitzNonConvergent is raised.  For a flux with ``factors`` each
+    estimate is max|g| times the slope of h (``_factored_estimate``); it
+    agrees with the sampling of ``eval``/``dk`` up to that sampling's
+    rounding.
     """
     if not (np.isfinite(R) and R > 0):
         raise ValueError(f"R must be finite and positive, got {R}")

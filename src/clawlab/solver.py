@@ -99,8 +99,14 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.boundary not in ("outflow", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.scheme == "viscous" and self.viscosity <= 0.0:
-            raise ValueError("viscous scheme needs viscosity > 0")
+        # only the viscous scheme reads the viscosity: any other value
+        # than 0 elsewhere would be silently dropped
+        viscous = self.scheme == "viscous"
+        if not (0.0 < self.viscosity < math.inf if viscous
+                else self.viscosity == 0.0):
+            raise ValueError(f"the {self.scheme} scheme needs viscosity "
+                             f"{'finite and > 0' if viscous else '= 0'}, "
+                             f"got {self.viscosity}")
         if self.scheme == "godunov_burgers" and self.dim != 1:
             raise ValueError("godunov_burgers is implemented in 1-d only")
         if self.store_every < 1:

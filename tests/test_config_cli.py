@@ -341,7 +341,17 @@ class TestConfigParsing:
         ("store_every = 10", "store_every = 0", "store_every"),
         ("cfl = 0.9", "cfl = 1.5", "cfl"),
         ("kind = rusanov", "kind = viscous", "viscosity"),
-    ], ids=["store_every", "cfl", "viscous"])
+        # a viscosity the scheme would ignore, or one no run can take
+        ("boundary = outflow", "boundary = outflow\nviscosity = 0.5",
+         "rusanov scheme needs viscosity = 0"),
+        ("kind = rusanov", "kind = godunov_burgers\nviscosity = 1e-3",
+         "godunov_burgers scheme needs viscosity = 0"),
+        ("kind = rusanov", "kind = viscous\nviscosity = nan", "finite and > 0"),
+        ("kind = rusanov", "kind = viscous\nviscosity = inf", "finite and > 0"),
+        ("kind = rusanov", "kind = viscous\nviscosity = -0.5", "finite and > 0"),
+    ], ids=["store_every", "cfl", "viscous", "rusanov_viscosity",
+            "godunov_viscosity", "viscous_nan", "viscous_inf",
+            "viscous_negative"])
     def test_bad_scheme_value_refused_before_output(self, tmp_path, old, new,
                                                     match):
         text = SMALL_CONTRACTION.replace(old, new).replace(

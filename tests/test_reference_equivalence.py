@@ -7,7 +7,8 @@ back to two separate runs, a Lipschitz estimate that materializes every differen
 weak-form quadrature that evaluates the test function on the whole domain
 level by level.  The fast paths do the same arithmetic in another
 arrangement, so results must agree bit for bit, except the weak-form sums
-(see the bound stated there).
+and the Lipschitz estimate of a flux with factors, which is exact where
+the reference rounds (see the bounds stated there).
 """
 
 import math
@@ -389,14 +390,26 @@ def _reference_lipschitz_estimate(flux, R, M, n):
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_lipschitz_matches_reference(name, monkeypatch):
-    flux = _lookup(name)
-    grid = [(R, M) for R in (0.5, 1.0, 2.0, 8.0) for M in (0.0, 0.3, 1.0, 2.5)]
-    fast = [lipschitz_constant(flux, R, M) for R, M in grid]
-    monkeypatch.setattr(flux_mod, "_lipschitz_estimate",
-                        _reference_lipschitz_estimate)
-    ref = [lipschitz_constant(flux, R, M) for R, M in grid]
-    assert fast == ref
+def test_lipschitz_matches_reference(name):
+    # a flux with factors reads max|g| times the slope of h, the exact
+    # product, where the reference rounds every g_i h(k): at one grid they
+    # agree within that rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps N,
+    # and the underflow of its squares, 2^-500 / min dk
+    flux, eps = _lookup(name), np.finfo(float).eps
+    for R in (0.5, 1.0, 2.0, 8.0):
+        assert lipschitz_constant(flux, R, 0.0) == 0.0
+        for M in (0.3, 1.0, 2.5):
+            for n in (201, 401):
+                fast = flux_mod._lipschitz_estimate(flux, R, M, n)
+                ref = _reference_lipschitz_estimate(flux, R, M, n)
+                n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
+                g = flux.factors.g(flux_mod._ball_lattice(R, flux.dim, n_x))
+                ks = np.linspace(-M, M, n)
+                G = np.sqrt((g * g).sum(axis=-1)).max()
+                bound = ((4.0 * np.sqrt(flux.dim) * eps * G
+                          * np.abs(flux.factors.h(ks)).max() + 2.0 ** -500)
+                         / np.diff(ks).min() + 8.0 * eps * fast)
+                assert abs(fast - ref) <= bound, (R, M, n)
 
 
 # -- weak-form quadrature ---------------------------------------------------

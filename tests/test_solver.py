@@ -174,6 +174,17 @@ class TestStability:
 
 
 class TestViscous:
+    @pytest.mark.parametrize("scheme,viscosity", [
+        ("rusanov", 0.5), ("rusanov", np.nan), ("godunov_burgers", 1e-3),
+        ("viscous", 0.0), ("viscous", -0.5), ("viscous", np.nan),
+        ("viscous", np.inf)])
+    def test_viscosity_the_scheme_cannot_take_is_refused(self, scheme,
+                                                         viscosity):
+        # only the viscous scheme reads it, and it needs a finite eps > 0
+        with pytest.raises(ValueError, match="viscosity"):
+            SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.3, scheme=scheme,
+                         viscosity=viscosity)
+
     def test_distance_to_monotone_decreases_with_eps(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=200, t_end=0.5, store_every=10 ** 9)
         base = solve(BURGERS, riemann_data(1.0, 0.0, 0.0), cfg)
