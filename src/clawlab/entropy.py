@@ -28,23 +28,25 @@ Every state integral of a smooth pair comes from one rule,
 that share one integrand, each row with its own breakpoints (its finite
 states, k0 and a geometric ladder toward k0), looked up exactly.  The
 breakpoints depend on k0 and the row's states only, so every n shares
-them.  For a separable flux f_i = g_i(x) h(k) the pairs factor:
-q(x, u) = g(x) A(u) and div_x q(x, u) = (g'_1 + ... + g'_d)(x) B(u), where
-A and B are state integrals of h' and h alone, so one row holds every
-state of a call.  A flux without factors has an integrand that depends on
-x, so every (point, state) pair is a row of its own; its eta_n' and
-eta_n'' are taken at the nodes' offsets from k0 before rounding, which
-keeps the relative accuracy of q for states close to a k0 away from 0.
+them.  A pair's integrand depends on x, so every (point, state) pair is
+a row of its own, with d_k f and div_x f at its point and eta_n' and
+eta_n'' at the nodes' offsets from k0 before rounding, which keeps the
+relative accuracy of q for states close to a k0 away from 0.  Every
+pair, smooth or Kruzkov, calls its flux's callables and never its
+factors.
 
-The weak entropy sweep of a flux with factors (``factored_sweep_terms``)
-calls no pair: per chunk of the quadrature it takes g, the sum of g' and
-h once, and the Kruzkov terms in closed form,
+``sweep_terms`` is the one place where the factors f_i = g_i(x) h(k) of
+a flux enter entropy evaluation.  The weak entropy sweep of a flux with
+factors calls no pair: per chunk of the quadrature it takes g, the sum of
+g' and h once, and the Kruzkov terms in closed form,
     q = sign(u - k0) (h(u) - h(k0)) g(x),
     div_x q - eta'(u) div_x f = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x),
 where the h(u) terms cancel exactly.  The smooth pairs of one k0 share one
-table row.  Its values agree with the pair-by-pair sweep of a copy without
-factors to at most 4.5e-14 of the largest |value| (measured over 2,600
-random fields, catalog fluxes in 1-d and 2-d).
+table row over the chunk's states, with q = g(x) A(u) and
+div_x q = (g'_1 + ... + g'_d)(x) B(u), where A and B are state integrals
+of h' and h alone.  Its values agree with the pair-by-pair sweep of a copy
+without factors to at most 4.5e-14 of the largest |value| (measured over
+2,600 random fields, catalog fluxes in 1-d and 2-d).
 
 Sign convention throughout: sign(0) = 0 (numpy's convention).
 """
@@ -56,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flux import FluxSpec, Separable, as_points
+from .flux import FluxSpec, as_points
 from .quadrature import GAUSS_NODES, GAUSS_WEIGHTS, adaptive_gauss_legendre
 
 Array = np.ndarray
@@ -102,7 +104,7 @@ class EntropyPair:
     "smooth"; smooth pairs carry the smoothing index ``n``.  ``flux`` is
     the FluxSpec the pair was built for: a sweep refuses a pair built for
     another flux object, and the sweep of a flux with factors reads only
-    ``kind``, ``k0`` and ``n`` (``factored_sweep_terms``).
+    ``kind``, ``k0`` and ``n`` (``sweep_terms``).
     """
 
     eta: Callable[[Array], Array]
@@ -238,71 +240,44 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
     the integration-by-parts form
         div_x q(x,k) = -int eta_n'' div_x f dw + eta_n'(k) div_x f(x,k),
     which is exact because eta_n'(k0) = 0.  Both integrals are read from
-    ``_state_tables``, the one state-integral rule of every pair and of
-    the weak entropy sweep.
-
-    For a flux with ``factors`` f_i = g_i(x) h(k) the x-dependence factors
-    out: q(x, u) = g(x) A(u) and div_x q(x, u) = (g'_1 + ... + g'_d)(x) B(u)
-    with A(u) = int_{k0}^{u} eta_n' h' dw and
-    B(u) = eta_n'(u) h(u) - int_{k0}^{u} eta_n'' h dw.  Each call takes g
-    (or the sum of g') once on its points and A (or the integral in B) from
-    one table row over its states.  The sweep (``factored_sweep_terms``)
-    calls no pair: it yields this pair's q = g(x) A(u) and source
-    -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw next to the
-    closed-form Kruzkov terms q = sign(u - k0) (h(u) - h(k0)) g(x) and
-    source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x).  A flux without
-    factors has an integrand that depends on x, so every (point, state)
-    pair is a row of its own, with d_k f and div_x f evaluated at its
-    point on its row's nodes.
+    ``_state_tables``, one row per (point, state) pair, since the
+    integrand depends on x: d_k f and div_x f are evaluated at its point
+    on its row's nodes, and eta_n' and eta_n'' at the nodes' offsets from
+    k0 before rounding.  The pair calls only ``flux.dk`` and
+    ``flux.div_x``, whether or not the flux has factors; the weak entropy
+    sweep of a flux with factors calls no pair (``sweep_terms``).
     """
     ent = sqrt_entropy(k0, n)
-    fac = flux.factors
-    if fac is not None:
-        def table(kk, integrand):
-            w, _, lookup = _state_tables(k0, kk.reshape(1, -1))
-            return lookup(integrand(w)).reshape(kk.shape)
+    at_offset = sqrt_entropy(0.0, n)
 
-        def q(x, k):
-            A = table(np.asarray(k, dtype=float),
-                      lambda w: ent.eta_prime(w) * fac.h_prime(w))
-            return fac.g(as_points(x, flux.dim)) * A[..., None]
+    def integrals(pts, kk, integrand):
+        # one row per (point, state) pair, _TABLE_ROWS rows per table;
+        # integrand(P (B, 1, 1, d), w, t) is (B, J, m, c), the result
+        # (..., c)
+        shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
+        P = np.broadcast_to(pts, shape + (flux.dim,)).reshape(
+            -1, 1, 1, flux.dim)
+        K = np.broadcast_to(kk, shape).reshape(-1, 1)
+        blocks = []
+        for r in range(0, max(len(K), 1), _TABLE_ROWS):
+            w, t, lookup = _state_tables(k0, K[r:r + _TABLE_ROWS])
+            vals = integrand(P[r:r + _TABLE_ROWS], w, t)
+            blocks.append(np.concatenate(
+                [lookup(vals[..., i]) for i in range(vals.shape[-1])],
+                axis=1))
+        return np.concatenate(blocks).reshape(shape + vals.shape[-1:])
 
-        def div_x_q(x, k):
-            kk = np.asarray(k, dtype=float)
-            integ = table(kk, lambda w: ent.eta_pp(w) * fac.h(w))
-            return (fac.g_prime_sum(as_points(x, flux.dim))
-                    * (ent.eta_prime(kk) * fac.h(kk) - integ))
-    else:
-        at_offset = sqrt_entropy(0.0, n)
+    def q(x, k):
+        return integrals(
+            as_points(x, flux.dim), np.asarray(k, dtype=float),
+            lambda P, w, t: (at_offset.eta_prime(t)[..., None]
+                             * flux.dk(P, w)))
 
-        def integrals(pts, kk, integrand):
-            # one row per (point, state) pair, _TABLE_ROWS rows per table;
-            # integrand(P (B, 1, 1, d), w, t) is (B, J, m, c), the result
-            # (..., c)
-            shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
-            P = np.broadcast_to(pts, shape + (flux.dim,)).reshape(
-                -1, 1, 1, flux.dim)
-            K = np.broadcast_to(kk, shape).reshape(-1, 1)
-            blocks = []
-            for r in range(0, max(len(K), 1), _TABLE_ROWS):
-                w, t, lookup = _state_tables(k0, K[r:r + _TABLE_ROWS])
-                vals = integrand(P[r:r + _TABLE_ROWS], w, t)
-                blocks.append(np.concatenate(
-                    [lookup(vals[..., i]) for i in range(vals.shape[-1])],
-                    axis=1))
-            return np.concatenate(blocks).reshape(shape + vals.shape[-1:])
-
-        def q(x, k):
-            return integrals(
-                as_points(x, flux.dim), np.asarray(k, dtype=float),
-                lambda P, w, t: (at_offset.eta_prime(t)[..., None]
-                                 * flux.dk(P, w)))
-
-        def div_x_q(x, k):
-            pts, kk = as_points(x, flux.dim), np.asarray(k, dtype=float)
-            integ = integrals(pts, kk, lambda P, w, t: (
-                at_offset.eta_pp(t) * flux.div_x(P, w))[..., None])
-            return -integ[..., 0] + ent.eta_prime(kk) * flux.div_x(pts, kk)
+    def div_x_q(x, k):
+        pts, kk = as_points(x, flux.dim), np.asarray(k, dtype=float)
+        integ = integrals(pts, kk, lambda P, w, t: (
+            at_offset.eta_pp(t) * flux.div_x(P, w))[..., None])
+        return -integ[..., 0] + ent.eta_prime(kk) * flux.div_x(pts, kk)
 
     return EntropyPair(ent.eta, ent.eta_prime, float(k0), q, div_x_q,
                        kind="smooth", n=int(n), flux=flux)
@@ -317,23 +292,43 @@ def _call_once(fn, arrays) -> list:
     return [out[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
 
 
-def factored_sweep_terms(factors: Separable, pairs):
-    """The term generator of the weak entropy sweep for a flux with
-    ``factors`` f_i = g_i(x) h(k) (see ``verifier._weak_sums``): one
-    (eta, q, source) per pair, source = div_x q - eta'(u) div_x f.
+def sweep_terms(flux: FluxSpec, pairs):
+    """The term generator of the weak entropy sweep of ``flux`` over
+    ``pairs`` (see ``verifier._weak_sums``): one (eta, q, source) per pair,
+    source = div_x q - eta'(u) div_x f.  Raises ValueError for a pair built
+    for another flux object.
 
-    It reads only each pair's kind, k0 and n.  Per chunk it takes g(P),
-    (g'_1 + ... + g'_d)(P) and h once, h on the states, the Kruzkov k0 and
-    the table nodes in one call (h' on the nodes likewise), so no
-    ``FluxSpec`` or ``EntropyPair`` callable is called.  A Kruzkov pair is
-    closed-form, with the h(u) terms of its source cancelled exactly:
+    For a flux without factors it evaluates div_x f once per chunk and
+    calls each pair.  This is the one place where entropy evaluation reads
+    the ``factors`` f_i = g_i(x) h(k); with them it reads only each pair's
+    kind, k0 and n.  Per chunk it takes g(P), (g'_1 + ... + g'_d)(P) and h
+    once, h on the states, the Kruzkov k0 and the table nodes in one call
+    (h' on the nodes likewise), so no ``FluxSpec`` or ``EntropyPair``
+    callable is called.  A Kruzkov pair is closed-form, with the h(u) terms
+    of its source cancelled exactly:
         eta = |u - k0|,  q = sign(u - k0) (h(u) - h(k0)) g(x),
         source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x).
     The smooth pairs of one k0 share one ``_state_tables`` breakpoint set,
-    node evaluation and lookup; per n, q = A(u) g(x) and
+    node evaluation and lookup; per n, q = A(u) g(x) with
+    A(u) = int_{k0}^{u} eta_n' h' dw, and
     source = -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw.
     """
     pairs = list(pairs)
+    for pair in pairs:
+        if pair.flux is not flux:
+            built_for = "no flux" if pair.flux is None else pair.flux.name
+            raise ValueError(
+                f"entropy pair {pair.label} was built for another flux "
+                f"({built_for}) than the swept one ({flux.name})")
+    factors = flux.factors
+    if factors is None:
+        def generic_terms(P, U):
+            div_f = flux.div_x(P, U)
+            for pair in pairs:
+                yield (pair.eta(U), pair.q(P, U),
+                       pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
+        return generic_terms
+
     kruzkov = [p.k0 for p in pairs if p.kind == "kruzkov"]
     ents = {(p.k0, p.n): sqrt_entropy(p.k0, p.n)
             for p in pairs if p.kind == "smooth"}

@@ -15,9 +15,9 @@ written twice.  The solver freezes g at its interface lattice once per run
 and evaluates only h and h' per sweep, and ``lipschitz_constant`` takes
 max|g| on the ball times the slope of h on the states, the exact product
 of the two sampled maxima, instead of sampling f on their product.
-The smooth entropy pairs take g and g'_1 + ... + g'_d once per point
-batch and integrate h and h' in the state alone, and the weak entropy
-sweep takes g, g'_1 + ... + g'_d and h once per chunk for all its pairs.
+The weak entropy sweep (``entropy.sweep_terms``) takes g,
+g'_1 + ... + g'_d and h once per chunk for all its pairs; the entropy
+pairs themselves call ``eval``, ``dk`` and ``div_x``.
 A FluxSpec built by hand without factors is evaluated through its four
 callables alone.
 
@@ -100,12 +100,12 @@ class FluxSpec:
     and ``grad_x_components`` return the mean of their one-sided values.
     ``factors`` are the separable factors all four callables are built
     from, or None for a flux that is only given through its callables; the
-    solver, ``lipschitz_constant``, the smooth entropy pairs
-    (``entropy.make_smooth_pair``) and the weak entropy sweep
-    (``entropy.factored_sweep_terms``) use them in place of ``eval``,
-    ``dk`` and ``div_x``, so a copy whose ``eval``, ``dk`` or ``div_x``
-    computes something else must set ``factors=None``.  ``lipschitz_constant``
-    reads max|g| times the slope of h, free of the rounding of g h(k).
+    solver, ``lipschitz_constant`` and the weak entropy sweep
+    (``entropy.sweep_terms``, the one place where they enter entropy
+    evaluation) use them in place of ``eval``, ``dk`` and ``div_x``, so a
+    copy whose ``eval``, ``dk`` or ``div_x`` computes something else must
+    set ``factors=None``.  ``lipschitz_constant`` reads max|g| times the
+    slope of h, free of the rounding of g h(k).
     """
 
     name: str
@@ -255,25 +255,18 @@ def _sum_squares(parts: list) -> Array:
 
 
 def _max_chord_slope(fv: Array, ks: Array) -> float:
-    """Max of |f(x, k_{j+s}) - f(x, k_j)| / (k_{j+s} - k_j) over the points,
-    j and the strides s = 1, 2, 4, ...; ``fv`` has shape (nk, npts, d).
+    """Max of |f(x, k_{j+1}) - f(x, k_j)| / (k_{j+1} - k_j) over the points
+    and j; ``fv`` has shape (nk, npts, d).
 
-    sqrt and the division by k_{j+s} - k_j > 0 are monotone, so the max over
-    the points is taken first and the result is still the max of the
-    pointwise quotients, bit for bit.
+    At one point a chord over several adjacent steps is a weighted mean of
+    their chords, so it exceeds their max only by rounding and adjacent
+    chords suffice.  sqrt and the division by k_{j+1} - k_j > 0 are
+    monotone, so the max over the points is taken first and the result is
+    still the max of the pointwise quotients, bit for bit.
     """
-    n = len(ks)
-    bufs = [np.empty(fv.shape[:-1]) for _ in range(fv.shape[-1])]
-    best = 0.0
-    stride = 1
-    while stride < n:
-        w = n - stride
-        sq = _sum_squares([np.subtract(fv[stride:, :, i], fv[:w, :, i], out=b[:w])
-                           for i, b in enumerate(bufs)])
-        quot = np.sqrt(sq.max(axis=1)) / (ks[stride:] - ks[:w])
-        best = max(best, float(quot.max()))
-        stride *= 2
-    return best
+    sq = _sum_squares([fv[1:, :, i] - fv[:-1, :, i]
+                       for i in range(fv.shape[-1])])
+    return float((np.sqrt(sq.max(axis=1)) / np.diff(ks)).max(initial=0.0))
 
 
 def _sampled_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
@@ -294,7 +287,7 @@ def _sampled_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
 def _factored_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
     """N = G S for f_i = g_i(x) h(k), the exact product of two sampled
     maxima: G = max|g(p)| over ``pts``, S the larger of the chord slopes of
-    h over the strides of ``_max_chord_slope`` and max|h'| on ``ks``.  The
+    h on ``ks`` (``_max_chord_slope``) and max|h'| on ``ks``.  The
     sampling of g_i(p) h(k) (``_sampled_estimate``) reads it up to its own
     rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps G S, and the
     underflow of its squares, 2^-500 / min dk.

@@ -21,14 +21,9 @@ is evaluated once per chunk, at every level time and midpoint of the chunk
 in one call, and all terms of a sweep (``entropy_residual_sweep``) share
 those values.  Each check hands the quadrature one term function, a
 generator that yields one (eta, q, source) per term for a chunk's points
-and states.  For a flux with factors f_i = g_i(x) h(k) the sweep's is
-``entropy.factored_sweep_terms``: per chunk it takes g, the sum of g' and
-h once for all pairs, a Kruzkov pair in closed form,
-q = sign(u - k0) (h(u) - h(k0)) g(x) with source
--sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x), and the smooth pairs of one k0
-from one shared table row.  For a flux without factors the sweep
-evaluates div_x f once per chunk and calls each pair, whose tables follow
-the one rule with a row per (point, state) pair (see ``entropy``).
+and states.  The entropy sweep's is ``entropy.sweep_terms``, which picks
+them for the flux: closed-form terms from the factors of a flux with
+factors, each pair's callables for one without (see ``entropy``).
 
 The doubling diagnostics quadrature the four integrals of the doubling of
 variables around each sample (x, t) over every stored level n with
@@ -41,9 +36,9 @@ with m = ``margin_cells``; a sample marked with m = 2 raises SampleNearShock.
 
 Kato's flux q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)) and its divergence
 are ``entropy.kruzkov_flux``/``kruzkov_div``, which the Kruzkov pairs share;
-L1 masses are ``solver.l1_distance_on_ball``/``l1_distance_full``; the
-cone check sums its balls through the masked sum of the former, on one
-distance array for all levels.
+the cone check sums its balls through the masked sum of
+``solver.l1_distance_on_ball``, on one distance array for all levels, and
+the global check takes the L1 masses of all levels in one reduction.
 
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
@@ -58,14 +53,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import (EntropyPair, factored_sweep_terms, kruzkov_div,
-                      kruzkov_flux)
+from .entropy import EntropyPair, kruzkov_div, kruzkov_flux, sweep_terms
 from .errors import (EmptyCone, GridMismatch, MissingTimeLevels,
                      SampleNearShock, SupportExceedsDomain)
 from .flux import FluxSpec, lipschitz_constant
 from .grids import GridField
 from .mollifiers import Mollifier, TestFunction, omega_value
-from .solver import _l1_on_mask, l1_distance_full, l1_distance_on_ball, solve
+from .solver import _l1_on_mask, l1_distance_on_ball, solve
 
 Array = np.ndarray
 
@@ -147,7 +141,7 @@ def _weak_sums(fields, phi: TestFunction, terms):
     (cells..., d), where phi is evaluated too; states are the fields' values
     on a chunk of levels, shape (L, cells...); eta and source (or None) have
     that shape and q has a trailing axis d.  As a generator it builds what
-    its terms share (the sweep's factors or div_x f) once per chunk, and
+    its terms share (a flux's factors or div_x f) once per chunk, and
     one term at a time.
 
     The quadrature runs over the support window only and in chunks of
@@ -206,28 +200,11 @@ def entropy_residual_sweep(u: GridField, flux: FluxSpec, pairs,
     Each value is the quadrature of
         dt(phi) eta(u) + phi (div_x q - eta'(u) div_x f) + grad(phi) . q(x, u)
     over the support of phi; non-negative up to discretization slack for
-    entropy solutions.  A flux with factors takes its terms from
-    ``entropy.factored_sweep_terms``; for a flux without, div_x f is
-    evaluated once per chunk of levels and each pair's callables give the
-    rest.  Raises ValueError for a pair built for another flux object.
+    entropy solutions.  The terms come from ``entropy.sweep_terms``,
+    which raises ValueError for a pair built for another flux object.
     """
     pairs = list(pairs)
-    for pair in pairs:
-        if pair.flux is not flux:
-            built_for = "no flux" if pair.flux is None else pair.flux.name
-            raise ValueError(
-                f"entropy pair {pair.label} was built for another flux "
-                f"({built_for}) than the swept one ({flux.name})")
-
-    if flux.factors is not None:
-        terms = factored_sweep_terms(flux.factors, pairs)
-    else:
-        def terms(P, U):
-            div_f = flux.div_x(P, U)
-            for pair in pairs:
-                yield (pair.eta(U), pair.q(P, U),
-                       pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
-
+    terms = sweep_terms(flux, pairs)
     values, dt_used = _weak_sums((u,), phi, terms)
     c_tol, tol = _weak_slack((u,), phi, dt_used, c_tol)
     return [ResidualReport(
@@ -345,7 +322,11 @@ def global_contraction_check(u: GridField, v: GridField, flux: FluxSpec,
     u.require_compatible(v)
     M = max(u.bound_M, v.bound_M)
     n_over_r = [lipschitz_constant(flux, float(R), M) / float(R) for R in R_list]
-    masses = np.array([l1_distance_full(u, v, float(t)) for t in u.times])
+    # abs in place: a second temporary of every level's cells costs more
+    # in fresh pages than the level loop it replaces
+    diff = u.data - v.data
+    masses = (np.abs(diff, out=diff).reshape(len(u.times), -1).sum(axis=1)
+              * u.dx ** u.dim)
     running_min = np.minimum.accumulate(masses)
     worst = float((masses - running_min).max())
     c_cal, dt_used, tol = _contraction_slack(u, v, c_cal)

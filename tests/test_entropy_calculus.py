@@ -10,7 +10,7 @@ from clawlab.entropy import (SmoothEntropy, _state_tables, kruzkov_div,
                              kruzkov_limit_deficit, leibniz_check,
                              make_kruzkov_pair, make_smooth_pair, q_build_ibp,
                              q_build_quadrature, sqrt_entropy)
-from clawlab.flux import Separable, _separable, catalog_lookup, catalog_names
+from clawlab.flux import catalog_lookup, catalog_names
 from clawlab.quadrature import adaptive_gauss_legendre
 
 BURGERS = catalog_lookup("burgers1d")
@@ -104,28 +104,6 @@ class TestSmoothPair:
             assert np.all(pair.div_x_q(xs, 0.4) == 0.0)
 
 
-@st.composite
-def _smooth_pair_batches(draw):
-    """A catalog flux (every entry has factors), a smooth pair's k0 and n,
-    points (m, d) (a point may sit on a singular point) and states (m,)
-    drawn from a small pool that holds k0 itself, so duplicates and states
-    on both sides of k0 are common; m may be 0.  Also a scalar state."""
-    flux = catalog_lookup(draw(st.sampled_from(catalog_names())))
-    # subnormal coordinates would make g'(x) subnormal, whose products
-    # carry fewer significant bits than any roundoff bound assumes
-    num = st.floats(-2.0, 2.0, allow_subnormal=False)
-    k0 = draw(st.floats(-1.0, 1.0, allow_subnormal=False))
-    n = draw(st.sampled_from([1, 4, 16, 64, 10 ** 4]))
-    m = draw(st.integers(0, 12))
-    pool = draw(st.lists(num, min_size=1, max_size=5))
-    state = st.sampled_from(pool + [k0])
-    coord = num | st.just(0.0)
-    pts = np.array(draw(st.lists(coord, min_size=m * flux.dim,
-                                 max_size=m * flux.dim))).reshape(m, flux.dim)
-    u = np.array(draw(st.lists(state, min_size=m, max_size=m)), dtype=float)
-    return flux, k0, n, pts, u, draw(state)
-
-
 def _without_factors(flux):
     return dataclasses.replace(flux, factors=None)
 
@@ -139,40 +117,14 @@ def _eta_gap(u, k0, n):
 
 class TestTabulatedSmoothPair:
     """Every smooth pair reads its state integrals from ``_state_tables``,
-    the one rule: a flux with factors takes q = g(x) A(u) and
-    div_x q = (sum g')(x) B(u) from one table row per call, a copy without
-    factors takes one row per (point, state) pair with d_k f and div_x f at
-    its point.  Both are checked against closed forms and adaptive
-    quadrature, and against each other."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(_smooth_pair_batches())
-    def test_matches_copy_without_factors(self, case):
-        """One row per call against one row per (point, state) pair of the
-        copy without factors: other breakpoints and integrands, the same
-        rule, so they agree to roundoff."""
-        flux, k0, n, pts, u, k = case
-        tab = make_smooth_pair(flux, k0, n)
-        ref = make_smooth_pair(_without_factors(flux), k0, n)
-        for states in (u, k):
-            q, q_ref = tab.q(pts, states), ref.q(pts, states)
-            d, d_ref = tab.div_x_q(pts, states), ref.div_x_q(pts, states)
-            assert q.shape == q_ref.shape and d.shape == d_ref.shape
-            # the batch maxima of |d_k f| times the state range and of
-            # |div_x f|, over the points and the states between k0 and the
-            # call's states, bound |q| and |div_x q| / 2 for every pair
-            ws = np.linspace(min(k0, np.min(states, initial=k0)),
-                             max(k0, np.max(states, initial=k0)), 65)
-            q_scale = np.abs(flux.dk(pts[:, None, :], ws[None, :])).max(
-                initial=0.0) * (ws[-1] - ws[0])
-            d_scale = np.abs(flux.div_x(pts[:, None, :],
-                                        ws[None, :])).max(initial=0.0)
-            assert np.all(np.abs(q - q_ref) <= 1e-13 * q_scale)
-            assert np.all(np.abs(d - d_ref) <= 1e-13 * d_scale)
+    the one rule, with one row per (point, state) pair and d_k f and
+    div_x f at its point, whether or not the flux has factors.  It is
+    checked against closed forms and adaptive quadrature."""
 
     @pytest.mark.parametrize("factors", [True, False])
     def test_advection_closed_form(self, factors):
-        # f = c k: q = c (eta_n(u) - eta_n(k0)), div_x q = 0
+        # f = c k: q = c (eta_n(u) - eta_n(k0)), div_x q = 0, on a batch
+        # that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("advection1d", {"c": -1.7})
         flux = flux if factors else _without_factors(flux)
         rng = np.random.default_rng(31)
@@ -181,15 +133,21 @@ class TestTabulatedSmoothPair:
             u = np.concatenate([rng.uniform(-2.0, 2.0, 297), [k0, k0, 2.0]])
             for n in (1, 16, 10 ** 4):
                 pair = make_smooth_pair(flux, k0, n)
-                exact = -1.7 * _eta_gap(u, k0, n)
-                q = pair.q(pts, u)[:, 0]
-                assert np.all(np.abs(q - exact) <= 1e-14 * np.abs(exact).max())
-                assert np.all(pair.div_x_q(pts, u) == 0.0)
+                for x, k in ((pts, u), (pts, u[0]), (pts, k0),
+                             (pts[:0], u[:0])):
+                    exact = np.broadcast_to(-1.7 * _eta_gap(k, k0, n),
+                                            x.shape[:1])
+                    q, d = pair.q(x, k), pair.div_x_q(x, k)
+                    assert q.shape == x.shape and d.shape == x.shape[:1]
+                    assert np.all(np.abs(q[:, 0] - exact) <= 1e-14
+                                  * np.abs(exact).max(initial=0.0))
+                    assert np.all(d == 0.0)
 
     @pytest.mark.parametrize("factors", [True, False])
     def test_kink_closed_form(self, factors):
         # f = |x| k: q = |x| (eta_n(u) - eta_n(k0)) and, by parts,
-        # div_x q = sign(x) (eta_n(u) - eta_n(k0)), 0 at the singular x = 0
+        # div_x q = sign(x) (eta_n(u) - eta_n(k0)), 0 at the singular x = 0;
+        # on a batch that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("kink1d")
         flux = flux if factors else _without_factors(flux)
         rng = np.random.default_rng(32)
@@ -198,13 +156,15 @@ class TestTabulatedSmoothPair:
             u = np.concatenate([[1.5, k0], rng.uniform(-2.0, 2.0, 198)])
             for n in (1, 64, 10 ** 4):
                 pair = make_smooth_pair(flux, k0, n)
-                gap = _eta_gap(u, k0, n)
-                q, d = pair.q(x, u)[:, 0], pair.div_x_q(x, u)
-                assert np.all(np.abs(q - np.abs(x) * gap)
-                              <= 1e-14 * np.abs(gap).max())
-                assert np.all(np.abs(d - np.sign(x) * gap)
-                              <= 1e-14 * np.abs(gap).max())
-                assert q[0] == 0.0 and d[0] == 0.0
+                for xs, k in ((x, u), (x, u[0]), (x, k0), (x[:0], u[:0])):
+                    gap = np.broadcast_to(_eta_gap(k, k0, n), xs.shape)
+                    tol = 1e-14 * np.abs(gap).max(initial=0.0)
+                    q, d = pair.q(xs, k), pair.div_x_q(xs, k)
+                    assert q.shape == xs.shape + (1,) and d.shape == xs.shape
+                    assert np.all(np.abs(q[:, 0] - np.abs(xs) * gap) <= tol)
+                    assert np.all(np.abs(d - np.sign(xs) * gap) <= tol)
+                    assert np.all(q[xs == 0.0] == 0.0)
+                    assert np.all(d[xs == 0.0] == 0.0)
 
     @pytest.mark.parametrize("name", ["burgers1d", "product1d", "product2d"])
     @pytest.mark.parametrize("factors", [True, False])
@@ -236,17 +196,19 @@ class TestTabulatedSmoothPair:
     def test_copy_without_factors_keeps_relative_accuracy_near_k0(self):
         # each (point, state) pair is a table row of its own, with its
         # nodes placed by their offset from k0, so a state close to a k0
-        # away from 0 keeps its relative accuracy
-        flux = _without_factors(catalog_lookup("advection1d", {"c": 2.5}))
-        rng = np.random.default_rng(34)
-        for k0 in (-1.0, 0.7):
-            for n in (1, 64, 10 ** 4):
-                u = k0 + (rng.choice([-1.0, 1.0], 200)
-                          * 10.0 ** rng.uniform(-6.0, -2.0, 200))
-                pts = rng.uniform(-1.0, 1.0, (200, 1))
-                exact = 2.5 * _eta_gap(u, k0, n)
-                q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
-                assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
+        # away from 0 keeps its relative accuracy: on the catalog flux as on
+        # its copy without factors, since a pair never reads the factors
+        catalog = catalog_lookup("advection1d", {"c": 2.5})
+        for flux in (catalog, _without_factors(catalog)):
+            rng = np.random.default_rng(34)
+            for k0 in (-1.0, 0.7):
+                for n in (1, 64, 10 ** 4):
+                    u = k0 + (rng.choice([-1.0, 1.0], 200)
+                              * 10.0 ** rng.uniform(-6.0, -2.0, 200))
+                    pts = rng.uniform(-1.0, 1.0, (200, 1))
+                    exact = 2.5 * _eta_gap(u, k0, n)
+                    q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
+                    assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
 
     def test_nan_state_poisons_only_its_entries(self):
         rng = np.random.default_rng(11)
@@ -255,29 +217,12 @@ class TestTabulatedSmoothPair:
         poisoned = u.copy()
         poisoned[7] = np.nan
         keep = np.arange(200) != 7
-        for flux in (PRODUCT, _without_factors(PRODUCT)):
-            tab = make_smooth_pair(flux, 0.0, 64)
-            for fn in (tab.q, tab.div_x_q):
-                clean, out = fn(pts, u), fn(pts, poisoned)
-                assert np.all(np.isnan(out[7]))
-                assert np.all(np.abs(out[keep] - clean[keep])
-                              <= 1e-14 * np.abs(clean).max())
-
-    def test_one_call_evaluates_g_once(self):
-        calls = []
-
-        def g(x):
-            calls.append(x.shape)
-            return np.arctan(x * x) + 1.0
-
-        fac = PRODUCT.factors
-        flux = _separable("counted", 1, Separable(g, fac.g_prime, fac.h,
-                                                  fac.h_prime))
-        pair = make_smooth_pair(flux, 0.2, 64)
-        pts = np.linspace(-1.0, 1.0, 50)[:, None]
-        states = np.linspace(-1.0, 1.5, 50)
-        pair.q(pts, states)
-        assert calls == [pts.shape]
+        tab = make_smooth_pair(PRODUCT, 0.0, 64)
+        for fn in (tab.q, tab.div_x_q):
+            clean, out = fn(pts, u), fn(pts, poisoned)
+            assert np.all(np.isnan(out[7]))
+            assert np.all(np.abs(out[keep] - clean[keep])
+                          <= 1e-14 * np.abs(clean).max())
 
     def test_smoothing_index_below_one_refused(self):
         for n in (0, -4):

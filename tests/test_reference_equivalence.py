@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
-from clawlab.entropy import (default_k0_sweep, factored_sweep_terms,
-                             make_kruzkov_pair, make_smooth_pair)
+from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
+                             make_smooth_pair, sweep_terms)
 from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
                             NonFiniteFlux, SampleNearShock,
                             SupportExceedsDomain)
@@ -394,8 +394,12 @@ def test_lipschitz_matches_reference(name):
     # a flux with factors reads max|g| times the slope of h, the exact
     # product, where the reference rounds every g_i h(k): at one grid they
     # agree within that rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps N,
-    # and the underflow of its squares, 2^-500 / min dk
+    # and the underflow of its squares, 2^-500 / min dk.  The copy without
+    # factors samples eval/dk as the reference does, but over adjacent
+    # states only: the reference's longer strides exceed that only by
+    # rounding, here not at all
     flux, eps = _lookup(name), np.finfo(float).eps
+    sampled = _without_factors(flux)
     for R in (0.5, 1.0, 2.0, 8.0):
         assert lipschitz_constant(flux, R, 0.0) == 0.0
         for M in (0.3, 1.0, 2.5):
@@ -410,6 +414,9 @@ def test_lipschitz_matches_reference(name):
                           * np.abs(flux.factors.h(ks)).max() + 2.0 ** -500)
                          / np.diff(ks).min() + 8.0 * eps * fast)
                 assert abs(fast - ref) <= bound, (R, M, n)
+                assert (flux_mod._lipschitz_estimate(sampled, R, M, n)
+                        == _reference_lipschitz_estimate(sampled, R, M, n)
+                        ), (R, M, n)
 
 
 # -- weak-form quadrature ---------------------------------------------------
@@ -604,12 +611,12 @@ def test_two_interval_window_matches_reference():
 
 # -- the factored entropy sweep ---------------------------------------------
 #
-# For a flux with factors the sweep takes its terms from
-# ``factored_sweep_terms``: closed-form Kruzkov terms and smooth-pair tables
-# shared per k0.  A ``replace(flux, factors=None)`` copy takes every pair's
-# own callables, div_x f for the sources and, for the smooth pairs, the
-# one state-table rule with a row per (point, state) pair and d_k f or
-# div_x f on its nodes.  The two agree up to rounding: measured at most
+# For a flux with factors ``sweep_terms`` takes the terms from the factors:
+# closed-form Kruzkov terms and smooth-pair tables shared per k0.  A
+# ``replace(flux, factors=None)`` copy takes every pair's own callables,
+# div_x f for the sources and, for the smooth pairs, the one state-table
+# rule with a row per (point, state) pair and d_k f or div_x f on its
+# nodes.  The two agree up to rounding: measured at most
 # 4.5e-14 of the case's largest |value| over 2,600 examples of the test
 # below, asserted within FACTORED_RTOL.
 
@@ -684,7 +691,7 @@ def test_factored_terms_non_finite_state_poisons_only_its_entries(name, bad):
     pairs = _build_pairs(flux, [("kruzkov", 0.3), ("kruzkov", -0.2),
                                 ("smooth", 0.0, 16), ("smooth", 0.4, 4),
                                 ("smooth", 0.4, 64)])
-    terms = factored_sweep_terms(flux.factors, pairs)
+    terms = sweep_terms(flux, pairs)
     poisoned = U.copy()
     hit = (1,) + (5,) * flux.dim
     poisoned[hit] = bad

@@ -417,6 +417,10 @@ class TestGlobalContraction:
         assert rep.passed
         grep = global_contraction_check(u, v, fb2, [1, 2, 4])
         assert grep.passed
+        # the masses of all levels in one reduction, bitwise the level loop
+        assert grep.metadata["masses"] == [
+            float(np.abs(u.data[n] - v.data[n]).sum() * u.dx ** 2)
+            for n in range(len(u.times))]
 
     def test_k_independent_flux_distance_invariant(self):
         # du/dt = -div_x f(x) regardless of u: differences are frozen
@@ -427,6 +431,7 @@ class TestGlobalContraction:
                            for n in range(len(u.times))])
         assert np.abs(masses - masses[0]).max() <= 1e-12
         rep = global_contraction_check(u, v, XSQ, [1, 2, 4])
+        assert rep.metadata["masses"] == masses.tolist()
         assert rep.metadata["N_over_R"] == [0.0, 0.0, 0.0]
         assert rep.passed
 
