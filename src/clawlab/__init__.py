@@ -18,8 +18,7 @@ from .mollifiers import (ConeSpec, Mollifier, TestFunction, bump_test_function,
                          kernel_cdf_quadrature, mollifier_constant,
                          omega_value)
 from .grids import (GridField, InitialData, box_data, constant_data, file_data,
-                    load_field, riemann_data, sine_data, write_slab,
-                    write_slabs)
+                    load_field, riemann_data, sine_data, write_slabs)
 from .solver import (SchemeConfig, discrete_entropy_max_violation,
                      exact_riemann_burgers, l1_distance_full,
                      l1_distance_on_ball, solve)

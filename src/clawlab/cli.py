@@ -8,18 +8,21 @@ Subcommands::
     clawlab verify <field> [<field2>] --check <kind> --flux <name> [--set k=v]
 
 Run directories are append-only (``--force`` to overwrite), contain a copy
-of the config, each solution field as a directory of slab files
-(``u_slabs``, ``v_slabs``), one JSON report per check, contraction-profile
-CSVs, SVG plots, and a summary table.  A FAILED marker file flags partial
-output after an error.  The environment variable ``CLAWLAB_OUT`` sets the
-root for relative output directories.  Exit code 0 iff every check passed.
+of the config, each solution field as a directory holding one slab file of
+all its stored levels (``u_slabs``, ``v_slabs``), one JSON report per
+check, contraction-profile CSVs, SVG plots, and a summary table.  A FAILED
+marker file flags partial output after an error.  The environment variable
+``CLAWLAB_OUT`` sets the root for relative output directories.  Exit code
+0 iff every check passed.
 
 ``verify`` supports the four check kinds that need no config
 (``entropy_inequality`` on one field; ``kato``, ``cone_contraction`` and
 ``global_contraction`` on two), each field a slab file or a directory of
-slab files.  Its ``--set`` keys are those of a ``[check.*]`` section of
-that kind, read by the same parser, so unknown, duplicate or missing
-required keys are errors, and so is a field that cannot be read (exit 2).
+slab files (a run's ``u_slabs``, or a directory of one file per level as
+runs wrote them before one file per field).  Its ``--set`` keys are those
+of a ``[check.*]`` section of that kind, read by the same parser, so
+unknown, duplicate or missing required keys are errors, and so is a field
+that cannot be read (exit 2).
 A flux that takes parameters reads them from the run's ``config.cfg``.
 It prints the report and writes no files.  ``run``, ``study`` and
 ``verify`` run these checks through one builder whose defaults come from

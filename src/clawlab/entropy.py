@@ -308,8 +308,9 @@ def sweep_terms(flux: FluxSpec, pairs):
     of its source cancelled exactly:
         eta = |u - k0|,  q = sign(u - k0) (h(u) - h(k0)) g(x),
         source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x).
-    The smooth pairs of one k0 share one ``_state_tables`` breakpoint set,
-    node evaluation and lookup; per n, q = A(u) g(x) with
+    The smooth pairs of one k0 share one ``_state_tables`` call, one row
+    of breakpoints per level of the chunk, node evaluation and lookup;
+    per n, q = A(u) g(x) with
     A(u) = int_{k0}^{u} eta_n' h' dw, and
     source = -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw.
     """
@@ -336,7 +337,10 @@ def sweep_terms(flux: FluxSpec, pairs):
 
     def terms(P, U):
         g, g_sum = factors.g(P), factors.g_prime_sum(P)
-        tabs = [_state_tables(k0, U.reshape(1, -1)) for k0 in smooth_k0]
+        # one table row per level, so no value depends on how the
+        # quadrature groups the levels into chunks
+        tabs = [_state_tables(k0, U.reshape(len(U), -1))
+                for k0 in smooth_k0]
         nodes = [w for w, _, _ in tabs]
         hU, hk, *hw = _call_once(factors.h, [U, kruzkov, *nodes])
         hpw = _call_once(factors.h_prime, nodes) if nodes else []

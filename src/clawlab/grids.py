@@ -2,10 +2,14 @@
 
 A GridField stores a uniform-grid numerical solution: one slab of cell
 averages per stored time level on the box [lo, hi]^dim.  On disk a field is
-a directory (or explicit list) of slab files, one binary file per stored
-level, ordered by their stored time.  A slab header holds exactly the
-fields of a GridField, so ``load_field(write_slabs(f))`` equals ``f``
-bitwise.  Byte layout, little-endian:
+a sequence of slab records, one per stored level, ordered by their stored
+time.  ``write_slabs`` writes them back to back into one file,
+``field.slab`` in the field's directory; the reader takes a file of one or
+more records, a directory of such files or a list of them, so a directory
+of one-record files per level (the layout before one file per field) loads
+the same.  A record header holds exactly the fields of a GridField, so
+``load_field(write_slabs(f))`` equals ``f`` bitwise.  Record layout,
+little-endian:
 
     magic    4 bytes  b"CLW2"
     dim      uint32
@@ -16,9 +20,11 @@ bitwise.  Byte layout, little-endian:
     time     float64
     data     float64 * nx^dim   (C order)
 
-The files of one field must agree on dim, nx, lo, hi and bound_M.  A file
-that cannot be read as a slab (missing, another format, the old CLW1
-layout, cut short) raises ``FieldFileError`` naming the path and the defect.
+The records of one field must agree on dim, nx, lo, hi and bound_M
+(``GridMismatch`` otherwise).  A file that cannot be read as slab records
+(missing, another format, the old CLW1 layout, a record cut short or
+trailing bytes) raises ``FieldFileError`` naming the path, the record and
+the defect.
 """
 
 from __future__ import annotations
@@ -88,61 +94,70 @@ class GridField:
             raise GridMismatch("fields do not share stored time levels")
 
 
-def write_slab(path, field: GridField, level: int) -> None:
-    """Write one stored level in the documented binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + _SHARED.pack(field.dim, field.nx, field.lo,
-                                       field.hi, field.bound_M)
-                 + _TIME.pack(field.times[level]))
-        fh.write(np.ascontiguousarray(field.data[level], dtype="<f8").tobytes())
-
-
 def write_slabs(directory, field: GridField) -> list:
-    """Write every stored level as ``u_<level>.slab`` into ``directory``."""
+    """Write every stored level as one record of ``directory/field.slab``,
+    in level order, each straight from the field's array; returns the
+    file's path in a list."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for n in range(len(field.times)):
-        p = directory / f"u_{n:05d}.slab"
-        write_slab(p, field, n)
-        paths.append(p)
-    return paths
+    path = directory / "field.slab"
+    shared = _MAGIC + _SHARED.pack(field.dim, field.nx, field.lo, field.hi,
+                                   field.bound_M)
+    with open(path, "wb") as fh:
+        for n, t in enumerate(field.times):
+            fh.write(shared + _TIME.pack(t))
+            fh.write(np.ascontiguousarray(field.data[n], dtype="<f8"))
+    return [path]
 
 
-def _read_slab(path: Path):
-    """Return (shared header bytes, time, data) of one slab file."""
+def _read_records(path: Path):
+    """Yield (shared header bytes, time, data, record index) for every
+    record of one slab file."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise FieldFileError(f"{path}: {exc.strerror or exc}") from exc
-    magic = raw[:len(_MAGIC)]
-    if magic == b"CLW1":
-        raise FieldFileError(
-            f"{path}: slab version CLW1 is no longer read (it lacks hi and "
-            "bound_M); run the experiment again to write CLW2 slabs")
-    if magic != _MAGIC:
-        raise FieldFileError(f"{path}: not a slab file (magic {magic!r})")
-    if len(raw) < _HEADER_SIZE:
-        raise FieldFileError(f"{path}: header cut short ({len(raw)} of "
-                             f"{_HEADER_SIZE} bytes)")
-    shared = raw[len(_MAGIC):len(_MAGIC) + _SHARED.size]
-    dim, nx = _SHARED.unpack(shared)[:2]
-    if dim not in (1, 2) or nx < 1:
-        raise FieldFileError(f"{path}: bad grid (dim {dim}, nx {nx})")
-    payload = len(raw) - _HEADER_SIZE
-    if payload != 8 * nx ** dim:
-        raise FieldFileError(f"{path}: {payload} data bytes, expected "
-                             f"{8 * nx ** dim} for nx**dim = {nx ** dim} "
-                             "cells")
-    (time,) = _TIME.unpack_from(raw, _HEADER_SIZE - _TIME.size)
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER_SIZE)
-    return shared, time, data.reshape((nx,) * dim)
+    offset, index = 0, 0
+    while True:
+        where = f"{path}: record {index}"
+        magic = raw[offset:offset + len(_MAGIC)]
+        if magic == b"CLW1":
+            raise FieldFileError(
+                f"{where}: slab version CLW1 is no longer read (it lacks hi "
+                "and bound_M); run the experiment again to write CLW2 slabs")
+        if magic != _MAGIC:
+            raise FieldFileError(f"{where}: not a slab file (magic {magic!r})")
+        rest = len(raw) - offset
+        if rest < _HEADER_SIZE:
+            raise FieldFileError(f"{where}: header cut short ({rest} of "
+                                 f"{_HEADER_SIZE} bytes)")
+        start = offset + len(_MAGIC)
+        shared = raw[start:start + _SHARED.size]
+        dim, nx = _SHARED.unpack(shared)[:2]
+        if dim not in (1, 2) or nx < 1:
+            raise FieldFileError(f"{where}: bad grid (dim {dim}, nx {nx})")
+        expected = 8 * nx ** dim
+        end = offset + _HEADER_SIZE + expected
+        # the next record starts right after this one's data, with a magic;
+        # bytes up to the end of the file that do not are this record's
+        if end > len(raw) or (end < len(raw) and raw[end:end + len(_MAGIC)]
+                              not in (_MAGIC, b"CLW1")):
+            raise FieldFileError(
+                f"{where}: {rest - _HEADER_SIZE} data bytes, expected "
+                f"{expected} for nx**dim = {nx ** dim} cells")
+        (time,) = _TIME.unpack_from(raw, offset + _HEADER_SIZE - _TIME.size)
+        data = np.frombuffer(raw, dtype="<f8", count=nx ** dim,
+                             offset=offset + _HEADER_SIZE)
+        yield shared, time, data.reshape((nx,) * dim), index
+        if end == len(raw):
+            return
+        offset, index = end, index + 1
 
 
 def load_field(source) -> GridField:
     """A field's one reader: assemble a GridField from a slab file, a
-    directory of slab files or a list of slab files; levels are ordered by
-    their stored time."""
+    directory of slab files or a list of slab files, each holding one or
+    more records; levels are ordered by their stored time."""
     if isinstance(source, (list, tuple)):
         paths = [Path(p) for p in source]
     else:
@@ -150,19 +165,21 @@ def load_field(source) -> GridField:
         paths = sorted(src.glob("*.slab")) if src.is_dir() else [src]
     if not paths:
         raise FieldFileError(f"{source}: no slab files")
-    records = [_read_slab(p) for p in paths]
-    head = _SHARED.unpack(records[0][0])
-    for p, rec in zip(paths[1:], records[1:]):
-        if rec[0] != records[0][0]:
+    records = [(p, *rec) for p in paths for rec in _read_records(p)]
+    first, shared0 = records[0][0], records[0][1]
+    head = _SHARED.unpack(shared0)
+    for p, shared, _, _, index in records[1:]:
+        if shared != shared0:
             diff = ", ".join(
                 f"{name} {a!r} vs {b!r}" for name, a, b
-                in zip(_SHARED_NAMES, _SHARED.unpack(rec[0]), head)
+                in zip(_SHARED_NAMES, _SHARED.unpack(shared), head)
                 if repr(a) != repr(b))
-            raise GridMismatch(f"{p} and {paths[0]} disagree on {diff}")
-    records.sort(key=lambda r: r[1])
+            raise GridMismatch(f"{p} record {index} and {first} record 0 "
+                               f"disagree on {diff}")
+    records.sort(key=lambda r: r[2])
     dim, nx, lo, hi, bound = head
-    return GridField(dim, lo, hi, nx, np.array([r[1] for r in records]),
-                     np.stack([r[2] for r in records]), bound)
+    return GridField(dim, lo, hi, nx, np.array([r[2] for r in records]),
+                     np.stack([r[3] for r in records]), bound)
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,8 @@ class _Run:
             if not np.all(np.isfinite(u)):
                 raise BlowUp("initial data is not finite")
             self.u0s.append(u)
+        # |u| of one step, written in place by checked_max
+        self._abs = np.empty(pts.shape[:-1])
         m0s = [float(np.abs(u).max()) for u in self.u0s]
         # the estimate samples linspace(-m, m, 33), so it is not monotone in
         # m0: dt comes from the bound of the largest datum, not from the
@@ -379,7 +381,7 @@ class _Run:
     def checked_max(self, u: Array, n: int, datum: int) -> float:
         """max|u| after step n; BlowUp if it is not finite or passes the
         threshold of the given datum."""
-        amax = float(np.abs(u).max())
+        amax = float(np.abs(u, out=self._abs).max())
         threshold = self.thresholds[datum]
         if not math.isfinite(amax) or (threshold > 0.0 and amax > threshold):
             raise BlowUp(f"|u| reached {amax:.3e} at step {n} "

@@ -15,8 +15,10 @@ The quadrature visits only the support of the test function: the cells
 whose centers lie inside its support box plus two cells on each side
 (where it vanishes, so the lattice gradient is the whole-domain one), and
 the level intervals that overlap its time window.  Levels are taken in
-chunks of whole levels holding at most ``nx**dim`` cells, one full level
-of the field, so no temporary outgrows a one-level pass.  The test function
+chunks of whole levels holding at most ``_CHUNK_CELLS`` cells of the box
+(one level if a level's box alone holds more), so the temporaries of a
+chunk stay small whatever the number of levels; no value depends on how
+the levels are chunked.  The test function
 is evaluated once per chunk, at every level time and midpoint of the chunk
 in one call, and all terms of a sweep (``entropy_residual_sweep``) share
 those values.  Each check hands the quadrature one term function, a
@@ -64,6 +66,10 @@ from .solver import _l1_on_mask, l1_distance_on_ball, solve
 Array = np.ndarray
 
 _EPS = np.finfo(float).eps
+
+# box cells per chunk of levels in the weak-form quadrature; a smooth
+# pair's tables carry 16 nodes per state, about 1 kB of temporaries
+_CHUNK_CELLS = 2 ** 11
 
 
 @dataclass
@@ -145,8 +151,10 @@ def _weak_sums(fields, phi: TestFunction, terms):
     one term at a time.
 
     The quadrature runs over the support window only and in chunks of
-    whole levels holding at most ``nx**dim`` cells, one full level of the
-    field.  phi at the chunk's level times and midpoints, its level
+    whole levels holding at most ``_CHUNK_CELLS`` box cells, but at least
+    one level.  No value depends on the chunking: every per-level sum is
+    taken over one level, and a smooth pair's tables hold one row per
+    level.  phi at the chunk's level times and midpoints, its level
     differences and its lattice gradient are built once per chunk and
     shared by every term.  Returns (values, largest dt in the window).
     """
@@ -156,7 +164,7 @@ def _weak_sums(fields, phi: TestFunction, terms):
     times = field_.times
     dx, dim = field_.dx, field_.dim
     cell = dx ** dim
-    chunk = max(1, field_.nx ** dim // P[..., 0].size)
+    chunk = max(1, _CHUNK_CELLS // P[..., 0].size)
     values = []
     for n0 in range(levels.start, levels.stop, chunk):
         n1 = min(n0 + chunk, levels.stop)

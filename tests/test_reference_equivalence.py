@@ -422,10 +422,10 @@ def test_lipschitz_matches_reference(name):
 # -- weak-form quadrature ---------------------------------------------------
 #
 # The batched core adds each level up over the support box only, and the
-# smooth pairs read one state table over the states of a chunk of levels
-# instead of one level: the one rule, on other breakpoints.  Values
-# therefore agree with the per-level loop up to rounding and breakpoint
-# placement, not bit for bit:
+# smooth pairs of a flux with factors read one state-table row per level
+# instead of one per (point, state) pair: the one rule, on other
+# breakpoints.  Values therefore agree with the per-level loop up to
+# rounding and breakpoint placement, not bit for bit:
 # every value within WEAK_RTOL of the case's largest |value|, and Kruzkov
 # and Kato values (no state quadrature) within ROUNDOFF of the summed
 # magnitude of the products the loop adds up.  Measured on these cases:

@@ -12,7 +12,7 @@ from clawlab.errors import (BlowUp, CFLViolation, FieldFileError,
 from clawlab.flux import catalog_lookup
 from clawlab.grids import (GridField, box_data, constant_data,
                            field_from_function, load_field, riemann_data,
-                           sine_data, write_slab, write_slabs)
+                           sine_data, write_slabs)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             exact_riemann_burgers, l1_distance_full,
                             l1_distance_on_ball, solve, solve_pair)
@@ -171,6 +171,25 @@ class TestStability:
                            boundary="periodic", store_every=10 ** 9)
         with pytest.raises(BlowUp):
             solve(lying, sine_data(0.9, 3.0, 0.0), cfg)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_march_checks_every_step(self, dim):
+        # the bound is max|u| over every step, here every level; a flux that
+        # is NaN above u = 0.9 makes the first step's states NaN
+        flux = catalog_lookup(f"burgers{dim}d")
+        cfg = SchemeConfig(lo=-1, hi=1, nx=40, t_end=0.2, dim=dim)
+        u = solve(flux, sine_data(0.5, 1.0, 0.2), cfg)
+        assert u.bound_M == float(np.abs(u.data).max())
+
+        def eval_(x, k):
+            return np.where(np.asarray(k)[..., None] > 0.9, np.nan,
+                            flux.eval(x, k))
+
+        broken = type(flux)(
+            name="nan_above", dim=dim, eval=eval_, dk=flux.dk,
+            div_x=flux.div_x, grad_x_components=flux.grad_x_components)
+        with pytest.raises(BlowUp, match="at step 1 "):
+            solve(broken, riemann_data(1.0, 0.0, 0.0), cfg)
 
 
 class TestViscous:
@@ -417,6 +436,22 @@ class TestTwoDim:
         assert np.abs(u2.data[-1] - u1.data[-1][:, None]).max() < 1e-13
 
 
+def _record(u: GridField, n: int) -> bytes:
+    """Level n of u as one slab record, in the documented CLW2 layout: the
+    bytes of one per-level file before a field was one file."""
+    return (b"CLW2" + struct.pack("<IIdddd", u.dim, u.nx, u.lo, u.hi,
+                                  u.bound_M, u.times[n])
+            + u.data[n].astype("<f8").tobytes())
+
+
+def _assert_same_field(a: GridField, b: GridField):
+    assert (a.dim, a.nx, a.lo, a.hi, a.bound_M) == \
+        (b.dim, b.nx, b.lo, b.hi, b.bound_M)
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.data.shape == b.data.shape
+    assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestSerialization:
     def make_field(self):
         # lo + nx * dx is one ulp above hi on this grid
@@ -433,9 +468,50 @@ class TestSerialization:
         assert back.hi == u.hi
         assert back.bound_M == u.bound_M
 
+    def test_file_holds_every_level_as_one_record(self, tmp_path):
+        u = self.make_field()
+        paths = write_slabs(tmp_path / "slabs", u)
+        assert paths == sorted((tmp_path / "slabs").glob("*.slab"))
+        assert len(paths) == 1
+        assert paths[0].read_bytes() == b"".join(
+            _record(u, n) for n in range(len(u.times)))
+
+    def test_old_per_level_directory_loads_equal(self, tmp_path):
+        u = self.make_field()
+        (tmp_path / "old").mkdir()
+        for n in range(len(u.times)):
+            (tmp_path / "old" / f"u_{n:05d}.slab").write_bytes(_record(u, n))
+        old = load_field(tmp_path / "old")
+        _assert_same_field(old, load_field(write_slabs(tmp_path / "new", u)))
+        _assert_same_field(old, u)
+
+    def test_records_out_of_time_order_load_sorted(self, tmp_path):
+        u = self.make_field()
+        order = np.random.default_rng(7).permutation(len(u.times))
+        (tmp_path / "shuffled.slab").write_bytes(
+            b"".join(_record(u, n) for n in order))
+        _assert_same_field(load_field(tmp_path / "shuffled.slab"), u)
+
+    @pytest.mark.parametrize("cut,extra", [
+        (8, b""), (1, b""), (0, bytes(5)), (0, b"x" * 100)],
+        ids=["cut_8", "cut_1", "trailing_5", "trailing_100"])
+    def test_refuses_last_record_cut_short_or_trailing_bytes(
+            self, tmp_path, cut, extra):
+        u = self.make_field()
+        whole = b"".join(_record(u, n) for n in range(len(u.times)))
+        bad = tmp_path / "bad.slab"
+        bad.write_bytes(whole[:len(whole) - cut] + extra)
+        last = len(u.times) - 1
+        data_bytes = 8 * u.nx - cut + len(extra)
+        with pytest.raises(FieldFileError) as info:
+            load_field(bad)
+        assert str(info.value).startswith(f"{bad}: record {last}: "
+                                          f"{data_bytes} data bytes, "
+                                          f"expected {8 * u.nx}")
+
     def test_single_slab_loads(self, tmp_path):
         u = self.make_field()
-        write_slab(tmp_path / "one.slab", u, 0)
+        (tmp_path / "one.slab").write_bytes(_record(u, 0))
         single = load_field(tmp_path / "one.slab")
         assert len(single.times) == 1
         assert np.array_equal(single.data[0], u.data[0])
@@ -447,9 +523,26 @@ class TestSerialization:
             odd = replace(u, nx=u.nx + 1, data=np.zeros((1, u.nx + 1)))
         else:
             odd = replace(u, **{attr: getattr(u, attr) + 1e-9})
-        write_slab(tmp_path / "odd.slab", odd, 0)
+        (tmp_path / "odd.slab").write_bytes(_record(odd, 0))
         with pytest.raises(GridMismatch, match=attr):
-            load_field(write_slabs(tmp_path, u) + [tmp_path / "odd.slab"])
+            load_field(write_slabs(tmp_path / "u", u)
+                       + [tmp_path / "odd.slab"])
+
+    @pytest.mark.parametrize("attr", ["hi", "bound_M", "nx"])
+    def test_refuses_mixed_headers_in_one_file(self, tmp_path, attr):
+        u = self.make_field()
+        if attr == "nx":
+            odd = replace(u, nx=u.nx + 1,
+                          data=np.zeros((len(u.times), u.nx + 1)))
+        else:
+            odd = replace(u, **{attr: getattr(u, attr) + 1e-9})
+        mixed = tmp_path / "mixed.slab"
+        mixed.write_bytes(_record(u, 0) + _record(u, 1) + _record(odd, 2))
+        with pytest.raises(GridMismatch) as info:
+            load_field(mixed)
+        assert str(info.value).startswith(f"{mixed} record 2 and {mixed} "
+                                          "record 0 disagree on ")
+        assert attr in str(info.value)
 
     def test_refuses_old_version(self, tmp_path):
         u = self.make_field()

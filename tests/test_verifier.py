@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clawlab import entropy
+from clawlab import verifier as verifier_mod
 from clawlab.entropy import make_kruzkov_pair, make_smooth_pair
 from clawlab.errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
                             SupportExceedsDomain)
@@ -257,6 +258,95 @@ class TestEntropyResidual:
         narrow = bump_test_function(0.0, 0.5, 0.40, 0.45)
         with pytest.raises(MissingTimeLevels):
             entropy_residual(u, BURGERS, make_kruzkov_pair(BURGERS, 0.0), narrow)
+
+
+class TestWeakSumChunks:
+    """The weak-form quadrature takes whole levels in chunks of at most
+    ``_CHUNK_CELLS`` box cells, or one level where one level's box holds
+    more."""
+
+    @staticmethod
+    def chunked(phi, chunks):
+        # (box cells, levels) of every chunk, read off phi's evaluations
+        def value(P, tq):
+            chunks.append((P[..., 0].size, (tq.size - 1) // 2))
+            return phi.value(P, tq)
+        return dataclasses.replace(phi, value=value)
+
+    @staticmethod
+    def window_levels(u, phi):
+        levels, _ = verifier_mod._support_window(u, phi)
+        return len(levels)
+
+    @staticmethod
+    def pair_2d():
+        fb2 = catalog_lookup("burgers2d")
+        cfg = SchemeConfig(lo=-1, hi=1, nx=80, t_end=0.3, dim=2,
+                           store_every=2)
+
+        def sq(lo):
+            return lambda p: np.where(
+                (np.abs(p[..., 0] - lo) < 0.3) & (np.abs(p[..., 1]) < 0.3),
+                1.0, 0.0)
+
+        u, v = solve_pair(fb2, sq(-0.1), sq(0.1), cfg)
+        return fb2, u, v, bump_test_function([0.0, 0.0], 0.6, 0.05, 0.25,
+                                             dim=2)
+
+    def test_chunks_fill_the_budget(self):
+        budget = verifier_mod._CHUNK_CELLS
+        cfg = SchemeConfig(lo=-1, hi=1, nx=300, t_end=0.5)
+        u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
+        bump = bump_test_function(0.1, 0.45, 0.05, 0.4)
+        chunks = []
+        entropy_residual_sweep(u, PRODUCT,
+                               [make_kruzkov_pair(PRODUCT, 0.2)],
+                               self.chunked(bump, chunks))
+        cells = chunks[0][0]
+        per_chunk = budget // cells
+        assert 1 < per_chunk and cells * per_chunk <= budget
+        assert [n for _, n in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        assert 1 <= chunks[-1][1] <= per_chunk
+        assert sum(n for _, n in chunks) == self.window_levels(u, bump)
+
+    def test_box_above_budget_runs_one_level_per_chunk(self):
+        fb2, u, v, psi = self.pair_2d()
+        chunks = []
+        rep = kato_lhs(u, v, fb2, self.chunked(psi, chunks))
+        cells = chunks[0][0]
+        assert cells > verifier_mod._CHUNK_CELLS
+        assert chunks == [(cells, 1)] * self.window_levels(u, psi)
+        # the rule before the budget, one full level of the field per
+        # chunk, takes two levels per chunk here; Kato's value keeps its bits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier_mod, "_CHUNK_CELLS", u.nx ** 2)
+            chunks.clear()
+            old = kato_lhs(u, v, fb2, self.chunked(psi, chunks))
+        assert {n for _, n in chunks} == {2}
+        assert rep.value == old.value and rep.tolerance == old.tolerance
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_sweep_keeps_its_bits_whatever_the_budget(self, factored):
+        # every per-level sum is taken over one level and the smooth pairs'
+        # tables hold one row per level (with factors) or per (point,
+        # state) pair (without), so no term depends on the chunking
+        flux = PRODUCT if factored else dataclasses.replace(PRODUCT,
+                                                            factors=None)
+        cfg = SchemeConfig(lo=-1, hi=1, nx=300 if factored else 100,
+                           t_end=0.5)
+        u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
+        phi = bump_test_function(0.1, 0.45, 0.05, 0.4)
+        pairs = ([make_kruzkov_pair(flux, k0)
+                  for k0 in np.linspace(-0.6, 0.6, 5)]
+                 + [make_smooth_pair(flux, 0.0, n) for n in (4, 16, 64)]
+                 + [make_smooth_pair(flux, 0.3, 16)])
+        sweeps = []
+        for budget in (verifier_mod._CHUNK_CELLS, u.nx, 1, 10 ** 9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verifier_mod, "_CHUNK_CELLS", budget)
+                sweeps.append([(r.value, r.tolerance) for r in
+                               entropy_residual_sweep(u, flux, pairs, phi)])
+        assert all(s == sweeps[0] for s in sweeps[1:])
 
 
 class TestKato:
