@@ -73,76 +73,38 @@ _INITIAL_KEYS = {
 }
 
 
-def _float_list(s: str):
-    return [float(p.strip()) for p in s.split(",") if p.strip()]
+def _rule(conv, ok, rule):
+    """The converter conv(s), refusing with "<rule>, got 's'" a value for
+    which ok is false."""
+    def convert(s: str):
+        x = conv(s)
+        if not ok(x):
+            raise ValueError(f"{rule}, got {s.strip()!r}")
+        return x
+    return convert
 
 
-def _int_list(s: str):
-    return [int(p.strip()) for p in s.split(",") if p.strip()]
+def _listed(conv):
+    """The converter of a comma list, each item through conv."""
+    return lambda s: [conv(p) for p in s.split(",") if p.strip()]
 
 
-def _count(s: str) -> int:
-    c = int(s)
-    if c < 0:
-        raise ValueError(f"a count must be >= 0, got {s.strip()!r}")
-    return c
-
-
-def _smoothing_indices(s: str):
-    ns = _int_list(s)
-    if any(n < 1 for n in ns):
-        raise ValueError(f"smoothing indices must be >= 1, got {s.strip()!r}")
-    return ns
-
-
-def _radius(s: str) -> float:
-    r = float(s)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"a radius must be finite and > 0, got {s.strip()!r}")
-    return r
-
-
-def _radius_list(s: str):
-    radii = [_radius(p) for p in s.split(",") if p.strip()]
-    if not radii:
-        raise ValueError("needs at least one radius, finite and > 0")
-    return radii
-
-
-def _finite(s: str) -> float:
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {s.strip()!r}")
-    return x
-
-
-def _nonnegative(s: str) -> float:
-    x = float(s)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"must be finite and >= 0, got {s.strip()!r}")
-    return x
-
-
-def _shrink_ratio(s: str) -> float:
-    r = float(s)
-    if not (math.isfinite(r) and r >= 1):
-        raise ValueError(f"a shrink ratio must be finite and >= 1, "
-                         f"got {s.strip()!r}")
-    return r
-
-
-def _cfl_list(s: str):
-    cfls = _float_list(s)
-    if not all(0.0 < c <= 1.0 for c in cfls):       # refuses NaN too
-        raise ValueError(f"CFL numbers must be in (0, 1], got {s.strip()!r}")
-    return cfls
-
-
-def _sample_count(s: str) -> int:
-    c = int(s)
-    if c < 1:
-        raise ValueError(f"needs at least one sample, got {s.strip()!r}")
-    return c
+_count = _rule(int, lambda c: c >= 0, "a count must be >= 0")
+_sample_count = _rule(int, lambda c: c >= 1, "needs at least one sample")
+_smoothing_indices = _rule(_listed(int), lambda ns: all(n >= 1 for n in ns),
+                           "smoothing indices must be >= 1")
+_radius = _rule(float, lambda r: math.isfinite(r) and r > 0,
+                "a radius must be finite and > 0")
+_radius_list = _rule(_listed(_radius), bool,
+                     "needs at least one radius, finite and > 0")
+_finite = _rule(float, math.isfinite, "must be finite")
+_nonnegative = _rule(float, lambda x: math.isfinite(x) and x >= 0,
+                     "must be finite and >= 0")
+_shrink_ratio = _rule(float, lambda r: math.isfinite(r) and r >= 1,
+                      "a shrink ratio must be finite and >= 1")
+# the comparisons refuse NaN too
+_cfl_list = _rule(_listed(float), lambda cs: all(0.0 < c <= 1.0 for c in cs),
+                  "CFL numbers must be in (0, 1]")
 
 
 # the uniqueness check's scheme variants where its section leaves them out

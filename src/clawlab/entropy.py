@@ -45,8 +45,8 @@ where the h(u) terms cancel exactly.  The smooth pairs of one k0 share one
 table row over the chunk's states, with q = g(x) A(u) and
 div_x q = (g'_1 + ... + g'_d)(x) B(u), where A and B are state integrals
 of h' and h alone.  Its values agree with the pair-by-pair sweep of a copy
-without factors to at most 4.5e-14 of the largest |value| (measured over
-2,600 random fields, catalog fluxes in 1-d and 2-d).
+without factors to at most 4.3e-14 of the largest |value| (measured over
+7,800 random fields, catalog fluxes in 1-d and 2-d).
 
 Sign convention throughout: sign(0) = 0 (numpy's convention).
 """

@@ -23,12 +23,13 @@ combinations are refused.
 
 The stepper owns its sweep buffers: one ghost buffer and the interface
 buffers fL, fR, lam and F (plus a work array), each one storage that the
-axes share.  A sweep writes the interior and the two ghost layers of u
-into the ghost buffer, and computes F and the update with ``out=`` ufuncs
-in the association written above (``_rusanov``), so its states are bitwise
-those of the plain expressions.  Apart from the values of h and h' (and
-the Godunov branch's f), a step allocates only the array it returns; it
-never writes its input.
+axes share, and one ``_Axis`` per axis holds its views of them.  A sweep
+writes the interior and the two ghost layers of u into the ghost buffer,
+and computes F and the update with ``out=`` ufuncs in the association
+written above (``_rusanov``), so its states are bitwise those of the
+plain expressions.  Apart from the values of h and h' (and the Godunov
+branch's f), a step allocates only the array it returns; it never writes
+its input.
 
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
 one setup (``_Run``): it checks the flux against the config, samples each
@@ -47,9 +48,10 @@ The same interface flux induces a numerical entropy flux for |u - k|:
 and for homogeneous fluxes the per-cell inequality
 |u^{n+1}-k| - |u^n-k| + (dt/dx)(Q_{i+1/2} - Q_{i-1/2}) <= 0 holds to
 roundoff; ``discrete_entropy_max_violation`` measures it.  It reads the
-ghosted states, fL, fR and lam of each step from the stepper's buffers
-(``_Stepper.last_sides``), so h and h' are evaluated once per step, and it
-refuses an empty or non-finite list of k before any solving.
+ghosted states, fL, fR and lam of each step from the buffers of the 1-d
+stepper's one axis, so h and h' are evaluated once per step, computes Q
+into arrays allocated once per run, and refuses an empty or non-finite
+list of k before any solving.
 """
 
 from __future__ import annotations
@@ -152,24 +154,57 @@ def _along(axis: int, ndim: int, index) -> tuple:
     return tuple(index if a == axis else slice(None) for a in range(ndim))
 
 
-class _InterfaceFlux:
-    """Component ``axis`` of f and d_k f at the fixed interface points ``xi``,
-    with the interface buffers fL, fR, lam, F and work of its sweep.
+def _rusanov(uL, uR, fL, fR, lam, out, work) -> None:
+    """F = 0.5 (fL + fR) - 0.5 lam (uR - uL), associated as written, into
+    ``out`` with ``work`` for the second term."""
+    np.subtract(uR, uL, out=work)
+    np.multiply(0.5, lam, out=out)
+    np.multiply(out, work, out=work)
+    np.add(fL, fR, out=out)
+    np.multiply(0.5, out, out=out)
+    np.subtract(out, work, out=out)
 
-    For a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
-    here once per run, and a sweep takes h and h' once on the ghosted
-    states; any other flux goes through ``eval``/``dk``.
+
+class _Axis:
+    """One axis's sweep, bound once per run.
+
+    Component ``axis`` of f and d_k f at the fixed interface points ``xi``:
+    for a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
+    here once, and a sweep takes h and h' once on the ghosted states; any
+    other flux goes through ``eval``/``dk``.  Views of the stepper's ghost
+    buffer in the shape of this axis: the ghosted states ``ug`` with its
+    interior, its two ghost layers and their sources under the boundary
+    rule, the neighbours uL, uR of every interface and the +-1 cell offsets
+    for the Laplacian.  The stepper's interface buffers fL, fR, lam, F and
+    work in this axis's shape, and the two sides of F for the update.
     """
 
-    def __init__(self, flux: FluxSpec, xi: Array, axis: int, store):
-        self.flux, self.xi, self.axis = flux, xi, axis
+    def __init__(self, flux: FluxSpec, config: SchemeConfig, xi: Array,
+                 axis: int, ug: Array, faces, lap):
+        self.flux, self.xi, self.axis, self.ug = flux, xi, axis, ug
+        self.scheme, self.dx, self.lap = config.scheme, config.dx, lap
+        self.viscosity = config.viscosity
         self.g = None if flux.factors is None else flux.factors.g(xi)[..., axis]
         self.abs_g = None if self.g is None else np.abs(self.g)
-        ndim = xi.ndim - 1
-        self.left = _along(axis, ndim, slice(0, -1))
-        self.right = _along(axis, ndim, slice(1, None))
+        ndim = ug.ndim
+
+        def along(start, stop):
+            return _along(axis, ndim, slice(start, stop))
+
+        self.inner = ug[along(1, -1)]
+        # the ghost layers copy the first and last cells (outflow), or the
+        # opposite ones (periodic)
+        first, last = ug[along(1, 2)], ug[along(-2, -1)]
+        if config.boundary == "periodic":
+            first, last = last, first
+        self.ghosts = ((ug[along(0, 1)], first), (ug[along(-1, None)], last))
+        left, right = along(0, -1), along(1, None)
+        self.left, self.right = left, right
+        self.uL, self.uR = ug[left], ug[right]
+        self.plus, self.minus = ug[along(2, None)], ug[along(0, -2)]
         self.fL, self.fR, self.lam, self.F, self.work = (
-            s.reshape(xi.shape[:-1]) for s in store)
+            s.reshape(xi.shape[:-1]) for s in faces)
+        self.F_right, self.F_left = self.F[right], self.F[left]
 
     def at(self, k) -> Array:
         """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the lattice."""
@@ -177,23 +212,23 @@ class _InterfaceFlux:
             return self.flux.eval(self.xi, k)[..., self.axis]
         return self.g * self.flux.factors.h(np.asarray(k, dtype=float))
 
-    def sides(self, ug: Array) -> None:
+    def sides(self) -> None:
         """Write fL = f(x, uL), fR = f(x, uR) and the local speed
         lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) at every interface of the
         ghosted ``ug`` into the interface buffers."""
-        left, right = self.left, self.right
         if self.g is None:
             flux, xi, axis = self.flux, self.xi, self.axis
-            uL, uR = ug[left], ug[right]
+            uL, uR = self.uL, self.uR
             dL, dR = flux.dk(xi, uL)[..., axis], flux.dk(xi, uR)[..., axis]
             np.copyto(self.fL, self.at(uL))
             np.copyto(self.fR, self.at(uR))
         else:
-            h = self.flux.factors.h(ug)
+            left, right = self.left, self.right
+            h = self.flux.factors.h(self.ug)
             np.multiply(self.g, h[left], out=self.fL)
             np.multiply(self.g, h[right], out=self.fR)
             # h' may return ug itself, so it is only read
-            h_prime = self.flux.factors.h_prime(ug)
+            h_prime = self.flux.factors.h_prime(self.ug)
             dL, dR = h_prime[left], h_prime[right]
         lam = self.lam
         np.abs(dL, out=lam)
@@ -202,65 +237,44 @@ class _InterfaceFlux:
             # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
             np.multiply(self.abs_g, lam, out=lam)
 
-
-def _rusanov(uL, uR, fL, fR, lam, out=None, work=None) -> Array:
-    """F = 0.5 (fL + fR) - 0.5 lam (uR - uL), associated as written, into
-    ``out`` with ``work`` for the second term; both are allocated in the
-    broadcast shape of the arguments when ``out`` is not given."""
-    if out is None:
-        shape = np.broadcast_shapes(*map(np.shape, (uL, uR, fL, fR, lam)))
-        out, work = np.empty(shape), np.empty(shape)
-    np.subtract(uR, uL, out=work)
-    np.multiply(0.5, lam, out=out)
-    np.multiply(out, work, out=work)
-    np.add(fL, fR, out=out)
-    np.multiply(0.5, out, out=out)
-    return np.subtract(out, work, out=out)
-
-
-class _Axis:
-    """Views of the stepper's ghost buffer in the shape of one axis's sweep:
-    the ghosted states ``ug`` with its interior, its two ghost layers and
-    their sources under the boundary rule, the neighbours of every
-    interface and the +-1 cell offsets for the Laplacian; and the two sides
-    of the interface flux F for the update."""
-
-    __slots__ = ("iface", "ug", "inner", "ghosts", "uL", "uR", "plus", "minus",
-                 "F_right", "F_left")
-
-    def __init__(self, iface: _InterfaceFlux, ug: Array, periodic: bool):
-        axis, ndim = iface.axis, ug.ndim
-
-        def along(start, stop):
-            return ug[_along(axis, ndim, slice(start, stop))]
-
-        self.iface, self.ug = iface, ug
-        self.inner = along(1, -1)
-        # the ghost layers copy the first and last cells (outflow), or the
-        # opposite ones (periodic)
-        first, last = along(1, 2), along(-2, -1)
-        if periodic:
-            first, last = last, first
-        self.ghosts = ((along(0, 1), first), (along(-1, None), last))
-        self.uL, self.uR = ug[iface.left], ug[iface.right]
-        self.plus, self.minus = along(2, None), along(0, -2)
-        self.F_right, self.F_left = iface.F[iface.right], iface.F[iface.left]
+    def sweep(self, u: Array, dt: float, out: Array) -> Array:
+        """One sweep of ``u`` along this axis, written into ``out``."""
+        np.copyto(self.inner, u)
+        for ghost, source in self.ghosts:
+            np.copyto(ghost, source)
+        if self.scheme == "godunov_burgers":
+            # exact Godunov flux for convex f with minimum at u = 0
+            np.maximum(self.at(np.maximum(self.uL, 0.0)),
+                       self.at(np.minimum(self.uR, 0.0)), out=self.F)
+        else:
+            self.sides()
+            _rusanov(self.uL, self.uR, self.fL, self.fR, self.lam, self.F,
+                     self.work)
+        # u - (dt / dx) (F_{i+1/2} - F_{i-1/2})
+        dx = self.dx
+        np.subtract(self.F_right, self.F_left, out=out)
+        np.multiply(dt / dx, out, out=out)
+        np.subtract(u, out, out=out)
+        if self.scheme == "viscous":
+            # (u_{i+1} - 2 u_i + u_{i-1}) scaled by eps dt / dx^2
+            lap = self.lap
+            np.multiply(2.0, u, out=lap)
+            np.subtract(self.plus, lap, out=lap)
+            np.add(lap, self.minus, out=lap)
+            np.multiply(self.viscosity * dt / dx ** 2, lap, out=lap)
+            np.add(out, lap, out=out)
+        return out
 
 
 class _Stepper:
-    """Interface geometry, flux factors and sweep buffers bound once for
-    repeated sweeps.
+    """Cell centers, sweep buffers and one ``_Axis`` per axis, bound once
+    for repeated sweeps.
 
     The axes share one storage per buffer (every axis has nx cells, so
     the sizes agree), and a sweep writes each buffer before it reads it.
-    After a rusanov or viscous step, ``last_sides`` = (ug, fL, fR, lam) holds
-    the ghosted states, interface fluxes and local speeds of the step's
-    last sweep, until the next step.
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
-        self.config = config
-        self.scheme, self.dx = config.scheme, config.dx
         n, dim, dx = config.nx, config.dim, config.dx
         self.centers = c = config.lo + (np.arange(n) + 0.5) * dx
         e = config.lo + np.arange(n + 1) * dx
@@ -276,57 +290,23 @@ class _Stepper:
         for axis in range(dim):
             grids = np.meshgrid(*[e if a == axis else c for a in range(dim)],
                                 indexing="ij")
-            xi = np.stack(grids, axis=-1)
-            iface = _InterfaceFlux(flux, xi, axis, faces)
             shape = tuple(n + 2 if a == axis else n for a in range(dim))
-            self.axes.append(_Axis(iface, ghosted.reshape(shape),
-                                   config.boundary == "periodic"))
-        last = self.axes[-1]
-        self.last_sides = (last.ug, last.iface.fL, last.iface.fR,
-                           last.iface.lam)
-
-    def _sweep(self, u: Array, dt: float, axis: int, out: Array) -> Array:
-        """One sweep of ``u`` along ``axis``, written into ``out``."""
-        a = self.axes[axis]
-        np.copyto(a.inner, u)
-        for ghost, source in a.ghosts:
-            np.copyto(ghost, source)
-        iface = a.iface
-        if self.scheme == "godunov_burgers":
-            # exact Godunov flux for convex f with minimum at u = 0
-            np.maximum(iface.at(np.maximum(a.uL, 0.0)),
-                       iface.at(np.minimum(a.uR, 0.0)), out=iface.F)
-        else:
-            iface.sides(a.ug)
-            _rusanov(a.uL, a.uR, iface.fL, iface.fR, iface.lam,
-                     out=iface.F, work=iface.work)
-        # u - (dt / dx) (F_{i+1/2} - F_{i-1/2})
-        dx = self.dx
-        np.subtract(a.F_right, a.F_left, out=out)
-        np.multiply(dt / dx, out, out=out)
-        np.subtract(u, out, out=out)
-        if self.scheme == "viscous":
-            # (u_{i+1} - 2 u_i + u_{i-1}) scaled by eps dt / dx^2
-            lap = self.lap
-            np.multiply(2.0, u, out=lap)
-            np.subtract(a.plus, lap, out=lap)
-            np.add(lap, a.minus, out=lap)
-            np.multiply(self.config.viscosity * dt / dx ** 2, lap, out=lap)
-            np.add(out, lap, out=out)
-        return out
+            self.axes.append(_Axis(flux, config, np.stack(grids, axis=-1),
+                                   axis, ghosted.reshape(shape), faces,
+                                   self.lap))
 
 
 class _Stepper1D(_Stepper):
     def step(self, u: Array, dt: float) -> Array:
-        return self._sweep(u, dt, 0, np.empty(u.shape))
+        return self.axes[0].sweep(u, dt, np.empty(u.shape))
 
 
 class _Stepper2D(_Stepper):
     """Godunov splitting: an x sweep, then a y sweep."""
 
     def step(self, u: Array, dt: float) -> Array:
-        return self._sweep(self._sweep(u, dt, 0, self.mid), dt, 1,
-                           np.empty(u.shape))
+        x, y = self.axes
+        return y.sweep(x.sweep(u, dt, self.mid), dt, np.empty(u.shape))
 
 
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
@@ -495,20 +475,21 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
     if bad.size:
         raise ValueError(f"the entropy scan needs finite k, got {bad.tolist()}")
     run = _Run(flux, config, [u0])
-    iface = run.stepper.axes[0].iface
+    # the one sweep of a 1-d step leaves in its axis the ghosted states,
+    # interface fluxes and local speeds of the step that made unew from u
+    a = run.stepper.axes[0]
     mu = run.dt / config.dx
     # one row per k: k and f(x_{i+1/2}, k), the same on every step
-    f_ks = np.stack([iface.at(k) for k in ks[:, 0]])
-    # the sides of the step that made unew from u, read in place
-    ug, fL, fR, lam = run.stepper.last_sides
+    f_ks = np.stack([a.at(k) for k in ks[:, 0]])
+    Q, work = (np.empty((len(ks), config.nx + 1)) for _ in range(2))
     worst = -math.inf
     for _, _, unew, _ in run.steps(0):
         # interface entropy flux Q_{i+1/2}: the scheme's flux applied to
         # (|u - k|, q_k) with the same local speeds
-        rel = ug - ks
+        rel = a.ug - ks
         sign, dist = np.sign(rel), np.abs(rel)
-        Q = _rusanov(dist[:, :-1], dist[:, 1:], sign[:, :-1] * (fL - f_ks),
-                     sign[:, 1:] * (fR - f_ks), lam)
+        _rusanov(dist[:, :-1], dist[:, 1:], sign[:, :-1] * (a.fL - f_ks),
+                 sign[:, 1:] * (a.fR - f_ks), a.lam, Q, work)
         viol = np.abs(unew - ks) - dist[:, 1:-1] + mu * np.diff(Q, axis=1)
         worst = max(worst, float(viol.max()))
     return worst

@@ -56,8 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import EntropyPair, kruzkov_div, kruzkov_flux, sweep_terms
-from .errors import (EmptyCone, GridMismatch, MissingTimeLevels,
-                     SampleNearShock, SupportExceedsDomain)
+from .errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
+                     SupportExceedsDomain)
 from .flux import FluxSpec, lipschitz_constant
 from .grids import GridField
 from .mollifiers import Mollifier, TestFunction, omega_value
@@ -374,9 +374,6 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
         # variants may take different time steps, so only the final slabs
         # (all landing exactly on t_end) are compared
         fields = [solve(flux, u0, c) for c in configs]
-        for f in fields[1:]:
-            if not fields[0].same_grid(f):
-                raise GridMismatch("variants produced different grids")
         finals = [replace(f, times=f.times[-1:], data=f.data[-1:])
                   for f in fields]
         dist = np.zeros((len(fields),) * 2)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -350,9 +351,12 @@ class TestConfigParsing:
         ("kind = rusanov", "kind = viscous\nviscosity = nan", "finite and > 0"),
         ("kind = rusanov", "kind = viscous\nviscosity = inf", "finite and > 0"),
         ("kind = rusanov", "kind = viscous\nviscosity = -0.5", "finite and > 0"),
+        # a scheme or boundary the solver does not know, named
+        ("kind = rusanov", "kind = upwind", "'upwind'"),
+        ("boundary = outflow", "boundary = reflecting", "'reflecting'"),
     ], ids=["store_every", "cfl", "viscous", "rusanov_viscosity",
             "godunov_viscosity", "viscous_nan", "viscous_inf",
-            "viscous_negative"])
+            "viscous_negative", "unknown_kind", "unknown_boundary"])
     def test_bad_scheme_value_refused_before_output(self, tmp_path, old, new,
                                                     match):
         text = SMALL_CONTRACTION.replace(old, new).replace(
@@ -839,6 +843,24 @@ class TestCliOther:
         study = (tmp_path / "study" / "study.csv").read_text().splitlines()
         orders = [float(r.split(",")[2]) for r in study[2:]]
         assert all(0.5 <= o <= 1.2 for o in orders)
+
+    def test_study_prints_violation_rows(self, tmp_path, capsys):
+        # one row per cone or global check: its value at each level, and
+        # the shrink ratio of each level to the next
+        text = SMALL_CONTRACTION.replace("nx = 600", "nx = 100").replace(
+            "dir = out", f"dir = {tmp_path / 'study'}")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["study", str(cfg_path), "--levels", "2"]) == 0
+        out = capsys.readouterr().out
+        for name in ("cone", "glob"):
+            row = re.search(rf"^violations\[{name}\]: (\S+), (\S+)  "
+                            r"shrink ratios: (\S+)$", out, re.MULTILINE)
+            assert row, out
+            coarse, fine = float(row[1]), float(row[2])
+            assert coarse >= 0.0 and fine >= 0.0
+            assert row[3] == ("inf" if fine == 0.0
+                              else f"{coarse / fine:.2f}")
 
     def test_exit_code_on_failed_check(self, tmp_path):
         # an anti-pair run: expansion-shock initial data evolves to the

@@ -305,6 +305,23 @@ class TestDiscreteEntropy:
             discrete_entropy_max_violation(
                 catalog_lookup("burgers2d"), constant_data(0.3), cfg, [0.0])
 
+    @pytest.mark.parametrize("dim,scheme,match", [
+        (2, "rusanov", "1-d"), (1, "viscous", "rusanov scheme"),
+        (1, "godunov_burgers", "rusanov scheme")],
+        ids=["dim_2", "viscous", "godunov_burgers"])
+    def test_refuses_other_dims_and_schemes(self, dim, scheme, match):
+        # the scan's Q is the rusanov flux of a 1-d sweep; refused before
+        # the datum is sampled
+        def unsampled(p):
+            raise AssertionError("the datum was sampled")
+
+        cfg = SchemeConfig(lo=-1, hi=1, nx=20, t_end=0.1, dim=dim,
+                           scheme=scheme,
+                           viscosity=0.02 if scheme == "viscous" else 0.0)
+        with pytest.raises(ValueError, match=match):
+            discrete_entropy_max_violation(
+                catalog_lookup(f"burgers{dim}d"), unsampled, cfg, [0.0])
+
     @pytest.mark.parametrize("ks,match", [([np.nan], "nan"),
                                           ([0.5, np.nan], r"\[nan\]"),
                                           ([np.inf], "inf"),

@@ -554,6 +554,19 @@ class TestUniqueness:
         assert all(r >= 1.5 for r in rep.metadata["ratios"])
         assert all(r >= 1.4 for r in rep.metadata["oracle_ratios"])
 
+    def test_wrong_oracle_alone_fails(self):
+        # the variants converge to each other, but an oracle off by a shift
+        # of the shock keeps their errors from shrinking
+        from clawlab.grids import riemann_data
+        from clawlab.solver import exact_riemann_burgers
+        rep = uniqueness_experiment(
+            BURGERS, riemann_data(1.0, 0.0, 0.0), self.SEEDS,
+            exact_at_t_end=lambda pts: exact_riemann_burgers(
+                1.0, 0.0, pts[..., 0] - 0.2, 0.5))
+        assert all(r >= 1.5 for r in rep.metadata["ratios"])
+        assert all(r < 1.4 for r in rep.metadata["oracle_ratios"])
+        assert not rep.passed
+
     def test_rarefaction_data_converges_to_oracle(self):
         from clawlab.grids import riemann_data
         from clawlab.solver import exact_riemann_burgers
