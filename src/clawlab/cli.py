@@ -20,17 +20,20 @@ marker file flags partial output after an error.  The environment variable
 ``global_contraction`` on two), each field a slab file or a directory of
 slab files (a run's ``u_slabs``, or a directory of one file per level as
 runs wrote them before one file per field).  Its ``--set`` keys are those
-of a ``[check.*]`` section of that kind, read by the same parser, so
-unknown, duplicate or missing required keys are errors, and so is a field
-that cannot be read (exit 2).
+of a ``[check.*]`` section of that kind, read by the config's one reader
+in its one order (each key in turn, an unknown key or a bad value naming
+its ``--set`` pair, then a missing required key), so these are errors,
+and so are duplicate keys and a field that cannot be read (exit 2).
 A flux that takes parameters reads them from the run's ``config.cfg``.
 It prints the report and writes no files.  ``run``, ``study`` and
-``verify`` run these checks through one builder whose defaults come from
-the fields themselves (their domain and stored time range), and the slabs
-hold the run's grid and bound M exactly, so on a run's slabs ``verify``
-with the section's keys prints that run's report (without the run's
-``check_name`` and ``seed``).  ``run`` and ``study`` solve on the config's
-one ``SchemeConfig`` (``study`` on its refinements).
+``verify`` run every check kind through one dispatcher, ``_run_check``,
+whose defaults come from the fields themselves (their domain and stored
+time range), and the slabs hold the run's grid and bound M exactly, so on
+a run's slabs ``verify`` with the section's keys prints that run's report
+(without the run's ``check_name`` and ``seed``).  ``run`` and ``study``
+solve on the config's one ``SchemeConfig`` (``study`` on its
+refinements, every ``store_every * 2**level``-th step, so its level-0
+contraction rows are ``run``'s values).
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from .flux import (catalog_lookup, catalog_names, catalog_params,
                    lipschitz_constant)
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
-from .solver import (SchemeConfig, exact_riemann_burgers, l1_distance_full,
-                     solve, solve_pair)
+from .solver import SchemeConfig, exact_riemann_burgers, solve, solve_pair
 from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
@@ -96,12 +98,25 @@ def _snapshot_plot(field: GridField, path: Path, title: str) -> None:
     svgplot.line_plot(path, series, title=title, xlabel="x", ylabel="u")
 
 
-def _run_check(check: CheckSpec, flux, u, v):
-    """Run one check that needs no config on the fields ``u`` (and ``v``).
+def _burgers_oracle(cfg: ExperimentConfig):
+    """The exact solution at t_end of a Burgers Riemann config, as a
+    function of points (..., 1); None for any other config."""
+    ini = cfg.initial_data
+    if cfg.flux_name != "burgers1d" or ini.kind != "riemann":
+        return None
+    ul, ur, x0 = ini.params["ul"], ini.params["ur"], ini.params.get("x0", 0.0)
+    return lambda pts: exact_riemann_burgers(ul, ur, pts[..., 0] - x0,
+                                             cfg.grid.t_end)
 
-    The defaults are taken from the domain and the stored time range of
-    ``u``.  Returns (report, profile); profile is the rows (t, radius,
-    l1_mass) of a contraction check, else None.  Writes no files."""
+
+def _run_check(check: CheckSpec, flux, u, v, cfg: ExperimentConfig = None):
+    """Run one check on the fields ``u`` (and ``v``); a check of one of the
+    ``CONFIG_KINDS`` also needs the config ``cfg``.
+
+    The defaults of the other kinds are taken from the domain and the
+    stored time range of ``u``.  Returns (report, profile); profile is the
+    rows (t, radius, l1_mass) of a contraction check, else None.  Writes no
+    files."""
     p = check.params
     lo, hi, dim = u.lo, u.hi, u.dim
     t_start, t_end = float(u.times[0]), float(u.times[-1])
@@ -154,24 +169,6 @@ def _run_check(check: CheckSpec, flux, u, v):
         return report, list(zip(times, [np.inf] * len(times),
                                 report.metadata["masses"]))
 
-    raise ConfigError(f"unhandled check kind {check.kind!r}")
-
-
-def _burgers_oracle(cfg: ExperimentConfig):
-    """The exact solution at t_end of a Burgers Riemann config, as a
-    function of points (..., 1); None for any other config."""
-    ini = cfg.initial_data
-    if cfg.flux_name != "burgers1d" or ini.kind != "riemann":
-        return None
-    ul, ur, x0 = ini.params["ul"], ini.params["ur"], ini.params.get("x0", 0.0)
-    return lambda pts: exact_riemann_burgers(ul, ur, pts[..., 0] - x0,
-                                             cfg.grid.t_end)
-
-
-def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
-    """Run a check of one of the ``CONFIG_KINDS``; ``clawlab run`` only."""
-    p = check.params
-
     if check.kind == "uniqueness":
         base = replace(cfg.grid, store_every=10 ** 9)
         variants = [replace(base, scheme="rusanov", cfl=c, viscosity=0.0)
@@ -183,7 +180,7 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
         return uniqueness_experiment(
             flux, cfg.initial_data, variants, center=p.get("center"),
             radius=p.get("radius"), exact_at_t_end=_burgers_oracle(cfg),
-            min_ratio=p.get("min_ratio", 1.5))
+            min_ratio=p.get("min_ratio", 1.5)), None
 
     if check.kind == "doubling":
         eps_list = p.get("eps_list", [0.1, 0.05, 0.025])
@@ -207,7 +204,7 @@ def _run_config_check(check: CheckSpec, cfg: ExperimentConfig, flux, u, v):
             metadata={"eps": eps_list, "seed": cfg.seed,
                       "samples": table["samples"],
                       "max_deviation": {k: list(map(float, d))
-                                        for k, d in dev.items()}})
+                                        for k, d in dev.items()}}), None
 
     raise ConfigError(f"unhandled check kind {check.kind!r}")
 
@@ -233,20 +230,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> list[ResidualReport]:
 
         reports = []
         for check in cfg.checks:
-            if check.kind in CONFIG_KINDS:
-                report = _run_config_check(check, cfg, flux, u, v)
-            else:
-                report, profile = _run_check(check, flux, u, v)
-                if profile is not None:
-                    write_profile_csv(outdir / f"profile_{check.name}.csv",
-                                      profile)
-                if check.kind == "cone_contraction":
-                    svgplot.line_plot(
-                        outdir / f"profile_{check.name}.svg",
-                        [([r[0] for r in profile], [r[2] for r in profile],
-                          "L1 mass")],
-                        title="shrinking-ball L1 distance", xlabel="t",
-                        ylabel="L1 mass")
+            report, profile = _run_check(check, flux, u, v, cfg)
+            if profile is not None:
+                write_profile_csv(outdir / f"profile_{check.name}.csv",
+                                  profile)
+            if check.kind == "cone_contraction":
+                svgplot.line_plot(
+                    outdir / f"profile_{check.name}.svg",
+                    [([r[0] for r in profile], [r[2] for r in profile],
+                      "L1 mass")],
+                    title="shrinking-ball L1 distance", xlabel="t",
+                    ylabel="L1 mass")
             report.metadata["check_name"] = check.name
             report.metadata["seed"] = cfg.seed
             report.write(outdir / f"report_{check.name}.json")
@@ -278,12 +272,14 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
     """Halve dx per level; report L1 errors (the sum over cells of |error|
     dx^dim) against the exact oracle or, without one, against the next finer
     level restricted to the coarse grid, and contraction-violation shrink
-    ratios."""
+    ratios.  Level ``lev`` stores every ``store_every * 2**lev``-th step,
+    about the times ``run`` stores, and level 0 is ``run``'s very field."""
     (outdir / "config.cfg").write_text(cfg.to_text())
     try:
         flux = catalog_lookup(cfg.flux_name, cfg.flux_params)
-        runs = [_solve(cfg, flux, replace(cfg.grid.refined(2 ** lev),
-                                          store_every=10 ** 9))
+        runs = [_solve(cfg, flux, replace(
+                    cfg.grid.refined(2 ** lev),
+                    store_every=cfg.grid.store_every * 2 ** lev))
                 for lev in range(levels)]
 
         exact = _burgers_oracle(cfg)
@@ -296,9 +292,7 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
                 ref = _restrict(runs[lev + 1][0].data[-1], 2)
             else:
                 break
-            final = replace(u, times=u.times[-1:], data=u.data[-1:])
-            errs.append(l1_distance_full(
-                final, replace(final, data=ref[None]), final.times[0]))
+            errs.append(float(np.abs(u.data[-1] - ref).sum() * u.dx ** u.dim))
             dxs.append(u.dx)
         orders = [float(np.log2(errs[i] / errs[i + 1]))
                   for i in range(len(errs) - 1)

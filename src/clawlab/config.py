@@ -4,6 +4,13 @@ Strict schema: every section and key must be known, physical parameters
 (grid, flux) carry no defaults, and unknown keys are errors naming the
 offending line.  Configs round-trip losslessly through ``to_text``.
 
+Every section, and the ``--set`` keys of ``clawlab verify``, is read by one
+reader with one refusal order: an unknown section name before any section
+is read, then a missing section; within a section its kind key (``name``
+of ``[flux]``, ``kind`` of initial data and checks), then each key in
+file order (an unknown key or a bad value, naming its line), then a
+missing required key.
+
 The ``[grid]`` and ``[scheme]`` sections are read into one
 ``solver.SchemeConfig`` (``ExperimentConfig.grid``), built once while
 parsing, so its rules refuse a config as a ``ConfigError`` before any
@@ -64,13 +71,25 @@ from .flux import catalog_lookup, catalog_names, catalog_params
 from .grids import InitialData
 from .solver import SchemeConfig
 
+# [initial_data] keys per kind with their converters; all but x0 and offset
+# are required
 _INITIAL_KEYS = {
-    "riemann": {"ul", "ur", "x0"},
-    "box": {"height", "lo", "hi"},
-    "sine": {"amp", "freq", "offset"},
-    "constant": {"value"},
-    "file": {"path"},
+    "riemann": {"ul": float, "ur": float, "x0": float},
+    "box": {"height": float, "lo": float, "hi": float},
+    "sine": {"amp": float, "freq": float, "offset": float},
+    "constant": {"value": float},
+    "file": {"path": str},
 }
+# [grid] keys, all required, and [scheme] keys, all but viscosity required
+# (default 0); [scheme] kind is SchemeConfig.scheme
+_GRID_KEYS = {"lo": float, "hi": float, "nx": int, "dim": int,
+              "t_end": float, "store_every": int}
+_SCHEME_KEYS = {"kind": str, "cfl": float, "boundary": str,
+                "viscosity": float}
+# the sections a config must have, and the others it may have besides the
+# [check.*] sections
+_SECTIONS = ("flux", "initial_data", "grid", "scheme", "output")
+_OPTIONAL_SECTIONS = ("initial_data2", "run", "checks")
 
 
 def _rule(conv, ok, rule):
@@ -154,38 +173,29 @@ class ExperimentConfig:
     seed: int = 20260809
 
     def to_text(self) -> str:
-        lines = ["[flux]", f"name = {self.flux_name}"]
-        for k in sorted(self.flux_params):
-            lines.append(f"{k} = {_fmt(self.flux_params[k])}")
-        lines.append("")
-        for tag, data in (("initial_data", self.initial_data),
-                          ("initial_data2", self.initial_data2)):
-            if data is None:
-                continue
-            lines.append(f"[{tag}]")
-            lines.append(f"kind = {data.kind}")
-            for k in sorted(data.params):
-                lines.append(f"{k} = {_fmt(data.params[k])}")
-            lines.append("")
+        """The config as text, one block of (key, value) lines per section:
+        a kind key first and its parameters sorted, [grid] and [scheme] in
+        the order of their key tables."""
         g = self.grid
-        lines += ["[grid]", f"lo = {_fmt(g.lo)}", f"hi = {_fmt(g.hi)}",
-                  f"nx = {g.nx}", f"dim = {g.dim}", f"t_end = {_fmt(g.t_end)}",
-                  f"store_every = {g.store_every}", ""]
-        lines += ["[scheme]", f"kind = {g.scheme}", f"cfl = {_fmt(g.cfl)}",
-                  f"boundary = {g.boundary}", f"viscosity = {_fmt(g.viscosity)}",
-                  ""]
-        lines += ["[output]", f"dir = {self.output_dir}", ""]
-        lines += ["[run]", f"seed = {self.seed}", ""]
+        blocks = [("flux", [("name", self.flux_name),
+                            *sorted(self.flux_params.items())])]
+        blocks += [(tag, [("kind", data.kind), *sorted(data.params.items())])
+                   for tag, data in (("initial_data", self.initial_data),
+                                     ("initial_data2", self.initial_data2))
+                   if data is not None]
+        blocks += [("grid", [(k, getattr(g, k)) for k in _GRID_KEYS]),
+                   ("scheme", [(k, getattr(g, "scheme" if k == "kind" else k))
+                               for k in _SCHEME_KEYS]),
+                   ("output", [("dir", self.output_dir)]),
+                   ("run", [("seed", self.seed)])]
         if self.checks:
-            lines += ["[checks]",
-                      "tasks = " + ", ".join(c.name for c in self.checks), ""]
-            for c in self.checks:
-                lines.append(f"[check.{c.name}]")
-                lines.append(f"kind = {c.kind}")
-                for k in sorted(c.params):
-                    lines.append(f"{k} = {_fmt(c.params[k])}")
-                lines.append("")
-        return "\n".join(lines)
+            blocks.append(("checks", [("tasks", [c.name for c in self.checks])]))
+            blocks += [(f"check.{c.name}",
+                        [("kind", c.kind), *sorted(c.params.items())])
+                       for c in self.checks]
+        return "\n".join(line for name, keys in blocks for line in
+                         (f"[{name}]", *(f"{k} = {_fmt(v)}" for k, v in keys),
+                          ""))
 
 
 def _fmt(v) -> str:
@@ -230,43 +240,48 @@ def _parse_sections(text: str):
     return sections
 
 
-def _take(section: dict, secname: str, key: str, conv, required=True, default=None):
-    if key not in section:
-        if required:
+def _read(section: dict, secname: str, convs: dict, required=()) -> dict:
+    """The keys of a section, given as {key: (value_str, where)}, each
+    converted by its converter in convs, in file order: an unknown key or a
+    bad value is refused naming its ``where``, and then a missing key of
+    ``required``."""
+    out = {}
+    for key, (val, where) in section.items():
+        if key not in convs:
+            raise ConfigError(f"{where}: unknown key {key!r} in [{secname}]")
+        try:
+            out[key] = convs[key](val)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    for key in required:
+        if key not in out:
             raise ConfigError(f"[{secname}] missing required key {key!r}")
-        return default
-    val, where = section.pop(key)
-    try:
-        return conv(val)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    return out
 
 
-def _reject_leftovers(section: dict, secname: str):
-    if section:
-        key = next(iter(section))
-        _, where = section[key]
-        raise ConfigError(f"{where}: unknown key {key!r} in [{secname}]")
+def _kind(section: dict, secname: str, key: str, known) -> tuple:
+    """(kind, rest): the kind that the section's ``key`` names, one of
+    ``known``, which picks the key table of the section's other keys,
+    ``rest``."""
+    if key not in section:
+        raise ConfigError(f"[{secname}] missing required key {key!r}")
+    kind = section[key][0]
+    if kind not in known:
+        raise ConfigError(f"[{secname}] unknown {key} {kind!r}; "
+                          f"known: {', '.join(sorted(known))}")
+    return kind, {k: v for k, v in section.items() if k != key}
 
 
 def parse_check(name: str, section: dict) -> CheckSpec:
     """Read one ``[check.<name>]`` section, given as {key: (value_str,
-    where)} with its ``kind`` key: the kind must be known, each key is
-    converted by its kind's converter, unknown keys are refused and the
-    required keys must be present.  ``clawlab verify`` builds the section
+    where)} with its ``kind`` key, through the reader of every section:
+    the kind must be known, and its keys are read with that kind's
+    converters and required keys.  ``clawlab verify`` builds the section
     from ``--check`` and its ``--set`` pairs."""
     secname = f"check.{name}"
-    kind = _take(section, secname, "kind", str)
-    if kind not in _CHECK_KEYS:
-        raise ConfigError(f"[{secname}] unknown kind {kind!r}; "
-                          f"known: {', '.join(sorted(_CHECK_KEYS))}")
-    convs = _CHECK_KEYS[kind]
-    params = {key: _take(section, secname, key, convs[key])
-              for key in list(section) if key in convs}
-    _reject_leftovers(section, secname)
-    for key in _REQUIRED_CHECK_KEYS.get(kind, ()):
-        if key not in params:
-            raise ConfigError(f"[{secname}] missing required key {key!r}")
+    kind, rest = _kind(section, secname, "kind", _CHECK_KEYS)
+    params = _read(rest, secname, _CHECK_KEYS[kind],
+                   _REQUIRED_CHECK_KEYS.get(kind, ()))
     if params.get("k0_count") == 0 and params.get("smooth_n") == []:
         raise ConfigError(f"[{secname}] k0_count = 0 and an empty smooth_n "
                           "leave no entropy pair to check")
@@ -283,73 +298,36 @@ def parse_check(name: str, section: dict) -> CheckSpec:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
+    for name in sections:
+        if not (name in _SECTIONS + _OPTIONAL_SECTIONS
+                or name.startswith("check.")):
+            raise ConfigError(f"unknown section [{name}]")
+    for name in _SECTIONS:
+        if name not in sections:
+            raise ConfigError(f"missing [{name}] section")
 
-    known_sections = {"flux", "initial_data", "initial_data2", "grid",
-                      "scheme", "output", "run", "checks"}
+    flux_name, rest = _kind(sections["flux"], "flux", "name", catalog_names())
+    flux_params = _read(rest, "flux",
+                        dict.fromkeys(catalog_params(flux_name), float))
 
-    flux_sec = sections.pop("flux", None)
-    if flux_sec is None:
-        raise ConfigError("missing [flux] section")
-    flux_name = _take(flux_sec, "flux", "name", str)
-    if flux_name not in catalog_names():
-        raise ConfigError(f"[flux] unknown flux name {flux_name!r}; "
-                          f"known: {', '.join(catalog_names())}")
-    allowed = catalog_params(flux_name)
-    flux_params = {}
-    for key in list(flux_sec):
-        if key in allowed:
-            flux_params[key] = _take(flux_sec, "flux", key, float)
-    _reject_leftovers(flux_sec, "flux")
+    def initial(secname):
+        kind, rest = _kind(sections[secname], secname, "kind", _INITIAL_KEYS)
+        convs = _INITIAL_KEYS[kind]
+        return InitialData(kind, _read(rest, secname, convs, [
+            key for key in convs if key not in ("offset", "x0")]))
 
-    def parse_initial(secname):
-        sec = sections.pop(secname, None)
-        if sec is None:
-            return None
-        kind = _take(sec, secname, "kind", str)
-        if kind not in _INITIAL_KEYS:
-            raise ConfigError(f"[{secname}] unknown kind {kind!r}; "
-                              f"known: {', '.join(sorted(_INITIAL_KEYS))}")
-        params = {}
-        for key in list(sec):
-            if key in _INITIAL_KEYS[kind]:
-                conv = str if key == "path" else float
-                params[key] = _take(sec, secname, key, conv)
-        _reject_leftovers(sec, secname)
-        required = _INITIAL_KEYS[kind] - {"offset", "x0"}
-        missing = required - set(params)
-        if missing:
-            raise ConfigError(f"[{secname}] kind {kind} missing {sorted(missing)}")
-        return InitialData(kind, params)
+    initial_data = initial("initial_data")
+    initial_data2 = (initial("initial_data2") if "initial_data2" in sections
+                     else None)
 
-    initial = parse_initial("initial_data")
-    if initial is None:
-        raise ConfigError("missing [initial_data] section")
-    initial2 = parse_initial("initial_data2")
-
-    grid_sec = sections.pop("grid", None)
-    if grid_sec is None:
-        raise ConfigError("missing [grid] section")
-    kw = {key: _take(grid_sec, "grid", key, conv)
-          for key, conv in (("lo", float), ("hi", float), ("nx", int),
-                            ("dim", int), ("t_end", float),
-                            ("store_every", int))}
-    _reject_leftovers(grid_sec, "grid")
+    kw = _read(sections["grid"], "grid", _GRID_KEYS, _GRID_KEYS)
     flux_dim = catalog_lookup(flux_name, flux_params).dim
     if flux_dim != kw["dim"]:
         raise ConfigError(f"[flux] {flux_name} is {flux_dim}-d but [grid] dim "
                           f"= {kw['dim']}")
-
-    scheme_sec = sections.pop("scheme", None)
-    if scheme_sec is None:
-        raise ConfigError("missing [scheme] section")
-    kw.update(
-        scheme=_take(scheme_sec, "scheme", "kind", str),
-        cfl=_take(scheme_sec, "scheme", "cfl", float),
-        boundary=_take(scheme_sec, "scheme", "boundary", str),
-        viscosity=_take(scheme_sec, "scheme", "viscosity", float,
-                        required=False, default=0.0),
-    )
-    _reject_leftovers(scheme_sec, "scheme")
+    kw.update(_read(sections["scheme"], "scheme", _SCHEME_KEYS,
+                    ("kind", "cfl", "boundary")))
+    kw["scheme"] = kw.pop("kind")
     if kw["scheme"] == "godunov_burgers" and flux_name != "burgers1d":
         raise ConfigError("[scheme] godunov_burgers is implemented for the 1-d "
                           "burgers1d flux only")
@@ -358,40 +336,28 @@ def parse_config(text: str) -> ExperimentConfig:
     except (ValueError, CFLViolation) as exc:
         raise ConfigError(f"[grid]/[scheme] {exc}") from exc
 
-    out_sec = sections.pop("output", None)
-    if out_sec is None:
-        raise ConfigError("missing [output] section")
-    output_dir = _take(out_sec, "output", "dir", str)
-    _reject_leftovers(out_sec, "output")
-
-    seed = 20260809
-    run_sec = sections.pop("run", None)
-    if run_sec is not None:
-        seed = _take(run_sec, "run", "seed", int, required=False, default=seed)
-        _reject_leftovers(run_sec, "run")
-
-    checks: list[CheckSpec] = []
-    checks_sec = sections.pop("checks", None)
-    if checks_sec is not None:
-        tasks = _take(checks_sec, "checks", "tasks", str)
-        _reject_leftovers(checks_sec, "checks")
-        for name in [t.strip() for t in tasks.split(",") if t.strip()]:
-            sec = sections.pop(f"check.{name}", None)
-            if sec is None:
-                raise ConfigError(f"[checks] task {name!r} has no [check.{name}] section")
-            checks.append(parse_check(name, sec))
-
+    output_dir = _read(sections["output"], "output", {"dir": str},
+                       ("dir",))["dir"]
+    seed = _read(sections.get("run", {}), "run", {"seed": int}).get(
+        "seed", 20260809)
+    tasks = (_read(sections["checks"], "checks", {"tasks": _listed(str.strip)},
+                   ("tasks",))["tasks"] if "checks" in sections else [])
+    checks = []
+    for name in tasks:
+        sec = sections.pop(f"check.{name}", None)
+        if sec is None:
+            raise ConfigError(f"[checks] task {name!r} has no [check.{name}] "
+                              "section")
+        checks.append(parse_check(name, sec))
     for name in sections:
         if name.startswith("check."):
             raise ConfigError(f"section [{name}] is not listed in [checks] tasks")
-        if name not in known_sections:
-            raise ConfigError(f"unknown section [{name}]")
 
-    if initial2 is None and any(c.kind in PAIR_KINDS for c in checks):
+    if initial_data2 is None and any(c.kind in PAIR_KINDS for c in checks):
         raise ConfigError("pair checks need an [initial_data2] section")
 
-    return ExperimentConfig(flux_name, flux_params, initial, grid, output_dir,
-                            checks, initial2, seed)
+    return ExperimentConfig(flux_name, flux_params, initial_data, grid,
+                            output_dir, checks, initial_data2, seed)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -145,6 +145,35 @@ def _set_args(params: dict) -> list:
     return out
 
 
+def _drop_section(text: str, name: str) -> str:
+    """``text`` without its [name] section, up to the next blank line."""
+    return re.sub(rf"\[{re.escape(name)}\]\n(.+\n)*", "", text)
+
+
+# config refusals, each on SMALL_CONTRACTION: (edit of the text, a match of
+# the error it must raise)
+_CONFIG_REFUSALS = {
+    "empty_section_name": (lambda t: t.replace("[output]", "[ ]"),
+                           r"line \d+: empty section name"),
+    "duplicate_section": (lambda t: t + "\n[grid]\nlo = 1.0\n",
+                          r"line \d+: duplicate section \[grid\]"),
+    "key_outside_section": (lambda t: "seed = 1\n" + t,
+                            "line 1: key outside any section"),
+    "unknown_initial_kind": (lambda t: t.replace("kind = box", "kind = wave", 1),
+                             r"\[initial_data\] unknown kind 'wave'"),
+    "initial_kind_missing_key": (lambda t: t.replace("hi = 0.0\n", ""),
+                                 r"\[initial_data\] .*missing.*'hi'"),
+    **{f"missing_{name}": (lambda t, name=name: _drop_section(t, name),
+                           rf"missing \[{name}\] section")
+       for name in ("flux", "initial_data", "grid", "scheme", "output")},
+    "task_without_section": (lambda t: _drop_section(t, "check.glob"),
+                             r"task 'glob' has no \[check\.glob\] section"),
+    "unlisted_check_section": (
+        lambda t: t.replace("tasks = cone, glob", "tasks = cone"),
+        r"section \[check\.glob\] is not listed in \[checks\] tasks"),
+}
+
+
 # an x-dependent 2-d flux whose solver bound M exceeds max|u| over the
 # stored levels (store_every = 10), so a field that loses M on disk shows
 PRODUCT_2D = """
@@ -451,6 +480,39 @@ class TestConfigParsing:
                      "entropy_burgers.cfg"):
             cfg = load_config(CONFIGS / name)
             assert parse_config(cfg.to_text()) == cfg
+
+
+    @pytest.mark.parametrize("case", list(_CONFIG_REFUSALS))
+    def test_config_refused(self, tmp_path, case):
+        edit, match = _CONFIG_REFUSALS[case]
+        text = edit(SMALL_CONTRACTION.replace(
+            "dir = out", f"dir = {tmp_path / 'out'}"))
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("nx = 1200", "nxx = 1200", "line 22: unknown key 'nxx' in [grid]"),
+        ("[grid]", "[grdi]", "unknown section [grdi]"),
+    ], ids=["key", "section"])
+    def test_typo_named_before_missing(self, tmp_path, capsys, old, new,
+                                       message):
+        # a typo'd key or section is reported as itself, not as the key or
+        # section it leaves missing
+        text = (CONFIGS / "burgers_contraction.cfg").read_text()
+        assert old in text
+        text = text.replace(old, new)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        cfg_path = tmp_path / "typo.cfg"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliRun:
@@ -861,6 +923,58 @@ class TestCliOther:
             assert coarse >= 0.0 and fine >= 0.0
             assert row[3] == ("inf" if fine == 0.0
                               else f"{coarse / fine:.2f}")
+
+    def test_study_violation_rows_on_run_levels(self, tmp_path, capsys):
+        # the cone quantity of this pair rises between stored times: a study
+        # that stored t = 0 and t_end alone printed 0 at every level, while
+        # level 0 is now the run's very field and prints the run's value
+        text = "\n".join([
+            "[flux]", "name = burgers1d",
+            "[initial_data]", "kind = sine", "amp = 1.5", "freq = 3",
+            "offset = 0",
+            "[initial_data2]", "kind = sine", "amp = 1.2", "freq = 3",
+            "offset = 0.3",
+            "[grid]", "lo = -3.0", "hi = 3.0", "nx = 200", "dim = 1",
+            "t_end = 0.8", "store_every = 1",
+            "[scheme]", "kind = rusanov", "cfl = 0.9", "boundary = outflow",
+            "[output]", "dir = probe",
+            "[checks]", "tasks = cone",
+            "[check.cone]", "kind = cone_contraction", "r = 2.0", ""])
+        cfg_path = tmp_path / "probe.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report_cone.json").read_text())
+        assert report["value"] > 0.0
+        capsys.readouterr()
+        assert main(["study", str(cfg_path), "--levels", "2",
+                     "--out", str(tmp_path / "study")]) == 0
+        row = re.search(r"^violations\[cone\]: (\S+), ", capsys.readouterr().out,
+                        re.MULTILINE)
+        assert row and row[1] == format(report["value"], ".3e")
+
+    def test_study_needs_two_levels(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_CONTRACTION.replace(
+            "dir = out", f"dir = {tmp_path / 'study'}"))
+        capsys.readouterr()
+        assert main(["study", str(cfg_path), "--levels", "1"]) == 2
+        assert capsys.readouterr().err == "error: study needs --levels >= 2\n"
+        assert not (tmp_path / "study").exists()
+
+    def test_failed_marker_on_study_error(self, tmp_path, capsys):
+        # initial data from a file that does not exist: the study has
+        # written its config when the solver raises
+        text = SMALL_CONTRACTION.replace(
+            "[initial_data]\nkind = box\nheight = 1.0\nlo = -0.5\nhi = 0.0",
+            f"[initial_data]\nkind = file\npath = {tmp_path / 'nowhere'}"
+        ).replace("dir = out", f"dir = {tmp_path / 'study'}")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        assert main(["study", str(cfg_path), "--levels", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "study" / "config.cfg").exists()
+        assert "Traceback" in (tmp_path / "study" / "FAILED").read_text()
 
     def test_exit_code_on_failed_check(self, tmp_path):
         # an anti-pair run: expansion-shock initial data evolves to the

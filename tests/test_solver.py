@@ -262,6 +262,22 @@ class TestL1Distance:
         with pytest.raises(MissingTimeLevels):
             l1_distance_on_ball(a, b, 0.3, 0.0, 0.5)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.4], [0.0, 0.25, 0.5]],
+                             ids=["other_time", "other_count"])
+    def test_time_levels_mismatch(self, times):
+        a, _ = self.make_pair()
+        c = field_from_function(lambda p, t: np.ones(p.shape[:-1]),
+                                -1, 1, 400, np.array(times))
+        with pytest.raises(GridMismatch, match="stored time levels"):
+            a.require_compatible(c)
+        with pytest.raises(GridMismatch, match="stored time levels"):
+            l1_distance_on_ball(a, c, 0.0, 0.0, 0.5)
+
+    def test_negative_radius(self):
+        a, b = self.make_pair()
+        with pytest.raises(ValueError, match="non-negative"):
+            l1_distance_on_ball(a, b, 0.5, 0.0, -0.1)
+
 
 class TestDiscreteEntropy:
     def test_violation_at_roundoff(self):

@@ -536,6 +536,18 @@ class TestUniqueness:
                      viscosity=0.02, store_every=10 ** 9),
     ]
 
+    @pytest.mark.parametrize("seeds,match", [
+        (SEEDS[:1], "at least two scheme variants"),
+        ([SEEDS[0], dataclasses.replace(SEEDS[1], t_end=0.4)],
+         "share t_end"),
+        ([SEEDS[0], dataclasses.replace(SEEDS[1], nx=200)], "share the grid"),
+        ([SEEDS[0], dataclasses.replace(SEEDS[1], hi=2.0)], "share the grid"),
+    ], ids=["one_variant", "t_end", "nx", "hi"])
+    def test_refuses_variants_that_cannot_compare(self, seeds, match):
+        from clawlab.grids import riemann_data
+        with pytest.raises(ValueError, match=match):
+            uniqueness_experiment(BURGERS, riemann_data(1.0, 0.0, 0.0), seeds)
+
     def test_identical_configs_zero_distance(self):
         from clawlab.grids import riemann_data
         rep = uniqueness_experiment(BURGERS, riemann_data(1.0, 0.0, 0.0),
@@ -662,6 +674,23 @@ class TestDoubling:
         for key in ("I3", "I4"):
             assert table["limits"][key][0] == 0.0
             assert np.all(table["deviation"][key] <= 1e-12), key
+
+    def test_too_few_smooth_cells_raise(self):
+        # 20 cells less a margin of 4 at each end leave 12 to sample
+        u = const_field(0.3, nx=20, nlev=2)
+        v = const_field(0.2, nx=20, nlev=2)
+        assert len(find_smooth_samples(u, v, 1, 12, 1.0)) == 12
+        with pytest.raises(SampleNearShock, match="not enough smooth cells"):
+            find_smooth_samples(u, v, 1, 13, 1.0)
+
+    def test_two_dimensional_fields_refused(self):
+        times = np.array([0.0, 0.1])
+        u, v = (field_from_function(lambda p, t, c=c: np.full(p.shape[:-1], c),
+                                    -1.0, 1.0, 16, times, dim=2)
+                for c in (0.3, 0.2))
+        with pytest.raises(ValueError, match="1-d fields"):
+            doubling_diagnostics(u, v, catalog_lookup("burgers2d"), [0.1],
+                                 [(0.0, 0.1)])
 
     def test_sample_near_shock_raises(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=400, t_end=0.8, store_every=1,
