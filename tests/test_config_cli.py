@@ -481,7 +481,6 @@ class TestConfigParsing:
             cfg = load_config(CONFIGS / name)
             assert parse_config(cfg.to_text()) == cfg
 
-
     @pytest.mark.parametrize("case", list(_CONFIG_REFUSALS))
     def test_config_refused(self, tmp_path, case):
         edit, match = _CONFIG_REFUSALS[case]
