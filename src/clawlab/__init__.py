@@ -20,12 +20,11 @@ from .mollifiers import (ConeSpec, Mollifier, TestFunction, bump_test_function,
 from .grids import (GridField, InitialData, box_data, constant_data, file_data,
                     load_field, riemann_data, sine_data, write_slabs)
 from .solver import (SchemeConfig, discrete_entropy_max_violation,
-                     exact_riemann_burgers, l1_distance_full,
-                     l1_distance_on_ball, solve)
+                     exact_riemann_burgers, solve)
 from .verifier import (ResidualReport, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual,
                        entropy_residual_sweep, find_smooth_samples,
-                       global_contraction_check, kato_lhs,
-                       uniqueness_experiment, write_profile_csv)
+                       global_contraction_check, jump_threshold, kato_lhs,
+                       l1_masses, uniqueness_experiment, write_profile_csv)
 
 __version__ = "0.1.0"

@@ -59,10 +59,11 @@ from .flux import (catalog_lookup, catalog_names, catalog_params,
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from .solver import SchemeConfig, exact_riemann_burgers, solve, solve_pair
-from .verifier import (ResidualReport, _jump_scale, cone_contraction_profile,
+from .verifier import (ResidualReport, cone_contraction_profile,
                        doubling_diagnostics, entropy_residual_sweep,
                        find_smooth_samples, global_contraction_check,
-                       kato_lhs, uniqueness_experiment, write_profile_csv)
+                       jump_threshold, kato_lhs, l1_masses,
+                       uniqueness_experiment, write_profile_csv)
 
 
 # check kinds that need the config's initial data, scheme or seed: ``run``
@@ -189,10 +190,11 @@ def _run_check(check: CheckSpec, flux, u, v, cfg: ExperimentConfig = None):
         lev = int(np.argmin(np.abs(u.times - t_sample)))
         tstar = float(u.times[lev])
         margin = int(np.ceil(max(eps_list) / u.dx)) + 2
-        xs = find_smooth_samples(u, v, lev, count, 10.0 * _jump_scale(u, v),
+        threshold = jump_threshold(u, v)
+        xs = find_smooth_samples(u, v, lev, count, threshold,
                                  margin_cells=margin, seed=cfg.seed)
         table = doubling_diagnostics(u, v, flux, eps_list,
-                                     [(float(x), tstar) for x in xs])
+                                     [(float(x), tstar) for x in xs], threshold)
         dev = table["max_deviation"]
         trending = all(
             all(a >= b - 1e-14 for a, b in zip(dev[key], dev[key][1:]))
@@ -292,7 +294,7 @@ def run_study(cfg: ExperimentConfig, levels: int, outdir: Path) -> int:
                 ref = _restrict(runs[lev + 1][0].data[-1], 2)
             else:
                 break
-            errs.append(float(np.abs(u.data[-1] - ref).sum() * u.dx ** u.dim))
+            errs.append(float(l1_masses(u.data[-1:], ref, u.dx ** u.dim)[0]))
             dxs.append(u.dx)
         orders = [float(np.log2(errs[i] / errs[i + 1]))
                   for i in range(len(errs) - 1)

@@ -344,6 +344,8 @@ def parse_config(text: str) -> ExperimentConfig:
                    ("tasks",))["tasks"] if "checks" in sections else [])
     checks = []
     for name in tasks:
+        if tasks.count(name) > 1:
+            raise ConfigError(f"[checks] task {name!r} is listed more than once")
         sec = sections.pop(f"check.{name}", None)
         if sec is None:
             raise ConfigError(f"[checks] task {name!r} has no [check.{name}] "

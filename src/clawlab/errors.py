@@ -56,7 +56,8 @@ class MissingTimeLevels(ClawError):
 
 
 class EmptyCone(ClawError):
-    """The shrinking ball is already empty at the first usable time level."""
+    """A cone or uniqueness ball holds no cell centre at the first compared
+    level, where a mass of zero would pass whatever the data."""
 
 
 class SampleNearShock(ClawError):

@@ -434,31 +434,6 @@ def exact_riemann_burgers(uL: float, uR: float, x, t: float):
     return out if out.ndim else float(out)
 
 
-def l1_distance_on_ball(a: GridField, b: GridField, t: float, center,
-                        radius: float) -> float:
-    """Midpoint-rule L1 distance over cells whose centers lie in the closed
-    ball; accepts stored levels only."""
-    a.require_compatible(b)
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    n = a.level_index(t)
-    pts = a.centers_points()
-    cvec = np.zeros(a.dim) + np.asarray(center, dtype=float)
-    r = np.sqrt(((pts - cvec) ** 2).sum(axis=-1))
-    return _l1_on_mask(a, b, n, r <= radius)
-
-
-def _l1_on_mask(a: GridField, b: GridField, n: int, mask) -> float:
-    """Midpoint-rule L1 distance of level n over the cells in ``mask``."""
-    return float(np.abs(a.data[n] - b.data[n])[mask].sum() * a.dx ** a.dim)
-
-
-def l1_distance_full(a: GridField, b: GridField, t: float) -> float:
-    a.require_compatible(b)
-    n = a.level_index(t)
-    return float(np.abs(a.data[n] - b.data[n]).sum() * a.dx ** a.dim)
-
-
 def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
                                    k_values) -> float:
     """Worst per-cell violation of the discrete |u - k| inequality over the

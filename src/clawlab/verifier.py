@@ -37,10 +37,10 @@ cells b and b + 1 marks the cells b - m .. b + m + 1.  Samples avoid them
 with m = ``margin_cells``; a sample marked with m = 2 raises SampleNearShock.
 
 Kato's flux q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)) and its divergence
-are ``entropy.kruzkov_flux``/``kruzkov_div``, which the Kruzkov pairs share;
-the cone check sums its balls through the masked sum of
-``solver.l1_distance_on_ball``, on one distance array for all levels, and
-the global check takes the L1 masses of all levels in one reduction.
+are ``entropy.kruzkov_flux``/``kruzkov_div``, which the Kruzkov pairs share.
+Every L1 distance (cone, global, uniqueness, the CLI's study) is one rule,
+``l1_masses``, over the closed balls of ``_balls``; a ball that holds no
+cell centre at the first compared level raises EmptyCone.
 
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
@@ -50,7 +50,7 @@ flux by dx-halving studies and recorded in every report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,7 @@ from .errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
 from .flux import FluxSpec, lipschitz_constant
 from .grids import GridField
 from .mollifiers import Mollifier, TestFunction, omega_value
-from .solver import _l1_on_mask, l1_distance_on_ball, solve
+from .solver import solve
 
 Array = np.ndarray
 
@@ -70,6 +70,8 @@ _EPS = np.finfo(float).eps
 # box cells per chunk of levels in the weak-form quadrature; a smooth
 # pair's tables carry 16 nodes per state, about 1 kB of temporaries
 _CHUNK_CELLS = 2 ** 11
+
+JUMP_FACTOR = 10.0
 
 
 @dataclass
@@ -273,6 +275,29 @@ def _contraction_slack(u: GridField, v: GridField, c_cal: float | None):
     return c_cal, dt_used, max(c_cal * (u.dx + dt_used), floor)
 
 
+def l1_masses(a: Array, b: Array, cell: float, mask=None) -> Array:
+    """Midpoint L1 masses sum |a - b| cell per level of the stacks a and b
+    (levels, cells...), over the cells in ``mask`` or all cells.  numpy
+    sums in memory order, so the gather d[:, mask] is copied to C order."""
+    d = np.subtract(a, b)
+    np.abs(d, out=d)   # in place: no second temporary of all levels' cells
+    if mask is not None:
+        d = np.ascontiguousarray(d[:, mask])
+    return d.reshape(len(d), -1).sum(axis=1) * cell
+
+
+def _balls(field_: GridField, center, radii):
+    """Cell centres, their distances r from ``center``, and a generator of
+    the closed balls r <= radius of ``radii`` as cell masks; the first ball
+    must hold a cell centre (EmptyCone)."""
+    pts = field_.centers_points()
+    r = np.sqrt(((pts - np.asarray(center, dtype=float)) ** 2).sum(axis=-1))
+    if not (r <= radii[0]).any():
+        raise EmptyCone(f"the ball of radius {radii[0]:.6g} about {center} "
+                        f"holds no cell centre of [{field_.lo}, {field_.hi}]")
+    return pts, r, (r <= radius for radius in radii)
+
+
 def cone_contraction_profile(u: GridField, v: GridField, flux: FluxSpec,
                              R: float, c_cal: float | None = None):
     """L1 mass of |u - v| over the shrinking ball B_{R - tN} per stored level.
@@ -283,7 +308,8 @@ def cone_contraction_profile(u: GridField, v: GridField, flux: FluxSpec,
     The metadata's ``flux_bound_excess`` is the largest
     |unit(x) . q(x, u, v)| - N |u - v| over the balls' cells off the
     origin, non-positive when N bounds the flux of |u - v| across the
-    sphere.  Returns (profile, report) with profile rows (t, radius, mass).
+    sphere.  An empty first ball raises EmptyCone.  Returns (profile,
+    report) with profile rows (t, radius, mass).
     """
     u.require_compatible(v)
     M = max(u.bound_M, v.bound_M)
@@ -292,15 +318,14 @@ def cone_contraction_profile(u: GridField, v: GridField, flux: FluxSpec,
     usable = np.where(radii > 0.0)[0]
     if len(usable) < 2:
         raise EmptyCone(f"ball empty from the first level on (R={R}, N={N})")
-    pts = u.centers_points()
-    r = np.sqrt((pts ** 2).sum(axis=-1))
+    pts, r, balls = _balls(u, 0.0, radii[usable])
     off_origin = r > 0.5 * u.dx
     profile = []
     excess = -np.inf
-    for n in usable:
+    for n, ball in zip(usable, balls):
         radius = float(radii[n])
-        ball = r <= radius
-        mass = _l1_on_mask(u, v, n, ball)
+        mass = float(l1_masses(u.data[n:n + 1], v.data[n:n + 1],
+                               u.dx ** u.dim, ball)[0])
         mask = ball & off_origin
         if np.any(mask):
             un, vn, pm = u.data[n][mask], v.data[n][mask], pts[mask]
@@ -330,11 +355,7 @@ def global_contraction_check(u: GridField, v: GridField, flux: FluxSpec,
     u.require_compatible(v)
     M = max(u.bound_M, v.bound_M)
     n_over_r = [lipschitz_constant(flux, float(R), M) / float(R) for R in R_list]
-    # abs in place: a second temporary of every level's cells costs more
-    # in fresh pages than the level loop it replaces
-    diff = u.data - v.data
-    masses = (np.abs(diff, out=diff).reshape(len(u.times), -1).sum(axis=1)
-              * u.dx ** u.dim)
+    masses = l1_masses(u.data, v.data, u.dx ** u.dim)
     running_min = np.minimum.accumulate(masses)
     worst = float((masses - running_min).max())
     c_cal, dt_used, tol = _contraction_slack(u, v, c_cal)
@@ -354,7 +375,8 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
     """Run every scheme variant from the same data at two grid levels and
     require pairwise L1 distances at t_end to shrink by >= min_ratio under
     dx halving (all variants chase the same limit).  With an oracle the
-    per-variant errors must shrink by >= oracle_min_ratio as well.
+    per-variant errors must shrink by >= oracle_min_ratio as well.  Both
+    are taken over the ball of ``radius`` about ``center``; EmptyCone if empty.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -369,32 +391,27 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
         center = 0.5 * (seeds[0].lo + seeds[0].hi)
     if radius is None:
         radius = 0.25 * (seeds[0].hi - seeds[0].lo)
+    iu = np.triu_indices(len(seeds), k=1)
 
     def run_level(configs):
-        # variants may take different time steps, so only the final slabs
-        # (all landing exactly on t_end) are compared
+        # variants may take different time steps, so only the final levels
+        # (all landing exactly on t_end) are compared, pair by pair (iu)
         fields = [solve(flux, u0, c) for c in configs]
-        finals = [replace(f, times=f.times[-1:], data=f.data[-1:])
-                  for f in fields]
-        dist = np.zeros((len(fields),) * 2)
-        for i, j in zip(*np.triu_indices(len(fields), k=1)):
-            dist[i, j] = dist[j, i] = l1_distance_on_ball(
-                finals[i], finals[j], t_end, center, radius)
+        pts, _, (ball,) = _balls(fields[0], center, [radius])
+        finals = np.stack([f.data[-1] for f in fields])
+        cell = fields[0].dx ** fields[0].dim
+        dist = l1_masses(finals[iu[0]], finals[iu[1]], cell, ball)
         oracle = None
         if exact_at_t_end is not None:
-            exact = replace(finals[0], data=np.asarray(
-                exact_at_t_end(finals[0].centers_points()), dtype=float)[None])
-            oracle = [l1_distance_on_ball(f, exact, t_end, center, radius)
-                      for f in finals]
+            oracle = l1_masses(finals, exact_at_t_end(pts), cell, ball).tolist()
         return dist, oracle
 
     coarse, oracle_c = run_level(seeds)
     fine, oracle_f = run_level([s.refined(2) for s in seeds])
     floor = 64.0 * _EPS * max(1.0, radius)
-    iu = np.triu_indices(len(seeds), k=1)
     ratios = []
     passed = True
-    for dc, df in zip(coarse[iu], fine[iu]):
+    for dc, df in zip(coarse, fine):
         if df <= floor and dc <= floor:
             ratios.append(float("inf"))
             continue
@@ -407,10 +424,10 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
         if any(r < oracle_min_ratio for r in oracle_ratios):
             passed = False
     return ResidualReport(
-        kind="uniqueness", value=float(fine[iu].max(initial=0.0)),
+        kind="uniqueness", value=float(fine.max(initial=0.0)),
         tolerance=min_ratio, passed=bool(passed),
-        metadata={"flux": flux.name, "pairwise_coarse": coarse[iu].tolist(),
-                  "pairwise_fine": fine[iu].tolist(), "ratios": ratios,
+        metadata={"flux": flux.name, "pairwise_coarse": coarse.tolist(),
+                  "pairwise_fine": fine.tolist(), "ratios": ratios,
                   "oracle_coarse": oracle_c, "oracle_fine": oracle_f,
                   "oracle_ratios": oracle_ratios,
                   "schemes": [f"{s.scheme}(cfl={s.cfl}, eps={s.viscosity})"
@@ -447,14 +464,15 @@ def find_smooth_samples(u: GridField, v: GridField, level: int, count: int,
     return u.centers[picked]
 
 
-def _jump_scale(u: GridField, v: GridField) -> float:
-    """The largest jump of u or v between neighbouring cells at t = 0."""
-    return max([float(np.abs(np.diff(f.data[0], axis=0)).max())
-                for f in (u, v) if f.nx > 1], default=0.0)
+def jump_threshold(u: GridField, v: GridField) -> float:
+    """The doubling check's jump threshold: ``JUMP_FACTOR`` times the
+    largest jump of u or v between neighbouring cells at t = 0."""
+    return JUMP_FACTOR * max([float(np.abs(np.diff(f.data[0], axis=0)).max())
+                              for f in (u, v) if f.nx > 1], default=0.0)
 
 
 def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
-                         eps_list, sample_points, jump_factor: float = 10.0):
+                         eps_list, sample_points, threshold=None):
     """Smoothed two-solution quantities at sample points versus their
     concentration limits.
 
@@ -463,7 +481,8 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
     increment) are quadratured over (y, s) and compared with their limits
     |u-v|, q(x,u,v), div_x q(x,u,v) and -div_x q(x,u,v) at the sample point.
     Deviations must trend down in eps at smooth points; sampling at a
-    detected jump raises SampleNearShock.  At a singular point of the flux
+    detected jump raises SampleNearShock; a jump is one above ``threshold``,
+    ``jump_threshold(u, v)`` by default.  At a singular point of the flux
     the limits take div_x f as written, the mean a symmetric rho_eps sees.
     """
     u.require_compatible(v)
@@ -471,7 +490,8 @@ def doubling_diagnostics(u: GridField, v: GridField, flux: FluxSpec,
         raise ValueError("doubling diagnostics implemented for 1-d fields")
     eps_list = [float(e) for e in eps_list]
     samples = [(float(x), float(t)) for (x, t) in sample_points]
-    threshold = jump_factor * _jump_scale(u, v)
+    if threshold is None:
+        threshold = jump_threshold(u, v)
     centers, times, dts = u.centers, u.times, np.gradient(u.times)
     raw = np.zeros((4, len(eps_list), len(samples)))
     limits = np.zeros((4, len(samples)))

@@ -171,6 +171,9 @@ _CONFIG_REFUSALS = {
     "unlisted_check_section": (
         lambda t: t.replace("tasks = cone, glob", "tasks = cone"),
         r"section \[check\.glob\] is not listed in \[checks\] tasks"),
+    "duplicate_task": (
+        lambda t: t.replace("tasks = cone, glob", "tasks = cone, glob, cone"),
+        r"\[checks\] task 'cone' is listed more than once"),
 }
 
 
@@ -664,6 +667,24 @@ class TestCliOther:
         rep = json.loads((tmp_path / "uniq" / "report_uniq.json").read_text())
         assert rep["passed"] is True
         assert all(r >= 1.5 for r in rep["metadata"]["ratios"])
+
+    def test_uniqueness_ball_outside_domain_refused(self, tmp_path, capsys):
+        # sine data (no oracle) and a ball that misses [-1, 1.5]: distances
+        # over no cell would pass the check with ratios inf
+        text = (CONFIGS / "uniqueness_burgers.cfg").read_text()
+        text = text.replace(
+            "kind = riemann\nul = 1.0\nur = 0.0\nx0 = 0.0",
+            "kind = sine\namp = 0.3\nfreq = 1.0\noffset = 0.5").replace(
+            "nx = 250", "nx = 120").replace(
+            "min_ratio = 1.5", "min_ratio = 1.5\ncenter = 5.0").replace(
+            "dir = runs/uniqueness_burgers", f"dir = {tmp_path / 'uniq'}")
+        cfg_path = tmp_path / "uniq.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ball of radius 0.625 about 5.0 "
+                              "holds no cell centre")
+        assert (tmp_path / "uniq" / "FAILED").is_file()
 
     def test_bundled_entropy_run_passes(self, tmp_path):
         text = (CONFIGS / "entropy_burgers.cfg").read_text()

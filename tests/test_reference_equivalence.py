@@ -34,9 +34,9 @@ from clawlab.mollifiers import (ConeSpec, Mollifier, bump_test_function,
                                 contraction_test_function, omega_value)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
                             solve, solve_pair)
-from clawlab.verifier import (_jump_scale, _near_jump, doubling_diagnostics,
+from clawlab.verifier import (_near_jump, doubling_diagnostics,
                               entropy_residual_sweep, find_smooth_samples,
-                              kato_lhs)
+                              jump_threshold, kato_lhs)
 
 RNG_SEED = 20260809
 
@@ -727,7 +727,7 @@ def _reference_smooth_flags(u, v, level, threshold, margin):
 
 
 def _reference_doubling(u, v, flux, eps_list, sample_points,
-                        jump_factor: float = 10.0):
+                        threshold: float | None = None):
     """The per-level loop ``doubling_diagnostics`` replaced: flux
     evaluations per stored level, a 7-cell jump guard per sample, and dict
     accumulators."""
@@ -736,7 +736,9 @@ def _reference_doubling(u, v, flux, eps_list, sample_points,
         raise ValueError("doubling diagnostics implemented for 1-d fields")
     eps_list = [float(e) for e in eps_list]
     samples = [(float(x), float(t)) for (x, t) in sample_points]
-    threshold = jump_factor * _jump_scale(u, v)
+    if threshold is None:
+        threshold = 10.0 * max(float(np.abs(np.diff(f.data[0])).max())
+                               for f in (u, v))
     centers = u.centers
     times = u.times
     dts = np.gradient(times)
@@ -835,24 +837,24 @@ def test_doubling_matches_reference(name):
     flux, u, v = _doubling_pair(name)
     lev = int(np.argmin(np.abs(u.times - 0.2)))
     tstar = float(u.times[lev])
-    xs = find_smooth_samples(u, v, lev, 6, 10.0 * _jump_scale(u, v),
-                             margin_cells=90)
+    threshold = jump_threshold(u, v)
+    xs = find_smooth_samples(u, v, lev, 6, threshold, margin_cells=90)
     # x = 0 is the singular point of kink1d, where div_x takes the mean of
     # its one-sided values; u is steep there, so that sample runs with the
     # jump guard off
     eps = [0.1, 0.05, 0.025]
-    for samples, factor in (([(float(x), tstar) for x in xs], 10.0),
-                            ([(0.0, tstar), (0.3, tstar)], np.inf)):
+    for samples, guard in (([(float(x), tstar) for x in xs], threshold),
+                           ([(0.0, tstar), (0.3, tstar)], np.inf)):
         _assert_doubling_matches(
-            doubling_diagnostics(u, v, flux, eps, samples, factor),
-            _reference_doubling(u, v, flux, eps, samples, factor))
+            doubling_diagnostics(u, v, flux, eps, samples, guard),
+            _reference_doubling(u, v, flux, eps, samples, guard))
 
 
 @pytest.mark.parametrize("margin", [0, 1, 2, 5, 30])
 def test_jump_rule_matches_reference(margin):
     flux, u, v = _doubling_pair("burgers1d", nx=200, t_end=0.8)
     lev = len(u.times) - 1
-    threshold = 10.0 * _jump_scale(u, v)
+    threshold = jump_threshold(u, v)
     flags = _reference_smooth_flags(u, v, lev, threshold, margin)
     assert flags.any() and not flags.all()
     assert _bitwise_equal(_near_jump(u, v, lev, threshold, margin), flags)
@@ -887,7 +889,7 @@ def test_doubling_errors_match_reference():
         raised.add(outcome)
     assert raised == {SampleNearShock, None}
     # too few levels in the window, and a time that is not stored
-    smooth = float(find_smooth_samples(u, v, lev, 1, 10.0 * _jump_scale(u, v),
+    smooth = float(find_smooth_samples(u, v, lev, 1, jump_threshold(u, v),
                                        margin_cells=5)[0])
     dt = float(np.diff(u.times).min())
     for eps, t in ((0.5 * dt, tstar), (0.05, tstar - 0.5 * dt)):

@@ -7,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clawlab import solver as solver_mod
-from clawlab.errors import (BlowUp, CFLViolation, FieldFileError,
+from clawlab.errors import (BlowUp, CFLViolation, EmptyCone, FieldFileError,
                             GridMismatch, MissingTimeLevels)
 from clawlab.flux import catalog_lookup
 from clawlab.grids import (GridField, box_data, constant_data,
                            field_from_function, load_field, riemann_data,
                            sine_data, write_slabs)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
-                            exact_riemann_burgers, l1_distance_full,
-                            l1_distance_on_ball, solve, solve_pair)
+                            exact_riemann_burgers, solve, solve_pair)
+from clawlab.verifier import (_balls, cone_contraction_profile,
+                              global_contraction_check, l1_masses)
 
 BURGERS = catalog_lookup("burgers1d")
 XSQ = catalog_lookup("xsquared1d")
@@ -229,6 +230,9 @@ class TestViscous:
 
 
 class TestL1Distance:
+    """``verifier.l1_masses``, the one L1 rule of the contraction and
+    uniqueness checks, and the closed balls it is taken over."""
+
     def make_pair(self):
         times = np.array([0.0, 0.5])
         a = field_from_function(lambda p, t: np.ones(p.shape[:-1]),
@@ -239,28 +243,36 @@ class TestL1Distance:
 
     def test_identical_fields(self):
         a, _ = self.make_pair()
-        assert l1_distance_on_ball(a, a, 0.5, 0.0, 0.7) == 0.0
+        _, _, (ball,) = _balls(a, 0.0, [0.7])
+        assert l1_masses(a.data, a.data, a.dx, ball).tolist() == [0.0, 0.0]
+        assert l1_masses(a.data, a.data, a.dx).tolist() == [0.0, 0.0]
 
     def test_zero_radius(self):
-        a, b = self.make_pair()
-        assert l1_distance_on_ball(a, b, 0.0, 0.0, 0.0) == 0.0
+        # no cell centre of the 400-cell grid lies at 0
+        a, _ = self.make_pair()
+        with pytest.raises(EmptyCone, match="holds no cell centre"):
+            _balls(a, 0.0, [0.0])
 
     def test_step_functions(self):
         a, b = self.make_pair()
-        d = l1_distance_on_ball(a, b, 0.5, 0.0, 0.5)
-        assert abs(d - 1.0) <= a.dx
+        _, _, (ball,) = _balls(a, 0.0, [0.5])
+        for d in l1_masses(a.data, b.data, a.dx, ball):
+            assert abs(d - 1.0) <= a.dx
+        assert l1_masses(a.data, b.data, a.dx).tolist() == [2.0, 2.0]
 
     def test_grid_mismatch(self):
-        a, _ = self.make_pair()
+        a, b = self.make_pair()
         c = field_from_function(lambda p, t: np.ones(p.shape[:-1]),
                                 -1, 1, 200, np.array([0.0, 0.5]))
         with pytest.raises(GridMismatch):
-            l1_distance_on_ball(a, c, 0.5, 0.0, 0.5)
+            a.require_compatible(c)
+        with pytest.raises(GridMismatch):
+            global_contraction_check(a, c, BURGERS, [1.0])
 
     def test_missing_level(self):
-        a, b = self.make_pair()
+        a, _ = self.make_pair()
         with pytest.raises(MissingTimeLevels):
-            l1_distance_on_ball(a, b, 0.3, 0.0, 0.5)
+            a.level_index(0.3)
 
     @pytest.mark.parametrize("times", [[0.0, 0.4], [0.0, 0.25, 0.5]],
                              ids=["other_time", "other_count"])
@@ -271,12 +283,28 @@ class TestL1Distance:
         with pytest.raises(GridMismatch, match="stored time levels"):
             a.require_compatible(c)
         with pytest.raises(GridMismatch, match="stored time levels"):
-            l1_distance_on_ball(a, c, 0.0, 0.0, 0.5)
+            global_contraction_check(a, c, BURGERS, [0.5])
+        with pytest.raises(GridMismatch, match="stored time levels"):
+            cone_contraction_profile(a, c, BURGERS, 0.5)
 
     def test_negative_radius(self):
-        a, b = self.make_pair()
-        with pytest.raises(ValueError, match="non-negative"):
-            l1_distance_on_ball(a, b, 0.5, 0.0, -0.1)
+        a, _ = self.make_pair()
+        with pytest.raises(EmptyCone, match="holds no cell centre"):
+            _balls(a, 0.0, [-0.1])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_masked_stack_matches_levels(self, seed):
+        # a boolean gather d[:, mask] of a stack is not C-ordered, and
+        # numpy's summation order follows the layout: every level's mass
+        # must still be bitwise its own masked sum
+        rng = np.random.default_rng(seed)
+        levels, nx = int(rng.integers(2, 7)), int(rng.integers(20, 70))
+        a, b = (rng.normal(size=(levels, nx, nx)) for _ in range(2))
+        mask = rng.random((nx, nx)) < 0.6
+        cell = (6.0 / nx) ** 2
+        per_level = [np.abs(a[n] - b[n])[mask].sum() * cell
+                     for n in range(levels)]
+        assert l1_masses(a, b, cell, mask).tolist() == per_level
 
 
 class TestDiscreteEntropy:

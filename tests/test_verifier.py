@@ -438,6 +438,15 @@ class TestConeContraction:
         with pytest.raises(EmptyCone):
             cone_contraction_profile(u, v, BURGERS, 1e-4)
 
+    def test_ball_outside_domain_refused(self):
+        # B_2 about the origin misses [2.5, 8.5]: a profile of zero masses
+        # would pass whatever the data
+        cfg = SchemeConfig(lo=2.5, hi=8.5, nx=600, t_end=1.0, store_every=5)
+        u, v = solve_pair(BURGERS, box_data(1.0, 5.0, 5.5),
+                          box_data(1.0, 5.1, 5.6), cfg)
+        with pytest.raises(EmptyCone, match="holds no cell centre"):
+            cone_contraction_profile(u, v, BURGERS, 2.0)
+
     def test_anti_pair_violates_calibrated_tolerance(self):
         # two weak solutions of the same data: non-entropic expansion shock
         # vs rarefaction; the honest pair calibrates the slack, the anti
@@ -547,6 +556,15 @@ class TestUniqueness:
         from clawlab.grids import riemann_data
         with pytest.raises(ValueError, match=match):
             uniqueness_experiment(BURGERS, riemann_data(1.0, 0.0, 0.0), seeds)
+
+    @pytest.mark.parametrize("center,radius", [(5.0, None), (0.0, -0.1)],
+                             ids=["outside_domain", "negative_radius"])
+    def test_empty_ball_refused(self, center, radius):
+        # distances over no cell are zero at both levels, so the ratios
+        # would read inf and the check pass whatever the variants do
+        with pytest.raises(EmptyCone, match="holds no cell centre"):
+            uniqueness_experiment(BURGERS, sine_data(0.3, 1.0, 0.5),
+                                  self.SEEDS[:2], center=center, radius=radius)
 
     def test_identical_configs_zero_distance(self):
         from clawlab.grids import riemann_data
