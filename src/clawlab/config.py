@@ -66,10 +66,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .errors import CFLViolation, ConfigError
+from .errors import CFLViolation, ConfigError, EmptyCone
 from .flux import catalog_lookup, catalog_names, catalog_params
 from .grids import InitialData
 from .solver import SchemeConfig
+from .verifier import require_ball, uniqueness_ball
 
 # [initial_data] keys per kind with their converters; all but x0 and offset
 # are required
@@ -357,6 +358,23 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if initial_data2 is None and any(c.kind in PAIR_KINDS for c in checks):
         raise ConfigError("pair checks need an [initial_data2] section")
+    # a check ball that holds no cell centre is refused before any output:
+    # the cone's B_r(0) at t = 0 on the grid, and the uniqueness ball on
+    # the grid and on its refinement, the two levels that check compares
+    for check in checks:
+        p = check.params
+        if check.kind == "cone_contraction":
+            balls = [(grid, 0.0, p["r"])]
+        elif check.kind == "uniqueness":
+            ball = uniqueness_ball(grid, p.get("center"), p.get("radius"))
+            balls = [(level, *ball) for level in (grid, grid.refined(2))]
+        else:
+            continue
+        try:
+            for ball in balls:
+                require_ball(*ball)
+        except EmptyCone as exc:
+            raise ConfigError(f"[check.{check.name}] {exc}") from exc
 
     return ExperimentConfig(flux_name, flux_params, initial_data, grid,
                             output_dir, checks, initial_data2, seed)

@@ -26,14 +26,15 @@ checked identity, not an assumption.
 Every state integral of a smooth pair comes from one rule,
 ``_state_tables``: cumulative Gauss-Legendre tables over rows of states
 that share one integrand, each row with its own breakpoints (its finite
-states, k0 and a geometric ladder toward k0), looked up exactly.  The
-breakpoints depend on k0 and the row's states only, so every n shares
-them.  A pair's integrand depends on x, so every (point, state) pair is
-a row of its own, with d_k f and div_x f at its point and eta_n' and
-eta_n'' at the nodes' offsets from k0 before rounding, which keeps the
-relative accuracy of q for states close to a k0 away from 0.  Every
-pair, smooth or Kruzkov, calls its flux's callables and never its
-factors.
+states, k0 and a geometric ladder toward k0), looked up exactly and
+summed outward from k0.  The breakpoints depend on k0 and the row's
+states only, so every n shares them; each interval takes 4, 8 or 16
+nodes by its distance to k0, in half-widths.  A pair's integrand depends
+on x, so every (point, state) pair is a row of its own, with d_k f and
+div_x f at its point and eta_n' and eta_n'' at the nodes' offsets from
+k0 before rounding, which keeps the relative accuracy of q for states
+close to a k0 away from 0.  Every pair, smooth or Kruzkov, calls its
+flux's callables and never its factors.
 
 ``sweep_terms`` is the one place where the factors f_i = g_i(x) h(k) of
 a flux enter entropy evaluation.  The weak entropy sweep of a flux with
@@ -45,7 +46,7 @@ where the h(u) terms cancel exactly.  The smooth pairs of one k0 share one
 table row over the chunk's states, with q = g(x) A(u) and
 div_x q = (g'_1 + ... + g'_d)(x) B(u), where A and B are state integrals
 of h' and h alone.  Its values agree with the pair-by-pair sweep of a copy
-without factors to at most 4.3e-14 of the largest |value| (measured over
+without factors to at most 4.4e-14 of the largest |value| (measured over
 7,800 random fields, catalog fluxes in 1-d and 2-d).
 
 Sign convention throughout: sign(0) = 0 (numpy's convention).
@@ -59,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .flux import FluxSpec, as_points
-from .quadrature import GAUSS_NODES, GAUSS_WEIGHTS, adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre
 
 Array = np.ndarray
 
@@ -163,6 +164,20 @@ def q_build_ibp(flux: FluxSpec, entropy: SmoothEntropy, k0: float, x, k: float,
 # of every state table (see ``_state_tables``)
 _PANEL_LADDER = 4.0 ** np.arange(-15, 512)
 
+# the Gauss-Legendre orders m of the state tables.  Every m is a multiple
+# of 4, so the rules' nodes and weights are stored in quads, one rule
+# after another from _RULE_FIRST (in quads); slot 3 is an interval of zero
+# width, which gets no node
+_ORDERS = (4, 8, 16)
+_RULE_NODES, _RULE_WEIGHTS = (np.concatenate(a).reshape(-1, 4).T for a in zip(
+    *(np.polynomial.legendre.leggauss(m) for m in _ORDERS)))
+_RULE_QUADS = np.array(_ORDERS + (0,)) // 4
+_RULE_FIRST = np.cumsum(_RULE_QUADS) - _RULE_QUADS
+# the least delta = 1 + dist(k0, interval) / half-width at which 4 and 8
+# nodes meet rho^(-2m) <= 3^(-32), rho = delta + sqrt(delta^2 - 1) the
+# Bernstein ellipse parameter: rho = 3^(16/m), delta = (rho + 1/rho) / 2
+_MIN_DELTA_4, _MIN_DELTA_8 = ((r + 1.0 / r) / 2.0 for r in (81.0, 9.0))
+
 # (point, state) pairs per table of a flux without factors, so that its
 # node arrays stay near 2^18 entries
 _TABLE_ROWS = 1024
@@ -178,18 +193,32 @@ def _state_tables(k0: float, k: Array):
     panels refined geometrically toward k0, where eta_n'' concentrates on
     the scale n^{-1/2}, at ratio 4 down to 2^-30, an eighth of that scale
     for every n <= 2^54.  The set does not depend on n, so a pair's table
-    is the same alone as in a sweep.  Each interval gets one 16-node
-    Gauss-Legendre sum; rows are padded to a common width with intervals
-    of zero width at their largest breakpoint, which add exactly 0.0, so
-    every row's values are bitwise those of the row tabulated alone.
+    is the same alone as in a sweep.
 
-    Returns the nodes w (R, J, m), their offsets t from k0 before w = k0 + t
+    Each interval gets the fewest Gauss-Legendre nodes m of 4, 8 and 16
+    with rho^(-2m) <= 3^(-32), or 16 where none does, where delta = 1 +
+    dist(k0, interval) / half-width and rho = delta + sqrt(delta^2 - 1).
+    The integrands' singularities nearest the real line sit at k0 +- i
+    n^{-1/2}, outside the Bernstein ellipse of parameter rho through k0
+    (Trefethen 2008), so every interval is held to the bound of 16 nodes
+    on a ladder interval (rho = 3), whatever n: the ladder keeps 16, an
+    interval 3.6 half-widths away from k0 takes 8 and one 39.5
+    half-widths away takes 4.  Every m is a multiple of 4, so a row's
+    nodes lie flat in four blocks, block i holding the i-th node of every
+    quad (4 nodes of an interval) in interval order.  Rows are padded to
+    a common length with nodes of zero weight at the end of each block, so
+    every row's values are bitwise those of the row tabulated alone or
+    with duplicate states added.
+
+    Returns the nodes w (R, N), their offsets t from k0 before w = k0 + t
     is rounded (eta_n at a node is ``sqrt_entropy(0, n)`` at t, without the
     rounding of w - k0), and ``lookup(integrand)``, which takes an
     integrand at those nodes and yields int_{k0}^{u} of it at every state
-    u (R, S): one ``cumsum`` per row, shifted to 0 at k0, read at each
-    state's breakpoint, found through the sort permutation.  Every state
-    is a breakpoint, so the lookup is exact; NaN where u is not finite.
+    u (R, S): the weighted nodes added per quad, and the quads summed
+    outward from k0, by one ``cumsum`` up from it and one down from it,
+    read at each state's breakpoint, found through the sort permutation.
+    Every state is a breakpoint, so the lookup is exact, and it carries
+    the rounding of the integral from k0 alone; NaN where u is not finite.
     """
     R, S = k.shape
     fin = np.isfinite(k)
@@ -211,24 +240,62 @@ def _state_tables(k0: float, k: Array):
     first = np.ones(srt.shape, dtype=bool)
     first[:, 1:] = srt[:, 1:] != srt[:, :-1]
     rank = np.cumsum(first, axis=1) - 1          # breakpoint of each entry
-    bp = np.repeat(srt[:, -1:], rank[:, -1].max(initial=0) + 1, axis=1)
-    bp[np.nonzero(first)[0], rank[first]] = srt[first]
+    distinct = rank[:, -1:] + 1
+    bp = np.repeat(srt[:, -1:], distinct.max(initial=1), axis=1)
+    bp[np.arange(bp.shape[1]) < distinct] = srt[first]
     pos = np.empty_like(rank)
     pos[rows, order] = rank
-    at, zero = pos[:, :S], pos[:, S:S + 1]
     # nodes placed by their offset from k0, so w - k0 is rounded once
     off = bp - k0
     mid = 0.5 * (off[:, 1:] + off[:, :-1])
     half = 0.5 * (off[:, 1:] - off[:, :-1])
-    t = np.multiply.outer(half, GAUSS_NODES)                    # (R, J, m)
-    t += mid[..., None]
+    # k0 is a breakpoint, so every interval lies on one side of it
+    dist = np.minimum(np.abs(off[:, 1:]), np.abs(off[:, :-1]))
+    wide = half > 0.0
+    delta = 1.0 + np.divide(dist, half, out=np.zeros_like(half), where=wide)
+    slot = np.where(wide, (delta < _MIN_DELTA_4).astype(int)
+                    + (delta < _MIN_DELTA_8), len(_ORDERS))
+    quads = _RULE_QUADS[slot]
+    # each breakpoint's quad number in its row: quads before it
+    start = np.zeros(bp.shape, dtype=int)
+    np.cumsum(quads, axis=1, out=start[:, 1:])
+    total = start[:, -1]
+    width = total.max(initial=0)
+    # per quad, in row-major order: its interval's mid and half, and its
+    # rule's quad
+    each = quads.ravel()
+    rule = np.arange(each.sum()) + np.repeat(
+        _RULE_FIRST[slot].ravel() - (np.cumsum(each) - each), each)
+    m, h = np.repeat(mid.ravel(), each), np.repeat(half.ravel(), each)
+    # a row holds four blocks of its quads in interval order, the i-th
+    # node of each quad in block i; the padding at each block's end sits
+    # at the row's largest offset, with weight 0
+    filled = np.arange(width) < total[:, None]
+    t = np.repeat(off[:, -1:], 4 * width, axis=1)
+    weight = np.zeros(t.shape)
+    for i in range(4):
+        block = np.s_[:, i * width:(i + 1) * width]
+        t[block][filled] = m + h * _RULE_NODES[i].take(rule)
+        weight[block][filled] = h * _RULE_WEIGHTS[i].take(rule)
+    # table column width + 1 holds NaN, read by the states not finite
+    at = np.where(fin, start[rows, pos[:, :S]], width + 1)
+    at += (width + 2) * rows
+    zero = start[rows, pos[:, S:S + 1]]
+    up = np.arange(width) >= zero
+    z0, z1 = zero.min(initial=0), zero.max(initial=0)
 
     def lookup(integrand):
-        sums = np.einsum("jm,m->j", integrand.reshape(-1, GAUSS_NODES.size),
-                         GAUSS_WEIGHTS).reshape(half.shape)
-        table = np.concatenate([np.zeros((R, 1)),
-                                np.cumsum(half * sums, axis=1)], axis=1)
-        return np.where(fin, table[rows, at] - table[rows, zero], np.nan)
+        v = (weight * integrand).reshape(R, 4, width)
+        sums = v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]
+        table = np.zeros((R, width + 2))
+        table[:, -1] = np.nan
+        # outward from k0: up from it over the columns where some row has
+        # quads above k0, and down from it where some row has quads below
+        np.cumsum(np.where(up[:, z0:], sums[:, z0:], 0.0), axis=1,
+                  out=table[:, z0 + 1:-1])
+        table[:, :z1] -= np.cumsum(np.where(up[:, :z1], 0.0, sums[:, :z1])
+                                   [:, ::-1], axis=1)[:, ::-1]
+        return table.take(at)
 
     return k0 + t, t, lookup
 
@@ -252,11 +319,10 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
 
     def integrals(pts, kk, integrand):
         # one row per (point, state) pair, _TABLE_ROWS rows per table;
-        # integrand(P (B, 1, 1, d), w, t) is (B, J, m, c), the result
-        # (..., c)
+        # integrand(P (B, 1, d), w, t) is (B, N, c), the result (..., c)
         shape = np.broadcast_shapes(pts.shape[:-1], kk.shape)
         P = np.broadcast_to(pts, shape + (flux.dim,)).reshape(
-            -1, 1, 1, flux.dim)
+            -1, 1, flux.dim)
         K = np.broadcast_to(kk, shape).reshape(-1, 1)
         blocks = []
         for r in range(0, max(len(K), 1), _TABLE_ROWS):
@@ -312,7 +378,9 @@ def sweep_terms(flux: FluxSpec, pairs):
     of breakpoints per level of the chunk, node evaluation and lookup;
     per n, q = A(u) g(x) with
     A(u) = int_{k0}^{u} eta_n' h' dw, and
-    source = -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw.
+    source = -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw,
+    with eta_n' and eta_n'' taken at the nodes' offsets t from k0, as the
+    pairs take them.
     """
     pairs = list(pairs)
     for pair in pairs:
@@ -331,9 +399,11 @@ def sweep_terms(flux: FluxSpec, pairs):
         return generic_terms
 
     kruzkov = [p.k0 for p in pairs if p.kind == "kruzkov"]
-    ents = {(p.k0, p.n): sqrt_entropy(p.k0, p.n)
-            for p in pairs if p.kind == "smooth"}
-    smooth_k0 = list(dict.fromkeys(k0 for k0, _ in ents))
+    # eta_n at offsets from k0: at the tables' offsets t, and at U - k0
+    at_offset = {p.n: sqrt_entropy(0.0, p.n)
+                 for p in pairs if p.kind == "smooth"}
+    smooth_k0 = list(dict.fromkeys(p.k0 for p in pairs
+                                   if p.kind == "smooth"))
 
     def terms(P, U):
         g, g_sum = factors.g(P), factors.g_prime_sum(P)
@@ -353,11 +423,11 @@ def sweep_terms(flux: FluxSpec, pairs):
                 yield (np.abs(U - pair.k0), (s * (hU - hk0))[..., None] * g,
                        -(s * hk0) * g_sum)
             else:
-                ent = ents[pair.k0, pair.n]
-                (w, _, lookup), h_w, hp_w = tables[pair.k0]
-                A = lookup(ent.eta_prime(w) * hp_w).reshape(U.shape)
-                integ = lookup(ent.eta_pp(w) * h_w).reshape(U.shape)
-                yield ent.eta(U), A[..., None] * g, -g_sum * integ
+                ent = at_offset[pair.n]
+                (_, t, lookup), h_w, hp_w = tables[pair.k0]
+                A = lookup(ent.eta_prime(t) * hp_w).reshape(U.shape)
+                integ = lookup(ent.eta_pp(t) * h_w).reshape(U.shape)
+                yield ent.eta(U - pair.k0), A[..., None] * g, -g_sum * integ
 
     return terms
 

@@ -44,6 +44,11 @@ _TIME = struct.Struct("<d")
 _HEADER_SIZE = len(_MAGIC) + _SHARED.size + _TIME.size
 
 
+def cell_centers(lo: float, hi: float, nx: int) -> np.ndarray:
+    """Centers of nx equal cells on [lo, hi], shape (nx,)."""
+    return lo + (np.arange(nx) + 0.5) * ((hi - lo) / nx)
+
+
 def _tensor_points(axis: np.ndarray, dim: int) -> np.ndarray:
     """Every point of the lattice axis^dim, shape (n,) * dim + (dim,)."""
     return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
@@ -68,7 +73,7 @@ class GridField:
     @property
     def centers(self) -> np.ndarray:
         """Cell-center coordinates along one axis, shape (nx,)."""
-        return self.lo + (np.arange(self.nx) + 0.5) * self.dx
+        return cell_centers(self.lo, self.hi, self.nx)
 
     def centers_points(self) -> np.ndarray:
         """All cell centers as points, shape (nx,) * dim + (dim,)."""

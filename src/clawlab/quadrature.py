@@ -6,6 +6,13 @@ largest error estimate) dominate any fancier rule.  Integrands must be
 vectorized over the node array and may return either scalars per node
 (shape ``(m,)``) or vectors (shape ``(m, ...)``); the integral keeps the
 trailing shape.
+
+Where the integrand's singularities are known, no error estimate is
+needed: the smooth entropy pairs' state tables (``entropy._state_tables``)
+place panels by a geometric ladder toward k0, where eta_n's lie, and give
+each panel 4, 8 or 16 Gauss-Legendre nodes by its distance to k0 in
+half-widths, the fewest that reach the error bound of 16 nodes on a
+ladder panel.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import BlowUp, CFLViolation, GridMismatch
 from .flux import FluxSpec
-from .grids import GridField, _tensor_points
+from .grids import GridField, _tensor_points, cell_centers
 
 Array = np.ndarray
 
@@ -276,7 +276,7 @@ class _Stepper:
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         n, dim, dx = config.nx, config.dim, config.dx
-        self.centers = c = config.lo + (np.arange(n) + 0.5) * dx
+        self.centers = c = cell_centers(config.lo, config.hi, n)
         e = config.lo + np.arange(n + 1) * dx
         cells = (n,) * dim
         ghosted = np.empty((n + 2) * n ** (dim - 1))

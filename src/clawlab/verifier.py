@@ -40,7 +40,9 @@ Kato's flux q(x, u, v) = sign(u - v) (f(x, u) - f(x, v)) and its divergence
 are ``entropy.kruzkov_flux``/``kruzkov_div``, which the Kruzkov pairs share.
 Every L1 distance (cone, global, uniqueness, the CLI's study) is one rule,
 ``l1_masses``, over the closed balls of ``_balls``; a ball that holds no
-cell centre at the first compared level raises EmptyCone.
+cell centre at the first compared level raises EmptyCone, by the rule
+(``require_ball``) with which ``config.parse_config`` refuses such a
+cone or uniqueness ball before a run.
 
 Inequalities that hold exactly only in the vanishing-mesh limit are
 asserted up to a negative slack C (dx + dt) |support|; C is calibrated per
@@ -50,6 +52,7 @@ flux by dx-halving studies and recorded in every report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,7 +62,7 @@ from .entropy import EntropyPair, kruzkov_div, kruzkov_flux, sweep_terms
 from .errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
                      SupportExceedsDomain)
 from .flux import FluxSpec, lipschitz_constant
-from .grids import GridField
+from .grids import GridField, cell_centers
 from .mollifiers import Mollifier, TestFunction, omega_value
 from .solver import solve
 
@@ -67,9 +70,12 @@ Array = np.ndarray
 
 _EPS = np.finfo(float).eps
 
-# box cells per chunk of levels in the weak-form quadrature; a smooth
-# pair's tables carry 16 nodes per state, about 1 kB of temporaries
-_CHUNK_CELLS = 2 ** 11
+# box cells per chunk of levels in the weak-form quadrature.  A smooth
+# pair's tables carry about 5 nodes per state on an entropy_1d level (16
+# near k0), so a chunk's node arrays stay near 150 kB each; 2^12 is the
+# largest power of two that keeps the entropy_1d benchmark's peak memory
+# where 2^11 with 16 nodes per state kept it (2^13 adds about 2 MB)
+_CHUNK_CELLS = 2 ** 12
 
 JUMP_FACTOR = 10.0
 
@@ -90,16 +96,25 @@ class ResidualReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def default(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            return str(o)
+        """The report as standard JSON: a float that is not finite is
+        written as the string "NaN", "Infinity" or "-Infinity", which
+        ``float`` reads back."""
+        def plain(o):
+            if isinstance(o, (np.ndarray, np.floating, np.integer)):
+                o = o.tolist()
+            if isinstance(o, dict):
+                return {k: plain(v) for k, v in o.items()}
+            if isinstance(o, (list, tuple)):
+                return [plain(v) for v in o]
+            if isinstance(o, float) and not math.isfinite(o):
+                return ("NaN" if math.isnan(o) else
+                        "Infinity" if o > 0 else "-Infinity")
+            return o
         payload = {"kind": self.kind, "value": self.value,
                    "tolerance": self.tolerance, "passed": bool(self.passed),
                    "metadata": self.metadata}
-        return json.dumps(payload, indent=2, default=default)
+        return json.dumps(plain(payload), indent=2, default=str,
+                          allow_nan=False)
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -188,16 +203,15 @@ def _weak_sums(fields, phi: TestFunction, terms):
             if source is not None:
                 rest = rest + phi_mid * source
             # per-level sums added in time order, as a level-by-level pass
-            # adds them, so values match one up to rounding
-            s_dt = (dphi * eta).reshape(len(dts), -1).sum(axis=1).tolist()
-            s_rest = rest.reshape(len(dts), -1).sum(axis=1).tolist()
+            # adds them, so values match one up to rounding: the running
+            # value, then cell * sd and (cell * dt) * sr of every level
             if j == len(values):
                 values.append(0.0)
-            value = values[j]
-            for sd, sr, dtn in zip(s_dt, s_rest, dts.tolist()):
-                value += cell * sd
-                value += cell * dtn * sr
-            values[j] = value
+            parts = np.empty(2 * len(dts) + 1)
+            parts[0] = values[j]
+            parts[1::2] = cell * (dphi * eta).reshape(len(dts), -1).sum(axis=1)
+            parts[2::2] = (cell * dts) * rest.reshape(len(dts), -1).sum(axis=1)
+            values[j] = float(np.add.accumulate(parts)[-1])
     return values, float(np.diff(times)[levels.start:levels.stop].max())
 
 
@@ -286,16 +300,39 @@ def l1_masses(a: Array, b: Array, cell: float, mask=None) -> Array:
     return d.reshape(len(d), -1).sum(axis=1) * cell
 
 
+def require_ball(grid, center, radius) -> None:
+    """Raise EmptyCone unless the closed ball of ``radius`` about
+    ``center`` holds a cell centre of ``grid``, a GridField or the
+    SchemeConfig of one (its lo, hi, nx and dim), so that
+    ``config.parse_config`` refuses a check's ball by the rule the check
+    applies to the run's fields.  The nearest cell centre is the one
+    nearest on every axis, so its distance, computed as ``_balls``
+    computes every cell's, decides without the nx^dim distances."""
+    axis = cell_centers(grid.lo, grid.hi, grid.nx)
+    c = np.broadcast_to(np.asarray(center, dtype=float), (grid.dim,))
+    nearest = ((axis[:, None] - c) ** 2).min(axis=0)
+    if not np.sqrt(nearest.sum()) <= radius:
+        raise EmptyCone(f"the ball of radius {radius:.6g} about {center} "
+                        f"holds no cell centre of [{grid.lo}, {grid.hi}] "
+                        f"at nx = {grid.nx}")
+
+
 def _balls(field_: GridField, center, radii):
     """Cell centres, their distances r from ``center``, and a generator of
     the closed balls r <= radius of ``radii`` as cell masks; the first ball
-    must hold a cell centre (EmptyCone)."""
+    must hold a cell centre (``require_ball``)."""
+    require_ball(field_, center, radii[0])
     pts = field_.centers_points()
     r = np.sqrt(((pts - np.asarray(center, dtype=float)) ** 2).sum(axis=-1))
-    if not (r <= radii[0]).any():
-        raise EmptyCone(f"the ball of radius {radii[0]:.6g} about {center} "
-                        f"holds no cell centre of [{field_.lo}, {field_.hi}]")
     return pts, r, (r <= radius for radius in radii)
+
+
+def uniqueness_ball(grid, center=None, radius=None):
+    """The ball of the uniqueness check on ``grid`` (a GridField or a
+    SchemeConfig): ``center`` and ``radius``, by default the midpoint of
+    [lo, hi]^d and a quarter of its width."""
+    return (0.5 * (grid.lo + grid.hi) if center is None else center,
+            0.25 * (grid.hi - grid.lo) if radius is None else radius)
 
 
 def cone_contraction_profile(u: GridField, v: GridField, flux: FluxSpec,
@@ -387,10 +424,7 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
     if any(s.nx != seeds[0].nx or s.lo != seeds[0].lo or s.hi != seeds[0].hi
            for s in seeds):
         raise ValueError("variants must share the grid")
-    if center is None:
-        center = 0.5 * (seeds[0].lo + seeds[0].hi)
-    if radius is None:
-        radius = 0.25 * (seeds[0].hi - seeds[0].lo)
+    center, radius = uniqueness_ball(seeds[0], center, radius)
     iu = np.triu_indices(len(seeds), k=1)
 
     def run_level(configs):

@@ -668,23 +668,87 @@ class TestCliOther:
         assert rep["passed"] is True
         assert all(r >= 1.5 for r in rep["metadata"]["ratios"])
 
-    def test_uniqueness_ball_outside_domain_refused(self, tmp_path, capsys):
-        # sine data (no oracle) and a ball that misses [-1, 1.5]: distances
-        # over no cell would pass the check with ratios inf
+    @staticmethod
+    def refuse_uniqueness_ball(tmp_path, capsys, ball):
+        """Run a copy of the bundled uniqueness config on sine data (no
+        oracle) with the ``ball`` keys; expect exit 2 and no run directory,
+        and return the error line."""
         text = (CONFIGS / "uniqueness_burgers.cfg").read_text()
         text = text.replace(
             "kind = riemann\nul = 1.0\nur = 0.0\nx0 = 0.0",
             "kind = sine\namp = 0.3\nfreq = 1.0\noffset = 0.5").replace(
             "nx = 250", "nx = 120").replace(
-            "min_ratio = 1.5", "min_ratio = 1.5\ncenter = 5.0").replace(
+            "min_ratio = 1.5", f"min_ratio = 1.5\n{ball}").replace(
             "dir = runs/uniqueness_burgers", f"dir = {tmp_path / 'uniq'}")
         cfg_path = tmp_path / "uniq.cfg"
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "uniq").exists()
+        return capsys.readouterr().err
+
+    def test_uniqueness_ball_outside_domain_refused(self, tmp_path, capsys):
+        # a ball that misses [-1, 1.5]: distances over no cell would pass
+        # the check with ratios inf; the config is refused before anything
+        # is solved or written
+        err = self.refuse_uniqueness_ball(tmp_path, capsys, "center = 5.0")
+        assert err.startswith("error: [check.uniq] the ball of radius 0.625 "
+                              "about 5.0 holds no cell centre of [-1.0, 1.5] "
+                              "at nx = 120")
+
+    def test_uniqueness_ball_empty_on_refined_grid_refused(self, tmp_path,
+                                                           capsys):
+        # the first cell's centre alone: the check's second level, the
+        # refined grid, has no centre there
+        err = self.refuse_uniqueness_ball(
+            tmp_path, capsys, "center = -0.9895833333333334\nradius = 0.001")
+        assert err.startswith("error: [check.uniq] the ball of radius 0.001 "
+                              "about -0.9895833333333334 holds no cell centre "
+                              "of [-1.0, 1.5] at nx = 240")
+
+    def test_cone_ball_outside_domain_refused(self, tmp_path, capsys):
+        # B_2(0) misses the grid [2.5, 8.5]: refused before anything is
+        # solved or written
+        text = (CONFIGS / "burgers_contraction.cfg").read_text()
+        text = text.replace(
+            "lo = -3.0\nhi = 3.0", "lo = 2.5\nhi = 8.5").replace(
+            "tasks = cone, glob, kato", "tasks = cone").replace(
+            "dir = runs/burgers_contraction", f"dir = {tmp_path / 'cone'}")
+        assert "lo = 2.5\nhi = 8.5" in text
+        cfg_path = tmp_path / "cone.cfg"
+        cfg_path.write_text(text.split("[check.glob]")[0])
+        assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: the ball of radius 0.625 about 5.0 "
-                              "holds no cell centre")
-        assert (tmp_path / "uniq" / "FAILED").is_file()
+        assert err.startswith("error: [check.cone] the ball of radius 2 "
+                              "about 0.0 holds no cell centre of [2.5, 8.5] "
+                              "at nx = 1200")
+        assert not (tmp_path / "cone").exists()
+
+    def test_reports_are_standard_json(self, bundled_runs, tmp_path):
+        # a float that is not finite is written as a string that float()
+        # reads back, never as the non-standard tokens NaN or Infinity
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        _, outdir = bundled_runs["entropy_burgers"]
+        rep = json.loads((outdir / "report_doubling.json").read_text(),
+                         parse_constant=refuse)
+        assert rep["tolerance"] == "NaN"
+        # constant data: every variant's distance is 0, under the floor,
+        # so every ratio is infinite
+        text = (CONFIGS / "uniqueness_burgers.cfg").read_text()
+        text = text.replace(
+            "kind = riemann\nul = 1.0\nur = 0.0\nx0 = 0.0",
+            "kind = constant\nvalue = 0.5").replace(
+            "nx = 250", "nx = 60").replace(
+            "dir = runs/uniqueness_burgers", f"dir = {tmp_path / 'uniq'}")
+        cfg_path = tmp_path / "uniq.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "uniq" / "report_uniq.json").read_text(),
+                         parse_constant=refuse)
+        ratios = rep["metadata"]["ratios"]
+        assert ratios == ["Infinity"] * 3
+        assert all(float(r) == float("inf") for r in ratios)
 
     def test_bundled_entropy_run_passes(self, tmp_path):
         text = (CONFIGS / "entropy_burgers.cfg").read_text()

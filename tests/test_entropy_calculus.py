@@ -9,9 +9,11 @@ from clawlab.entropy import (SmoothEntropy, _state_tables, kruzkov_div,
                              kruzkov_div_deficit, kruzkov_flux,
                              kruzkov_limit_deficit, leibniz_check,
                              make_kruzkov_pair, make_smooth_pair, q_build_ibp,
-                             q_build_quadrature, sqrt_entropy)
+                             q_build_quadrature, sqrt_entropy, sweep_terms)
 from clawlab.flux import catalog_lookup, catalog_names
+from clawlab.grids import sine_data
 from clawlab.quadrature import adaptive_gauss_legendre
+from clawlab.solver import SchemeConfig, solve
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
@@ -210,6 +212,23 @@ class TestTabulatedSmoothPair:
                     q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
                     assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
 
+    def test_factored_sweep_keeps_relative_accuracy_near_k0(self):
+        # the factored sweep's smooth pairs share one table row over a
+        # level's states on both sides of k0; summed outward from k0 and
+        # with eta_n' at the offsets t, q keeps its relative accuracy
+        flux = catalog_lookup("advection1d", {"c": 2.5})
+        rng = np.random.default_rng(35)
+        pts = rng.uniform(-1.0, 1.0, (200, 1))
+        for k0 in (-1.0, 0.45):
+            u = k0 + (rng.choice([-1.0, 1.0], 200)
+                      * 10.0 ** rng.uniform(-6.0, -2.0, 200))
+            for n in (1, 64, 10 ** 4):
+                terms = sweep_terms(flux, [make_smooth_pair(flux, k0, n)])
+                (_, q, _), = terms(pts, u[None])
+                exact = 2.5 * _eta_gap(u, k0, n)
+                assert np.all(np.abs(q[0, :, 0] - exact)
+                              <= 1e-12 * np.abs(exact))
+
     def test_nan_state_poisons_only_its_entries(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1.0, 1.0, (200, 1))
@@ -254,7 +273,7 @@ def _row_integrals(k0, K, x):
     """int_{k0}^{u} eta_16'(w) cos(w + x) dw for rows K with one x each."""
     w, t, lookup = _state_tables(k0, K)
     return lookup(sqrt_entropy(0.0, 16).eta_prime(t)
-                  * np.cos(w + x[:, None, None]))
+                  * np.cos(w + x[:, None]))
 
 
 class TestStateTables:
@@ -281,6 +300,26 @@ class TestStateTables:
                           for c in cols], axis=1)
         wider = _row_integrals(k0, np.concatenate([K, extra], axis=1), x)
         assert wider[:, :K.shape[1]].tobytes() == batch.tobytes()
+
+
+    def test_rows_far_from_k0_take_few_nodes(self):
+        """A row shaped like a level of the ``entropy_1d`` sweep, the
+        states of a ``product1d`` sine solution over a bump's box with
+        k0 = 0 below them all, takes at most 6 nodes per state: 4 on the
+        intervals between states, 16 only on the ladder toward k0."""
+        u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45),
+                  SchemeConfig(lo=-1.0, hi=1.0, nx=640, t_end=0.35,
+                               boundary="periodic"))
+        level = u.data[len(u.times) // 2]
+        row = level[np.abs(u.centers) < 0.36][None]
+        assert row.shape[1] > 200 and row.min() > 0.0
+        w, t, lookup = _state_tables(0.0, row)
+        assert w.shape[0] == 1 and w.size <= 6 * row.size
+        # the 4-node intervals keep the integral: eta_16' h' against
+        # eta_16(u) - eta_16(0) for h = id
+        gap = lookup(sqrt_entropy(0.0, 16).eta_prime(t))
+        assert np.all(np.abs(gap - _eta_gap(row, 0.0, 16))
+                      <= 1e-14 * _eta_gap(row, 0.0, 16))
 
 
 class TestKruzkovPair:

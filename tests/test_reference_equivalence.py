@@ -6,9 +6,10 @@ runs that set up each datum on their own and give a pair's shared step
 back to two separate runs, a Lipschitz estimate that materializes every difference quotient, and a
 weak-form quadrature that evaluates the test function on the whole domain
 level by level.  The fast paths do the same arithmetic in another
-arrangement, so results must agree bit for bit, except the weak-form sums
-and the Lipschitz estimate of a flux with factors, which is exact where
-the reference rounds (see the bounds stated there).
+arrangement, so results must agree bit for bit, except the weak-form sums,
+the state tables (which take fewer nodes where the reference took 16) and
+the Lipschitz estimate of a flux with factors, which is exact where the
+reference rounds (see the bounds stated there).
 """
 
 import math
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 
 from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
-from clawlab.entropy import (default_k0_sweep, make_kruzkov_pair,
-                             make_smooth_pair, sweep_terms)
+from clawlab import verifier as verifier_mod
+from clawlab.entropy import (_state_tables, default_k0_sweep,
+                             kruzkov_flux, make_kruzkov_pair,
+                             make_smooth_pair, sqrt_entropy, sweep_terms)
 from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
                             NonFiniteFlux, SampleNearShock,
                             SupportExceedsDomain)
@@ -554,6 +557,71 @@ def test_entropy_sweep_matches_reference(case):
     _assert_matches(fast, refs, exact=len(kruzkov))
 
 
+def _loop_weak_sums(fields, phi, terms):
+    """``verifier._weak_sums`` as it added each chunk's per-level sums: a
+    Python loop over the levels, in time order."""
+    field_ = fields[0]
+    levels, box = verifier_mod._support_window(field_, phi)
+    P = field_.centers_points()[box]
+    times = field_.times
+    dx, dim = field_.dx, field_.dim
+    cell = dx ** dim
+    chunk = max(1, verifier_mod._CHUNK_CELLS // P[..., 0].size)
+    values = []
+    for n0 in range(levels.start, levels.stop, chunk):
+        n1 = min(n0 + chunk, levels.stop)
+        edges = times[n0:n1 + 1]
+        dts = np.diff(edges)
+        tq = np.empty(2 * len(dts) + 1)
+        tq[0::2] = edges
+        tq[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        ph = phi.value(P, tq.reshape((-1,) + (1,) * dim))
+        dphi = ph[2::2] - ph[:-2:2]
+        phi_mid = ph[1::2]
+        grads = [np.gradient(phi_mid, dx, axis=1 + a) for a in range(dim)]
+        states = [f.data[(slice(n0, n1),) + box] for f in fields]
+        for j, (eta, q, source) in enumerate(terms(P, *states)):
+            rest = grads[0] * q[..., 0]
+            for a in range(1, dim):
+                rest = rest + grads[a] * q[..., a]
+            if source is not None:
+                rest = rest + phi_mid * source
+            s_dt = (dphi * eta).reshape(len(dts), -1).sum(axis=1).tolist()
+            s_rest = rest.reshape(len(dts), -1).sum(axis=1).tolist()
+            if j == len(values):
+                values.append(0.0)
+            value = values[j]
+            for sd, sr, dtn in zip(s_dt, s_rest, dts.tolist()):
+                value += cell * sd
+                value += cell * dtn * sr
+            values[j] = value
+    return values
+
+
+@pytest.mark.parametrize("case", list(_entropy_cases()), ids=lambda c: c[0])
+def test_weak_sums_accumulate_like_the_level_loop(case):
+    """The per-level sums folded by ``np.add.accumulate`` are bitwise the
+    loop's, on the entropy sweep's terms and on Kato's, whatever the
+    chunking."""
+    _, u, flux, phi = case
+    pairs = ([make_kruzkov_pair(flux, k0) for k0 in default_k0_sweep(1.0, 5)]
+             + [make_smooth_pair(flux, k0, n)
+                for k0, n in ((0.0, 4), (0.3, 16), (-0.2, 64))])
+    v = replace(u, data=u.data[::-1].copy())
+
+    def kato_terms(P, U, V):
+        yield np.abs(U - V), kruzkov_flux(flux, P, U, V), None
+
+    for budget in (verifier_mod._CHUNK_CELLS, 1, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier_mod, "_CHUNK_CELLS", budget)
+            for fields, terms in (((u,), sweep_terms(flux, pairs)),
+                                  ((u, v), kato_terms)):
+                fast, _ = verifier_mod._weak_sums(fields, phi, terms)
+                assert _bitwise_equal(fast, _loop_weak_sums(fields, phi,
+                                                            terms))
+
+
 @pytest.mark.parametrize("name,dim", [("burgers1d", 1), ("product1d", 1),
                                       ("product2d", 2)])
 def test_kato_matches_reference(name, dim):
@@ -617,7 +685,7 @@ def test_two_interval_window_matches_reference():
 # div_x f for the sources and, for the smooth pairs, the one state-table
 # rule with a row per (point, state) pair and d_k f or div_x f on its
 # nodes.  The two agree up to rounding: measured at most
-# 4.3e-14 of the case's largest |value| over 7,800 examples of the test
+# 4.4e-14 of the case's largest |value| over 7,800 examples of the test
 # below, asserted within FACTORED_RTOL.
 
 FACTORED_RTOL = 1e-12
@@ -707,6 +775,94 @@ def test_factored_terms_non_finite_state_poisons_only_its_entries(name, bad):
         for a, b in zip(clean, out):
             assert np.all(np.abs(b[keep] - a[keep])
                           <= 1e-14 * np.abs(a[keep]).max())
+
+
+# -- state tables ------------------------------------------------------------
+#
+# ``entropy._state_tables`` gives each interval 4, 8 or 16 Gauss-Legendre
+# nodes by its distance to k0 and sums outward from k0.  The reference is
+# the rule it replaced: 16 nodes on every interval, one ``cumsum`` per row
+# from its lowest breakpoint, shifted to 0 at k0.  The breakpoints are the
+# same, so the two agree to rounding and the 16-node error: measured at
+# most 3.6e-15 of each row's largest |value| on the test below, asserted
+# within TABLE_RTOL.  The integrands keep one sign on each side of k0: a
+# value that cancels below the size of its integrand's parts carries the
+# rounding of those parts in either rule.
+
+TABLE_RTOL = 2e-14
+_GAUSS_16 = np.polynomial.legendre.leggauss(16)
+
+
+def _reference_state_tables(k0, k):
+    R, S = k.shape
+    fin = np.isfinite(k)
+    kf = np.where(fin, k, k0)
+    below = k0 - kf.min(axis=1, initial=k0)
+    above = kf.max(axis=1, initial=k0) - k0
+    ladder_all = 4.0 ** np.arange(-15, 512)
+    nb = np.searchsorted(ladder_all, below)
+    na = np.searchsorted(ladder_all, above)
+    ladder = ladder_all[:max(nb.max(initial=0), na.max(initial=0))]
+    used = np.arange(ladder.size)
+    cand = np.concatenate(
+        [kf, np.full((R, 1), k0),
+         np.where(used < nb[:, None], k0 - ladder, k0),
+         np.where(used < na[:, None], k0 + ladder, k0)], axis=1)
+    rows = np.arange(R)[:, None]
+    order = np.argsort(cand, axis=1, kind="stable")
+    srt = cand[rows, order]
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    rank = np.cumsum(first, axis=1) - 1
+    bp = np.repeat(srt[:, -1:], rank[:, -1].max(initial=0) + 1, axis=1)
+    bp[np.nonzero(first)[0], rank[first]] = srt[first]
+    pos = np.empty_like(rank)
+    pos[rows, order] = rank
+    at, zero = pos[:, :S], pos[:, S:S + 1]
+    off = bp - k0
+    mid = 0.5 * (off[:, 1:] + off[:, :-1])
+    half = 0.5 * (off[:, 1:] - off[:, :-1])
+    t = np.multiply.outer(half, _GAUSS_16[0])
+    t += mid[..., None]
+
+    def lookup(integrand):
+        sums = np.einsum("jm,m->j", integrand.reshape(-1, 16),
+                         _GAUSS_16[1]).reshape(half.shape)
+        table = np.concatenate([np.zeros((R, 1)),
+                                np.cumsum(half * sums, axis=1)], axis=1)
+        return np.where(fin, table[rows, at] - table[rows, zero], np.nan)
+
+    return k0 + t, t, lookup
+
+
+def _table_integrals(tables, k0, K, n, x):
+    """int_{k0}^{u} of eta_n' cos(w + x) and of eta_n'' sin(w + x) for
+    rows K with one x each."""
+    w, t, lookup = tables(k0, K)
+    ent = sqrt_entropy(0.0, n)
+    xs = x.reshape((-1,) + (1,) * (w.ndim - 1))
+    return (lookup(ent.eta_prime(t) * (2.0 + np.cos(w + xs))),
+            lookup(ent.eta_pp(t) * (2.0 + np.sin(w + xs))))
+
+
+@pytest.mark.parametrize("n", [1, 16, 10 ** 4, 2 ** 30, 2 ** 54, "random"])
+def test_state_tables_match_16_node_tables(n):
+    """Random rows, k0 inside or outside each row's span, against the
+    16-node rule, within TABLE_RTOL of each row's largest |value|."""
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(50):
+        lo = rng.uniform(-3.0, 2.0)
+        K = lo + rng.uniform(0.0, 10.0 ** rng.uniform(-4.0, 0.5),
+                             (rng.integers(1, 5), rng.integers(1, 300)))
+        k0 = (rng.uniform(K.min(), K.max()) if rng.random() < 0.5
+              else rng.uniform(-3.0, 3.0))
+        x = rng.uniform(-1.0, 1.0, len(K))
+        nn = int(2.0 ** rng.uniform(0.0, 54.0)) if n == "random" else n
+        fast = _table_integrals(_state_tables, k0, K, nn, x)
+        ref = _table_integrals(_reference_state_tables, k0, K, nn, x)
+        for a, b in zip(fast, ref):
+            scale = np.abs(b).max(axis=1, keepdims=True)
+            assert np.all(np.abs(a - b) <= TABLE_RTOL * scale)
 
 
 # -- doubling of variables -------------------------------------------------

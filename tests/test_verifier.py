@@ -281,7 +281,7 @@ class TestWeakSumChunks:
     @staticmethod
     def pair_2d():
         fb2 = catalog_lookup("burgers2d")
-        cfg = SchemeConfig(lo=-1, hi=1, nx=80, t_end=0.3, dim=2,
+        cfg = SchemeConfig(lo=-1, hi=1, nx=120, t_end=0.3, dim=2,
                            store_every=2)
 
         def sq(lo):
