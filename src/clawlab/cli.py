@@ -17,9 +17,8 @@ marker file flags partial output after an error.  The environment variable
 
 ``verify`` supports the four check kinds that need no config
 (``entropy_inequality`` on one field; ``kato``, ``cone_contraction`` and
-``global_contraction`` on two), each field a slab file or a directory of
-slab files (a run's ``u_slabs``, or a directory of one file per level as
-runs wrote them before one file per field).  Its ``--set`` keys are those
+``global_contraction`` on two), each field a slab file or a field
+directory holding one (a run's ``u_slabs``).  Its ``--set`` keys are those
 of a ``[check.*]`` section of that kind, read by the config's one reader
 in its one order (each key in turn, an unknown key or a bad value naming
 its ``--set`` pair, then a missing required key), so these are errors,
@@ -402,7 +401,8 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run one check on stored fields")
     p_ver.add_argument("fields", nargs="+",
-                       help="field: a .slab file or a directory of slab files")
+                       help="field: a .slab file or a field directory holding "
+                            "field.slab")
     p_ver.add_argument("--check", required=True,
                        choices=[k for k in _CHECK_KEYS
                                 if k not in CONFIG_KINDS])

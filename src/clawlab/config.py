@@ -13,8 +13,10 @@ missing required key.
 
 The ``[grid]`` and ``[scheme]`` sections are read into one
 ``solver.SchemeConfig`` (``ExperimentConfig.grid``), built once while
-parsing, so its rules refuse a config as a ``ConfigError`` before any
-output is written, and the solver runs on that very object.
+parsing, so its rules, and the solver's rule for which flux a grid and a
+scheme take (``solver.require_flux_fits``), refuse a config as a
+``ConfigError`` before any output is written, and the solver runs on that
+very object.
 
 Layout::
 
@@ -66,10 +68,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .errors import CFLViolation, ConfigError, EmptyCone
+from .errors import CFLViolation, ConfigError, EmptyCone, GridMismatch
 from .flux import catalog_lookup, catalog_names, catalog_params
 from .grids import InitialData
-from .solver import SchemeConfig
+from .solver import SchemeConfig, require_flux_fits
 from .verifier import require_ball, uniqueness_ball
 
 # [initial_data] keys per kind with their converters; all but x0 and offset
@@ -322,19 +324,14 @@ def parse_config(text: str) -> ExperimentConfig:
                      else None)
 
     kw = _read(sections["grid"], "grid", _GRID_KEYS, _GRID_KEYS)
-    flux_dim = catalog_lookup(flux_name, flux_params).dim
-    if flux_dim != kw["dim"]:
-        raise ConfigError(f"[flux] {flux_name} is {flux_dim}-d but [grid] dim "
-                          f"= {kw['dim']}")
     kw.update(_read(sections["scheme"], "scheme", _SCHEME_KEYS,
                     ("kind", "cfl", "boundary")))
     kw["scheme"] = kw.pop("kind")
-    if kw["scheme"] == "godunov_burgers" and flux_name != "burgers1d":
-        raise ConfigError("[scheme] godunov_burgers is implemented for the 1-d "
-                          "burgers1d flux only")
     try:
+        require_flux_fits(catalog_lookup(flux_name, flux_params), kw["dim"],
+                          kw["scheme"])
         grid = SchemeConfig(**kw)
-    except (ValueError, CFLViolation) as exc:
+    except (ValueError, CFLViolation, GridMismatch) as exc:
         raise ConfigError(f"[grid]/[scheme] {exc}") from exc
 
     output_dir = _read(sections["output"], "output", {"dir": str},

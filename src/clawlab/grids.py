@@ -2,29 +2,25 @@
 
 A GridField stores a uniform-grid numerical solution: one slab of cell
 averages per stored time level on the box [lo, hi]^dim.  On disk a field is
-a sequence of slab records, one per stored level, ordered by their stored
-time.  ``write_slabs`` writes them back to back into one file,
-``field.slab`` in the field's directory; the reader takes a file of one or
-more records, a directory of such files or a list of them, so a directory
-of one-record files per level (the layout before one file per field) loads
-the same.  A record header holds exactly the fields of a GridField, so
-``load_field(write_slabs(f))`` equals ``f`` bitwise.  Record layout,
-little-endian:
+one slab file, ``field.slab`` in the field's directory: one header, the
+stored times, then every level's cells.  The header holds exactly the
+fields of a GridField, so ``load_field(write_slabs(d, f)[0])`` equals ``f``
+bitwise.  Layout, little-endian:
 
-    magic    4 bytes  b"CLW2"
+    magic    4 bytes  b"CLW3"
     dim      uint32
     nx       uint32
+    nt       uint32             (stored levels)
     lo       float64
     hi       float64
     bound_M  float64
-    time     float64
-    data     float64 * nx^dim   (C order)
+    times    float64 * nt       (strictly increasing)
+    data     float64 * nt * nx^dim   (C order)
 
-The records of one field must agree on dim, nx, lo, hi and bound_M
-(``GridMismatch`` otherwise).  A file that cannot be read as slab records
-(missing, another format, the old CLW1 layout, a record cut short or
-trailing bytes) raises ``FieldFileError`` naming the path, the record and
-the defect.
+A file that is not one whole field of this layout (missing, another
+magic, the old CLW1 or CLW2 layout, a header cut short, dim not 1 or 2,
+nx or nt below 1, any other size, or times that do not increase) raises
+``FieldFileError`` naming the path and the defect.
 """
 
 from __future__ import annotations
@@ -37,11 +33,11 @@ import numpy as np
 
 from .errors import FieldFileError, GridMismatch
 
-_MAGIC = b"CLW2"
-_SHARED = struct.Struct("<IIddd")
-_SHARED_NAMES = ("dim", "nx", "lo", "hi", "bound_M")
-_TIME = struct.Struct("<d")
-_HEADER_SIZE = len(_MAGIC) + _SHARED.size + _TIME.size
+_MAGIC = b"CLW3"
+_HEADER = struct.Struct("<4sIIIddd")
+# the layouts before this one, each with why it is no longer read
+_OLD = {b"CLW1": "it lacks hi and bound_M",
+        b"CLW2": "it repeats the grid header on every level"}
 
 
 def cell_centers(lo: float, hi: float, nx: int) -> np.ndarray:
@@ -100,91 +96,60 @@ class GridField:
 
 
 def write_slabs(directory, field: GridField) -> list:
-    """Write every stored level as one record of ``directory/field.slab``,
-    in level order, each straight from the field's array; returns the
-    file's path in a list."""
+    """Write the field as ``directory/field.slab``: the header, the times,
+    then the data, straight from the field's arrays."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "field.slab"
-    shared = _MAGIC + _SHARED.pack(field.dim, field.nx, field.lo, field.hi,
-                                   field.bound_M)
     with open(path, "wb") as fh:
-        for n, t in enumerate(field.times):
-            fh.write(shared + _TIME.pack(t))
-            fh.write(np.ascontiguousarray(field.data[n], dtype="<f8"))
+        fh.write(_HEADER.pack(_MAGIC, field.dim, field.nx, len(field.times),
+                              field.lo, field.hi, field.bound_M))
+        fh.write(np.ascontiguousarray(field.times, dtype="<f8"))
+        fh.write(np.ascontiguousarray(field.data, dtype="<f8"))
+    # a list, as the benchmark's tracer (perfbench/tracing.py) takes it:
+    # it counts the bytes of every path in the list, and of the *.slab
+    # files of a directory given to load_field
     return [path]
 
 
-def _read_records(path: Path):
-    """Yield (shared header bytes, time, data, record index) for every
-    record of one slab file."""
+def load_field(source) -> GridField:
+    """A field's one reader: the GridField of a slab file, or of the
+    ``field.slab`` of a field directory.  The file is read once, and the
+    times and data are writable views of that one buffer."""
+    path = Path(source)
+    if path.is_dir():
+        path = path / "field.slab"
     try:
-        raw = path.read_bytes()
+        raw = np.fromfile(path, dtype=np.uint8)
     except OSError as exc:
         raise FieldFileError(f"{path}: {exc.strerror or exc}") from exc
-    offset, index = 0, 0
-    while True:
-        where = f"{path}: record {index}"
-        magic = raw[offset:offset + len(_MAGIC)]
-        if magic == b"CLW1":
-            raise FieldFileError(
-                f"{where}: slab version CLW1 is no longer read (it lacks hi "
-                "and bound_M); run the experiment again to write CLW2 slabs")
-        if magic != _MAGIC:
-            raise FieldFileError(f"{where}: not a slab file (magic {magic!r})")
-        rest = len(raw) - offset
-        if rest < _HEADER_SIZE:
-            raise FieldFileError(f"{where}: header cut short ({rest} of "
-                                 f"{_HEADER_SIZE} bytes)")
-        start = offset + len(_MAGIC)
-        shared = raw[start:start + _SHARED.size]
-        dim, nx = _SHARED.unpack(shared)[:2]
-        if dim not in (1, 2) or nx < 1:
-            raise FieldFileError(f"{where}: bad grid (dim {dim}, nx {nx})")
-        expected = 8 * nx ** dim
-        end = offset + _HEADER_SIZE + expected
-        # the next record starts right after this one's data, with a magic;
-        # bytes up to the end of the file that do not are this record's
-        if end > len(raw) or (end < len(raw) and raw[end:end + len(_MAGIC)]
-                              not in (_MAGIC, b"CLW1")):
-            raise FieldFileError(
-                f"{where}: {rest - _HEADER_SIZE} data bytes, expected "
-                f"{expected} for nx**dim = {nx ** dim} cells")
-        (time,) = _TIME.unpack_from(raw, offset + _HEADER_SIZE - _TIME.size)
-        data = np.frombuffer(raw, dtype="<f8", count=nx ** dim,
-                             offset=offset + _HEADER_SIZE)
-        yield shared, time, data.reshape((nx,) * dim), index
-        if end == len(raw):
-            return
-        offset, index = end, index + 1
-
-
-def load_field(source) -> GridField:
-    """A field's one reader: assemble a GridField from a slab file, a
-    directory of slab files or a list of slab files, each holding one or
-    more records; levels are ordered by their stored time."""
-    if isinstance(source, (list, tuple)):
-        paths = [Path(p) for p in source]
-    else:
-        src = Path(source)
-        paths = sorted(src.glob("*.slab")) if src.is_dir() else [src]
-    if not paths:
-        raise FieldFileError(f"{source}: no slab files")
-    records = [(p, *rec) for p in paths for rec in _read_records(p)]
-    first, shared0 = records[0][0], records[0][1]
-    head = _SHARED.unpack(shared0)
-    for p, shared, _, _, index in records[1:]:
-        if shared != shared0:
-            diff = ", ".join(
-                f"{name} {a!r} vs {b!r}" for name, a, b
-                in zip(_SHARED_NAMES, _SHARED.unpack(shared), head)
-                if repr(a) != repr(b))
-            raise GridMismatch(f"{p} record {index} and {first} record 0 "
-                               f"disagree on {diff}")
-    records.sort(key=lambda r: r[2])
-    dim, nx, lo, hi, bound = head
-    return GridField(dim, lo, hi, nx, np.array([r[2] for r in records]),
-                     np.stack([r[3] for r in records]), bound)
+    magic = raw[:len(_MAGIC)].tobytes()
+    if magic in _OLD:
+        raise FieldFileError(
+            f"{path}: slab version {magic.decode()} is no longer read "
+            f"({_OLD[magic]}); run the experiment again to write "
+            f"{_MAGIC.decode()} slabs")
+    if magic != _MAGIC:
+        raise FieldFileError(f"{path}: not a slab file (magic {magic!r})")
+    if raw.size < _HEADER.size:
+        raise FieldFileError(f"{path}: header cut short ({raw.size} of "
+                             f"{_HEADER.size} bytes)")
+    _, dim, nx, nt, lo, hi, bound = _HEADER.unpack_from(raw)
+    if dim not in (1, 2) or nx < 1 or nt < 1:
+        raise FieldFileError(f"{path}: bad grid (dim {dim}, nx {nx}, nt {nt})")
+    cells = nx ** dim
+    expected = _HEADER.size + 8 * nt * (1 + cells)
+    if raw.size != expected:
+        raise FieldFileError(
+            f"{path}: {raw.size} bytes, expected {expected} for nt = {nt} "
+            f"levels of nx**dim = {cells} cells")
+    values = raw[_HEADER.size:].view("<f8")
+    times = values[:nt]
+    if not (times[1:] > times[:-1]).all():
+        raise FieldFileError(f"{path}: stored times are not strictly "
+                             "increasing")
+    return GridField(dim, lo, hi, nx, times,
+                     values[nt:].reshape((nt,) + (nx,) * dim), bound)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ branch's f), a step allocates only the array it returns; it never writes
 its input.
 
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
-one setup (``_Run``): it checks the flux against the config, samples each
+one setup (``_Run``): it checks the flux against the config with the
+rule ``parse_config`` applies too (``require_flux_fits``), samples each
 initial datum once (non-finite data raise ``BlowUp``), and derives one dt
 and step count from the a-priori bound of the largest datum, so a pair
 shares its time levels.  All three march through one loop (``_Run.steps``),
@@ -125,28 +126,39 @@ class SchemeConfig:
                        viscosity=self.viscosity / factor)
 
 
-def _sample_points(config: SchemeConfig) -> Array:
-    """The lattice the a-priori estimates sample, shape (npts, dim)."""
+def _sup_abs(fn, config: SchemeConfig, m: float, states: int) -> float:
+    """max |fn(x, k)| over the lattice the a-priori estimates sample and
+    ``states`` equally spaced states k in [-m, m]."""
     lat = np.linspace(config.lo, config.hi, 65 if config.dim == 2 else 129)
-    return _tensor_points(lat, config.dim).reshape(-1, config.dim)
+    pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
+    ks = np.linspace(-m, m, states)
+    return float(np.abs(fn(pts[:, None, :], ks[None, :])).max())
 
 
 def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
     """A-priori bound max|u0| + T sup|div_x f|; the sup is refreshed once with
     the enlarged state interval since the source can grow the solution."""
-    pts = _sample_points(config)
     m = m0
     for _ in range(2):
-        ks = np.linspace(-max(m, m0), max(m, m0), 33)
-        sup_div = float(np.abs(flux.div_x(pts[:, None, :], ks[None, :])).max())
-        m = m0 + config.t_end * sup_div
+        m = m0 + config.t_end * _sup_abs(flux.div_x, config, max(m, m0), 33)
     return m
 
 
 def _estimate_speed(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> float:
-    pts = _sample_points(config)
-    ks = np.linspace(-m_bound, m_bound, 65)
-    return float(np.abs(flux.dk(pts[:, None, :], ks[None, :])).max())
+    return _sup_abs(flux.dk, config, m_bound, 65)
+
+
+def require_flux_fits(flux: FluxSpec, dim: int, scheme: str) -> None:
+    """The one rule for which flux a grid of ``dim`` and a ``scheme`` take:
+    refuse a flux of another dimension (``GridMismatch``), and
+    ``godunov_burgers`` on any flux but burgers1d (``ValueError``), whose
+    exact Godunov formula assumes a convex flux with its minimum at u = 0."""
+    if flux.dim != dim:
+        raise GridMismatch(f"flux {flux.name} is {flux.dim}-d but the grid "
+                           f"has dim = {dim}")
+    if scheme == "godunov_burgers" and flux.name != "burgers1d":
+        raise ValueError(f"godunov_burgers is implemented for the 1-d "
+                         f"burgers1d flux only, got {flux.name}")
 
 
 def _along(axis: int, ndim: int, index) -> tuple:
@@ -332,11 +344,7 @@ class _Run:
     BlowUp threshold per datum, and the dt and step count they share."""
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig, data):
-        if flux.dim != config.dim:
-            raise GridMismatch(f"flux dim {flux.dim} != config dim {config.dim}")
-        if config.scheme == "godunov_burgers" and flux.name != "burgers1d":
-            raise ValueError(f"godunov_burgers assumes the burgers1d flux, "
-                             f"got {flux.name}")
+        require_flux_fits(flux, config.dim, config.scheme)
         self.config = config
         self.stepper = (_Stepper1D if config.dim == 1 else _Stepper2D)(flux, config)
         pts = _tensor_points(self.stepper.centers, config.dim)

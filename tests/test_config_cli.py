@@ -279,19 +279,21 @@ def bundled_runs(tmp_path_factory):
 
 @pytest.fixture(params=["missing", "empty_dir", "not_a_slab", "cut_short"])
 def unreadable_field(request, bundled_runs, tmp_path):
-    """(path, defect) of a field that cannot be read as slabs."""
+    """(path, the file its error names, defect) of a field that cannot be
+    read as a slab file."""
     _, outdir = bundled_runs["burgers_contraction"]
     if request.param == "missing":
-        return tmp_path / "nowhere", "No such file"
+        return tmp_path / "nowhere", tmp_path / "nowhere", "No such file"
     if request.param == "empty_dir":
         (tmp_path / "empty").mkdir()
-        return tmp_path / "empty", "no slab files"
+        return (tmp_path / "empty", tmp_path / "empty" / "field.slab",
+                "No such file")
     if request.param == "not_a_slab":
-        return outdir / "config.cfg", "not a slab file"
-    slab = sorted((outdir / "u_slabs").glob("*.slab"))[0]
+        return outdir / "config.cfg", outdir / "config.cfg", "not a slab file"
+    slab = outdir / "u_slabs" / "field.slab"
     cut = tmp_path / "cut.slab"
     cut.write_bytes(slab.read_bytes()[:-8])
-    return cut, "data bytes"
+    return cut, cut, f"{len(slab.read_bytes()) - 8} bytes, expected"
 
 
 class TestConfigParsing:
@@ -927,18 +929,18 @@ class TestCliOther:
         assert err.startswith("error: ") and "2-d" in err
 
     def test_verify_refuses_unreadable_field(self, unreadable_field, capsys):
-        path, defect = unreadable_field
+        path, named, defect = unreadable_field
         capsys.readouterr()
         assert main(["verify", str(path), "--check", "entropy_inequality",
                      "--flux", "burgers1d"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.startswith(f"error: {named}: ")
         assert defect in captured.err
 
     def test_file_initial_data_unreadable(self, unreadable_field, tmp_path,
                                           capsys):
-        path, _ = unreadable_field
+        path = unreadable_field[0]
         capsys.readouterr()
         main(["verify", str(path), "--check", "entropy_inequality",
               "--flux", "burgers1d"])

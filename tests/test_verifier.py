@@ -535,6 +535,51 @@ class TestGlobalContraction:
         assert rep.passed
 
 
+class TestSwapRelation:
+    """The compared quantities are symmetric in u and v: |u - v| and
+    sign(u - v)(f(x, u) - f(x, v)) keep their bits when the fields swap
+    (IEEE negation is exact), so each check reads bitwise the same."""
+
+    @staticmethod
+    def pair(name):
+        flux = catalog_lookup(name)
+        dim = flux.dim
+        cfg = SchemeConfig(lo=-2, hi=2, nx=200 if dim == 1 else 40,
+                           t_end=0.4, dim=dim, store_every=4)
+
+        def box(shift):
+            def u0(p):
+                inside = np.abs(p[..., 0] - shift) < 0.5
+                if dim == 2:
+                    inside &= np.abs(p[..., 1]) < 0.5
+                return np.where(inside, 0.9, 0.1)
+            return u0
+
+        u, v = solve_pair(flux, box(-0.1), sine_data(0.3, 1.0, 0.2), cfg)
+        psi = bump_test_function([0.0] * dim, 1.0, 0.05, 0.35, dim=dim)
+        return flux, u, v, psi
+
+    @pytest.mark.parametrize("name", ["burgers1d", "product1d", "burgers2d",
+                                      "product2d"])
+    def test_swapping_the_fields_keeps_every_bit(self, name):
+        flux, u, v, psi = self.pair(name)
+        assert not np.array_equal(u.data, v.data)
+        (prof_uv, cone_uv), (prof_vu, cone_vu) = (
+            cone_contraction_profile(a, b, flux, 1.5) for a, b in ((u, v), (v, u)))
+        assert prof_uv == prof_vu
+        assert cone_uv.value == cone_vu.value
+        assert (cone_uv.metadata["flux_bound_excess"]
+                == cone_vu.metadata["flux_bound_excess"])
+        glob_uv, glob_vu = (global_contraction_check(a, b, flux, [1, 2, 4])
+                            for a, b in ((u, v), (v, u)))
+        assert glob_uv.value == glob_vu.value
+        assert glob_uv.metadata["masses"] == glob_vu.metadata["masses"]
+        kato_uv, kato_vu = (kato_lhs(a, b, flux, psi)
+                            for a, b in ((u, v), (v, u)))
+        assert kato_uv.value == kato_vu.value
+        assert kato_uv.value != 0.0
+
+
 class TestUniqueness:
     SEEDS = [
         SchemeConfig(lo=-1, hi=1.5, nx=250, t_end=0.5, cfl=0.9,
