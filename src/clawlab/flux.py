@@ -8,13 +8,14 @@ property are documented catalog facts rather than runtime checks; the
 operations below only *sample* them.
 
 Every catalog flux is separable, f_i(x, k) = g_i(x) h(k) with g_i a function
-of x_i alone.  Each entry is one ``Separable`` (g and g' on points, h and h'
-elementwise on states), and ``eval``, ``dk``, ``div_x`` and
-``grad_x_components`` are all built from those factors, so no derivative is
-written twice.  The solver freezes g at its interface lattice once per run
-and evaluates only h and h' per sweep, and ``lipschitz_constant`` takes
-max|g| on the ball times the slope of h on the states, the exact product
-of the two sampled maxima, instead of sampling f on their product.
+of x_i alone.  Each entry is one ``Separable`` (g and g' on points, h, h'
+and the variation V of h elementwise on states), and ``eval``, ``dk``,
+``div_x`` and ``grad_x_components`` are all built from those factors, so
+no derivative is written twice.  The solver freezes g at its interface
+lattice once per run and evaluates only h and h' per sweep, and
+``lipschitz_constant`` takes max|g| on the ball times the slope of h on
+the states, the exact product of the two sampled maxima, instead of
+sampling f on their product.
 The weak entropy sweep (``entropy.sweep_terms``) takes g,
 g'_1 + ... + g'_d and h once per chunk for all its pairs; the entropy
 pairs themselves call ``eval``, ``dk`` and ``div_x``.
@@ -71,13 +72,17 @@ class Separable:
     ``g_prime`` is dg_i/dx_i, the only non-zero entry of row i of the
     Jacobian of g.  ``h`` and ``h_prime`` (= h') act elementwise on states.
     So d_k f_i = g_i(x) h'(k), div_x f = (g'_1 + ... + g'_d)(x) h(k) and
-    grad_x f_i = e_i g'_i(x) h(k).
+    grad_x f_i = e_i g'_i(x) h(k).  ``V``, elementwise too, is the
+    variation of h, V(k) = int_0^k |h'(w)| dw, the factor an Engquist-Osher
+    interface flux needs (None where it is not declared); nothing reads it
+    yet.
     """
 
     g: Callable[[Array], Array]
     g_prime: Callable[[Array], Array]
     h: Callable[[Array], Array]
     h_prime: Callable[[Array], Array]
+    V: Callable[[Array], Array] | None = None
 
     def g_prime_sum(self, pts: Array) -> Array:
         """(g'_1 + ... + g'_d)(pts), shape (...): the x-factor of div_x f,
@@ -151,10 +156,11 @@ def _identity(k):
 
 
 def _burgers(dim: int, params) -> FluxSpec:
-    # f_i(x, k) = k^2 / 2
+    # f_i(x, k) = k^2 / 2, V(k) = k |k| / 2
     return _separable(f"burgers{dim}d", dim,
                       Separable(np.ones_like, np.zeros_like,
-                                lambda k: 0.5 * k * k, _identity))
+                                lambda k: 0.5 * k * k, _identity,
+                                lambda k: 0.5 * k * np.abs(k)))
 
 
 def _advection1d(params) -> FluxSpec:
@@ -162,7 +168,7 @@ def _advection1d(params) -> FluxSpec:
     c = float(params.get("c", 1.0))
     return _separable("advection1d", 1,
                       Separable(lambda x: np.full(x.shape, c), np.zeros_like,
-                                _identity, np.ones_like),
+                                _identity, np.ones_like, _identity),
                       params={"c": c})
 
 
@@ -170,7 +176,7 @@ def _xsquared1d(params) -> FluxSpec:
     # f(x, k) = x^2: a pure source, independent of the state
     return _separable("xsquared1d", 1,
                       Separable(lambda x: x * x, lambda x: 2.0 * x,
-                                np.ones_like, np.zeros_like))
+                                np.ones_like, np.zeros_like, np.zeros_like))
 
 
 def _g_arctan(x):
@@ -181,16 +187,25 @@ def _g_arctan_prime(x):
     return 2.0 * x / (1.0 + x ** 4)
 
 
+def _v_sin(k):
+    # int_0^k |cos w| dw: on the m-th monotone piece of sin,
+    # m = floor((k + pi/2) / pi), it is 2m + (-1)^m sin k
+    m = np.floor((k + 0.5 * np.pi) / np.pi)
+    return 2.0 * m + (1.0 - 2.0 * (m % 2.0)) * np.sin(k)
+
+
 def _product(dim: int, params) -> FluxSpec:
     # f_i(x, k) = (arctan(x_i^2) + 1) sin(k)
     return _separable(f"product{dim}d", dim,
-                      Separable(_g_arctan, _g_arctan_prime, np.sin, np.cos))
+                      Separable(_g_arctan, _g_arctan_prime, np.sin, np.cos,
+                                _v_sin))
 
 
 def _kink1d(params) -> FluxSpec:
     # f(x, k) = |x| k: locally Lipschitz, spatial derivative fails at x = 0
     return _separable("kink1d", 1,
-                      Separable(np.abs, np.sign, _identity, np.ones_like),
+                      Separable(np.abs, np.sign, _identity, np.ones_like,
+                                _identity),
                       singular_points=((0.0,),))
 
 

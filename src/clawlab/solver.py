@@ -27,9 +27,34 @@ axes share, and one ``_Axis`` per axis holds its views of them.  A sweep
 writes the interior and the two ghost layers of u into the ghost buffer,
 and computes F and the update with ``out=`` ufuncs in the association
 written above (``_rusanov``), so its states are bitwise those of the
-plain expressions.  Apart from the values of h and h' (and the Godunov
-branch's f), a step allocates only the array it returns; it never writes
-its input.
+plain expressions.
+
+The scheme has a finite speed of propagation, and the stepper uses it.
++0.0 is a rest state of an axis when f(x_{i+1/2}, +0.0) is +-0 and
+d_k f(x_{i+1/2}, +0.0) is finite at every interface (every catalog flux
+but ``xsquared1d``).  Then a cell that holds +0.0 between two +0.0
+neighbours sees F = +-0 on both sides and keeps +0.0 bit for bit, since
++0.0 - (+-0) = +0.0 under every scheme, Laplacian included.  A -0.0 cell
+can turn into +0.0, so -0.0, NaN and denormals count as active.  The
+stepper keeps the active window of the array it last returned: one cell
+range per axis, outside which every cell holds the bits of +0.0.  Any
+other input gets its window from one scan of its bits.  A sweep along an
+axis computes only the window widened by one cell along that axis, on the
+rows the window spans, with the same ufuncs on views of the buffers.  The
+window then grows where one of the two margin slabs ended with a bit
+other than +0.0.  Under periodic boundaries a window within a cell of an
+edge takes the whole axis.  The window is the whole grid where +0.0 is
+not a rest state (checked on the first datum with a +0.0 cell), and
+where it would leave out fewer than ``_MIN_SKIP`` cells, too few to pay
+for a partial sweep's views and checks; a sweep of the whole grid runs
+on views bound once per run.
+``_Run.checked_max`` reads max|u| on the window.  In 1-d the buffers hold
+the sides of +0.0 outside the window, so the entropy scan below reads
+every interface.
+
+Apart from the values of h and h' (and the Godunov branch's f) and, for a
+window short of the grid, its views, a step allocates only the array it
+returns, +0.0 outside the window; it never writes its input.
 
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
 one setup (``_Run``): it checks the flux against the config with the
@@ -161,9 +186,19 @@ def require_flux_fits(flux: FluxSpec, dim: int, scheme: str) -> None:
                          f"burgers1d flux only, got {flux.name}")
 
 
-def _along(axis: int, ndim: int, index) -> tuple:
-    """The index tuple that applies ``index`` along ``axis`` of an ndim array."""
-    return tuple(index if a == axis else slice(None) for a in range(ndim))
+# A sweep of a window short of the grid pays about 20 us more than a sweep
+# of the whole grid (its views, margin checks and slices; 2-core Xeon,
+# numpy 2.4), what a 1-d Burgers sweep spends on about 1,300 cells; so the
+# stepper sweeps the whole grid unless the window leaves out this many.
+_MIN_SKIP = 2048
+
+
+def _along(axis: int, ndim: int, index, rows=slice(None)) -> tuple:
+    """The index tuple that applies ``index`` along ``axis`` of an ndim
+    array and ``rows`` along the other axes."""
+    at = [rows] * ndim
+    at[axis] = index
+    return tuple(at)
 
 
 def _rusanov(uL, uR, fL, fR, lam, out, work) -> None:
@@ -177,18 +212,63 @@ def _rusanov(uL, uR, fL, fR, lam, out, work) -> None:
     np.subtract(out, work, out=out)
 
 
+class _Views:
+    """One axis's views of the stepper's buffers for the sweep of cells
+    [c0, c1) along the axis on ``rows`` of the other axis.
+
+    The ghosted states of those cells and of one more cell on each side
+    (``states``; uL, uR the neighbours of each interface), the part of the
+    ghost buffer the sweep copies from u[``src``] (``inner``), the ghost
+    layers it fills from their sources under the boundary rule, the +-1
+    cell offsets and the buffer for the Laplacian, the interface points
+    ``xi`` with the factors g and |g| there, the interface buffers fL, fR,
+    lam, F and work, and the two sides of F for the update of u[``cells``].
+    ``src`` and ``cells`` are None for the whole grid.
+    """
+
+    def __init__(self, a: "_Axis", c0: int, c1: int, rows=slice(None)):
+        n, ug = a.n, a.ug
+
+        def at(start, stop):
+            return _along(a.axis, ug.ndim, slice(start, stop), rows)
+
+        whole = (c0, c1, rows) == (0, n, slice(None))
+        k0, k1 = max(c0 - 1, 0), min(c1 + 1, n)
+        self.src = None if whole else at(k0, k1)
+        self.cells = None if whole else at(c0, c1)
+        self.inner = ug[at(k0 + 1, k1 + 1)]
+        # the ghost layers copy the first and last cells (outflow), or the
+        # opposite ones (periodic); a window short of a periodic axis stays
+        # a cell clear of both ends, so its views have no ghost layer
+        first, last = ug[at(1, 2)], ug[at(n, n + 1)]
+        if a.periodic:
+            first, last = last, first
+        self.ghosts = [pair for pair, edge in (
+            ((ug[at(0, 1)], first), c0 == 0),
+            ((ug[at(n + 1, n + 2)], last), c1 == n)) if edge]
+        self.states = ug[at(c0, c1 + 2)]
+        self.uL, self.uR = ug[at(c0, c1 + 1)], ug[at(c0 + 1, c1 + 2)]
+        self.plus, self.minus = ug[at(c0 + 2, c1 + 2)], ug[at(c0, c1)]
+        self.lap = None if a.lap is None else a.lap[at(c0, c1)]
+        faces = at(c0, c1 + 1)
+        self.xi = a.xi[faces]
+        self.g, self.abs_g = ((None, None) if a.g is None
+                              else (a.g[faces], a.abs_g[faces]))
+        self.fL, self.fR, self.lam, self.F, self.work = (
+            b[faces] for b in a.faces)
+        self.F_right, self.F_left = self.F[a.right], self.F[a.left]
+
+
 class _Axis:
     """One axis's sweep, bound once per run.
 
     Component ``axis`` of f and d_k f at the fixed interface points ``xi``:
     for a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
     here once, and a sweep takes h and h' once on the ghosted states; any
-    other flux goes through ``eval``/``dk``.  Views of the stepper's ghost
-    buffer in the shape of this axis: the ghosted states ``ug`` with its
-    interior, its two ghost layers and their sources under the boundary
-    rule, the neighbours uL, uR of every interface and the +-1 cell offsets
-    for the Laplacian.  The stepper's interface buffers fL, fR, lam, F and
-    work in this axis's shape, and the two sides of F for the update.
+    other flux goes through ``eval``/``dk``.  The stepper's ghost buffer
+    ``ug`` and its interface buffers fL, fR, lam, F and work in the shape
+    of this axis, and their views for a sweep of the whole grid
+    (``whole``); a sweep of a window takes views of its part (``_Views``).
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig, xi: Array,
@@ -196,105 +276,109 @@ class _Axis:
         self.flux, self.xi, self.axis, self.ug = flux, xi, axis, ug
         self.scheme, self.dx, self.lap = config.scheme, config.dx, lap
         self.viscosity = config.viscosity
+        self.n, self.periodic = config.nx, config.boundary == "periodic"
         self.g = None if flux.factors is None else flux.factors.g(xi)[..., axis]
         self.abs_g = None if self.g is None else np.abs(self.g)
-        ndim = ug.ndim
+        self.left = _along(axis, ug.ndim, slice(0, -1))
+        self.right = _along(axis, ug.ndim, slice(1, None))
+        self.faces = [s.reshape(xi.shape[:-1]) for s in faces]
+        self.fL, self.fR, self.lam = self.faces[:3]
+        self.whole = _Views(self, 0, self.n)
 
-        def along(start, stop):
-            return _along(axis, ndim, slice(start, stop))
-
-        self.inner = ug[along(1, -1)]
-        # the ghost layers copy the first and last cells (outflow), or the
-        # opposite ones (periodic)
-        first, last = ug[along(1, 2)], ug[along(-2, -1)]
-        if config.boundary == "periodic":
-            first, last = last, first
-        self.ghosts = ((ug[along(0, 1)], first), (ug[along(-1, None)], last))
-        left, right = along(0, -1), along(1, None)
-        self.left, self.right = left, right
-        self.uL, self.uR = ug[left], ug[right]
-        self.plus, self.minus = ug[along(2, None)], ug[along(0, -2)]
-        self.fL, self.fR, self.lam, self.F, self.work = (
-            s.reshape(xi.shape[:-1]) for s in faces)
-        self.F_right, self.F_left = self.F[right], self.F[left]
-
-    def at(self, k) -> Array:
-        """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the lattice."""
+    def at(self, k, views: _Views | None = None) -> Array:
+        """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the
+        interfaces of ``views`` (default: every interface)."""
+        v = views or self.whole
         if self.g is None:
-            return self.flux.eval(self.xi, k)[..., self.axis]
-        return self.g * self.flux.factors.h(np.asarray(k, dtype=float))
+            return self.flux.eval(v.xi, k)[..., self.axis]
+        return v.g * self.flux.factors.h(np.asarray(k, dtype=float))
 
-    def sides(self) -> None:
+    def sides(self, v: _Views) -> None:
         """Write fL = f(x, uL), fR = f(x, uR) and the local speed
-        lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) at every interface of the
-        ghosted ``ug`` into the interface buffers."""
+        lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) at every interface of
+        ``v`` into its interface buffers."""
         if self.g is None:
-            flux, xi, axis = self.flux, self.xi, self.axis
-            uL, uR = self.uL, self.uR
+            flux, xi, axis = self.flux, v.xi, self.axis
+            uL, uR = v.uL, v.uR
             dL, dR = flux.dk(xi, uL)[..., axis], flux.dk(xi, uR)[..., axis]
-            np.copyto(self.fL, self.at(uL))
-            np.copyto(self.fR, self.at(uR))
+            np.copyto(v.fL, self.at(uL, v))
+            np.copyto(v.fR, self.at(uR, v))
         else:
             left, right = self.left, self.right
-            h = self.flux.factors.h(self.ug)
-            np.multiply(self.g, h[left], out=self.fL)
-            np.multiply(self.g, h[right], out=self.fR)
-            # h' may return ug itself, so it is only read
-            h_prime = self.flux.factors.h_prime(self.ug)
+            h = self.flux.factors.h(v.states)
+            np.multiply(v.g, h[left], out=v.fL)
+            np.multiply(v.g, h[right], out=v.fR)
+            # h' may return the states themselves, so it is only read
+            h_prime = self.flux.factors.h_prime(v.states)
             dL, dR = h_prime[left], h_prime[right]
-        lam = self.lam
+        lam = v.lam
         np.abs(dL, out=lam)
-        np.maximum(lam, np.abs(dR, out=self.work), out=lam)
+        np.maximum(lam, np.abs(dR, out=v.work), out=lam)
         if self.g is not None:
             # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
-            np.multiply(self.abs_g, lam, out=lam)
+            np.multiply(v.abs_g, lam, out=lam)
 
-    def sweep(self, u: Array, dt: float, out: Array) -> Array:
-        """One sweep of ``u`` along this axis, written into ``out``."""
-        np.copyto(self.inner, u)
-        for ghost, source in self.ghosts:
+    def rest_sides(self) -> bool:
+        """Write the sides of the state +0.0 at every interface into ug,
+        fL, fR and lam, and return whether +0.0 is a rest state of the
+        sweep: f(x_{i+1/2}, +0.0) is +-0 and d_k f(x_{i+1/2}, +0.0) is
+        finite (so lam is) at every interface."""
+        self.ug.fill(0.0)
+        self.sides(self.whole)
+        return bool(np.all(self.fL == 0.0) and np.all(np.isfinite(self.lam)))
+
+    def sweep(self, u: Array, dt: float, out: Array, v: _Views) -> None:
+        """One sweep of ``u`` along this axis on the part of ``v``, written
+        into the same part of ``out``."""
+        np.copyto(v.inner, u if v.src is None else u[v.src])
+        for ghost, source in v.ghosts:
             np.copyto(ghost, source)
         if self.scheme == "godunov_burgers":
             # exact Godunov flux for convex f with minimum at u = 0
-            np.maximum(self.at(np.maximum(self.uL, 0.0)),
-                       self.at(np.minimum(self.uR, 0.0)), out=self.F)
+            np.maximum(self.at(np.maximum(v.uL, 0.0), v),
+                       self.at(np.minimum(v.uR, 0.0), v), out=v.F)
         else:
-            self.sides()
-            _rusanov(self.uL, self.uR, self.fL, self.fR, self.lam, self.F,
-                     self.work)
+            self.sides(v)
+            _rusanov(v.uL, v.uR, v.fL, v.fR, v.lam, v.F, v.work)
+        if v.cells is not None:
+            u, out = u[v.cells], out[v.cells]
         # u - (dt / dx) (F_{i+1/2} - F_{i-1/2})
         dx = self.dx
-        np.subtract(self.F_right, self.F_left, out=out)
+        np.subtract(v.F_right, v.F_left, out=out)
         np.multiply(dt / dx, out, out=out)
         np.subtract(u, out, out=out)
         if self.scheme == "viscous":
             # (u_{i+1} - 2 u_i + u_{i-1}) scaled by eps dt / dx^2
-            lap = self.lap
+            lap = v.lap
             np.multiply(2.0, u, out=lap)
-            np.subtract(self.plus, lap, out=lap)
-            np.add(lap, self.minus, out=lap)
+            np.subtract(v.plus, lap, out=lap)
+            np.add(lap, v.minus, out=lap)
             np.multiply(self.viscosity * dt / dx ** 2, lap, out=lap)
             np.add(out, lap, out=out)
-        return out
 
 
 class _Stepper:
     """Cell centers, sweep buffers and one ``_Axis`` per axis, bound once
-    for repeated sweeps.
+    for repeated sweeps, and the active window of the array last returned.
 
     The axes share one storage per buffer (every axis has nx cells, so
     the sizes agree), and a sweep writes each buffer before it reads it.
+    A window is one (lo, hi) cell range per axis, outside which every cell
+    holds the bits of +0.0, or None when every cell does.  The stepper
+    trusts the window it keeps, so an array it returned must not be
+    written before it is passed back.
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         n, dim, dx = config.nx, config.dim, config.dx
+        self.n, self.dim = n, dim
+        self.periodic = config.boundary == "periodic"
         self.centers = c = cell_centers(config.lo, config.hi, n)
         e = config.lo + np.arange(n + 1) * dx
         cells = (n,) * dim
         ghosted = np.empty((n + 2) * n ** (dim - 1))
         faces = [np.empty((n + 1) * n ** (dim - 1)) for _ in range(5)]
         self.lap = np.empty(cells) if config.scheme == "viscous" else None
-        # the 2-d x sweep writes here; the y sweep reads it
         self.mid = np.empty(cells) if dim == 2 else None
         # interface points of the sweep along each axis: edges on that axis,
         # cell centers on the others, shape (..., dim)
@@ -306,19 +390,121 @@ class _Stepper:
             self.axes.append(_Axis(flux, config, np.stack(grids, axis=-1),
                                    axis, ghosted.reshape(shape), faces,
                                    self.lap))
+        # the whole grid, the one object every full window is
+        self.full = ((0, n),) * dim
+        self.min_skip = _MIN_SKIP
+        # whether +0.0 is a rest state of every axis: checked on the first
+        # datum with a +0.0 cell
+        self.rest = None
+        # the array last returned and its window
+        self._out, self._window = None, None
+
+    def _settle(self, window):
+        """The window, or the whole grid where a sweep of the window would
+        not pay: where it leaves out fewer than ``min_skip`` cells.  Under
+        periodic boundaries a range within a cell of an edge takes the
+        whole axis."""
+        n = self.n
+        if window is None:
+            return None
+        if self.periodic:
+            window = tuple((0, n) if lo <= 1 or hi >= n - 1 else (lo, hi)
+                           for lo, hi in window)
+        cells = math.prod(hi - lo for lo, hi in window)
+        return self.full if n ** self.dim - cells < self.min_skip else window
+
+    def _scan(self, u: Array):
+        """The window of an array the stepper did not return, from one scan
+        of its bits (-0.0, NaN and denormals count as active).  A window
+        short of the whole grid needs +0.0 to be a rest state, and resets
+        what the sweeps then write only in part: the 2-d intermediate
+        array to +0.0, and in 1-d the axis buffers to the sides of +0.0,
+        which the entropy scan reads over the whole grid."""
+        if self.rest is False:
+            return self.full
+        active = np.nonzero(u.view(np.int64))
+        window = self._settle(None if active[0].size == 0 else tuple(
+            (int(i.min()), int(i.max()) + 1) for i in active))
+        if window is not self.full:
+            if self.rest is None or self.dim == 1:
+                self.rest = all([a.rest_sides() for a in self.axes])
+            if not self.rest:
+                return self.full
+            if self.mid is not None:
+                self.mid.fill(0.0)
+        return window
+
+    def _step(self, u: Array, dt: float) -> Array:
+        """One step of ``u`` (float64, never written): a sweep along each
+        axis in turn (Godunov splitting in 2-d: x, then y), each on the
+        window; the array returned holds +0.0 outside it."""
+        window = self._window if u is self._out else self._scan(u)
+        out = np.empty(u.shape)
+        if window is not self.full:
+            # filled, not np.zeros: calloc's fresh pages for each step's
+            # array read about 0.3 MB more peak RSS over four 160 x 160
+            # contraction experiments in one process
+            out.fill(0.0)
+        # the 2-d x sweep writes into mid; the y sweep reads it
+        targets = (out,) if self.mid is None else (self.mid, out)
+        for axis, target in enumerate(targets):
+            window = self._sweep(axis, u, dt, target, window)
+            u = target
+        self._out, self._window = out, window
+        return out
+
+    def _sweep(self, axis: int, u: Array, dt: float, out: Array, window):
+        """Sweep ``u`` along ``axis`` into ``out`` on the window widened by
+        one cell along the axis, on the rows the window spans; the rest of
+        ``out`` keeps its +0.0.  Returns the window of ``out``: a margin
+        cell joins it if it ended with a bit other than +0.0."""
+        a = self.axes[axis]
+        if window is self.full:
+            a.sweep(u, dt, out, a.whole)
+            return window
+        if window is None:
+            return None
+        lo, hi = window[axis]
+        c0, c1 = max(lo - 1, 0), min(hi + 1, self.n)
+        rows = slice(*window[1 - axis]) if self.dim == 2 else slice(None)
+        a.sweep(u, dt, out, _Views(a, c0, c1, rows))
+
+        def moved(cell):
+            slab = _along(axis, self.dim, slice(cell, cell + 1), rows)
+            return out[slab].view(np.int64).any()
+
+        grown = (c0 if c0 < lo and moved(c0) else lo,
+                 c1 if c1 > hi and moved(c1 - 1) else hi)
+        if grown == window[axis]:
+            return window
+        return self._settle(window[:axis] + (grown,) + window[axis + 1:])
+
+    def max_abs(self, u: Array, work: Array) -> float:
+        """max|u|, with ``work`` for |u|; for the array last returned it is
+        read on its window only, since +0.0 adds nothing to the max."""
+        window = self._window
+        if u is self._out and window is not self.full:
+            if window is None:
+                return 0.0
+            box = tuple(slice(lo, hi) for lo, hi in window)
+            u, work = u[box], work[box]
+        return float(np.abs(u, out=work).max())
 
 
 class _Stepper1D(_Stepper):
     def step(self, u: Array, dt: float) -> Array:
-        return self.axes[0].sweep(u, dt, np.empty(u.shape))
+        if u is self._out and self._window is self.full:
+            # the whole grid again: no window to read or grow
+            a, out = self.axes[0], np.empty(u.shape)
+            a.sweep(u, dt, out, a.whole)
+            self._out = out
+            return out
+        return self._step(u, dt)
 
 
 class _Stepper2D(_Stepper):
-    """Godunov splitting: an x sweep, then a y sweep."""
-
     def step(self, u: Array, dt: float) -> Array:
-        x, y = self.axes
-        return y.sweep(x.sweep(u, dt, self.mid), dt, np.empty(u.shape))
+        return self._step(u, dt)
 
 
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
@@ -369,7 +555,7 @@ class _Run:
     def checked_max(self, u: Array, n: int, datum: int) -> float:
         """max|u| after step n; BlowUp if it is not finite or passes the
         threshold of the given datum."""
-        amax = float(np.abs(u, out=self._abs).max())
+        amax = self.stepper.max_abs(u, self._abs)
         threshold = self.thresholds[datum]
         if not math.isfinite(amax) or (threshold > 0.0 and amax > threshold):
             raise BlowUp(f"|u| reached {amax:.3e} at step {n} "

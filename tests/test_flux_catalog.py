@@ -114,6 +114,47 @@ def test_product1d_derivatives_at_random_points():
         assert abs(cd_dv - float(f.div_x(np.array([x]), k))) < 1e-6 * max(1, abs(cd_dv))
 
 
+# V(k) = int_0^k |h'(w)| dw, the variation of h.  Its kinks, where |h'|
+# has one: k = 0 for burgers (|k|), pi/2 + j pi for product (|cos k|).
+_V_KINKS = np.concatenate([[0.0], 0.5 * np.pi + np.pi * np.arange(-8, 8)])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_variation_vanishes_at_zero(name):
+    V = catalog_lookup(name).factors.V
+    assert np.all(V(np.array([0.0, -0.0])) == 0.0)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_variation_is_non_decreasing(name):
+    # a dense lattice, and one through each kink
+    ks = np.concatenate([np.linspace(-20.0, 20.0, 40001),
+                         (_V_KINKS[:, None] + np.linspace(-1e-9, 1e-9, 101))
+                         .ravel()])
+    ks.sort()
+    assert np.all(np.diff(catalog_lookup(name).factors.V(ks)) >= 0.0)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-20.0, 20.0), b=st.floats(-20.0, 20.0))
+def test_variation_orders_random_pairs(name, a, b):
+    V = catalog_lookup(name).factors.V
+    lo, hi = sorted((a, b))
+    assert V(np.float64(lo)) <= V(np.float64(hi))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_variation_slope_is_abs_h_prime(name):
+    factors = catalog_lookup(name).factors
+    ks = np.random.default_rng(RNG_SEED + 3).uniform(-10.0, 10.0, 2000)
+    ks = ks[np.abs(ks[:, None] - _V_KINKS).min(axis=1) > 1e-3]
+    h = 1e-5
+    slope = (factors.V(ks + h) - factors.V(ks - h)) / (2.0 * h)
+    # O(h^2) truncation and eps |V| / h rounding, |V| <= 50 here
+    assert np.abs(slope - np.abs(factors.h_prime(ks))).max() <= 1e-8
+
+
 class TestLipschitzConstant:
     def test_burgers_examples(self):
         f = catalog_lookup("burgers1d")
