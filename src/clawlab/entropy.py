@@ -213,9 +213,8 @@ def _state_tables(k0: float, k: Array):
     Returns the nodes w (R, N), their offsets t from k0 before w = k0 + t
     is rounded (eta_n at a node is ``sqrt_entropy(0, n)`` at t, without the
     rounding of w - k0), and ``lookup(integrand)``, which takes an
-    integrand at those nodes (an (R, N) array, which it overwrites) and
-    yields int_{k0}^{u} of it at every state u (R, S): the weighted nodes
-    added per quad, and the quads summed
+    integrand at those nodes and yields int_{k0}^{u} of it at every state
+    u (R, S): the weighted nodes added per quad, and the quads summed
     outward from k0, by one ``cumsum`` up from it and one down from it,
     read at each state's breakpoint, found through the sort permutation.
     Every state is a breakpoint, so the lookup is exact, and it carries
@@ -286,9 +285,7 @@ def _state_tables(k0: float, k: Array):
     z0, z1 = zero.min(initial=0), zero.max(initial=0)
 
     def lookup(integrand):
-        # the weighted nodes overwrite the integrand, so a lookup holds no
-        # second array of the nodes' size
-        v = np.multiply(weight, integrand, out=integrand).reshape(R, 4, width)
+        v = (weight * integrand).reshape(R, 4, width)
         sums = v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]
         table = np.zeros((R, width + 2))
         table[:, -1] = np.nan
@@ -361,24 +358,6 @@ def _call_once(fn, arrays) -> list:
     return [out[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
 
 
-def _smooth_integrals(n: int, table, h_w: Array, hp_w: Array):
-    """int_{k0}^{u} eta_n' h' dw and int_{k0}^{u} eta_n'' h dw from one
-    ``_state_tables`` table, with h and h' at its nodes: eta_n' = t /
-    sqrt(q) and eta_n'' = (1/n) / q^1.5 at the nodes' offsets t from one
-    q = t^2 + 1/n, bitwise ``sqrt_entropy(0, n)`` at t.  Each integrand is
-    formed in place, so q adds no array of the nodes' size to the peak of
-    the two passes it replaces."""
-    _, t, lookup = table
-    a = 1.0 / float(n)
-    q = t * t + a
-    d = np.sqrt(q)
-    np.divide(t, d, out=d)
-    A = lookup(np.multiply(d, hp_w, out=d))
-    np.power(q, 1.5, out=q)
-    np.divide(a, q, out=q)
-    return A, lookup(np.multiply(q, h_w, out=q))
-
-
 def sweep_terms(flux: FluxSpec, pairs):
     """The term generator of the weak entropy sweep of ``flux`` over
     ``pairs`` (see ``verifier._weak_sums``): one (eta, q, source) per pair,
@@ -401,7 +380,7 @@ def sweep_terms(flux: FluxSpec, pairs):
     A(u) = int_{k0}^{u} eta_n' h' dw, and
     source = -(g'_1 + ... + g'_d)(x) int_{k0}^{u} eta_n'' h dw,
     with eta_n' and eta_n'' taken at the nodes' offsets t from k0, as the
-    pairs take them, both from one pass q = t^2 + 1/n over the nodes.
+    pairs take them.
     """
     pairs = list(pairs)
     for pair in pairs:
@@ -444,10 +423,11 @@ def sweep_terms(flux: FluxSpec, pairs):
                 yield (np.abs(U - pair.k0), (s * (hU - hk0))[..., None] * g,
                        -(s * hk0) * g_sum)
             else:
-                A, integ = (v.reshape(U.shape) for v in
-                            _smooth_integrals(pair.n, *tables[pair.k0]))
-                yield (at_offset[pair.n].eta(U - pair.k0), A[..., None] * g,
-                       -g_sum * integ)
+                ent = at_offset[pair.n]
+                (_, t, lookup), h_w, hp_w = tables[pair.k0]
+                A = lookup(ent.eta_prime(t) * hp_w).reshape(U.shape)
+                integ = lookup(ent.eta_pp(t) * h_w).reshape(U.shape)
+                yield ent.eta(U - pair.k0), A[..., None] * g, -g_sum * integ
 
     return terms
 

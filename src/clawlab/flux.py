@@ -74,15 +74,14 @@ class Separable:
     So d_k f_i = g_i(x) h'(k), div_x f = (g'_1 + ... + g'_d)(x) h(k) and
     grad_x f_i = e_i g'_i(x) h(k).  ``V``, elementwise too, is the
     variation of h, V(k) = int_0^k |h'(w)| dw, the factor an Engquist-Osher
-    interface flux needs (None where it is not declared); nothing reads it
-    yet.
+    interface flux needs; nothing reads it yet.
     """
 
     g: Callable[[Array], Array]
     g_prime: Callable[[Array], Array]
     h: Callable[[Array], Array]
     h_prime: Callable[[Array], Array]
-    V: Callable[[Array], Array] | None = None
+    V: Callable[[Array], Array]
 
     def g_prime_sum(self, pts: Array) -> Array:
         """(g'_1 + ... + g'_d)(pts), shape (...): the x-factor of div_x f,

@@ -29,13 +29,13 @@ and computes F and the update with ``out=`` ufuncs in the association
 written above (``_rusanov``), so its states are bitwise those of the
 plain expressions.
 
-The scheme has a finite speed of propagation, and the stepper uses it.
-+0.0 is a rest state of an axis when f(x_{i+1/2}, +0.0) is +-0 and
+The scheme has a finite speed of propagation, and the 2-d stepper uses
+it.  +0.0 is a rest state of an axis when f(x_{i+1/2}, +0.0) is +-0 and
 d_k f(x_{i+1/2}, +0.0) is finite at every interface (every catalog flux
 but ``xsquared1d``).  Then a cell that holds +0.0 between two +0.0
 neighbours sees F = +-0 on both sides and keeps +0.0 bit for bit, since
 +0.0 - (+-0) = +0.0 under every scheme, Laplacian included.  A -0.0 cell
-can turn into +0.0, so -0.0, NaN and denormals count as active.  The
+can turn into +0.0, so -0.0, NaN and denormals count as active.  The 2-d
 stepper keeps the active window of the array it last returned: one cell
 range per axis, outside which every cell holds the bits of +0.0.  Any
 other input gets its window from one scan of its bits.  A sweep along an
@@ -44,17 +44,15 @@ rows the window spans, with the same ufuncs on views of the buffers.  The
 window then grows where one of the two margin slabs ended with a bit
 other than +0.0.  Under periodic boundaries a window within a cell of an
 edge takes the whole axis.  The window is the whole grid where +0.0 is
-not a rest state (checked on the first datum with a +0.0 cell), and
-where it would leave out fewer than ``_MIN_SKIP`` cells, too few to pay
-for a partial sweep's views and checks; a sweep of the whole grid runs
-on views bound once per run.
-``_Run.checked_max`` reads max|u| on the window.  In 1-d the buffers hold
-the sides of +0.0 outside the window, so the entropy scan below reads
-every interface.
+not a rest state (checked on the first datum with a +0.0 cell); a sweep
+of the whole grid runs on views bound once per run.  ``_Run.checked_max``
+reads max|u| on the window.  The 1-d stepper sweeps the whole grid on
+every step: a 1-d step costs tens of microseconds, mostly call overhead,
+and the entropy scan below reads its buffers at every interface.
 
 Apart from the values of h and h' (and the Godunov branch's f) and, for a
-window short of the grid, its views, a step allocates only the array it
-returns, +0.0 outside the window; it never writes its input.
+2-d window short of the grid, its views, a step allocates only the array
+it returns, +0.0 outside the window; it never writes its input.
 
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
 one setup (``_Run``): it checks the flux against the config with the
@@ -186,13 +184,6 @@ def require_flux_fits(flux: FluxSpec, dim: int, scheme: str) -> None:
                          f"burgers1d flux only, got {flux.name}")
 
 
-# A sweep of a window short of the grid pays about 20 us more than a sweep
-# of the whole grid (its views, margin checks and slices; 2-core Xeon,
-# numpy 2.4), what a 1-d Burgers sweep spends on about 1,300 cells; so the
-# stepper sweeps the whole grid unless the window leaves out this many.
-_MIN_SKIP = 2048
-
-
 def _along(axis: int, ndim: int, index, rows=slice(None)) -> tuple:
     """The index tuple that applies ``index`` along ``axis`` of an ndim
     array and ``rows`` along the other axes."""
@@ -318,18 +309,19 @@ class _Axis:
             # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
             np.multiply(v.abs_g, lam, out=lam)
 
-    def rest_sides(self) -> bool:
-        """Write the sides of the state +0.0 at every interface into ug,
-        fL, fR and lam, and return whether +0.0 is a rest state of the
-        sweep: f(x_{i+1/2}, +0.0) is +-0 and d_k f(x_{i+1/2}, +0.0) is
-        finite (so lam is) at every interface."""
+    def rests(self) -> bool:
+        """Whether +0.0 is a rest state of the sweep: f(x_{i+1/2}, +0.0) is
+        +-0 and d_k f(x_{i+1/2}, +0.0) is finite (so lam is) at every
+        interface, read from the sides of a ghost buffer of +0.0."""
         self.ug.fill(0.0)
         self.sides(self.whole)
         return bool(np.all(self.fL == 0.0) and np.all(np.isfinite(self.lam)))
 
-    def sweep(self, u: Array, dt: float, out: Array, v: _Views) -> None:
-        """One sweep of ``u`` along this axis on the part of ``v``, written
-        into the same part of ``out``."""
+    def sweep(self, u: Array, dt: float, out: Array,
+              v: _Views | None = None) -> Array:
+        """One sweep of ``u`` along this axis on the part of ``v`` (default:
+        the whole grid), written into the same part of ``out``."""
+        v = v or self.whole
         np.copyto(v.inner, u if v.src is None else u[v.src])
         for ghost, source in v.ghosts:
             np.copyto(ghost, source)
@@ -340,13 +332,15 @@ class _Axis:
         else:
             self.sides(v)
             _rusanov(v.uL, v.uR, v.fL, v.fR, v.lam, v.F, v.work)
+        # the cells of v in u and out
+        cells = out
         if v.cells is not None:
-            u, out = u[v.cells], out[v.cells]
+            u, cells = u[v.cells], out[v.cells]
         # u - (dt / dx) (F_{i+1/2} - F_{i-1/2})
         dx = self.dx
-        np.subtract(v.F_right, v.F_left, out=out)
-        np.multiply(dt / dx, out, out=out)
-        np.subtract(u, out, out=out)
+        np.subtract(v.F_right, v.F_left, out=cells)
+        np.multiply(dt / dx, cells, out=cells)
+        np.subtract(u, cells, out=cells)
         if self.scheme == "viscous":
             # (u_{i+1} - 2 u_i + u_{i-1}) scaled by eps dt / dx^2
             lap = v.lap
@@ -354,32 +348,26 @@ class _Axis:
             np.subtract(v.plus, lap, out=lap)
             np.add(lap, v.minus, out=lap)
             np.multiply(self.viscosity * dt / dx ** 2, lap, out=lap)
-            np.add(out, lap, out=out)
+            np.add(cells, lap, out=cells)
+        return out
 
 
 class _Stepper:
     """Cell centers, sweep buffers and one ``_Axis`` per axis, bound once
-    for repeated sweeps, and the active window of the array last returned.
+    for repeated sweeps.
 
     The axes share one storage per buffer (every axis has nx cells, so
     the sizes agree), and a sweep writes each buffer before it reads it.
-    A window is one (lo, hi) cell range per axis, outside which every cell
-    holds the bits of +0.0, or None when every cell does.  The stepper
-    trusts the window it keeps, so an array it returned must not be
-    written before it is passed back.
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         n, dim, dx = config.nx, config.dim, config.dx
-        self.n, self.dim = n, dim
-        self.periodic = config.boundary == "periodic"
         self.centers = c = cell_centers(config.lo, config.hi, n)
         e = config.lo + np.arange(n + 1) * dx
         cells = (n,) * dim
         ghosted = np.empty((n + 2) * n ** (dim - 1))
         faces = [np.empty((n + 1) * n ** (dim - 1)) for _ in range(5)]
         self.lap = np.empty(cells) if config.scheme == "viscous" else None
-        self.mid = np.empty(cells) if dim == 2 else None
         # interface points of the sweep along each axis: edges on that axis,
         # cell centers on the others, shape (..., dim)
         self.axes = []
@@ -390,53 +378,70 @@ class _Stepper:
             self.axes.append(_Axis(flux, config, np.stack(grids, axis=-1),
                                    axis, ghosted.reshape(shape), faces,
                                    self.lap))
+
+    def max_abs(self, u: Array, work: Array) -> float:
+        """max|u|, with ``work`` for |u|."""
+        return float(np.abs(u, out=work).max())
+
+
+class _Stepper1D(_Stepper):
+    def step(self, u: Array, dt: float) -> Array:
+        return self.axes[0].sweep(u, dt, np.empty(u.shape))
+
+
+class _Stepper2D(_Stepper):
+    """Godunov splitting, an x sweep into ``mid`` and then a y sweep, each
+    on the active window of the array last returned.
+
+    A window is one (lo, hi) cell range per axis, outside which every cell
+    holds the bits of +0.0, or None when every cell does.  The stepper
+    trusts the window it keeps, so an array it returned must not be
+    written before it is passed back.
+    """
+
+    def __init__(self, flux: FluxSpec, config: SchemeConfig):
+        super().__init__(flux, config)
+        self.n, self.periodic = config.nx, config.boundary == "periodic"
+        self.mid = np.empty((self.n, self.n))
         # the whole grid, the one object every full window is
-        self.full = ((0, n),) * dim
-        self.min_skip = _MIN_SKIP
-        # whether +0.0 is a rest state of every axis: checked on the first
+        self.full = ((0, self.n),) * 2
+        # whether +0.0 is a rest state of both axes: checked on the first
         # datum with a +0.0 cell
         self.rest = None
         # the array last returned and its window
         self._out, self._window = None, None
 
     def _settle(self, window):
-        """The window, or the whole grid where a sweep of the window would
-        not pay: where it leaves out fewer than ``min_skip`` cells.  Under
-        periodic boundaries a range within a cell of an edge takes the
-        whole axis."""
+        """The window, with a range within a cell of an edge of a periodic
+        axis taken to the whole axis; ``full`` for the whole grid."""
         n = self.n
         if window is None:
             return None
         if self.periodic:
             window = tuple((0, n) if lo <= 1 or hi >= n - 1 else (lo, hi)
                            for lo, hi in window)
-        cells = math.prod(hi - lo for lo, hi in window)
-        return self.full if n ** self.dim - cells < self.min_skip else window
+        return self.full if window == self.full else window
 
     def _scan(self, u: Array):
         """The window of an array the stepper did not return, from one scan
         of its bits (-0.0, NaN and denormals count as active).  A window
         short of the whole grid needs +0.0 to be a rest state, and resets
-        what the sweeps then write only in part: the 2-d intermediate
-        array to +0.0, and in 1-d the axis buffers to the sides of +0.0,
-        which the entropy scan reads over the whole grid."""
+        ``mid``, which the x sweep then writes only in part, to +0.0."""
         if self.rest is False:
             return self.full
         active = np.nonzero(u.view(np.int64))
         window = self._settle(None if active[0].size == 0 else tuple(
             (int(i.min()), int(i.max()) + 1) for i in active))
         if window is not self.full:
-            if self.rest is None or self.dim == 1:
-                self.rest = all([a.rest_sides() for a in self.axes])
+            if self.rest is None:
+                self.rest = all([a.rests() for a in self.axes])
             if not self.rest:
                 return self.full
-            if self.mid is not None:
-                self.mid.fill(0.0)
+            self.mid.fill(0.0)
         return window
 
-    def _step(self, u: Array, dt: float) -> Array:
-        """One step of ``u`` (float64, never written): a sweep along each
-        axis in turn (Godunov splitting in 2-d: x, then y), each on the
+    def step(self, u: Array, dt: float) -> Array:
+        """One step of ``u`` (float64, never written), each sweep on the
         window; the array returned holds +0.0 outside it."""
         window = self._window if u is self._out else self._scan(u)
         out = np.empty(u.shape)
@@ -445,11 +450,8 @@ class _Stepper:
             # array read about 0.3 MB more peak RSS over four 160 x 160
             # contraction experiments in one process
             out.fill(0.0)
-        # the 2-d x sweep writes into mid; the y sweep reads it
-        targets = (out,) if self.mid is None else (self.mid, out)
-        for axis, target in enumerate(targets):
-            window = self._sweep(axis, u, dt, target, window)
-            u = target
+        window = self._sweep(0, u, dt, self.mid, window)
+        window = self._sweep(1, self.mid, dt, out, window)
         self._out, self._window = out, window
         return out
 
@@ -460,18 +462,18 @@ class _Stepper:
         cell joins it if it ended with a bit other than +0.0."""
         a = self.axes[axis]
         if window is self.full:
-            a.sweep(u, dt, out, a.whole)
+            a.sweep(u, dt, out)
             return window
         if window is None:
             return None
         lo, hi = window[axis]
         c0, c1 = max(lo - 1, 0), min(hi + 1, self.n)
-        rows = slice(*window[1 - axis]) if self.dim == 2 else slice(None)
+        rows = slice(*window[1 - axis])
         a.sweep(u, dt, out, _Views(a, c0, c1, rows))
 
         def moved(cell):
-            slab = _along(axis, self.dim, slice(cell, cell + 1), rows)
-            return out[slab].view(np.int64).any()
+            return out[_along(axis, 2, slice(cell, cell + 1), rows)].view(
+                np.int64).any()
 
         grown = (c0 if c0 < lo and moved(c0) else lo,
                  c1 if c1 > hi and moved(c1 - 1) else hi)
@@ -488,23 +490,7 @@ class _Stepper:
                 return 0.0
             box = tuple(slice(lo, hi) for lo, hi in window)
             u, work = u[box], work[box]
-        return float(np.abs(u, out=work).max())
-
-
-class _Stepper1D(_Stepper):
-    def step(self, u: Array, dt: float) -> Array:
-        if u is self._out and self._window is self.full:
-            # the whole grid again: no window to read or grow
-            a, out = self.axes[0], np.empty(u.shape)
-            a.sweep(u, dt, out, a.whole)
-            self._out = out
-            return out
-        return self._step(u, dt)
-
-
-class _Stepper2D(_Stepper):
-    def step(self, u: Array, dt: float) -> Array:
-        return self._step(u, dt)
+        return super().max_abs(u, work)
 
 
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):

@@ -229,9 +229,11 @@ H_FAMILIES = {
 
 
 def _separable_flux(dim, g, h, h_prime):
-    # g' = 0: these fluxes exercise the Lipschitz sampling, which reads no g'
+    # g' = 0 and V = 0: these fluxes exercise the Lipschitz sampling, which
+    # reads neither
     return flux_mod._separable("random", dim,
-                               Separable(g, np.zeros_like, h, h_prime))
+                               Separable(g, np.zeros_like, h, h_prime,
+                                         np.zeros_like))
 
 
 def _sampled_only(flux):

@@ -220,8 +220,9 @@ def test_stepper_matches_reference(name, boundary, scheme):
 
 
 # cells that hold +0.0 and have +0.0 neighbours stay +0.0 bitwise, so the
-# stepper sweeps only the window of cells holding another bit pattern;
-# -0.0, denormals and NaN count as active
+# 2-d stepper sweeps only the window of cells holding another bit pattern;
+# -0.0, denormals and NaN count as active.  The 1-d stepper sweeps the
+# whole grid and is held to the same data.
 _SPECIAL = (-0.0, 5e-324, -5e-324, 2.2e-310, 0.0, np.nan)
 
 
@@ -243,8 +244,6 @@ def _window_stepper(name, boundary, scheme, hand_built):
                           viscosity=0.02 if scheme == "viscous" else 0.0)
     stepper = (solver_mod._Stepper1D if flux.dim == 1
                else solver_mod._Stepper2D)(flux, config)
-    # every window is swept, however few cells it leaves out
-    stepper.min_skip = 1
     return flux, config, stepper
 
 
@@ -274,10 +273,6 @@ def test_stepper_on_data_with_rest_regions_matches_reference(
         name, boundary, scheme, hand_built, data):
     flux, config, stepper = _window_stepper(name, boundary, scheme,
                                             hand_built)
-    # a stepper that sweeps the whole grid, for the sides the 1-d entropy
-    # scan reads from the buffers
-    whole = _window_stepper(name, boundary, scheme, hand_built)[2]
-    whole.rest = False
     states = [data.draw(_windowed_data(flux.dim, config.nx))
               for _ in range(2)]
     refs = [u.copy() for u in states]
@@ -292,12 +287,6 @@ def test_stepper_on_data_with_rest_regions_matches_reference(
             states[d] = stepper.step(u, dt)
             refs[d] = _reference_step(flux, config, refs[d], dt)
             assert _bitwise_equal(states[d], refs[d])
-            if flux.dim == 1 and scheme != "godunov_burgers":
-                whole.step(u, dt)
-                a, b = stepper.axes[0], whole.axes[0]
-                for buffer in ("ug", "fL", "fR", "lam"):
-                    assert _bitwise_equal(getattr(a, buffer),
-                                          getattr(b, buffer))
 
 
 @pytest.mark.parametrize("name,boundary,scheme,hand_built",
@@ -310,17 +299,18 @@ def test_datum_of_rest_states_stays_rest(name, boundary, scheme, hand_built):
     for _ in range(5):
         u = stepper.step(u, 0.2 * config.dx / 3.0)
         assert not u.view(np.int64).any()
-        assert stepper._window is None
+        if flux.dim == 2:
+            assert stepper._window is None
 
 
 def test_window_of_nan_and_sole_special_cells():
     # a NaN, -0.0 or denormal cell alone is active and spreads as the
     # plain step spreads it
-    flux, config, stepper = _window_stepper("product1d", "outflow",
+    flux, config, stepper = _window_stepper("product2d", "outflow",
                                             "rusanov", False)
     for value in _SPECIAL:
-        u = np.zeros(config.nx)
-        u[17] = value
+        u = np.zeros((config.nx, config.nx))
+        u[5, 7] = value
         ref = u.copy()
         for _ in range(3):
             u = stepper.step(u, 0.01)
@@ -413,7 +403,7 @@ def _assert_fields_equal(fast, ref):
 
 
 @pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
-def test_solve_and_pair_match_reference(name, boundary, scheme, monkeypatch):
+def test_solve_and_pair_match_reference(name, boundary, scheme):
     flux = _lookup(name)
     u0a, u0b = sine_data(0.5, 1.0, 0.3), box_data(0.9, -0.6, 0.1)
     for t_end in (0.2, 0.23, 0.26, 0.29):
@@ -425,18 +415,13 @@ def test_solve_and_pair_match_reference(name, boundary, scheme, monkeypatch):
         if nsteps % 3:
             break
     assert nsteps % 3, "no step count off a multiple of store_every"
-    # these grids are too small for the window to pay, so the box datum is
-    # run once more with every window swept, across the two data of a pair
-    for min_skip in (solver_mod._MIN_SKIP, 1):
-        monkeypatch.setattr(solver_mod, "_MIN_SKIP", min_skip)
-        for every in (1, 3):
-            config = replace(config, store_every=every)
-            _assert_fields_equal(solve(flux, u0a, config),
-                                 _reference_solve(flux, u0a, config))
-            for fast, ref in zip(
-                    solve_pair(flux, u0a, u0b, config),
-                    _reference_solve_pair(flux, u0a, u0b, config)):
-                _assert_fields_equal(fast, ref)
+    for every in (1, 3):
+        config = replace(config, store_every=every)
+        _assert_fields_equal(solve(flux, u0a, config),
+                             _reference_solve(flux, u0a, config))
+        for fast, ref in zip(solve_pair(flux, u0a, u0b, config),
+                             _reference_solve_pair(flux, u0a, u0b, config)):
+            _assert_fields_equal(fast, ref)
 
 
 def _reference_entropy_scan(flux, u0, config, k_values):
@@ -483,34 +468,28 @@ def test_entropy_scan_matches_reference(name, boundary):
             == _reference_entropy_scan(flux, ini, config, ks))
 
 
-def test_window_swept_only_where_it_leaves_out_enough_cells():
-    # a box on a 160 x 160 grid leaves out about 25,000 cells and is swept
-    # by its window; half of a 1-d grid of 1,000 cells is swept whole
-    for name, nx, u0 in (("product2d", 160, box_data(1.0, -0.5, 0.0)),
-                         ("burgers1d", 1000, riemann_data(1.0, 0.0, 0.0))):
-        flux = catalog_lookup(name)
-        config = SchemeConfig(lo=-3.0, hi=3.0, nx=nx, t_end=1.0,
-                              dim=flux.dim)
-        stepper = (solver_mod._Stepper1D if flux.dim == 1
-                   else solver_mod._Stepper2D)(flux, config)
-        pts = np.stack(np.meshgrid(*[stepper.centers] * flux.dim,
-                                   indexing="ij"), axis=-1)
-        u = u0(pts)
-        ref = u.copy()
-        for _ in range(3):
-            u = stepper.step(u, 0.2 * config.dx)
-            ref = _reference_step(flux, config, ref, 0.2 * config.dx)
-            assert _bitwise_equal(u, ref)
-        assert (stepper._window is stepper.full) == (flux.dim == 1)
+def test_box_on_contraction_grid_is_swept_by_window():
+    # a box on the 160 x 160 grid of the contraction workload: the window
+    # stays short of the grid, and the steps match the plain ones bitwise
+    flux = catalog_lookup("product2d")
+    config = SchemeConfig(lo=-3.0, hi=3.0, nx=160, t_end=1.0, dim=2)
+    stepper = solver_mod._Stepper2D(flux, config)
+    pts = np.stack(np.meshgrid(stepper.centers, stepper.centers,
+                               indexing="ij"), axis=-1)
+    u = box_data(1.0, -0.5, 0.0)(pts)
+    ref = u.copy()
+    for _ in range(3):
+        u = stepper.step(u, 0.2 * config.dx)
+        ref = _reference_step(flux, config, ref, 0.2 * config.dx)
+        assert _bitwise_equal(u, ref)
+    (x0, x1), (y0, y1) = stepper._window
+    assert (x1 - x0) * (y1 - y0) < config.nx ** 2 // 2
 
 
 @pytest.mark.parametrize("name,boundary", [("kink1d", "outflow"),
                                            ("product1d", "periodic")])
-def test_entropy_scan_on_compact_data_matches_reference(name, boundary,
-                                                       monkeypatch):
-    # a box of support: the stepper sweeps a window of the grid, and the
-    # scan still reads the sides of every interface
-    monkeypatch.setattr(solver_mod, "_MIN_SKIP", 1)
+def test_entropy_scan_on_compact_data_matches_reference(name, boundary):
+    # a box of support, +0.0 on most of the grid
     flux = catalog_lookup(name)
     config = SchemeConfig(lo=-1.0, hi=1.5, nx=400, t_end=0.5,
                           boundary=boundary, store_every=10 ** 9)

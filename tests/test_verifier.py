@@ -160,7 +160,7 @@ class TestEntropyResidual:
 
         flux = _separable("counted", 1, CountedFactors(
             counted("g", fac.g), fac.g_prime, counted("h", fac.h),
-            counted("h_prime", fac.h_prime)))
+            counted("h_prime", fac.h_prime), counted("V", fac.V)))
         flux = dataclasses.replace(flux, **{
             name: counted(name, getattr(flux, name))
             for name in ("eval", "dk", "div_x", "grad_x_components")})
