@@ -368,6 +368,10 @@ class _Stepper:
         ghosted = np.empty((n + 2) * n ** (dim - 1))
         faces = [np.empty((n + 1) * n ** (dim - 1)) for _ in range(5)]
         self.lap = np.empty(cells) if config.scheme == "viscous" else None
+        # the 2-d x sweep writes here; the y sweep reads it.  Allocated
+        # before the axes' interface points and factors: allocated after
+        # them, it read about 0.2 MB more peak RSS on contraction_2d
+        self.mid = np.empty(cells) if dim == 2 else None
         # interface points of the sweep along each axis: edges on that axis,
         # cell centers on the others, shape (..., dim)
         self.axes = []
@@ -402,7 +406,6 @@ class _Stepper2D(_Stepper):
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         super().__init__(flux, config)
         self.n, self.periodic = config.nx, config.boundary == "periodic"
-        self.mid = np.empty((self.n, self.n))
         # the whole grid, the one object every full window is
         self.full = ((0, self.n),) * 2
         # whether +0.0 is a rest state of both axes: checked on the first
