@@ -58,11 +58,11 @@ from .flux import (catalog_lookup, catalog_names, catalog_params,
 from .grids import GridField, load_field, write_slabs
 from .mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from .solver import SchemeConfig, exact_riemann_burgers, solve, solve_pair
-from .verifier import (ResidualReport, cone_contraction_profile,
-                       doubling_diagnostics, entropy_residual_sweep,
-                       find_smooth_samples, global_contraction_check,
-                       jump_threshold, kato_lhs, l1_masses,
-                       uniqueness_experiment, write_profile_csv)
+from .verifier import (DEFAULT_MIN_RATIO, ResidualReport,
+                       cone_contraction_profile, doubling_diagnostics,
+                       entropy_residual_sweep, find_smooth_samples,
+                       global_contraction_check, jump_threshold, kato_lhs,
+                       l1_masses, uniqueness_experiment, write_profile_csv)
 
 
 # check kinds that need the config's initial data, scheme or seed: ``run``
@@ -180,7 +180,7 @@ def _run_check(check: CheckSpec, flux, u, v, cfg: ExperimentConfig = None):
         return uniqueness_experiment(
             flux, cfg.initial_data, variants, center=p.get("center"),
             radius=p.get("radius"), exact_at_t_end=_burgers_oracle(cfg),
-            min_ratio=p.get("min_ratio", 1.5)), None
+            min_ratio=p.get("min_ratio", DEFAULT_MIN_RATIO)), None
 
     if check.kind == "doubling":
         eps_list = p.get("eps_list", [0.1, 0.05, 0.025])

@@ -72,7 +72,7 @@ from .errors import CFLViolation, ConfigError, EmptyCone, GridMismatch
 from .flux import catalog_lookup, catalog_names, catalog_params
 from .grids import InitialData
 from .solver import SchemeConfig, require_flux_fits
-from .verifier import require_ball, uniqueness_ball
+from .verifier import DEFAULT_SEED, require_ball, uniqueness_ball
 
 # [initial_data] keys per kind with their converters; all but x0 and offset
 # are required
@@ -173,7 +173,7 @@ class ExperimentConfig:
     output_dir: str
     checks: list
     initial_data2: InitialData | None = None
-    seed: int = 20260809
+    seed: int = DEFAULT_SEED
 
     def to_text(self) -> str:
         """The config as text, one block of (key, value) lines per section:
@@ -337,7 +337,7 @@ def parse_config(text: str) -> ExperimentConfig:
     output_dir = _read(sections["output"], "output", {"dir": str},
                        ("dir",))["dir"]
     seed = _read(sections.get("run", {}), "run", {"seed": int}).get(
-        "seed", 20260809)
+        "seed", DEFAULT_SEED)
     tasks = (_read(sections["checks"], "checks", {"tasks": _listed(str.strip)},
                    ("tasks",))["tasks"] if "checks" in sections else [])
     checks = []

@@ -22,8 +22,9 @@ process.  The table integrates omega_1 over each node interval of [0, 1]
 with four 16-node Gauss-Legendre panels, adds the intervals up with one
 cumsum, scales the half to carry exactly 1/2 and mirrors it, so
 A(-1) = 0, A(0) = 1/2 and A(1) = 1 hold exactly.  Between the nodes it is
-interpolated by PCHIP, the monotone piecewise cubic of Fritsch and Carlson
-(1980): node slopes by scipy's rule, Hermite coefficients stored once, the
+a cubic Hermite whose node slopes are the kernel itself, A' = omega_1,
+capped at three times either neighbouring chord so that each cell stays
+monotone (Fritsch and Carlson 1980): Hermite coefficients stored once, the
 cell found by searchsorted, then Horner.  numpy is the only dependency.
 Direct quadrature (``kernel_cdf_quadrature``) remains the oracle the table
 is checked against.
@@ -113,53 +114,26 @@ _CDF_TABLE_SIZE = 10_001
 _CDF_PANELS = 4
 
 
-def _pchip_slopes(x: Array, y: Array) -> Array:
-    """Node slopes of the PCHIP interpolant of (x, y), n >= 3 nodes.
-
-    Fritsch-Carlson (1980) in the Fritsch-Butland form that scipy's
-    PchipInterpolator uses, operation for operation: zero where the
-    neighbouring chord slopes m vanish or change sign, else their weighted
-    harmonic mean; at each end the one-sided three-point estimate, limited
-    to keep the sign of m and to at most 3 |m|.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 class _Pchip:
-    """PCHIP interpolant of (x, y) on [x_0, x_{n-1}].
+    """Monotone cubic Hermite interpolant of non-decreasing (x, y) on
+    [x_0, x_{n-1}] with the node slopes ``slope``, each capped at three
+    times either neighbouring chord (the chords beyond the ends read 0).
 
-    ``coef`` holds the cubic Hermite coefficients, shape (4, n), as scipy's
-    PPoly does: on [x_i, x_{i+1}] the interpolant is
-    sum_j coef[j, i] (s - x_i)^(3 - j).  The last column is the constant
+    The cap keeps every cell inside Fritsch and Carlson's (1980) region
+    alpha, beta <= 3, so each cubic is monotone, and it makes the slope 0
+    on a flat run.  ``coef`` holds the Hermite coefficients, shape (4, n):
+    on [x_i, x_{i+1}] the interpolant is sum_j coef[j, i] (s - x_i)^(3 - j),
+    so coef[2] is the capped node slope.  The last column is the constant
     y_{n-1}, so s = x_{n-1} returns y_{n-1} exactly and NaN, which
     searchsorted places past the last node, maps to NaN.
     """
 
-    def __init__(self, x: Array, y: Array):
+    def __init__(self, x: Array, y: Array, slope: Array):
         self.nodes = x
-        d = _pchip_slopes(x, y)
         h = np.diff(x)
         m = np.diff(y) / h
+        cap = 3.0 * np.concatenate([[0.0], m, [0.0]])
+        d = np.minimum(slope, np.minimum(cap[:-1], cap[1:]))
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         self.coef = np.zeros((4, len(x)))
         self.coef[:, :-1] = [t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]]
@@ -176,6 +150,11 @@ class _Pchip:
 def _unit_cdf_table() -> _Pchip:
     """Monotone interpolant of A(u) = int_{-1}^{u} omega_1, built so that
     A(-1) = 0, A(0) = 1/2 and A(1) = 1 hold exactly.
+
+    The node slopes are A' = omega_1 at the nodes.  The cap in ``_Pchip``
+    binds only in the flat tails |u| > 0.98, at 163 nodes: there the values
+    step by exactly 0 or one ulp of 1/2, and omega_1 is still 6e-272 to
+    6e-13 at a node next to a step of 0, whose capped slope is 0.
 
     Each of the 5,000 table intervals of [0, 1] is integrated by
     ``_CDF_PANELS`` Gauss-Legendre panels of 16 nodes, one (panel, node)
@@ -199,7 +178,7 @@ def _unit_cdf_table() -> _Pchip:
     halves /= 2.0 * halves[-1]          # right half carries exactly half the mass
     grid = np.concatenate([-us[::-1], us[1:]])
     vals = np.concatenate([0.5 - halves[::-1], 0.5 + halves[1:]])
-    return _Pchip(grid, vals)
+    return _Pchip(grid, vals, c1 * _unit_profile(grid * grid))
 
 
 def kernel_cdf(h: float, sigma) -> Array:

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 import clawlab
 from clawlab.errors import BadWindow
-from clawlab.mollifiers import (ConeSpec, Mollifier, _pchip_slopes,
-                                _Pchip, _unit_cdf_table,
-                                bump_test_function, chi_epsilon,
+from clawlab.mollifiers import (ConeSpec, Mollifier, _unit_cdf_table,
+                                _unit_profile, bump_test_function, chi_epsilon,
                                 contraction_test_function, kernel_cdf,
                                 kernel_cdf_quadrature,
                                 mollifier_constant, omega_value)
@@ -74,10 +72,10 @@ class TestCdf:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_table_against_direct_quadrature(self):
-        rng = np.random.default_rng(3)
-        for s in rng.uniform(-0.95, 0.95, 25):
-            assert kernel_cdf(1.0, s) == pytest.approx(
-                kernel_cdf_quadrature(1.0, s), abs=1e-8)
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, 400)
+        err = [abs(kernel_cdf(1.0, s) - kernel_cdf_quadrature(1.0, s))
+               for s in u]
+        assert max(err) <= 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.05, 2.0), st.floats(-3, 3))
@@ -89,58 +87,6 @@ class TestCdf:
 def _table_values():
     table = _unit_cdf_table()
     return table.nodes, table.coef[3]
-
-
-def _random_monotone(rng, n, uniform):
-    """Non-decreasing data on n nodes, with flat runs and steep steps."""
-    if uniform:
-        x = np.linspace(-2.0, 3.0, n)
-    else:
-        x = np.cumsum(rng.uniform(0.01, 1.0, n))
-    steps = rng.exponential(1.0, n - 1)
-    steps[rng.random(n - 1) < 0.2] = 0.0
-    steps[rng.random(n - 1) < 0.05] *= 100.0
-    return x, np.concatenate([[0.0], np.cumsum(steps)])
-
-
-class TestPchipAgainstScipy:
-    """scipy's PchipInterpolator is the oracle for the numpy PCHIP."""
-
-    @staticmethod
-    def assert_slopes_match(x, y):
-        oracle = PchipInterpolator(x, y)(x, 1)
-        scale = np.abs(oracle).max()
-        assert np.abs(_pchip_slopes(x, y) - oracle).max() <= 1e-14 * scale
-
-    @staticmethod
-    def assert_values_match(x, y, s):
-        got = _Pchip(x, y)(s)
-        assert np.abs(got - PchipInterpolator(x, y)(s)).max() \
-            <= 1e-14 * np.abs(y).max()
-
-    def test_cdf_table(self):
-        x, y = _table_values()
-        self.assert_slopes_match(x, y)
-        s = np.random.default_rng(4).uniform(-1.0, 1.0, 300_000)
-        s = np.concatenate([s, x[:-1], np.nextafter(x[1:], -np.inf)])
-        self.assert_values_match(x, y, s)
-        assert np.abs(kernel_cdf(1.0, s) - PchipInterpolator(x, y)(s)).max() \
-            <= 1e-14
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_monotone_data(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 400))
-        self.assert_slopes_match(*_random_monotone(rng, n, uniform=False))
-        x, y = _random_monotone(rng, n, uniform=True)
-        self.assert_slopes_match(x, y)
-        s = np.concatenate([rng.uniform(x[0], x[-1], 5000), x])
-        self.assert_values_match(x, y, s)
-
-    def test_slopes_on_data_that_turns(self):
-        rng = np.random.default_rng(7)
-        x = np.sort(rng.uniform(0.0, 10.0, 200))
-        self.assert_slopes_match(x, np.sin(3.0 * x) + 0.1 * rng.random(200))
 
 
 class TestCdfTable:
@@ -159,6 +105,18 @@ class TestCdfTable:
         assert np.isnan(kernel_cdf(1.0, np.nan))
         assert type(kernel_cdf(1.0, -0.0)) is float
         assert kernel_cdf(1.0, -0.0) == 0.5
+
+    def test_node_slopes_are_the_kernel_unless_capped(self):
+        table = _unit_cdf_table()
+        x, y, d = table.nodes, table.coef[3], table.coef[2]
+        kernel = mollifier_constant(1) * _unit_profile(x * x)
+        chords = np.concatenate([[0.0], np.diff(y) / np.diff(x), [0.0]])
+        cap = 3.0 * np.minimum(chords[:-1], chords[1:])
+        free = kernel <= cap
+        # the cap binds only in the flat tails, at a small share of nodes
+        assert free.sum() > 9_500 and free[1000:9001].all()
+        assert np.array_equal(d[free], kernel[free])
+        assert np.array_equal(d[~free], cap[~free])
 
     def test_nodes_against_direct_quadrature(self):
         x, y = _table_values()

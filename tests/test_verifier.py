@@ -10,11 +10,13 @@ from clawlab import verifier as verifier_mod
 from clawlab.entropy import make_kruzkov_pair, make_smooth_pair
 from clawlab.errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
                             SupportExceedsDomain)
-from clawlab.flux import Separable, _separable, catalog_lookup
+from clawlab.flux import (Separable, _separable, catalog_lookup,
+                          lipschitz_constant)
 from clawlab.grids import box_data, field_from_function, sine_data
 from clawlab.mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from clawlab.quadrature import adaptive_gauss_legendre
-from clawlab.solver import SchemeConfig, solve, solve_pair
+from clawlab.solver import (SchemeConfig, exact_riemann_burgers, solve,
+                            solve_pair)
 from clawlab.verifier import (cone_contraction_profile, doubling_diagnostics,
                               entropy_residual, entropy_residual_sweep,
                               find_smooth_samples,
@@ -379,11 +381,42 @@ class TestKato:
         assert rep.value >= -rep.tolerance
 
 
+class TestKatoNegativeControl:
+    """The expansion shock 0 | 1 against the exact rarefaction: a weak
+    solution that is not the entropy one breaks Kato's inequality by a
+    margin that does not shrink under refinement."""
+
+    @pytest.mark.parametrize("nx", [300, 600])
+    def test_violation_stays_and_is_caught_at_unit_slack(self, nx):
+        def shock(p, t):
+            return np.where(p[..., 0] < 0.5 * t, 0.0, 1.0)
+
+        def fan(p, t):
+            return (exact_riemann_burgers(0.0, 1.0, p[..., 0], t) if t > 0.0
+                    else shock(p, t))
+
+        times = np.linspace(0.0, 1.0, nx // 3 + 1)
+        u, v = (field_from_function(fn, -3.0, 3.0, nx, times)
+                for fn in (shock, fan))
+        R = 1.0
+        cone = ConeSpec(R=R, N=lipschitz_constant(BURGERS, R, 1.0),
+                        horizon=1.0)
+        t_max = cone.t_max
+        # the window and widths cli._run_check takes by default
+        psi = contraction_test_function(cone, 0.25 * t_max, 0.75 * t_max,
+                                        0.125 * t_max, 0.1 * R)
+        rep = kato_lhs(u, v, BURGERS, psi)
+        assert rep.value <= -0.08
+        # the default slack 10 Lip(psi) M (dx + dt) |supp psi| reads 13.4
+        # at nx = 300 and 6.71 at nx = 600, so the default check passes
+        # by a wide margin; at c_tol = 1 it reads 0.045 and 0.0225
+        assert kato_lhs(u, v, BURGERS, psi, c_tol=1.0).passed is False
+
+
 class TestKatoCylinder:
     def test_speed_zero_flux_uses_cylinder(self):
         # k-independent flux: N = 0, the cone degenerates to a cylinder
         # capped by the horizon, and the two-solution flux term vanishes
-        from clawlab.flux import lipschitz_constant
         cfg = SchemeConfig(lo=-2, hi=2, nx=300, t_end=1.0, store_every=4)
         u, v = solve_pair(XSQ, box_data(0.5, -0.4, 0.0),
                           box_data(0.3, -0.2, 0.3), cfg)
@@ -620,7 +653,6 @@ class TestUniqueness:
 
     def test_variants_converge_with_ratio(self):
         from clawlab.grids import riemann_data
-        from clawlab.solver import exact_riemann_burgers
         rep = uniqueness_experiment(
             BURGERS, riemann_data(1.0, 0.0, 0.0), self.SEEDS,
             exact_at_t_end=lambda pts: exact_riemann_burgers(
@@ -633,7 +665,6 @@ class TestUniqueness:
         # the variants converge to each other, but an oracle off by a shift
         # of the shock keeps their errors from shrinking
         from clawlab.grids import riemann_data
-        from clawlab.solver import exact_riemann_burgers
         rep = uniqueness_experiment(
             BURGERS, riemann_data(1.0, 0.0, 0.0), self.SEEDS,
             exact_at_t_end=lambda pts: exact_riemann_burgers(
@@ -644,7 +675,6 @@ class TestUniqueness:
 
     def test_rarefaction_data_converges_to_oracle(self):
         from clawlab.grids import riemann_data
-        from clawlab.solver import exact_riemann_burgers
         seeds = [
             SchemeConfig(lo=-1.5, hi=1.5, nx=200, t_end=0.5, cfl=0.9,
                          store_every=10 ** 9),
