@@ -321,8 +321,10 @@ def _factored_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
 
 
 def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
-    # odd counts keep 0 and the endpoints on every refinement level
-    n_x = n if flux.dim == 1 else max(33, int(np.sqrt(n)) | 1)
+    # floor(n^(1/d)) points per axis (the integer root, exactly), at least
+    # 33; odd counts keep 0 and the endpoints on every refinement level
+    root = round(n ** (1.0 / flux.dim))
+    n_x = max(33, (root - (root ** flux.dim > n)) | 1)
     pts = _ball_lattice(R, flux.dim, n_x)
     ks = np.linspace(-M, M, n)
     estimate = _sampled_estimate if flux.factors is None else _factored_estimate

@@ -1,7 +1,8 @@
 """Cell-averaged space-time fields, initial data descriptors, and file I/O.
 
 A GridField stores a uniform-grid numerical solution: one slab of cell
-averages per stored time level on the box [lo, hi]^dim.  On disk a field is
+averages per stored time level on the box [lo, hi]^dim, with dim one of
+``DIMS``, the one statement of the supported dimensions.  On disk a field is
 one slab file, ``field.slab`` in the field's directory: one header, the
 stored times, then every level's cells.  The header holds exactly the
 fields of a GridField, so ``load_field(write_slabs(d, f)[0])`` equals ``f``
@@ -18,13 +19,14 @@ bitwise.  Layout, little-endian:
     data     float64 * nt * nx^dim   (C order)
 
 A file that is not one whole field of this layout (missing, another
-magic, the old CLW1 or CLW2 layout, a header cut short, dim not 1 or 2,
-nx or nt below 1, any other size, or times that do not increase) raises
-``FieldFileError`` naming the path and the defect.
+magic, the old CLW1 or CLW2 layout, a header cut short, dim not in
+``DIMS``, nx or nt below 1, any other size, or times that do not
+increase) raises ``FieldFileError`` naming the path and the defect.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +35,9 @@ import numpy as np
 
 from .errors import FieldFileError, GridMismatch
 
+# the dimensions a field and a run may have.  The solver has one step
+# class for each entry; every other rule is one formula in d
+DIMS = (1, 2)
 _MAGIC = b"CLW3"
 _HEADER = struct.Struct("<4sIIIddd")
 # the layouts before this one, each with why it is no longer read
@@ -97,15 +102,19 @@ class GridField:
 
 def write_slabs(directory, field: GridField) -> list:
     """Write the field as ``directory/field.slab``: the header, the times,
-    then the data, straight from the field's arrays."""
+    then the data, straight from the field's arrays.  It is written beside
+    the old file and renamed onto it: a field loaded from the old file
+    maps it, and cutting that file short in place would take its pages."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "field.slab"
-    with open(path, "wb") as fh:
+    part = directory / "field.slab.part"
+    with open(part, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, field.dim, field.nx, len(field.times),
                               field.lo, field.hi, field.bound_M))
         fh.write(np.ascontiguousarray(field.times, dtype="<f8"))
         fh.write(np.ascontiguousarray(field.data, dtype="<f8"))
+    os.replace(part, path)
     # a list, as the benchmark's tracer (perfbench/tracing.py) takes it:
     # it counts the bytes of every path in the list, and of the *.slab
     # files of a directory given to load_field
@@ -114,16 +123,20 @@ def write_slabs(directory, field: GridField) -> list:
 
 def load_field(source) -> GridField:
     """A field's one reader: the GridField of a slab file, or of the
-    ``field.slab`` of a field directory.  The file is read once, and the
-    times and data are writable views of that one buffer."""
+    ``field.slab`` of a field directory.  The header is read, and the
+    times and data are writable views of one copy-on-write map of the
+    rest: a caller pages in only the levels it reads, and writing to the
+    field leaves the file as it was."""
     path = Path(source)
     if path.is_dir():
         path = path / "field.slab"
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
     except OSError as exc:
         raise FieldFileError(f"{path}: {exc.strerror or exc}") from exc
-    magic = raw[:len(_MAGIC)].tobytes()
+    magic = head[:len(_MAGIC)]
     if magic in _OLD:
         raise FieldFileError(
             f"{path}: slab version {magic.decode()} is no longer read "
@@ -131,19 +144,20 @@ def load_field(source) -> GridField:
             f"{_MAGIC.decode()} slabs")
     if magic != _MAGIC:
         raise FieldFileError(f"{path}: not a slab file (magic {magic!r})")
-    if raw.size < _HEADER.size:
-        raise FieldFileError(f"{path}: header cut short ({raw.size} of "
+    if len(head) < _HEADER.size:
+        raise FieldFileError(f"{path}: header cut short ({len(head)} of "
                              f"{_HEADER.size} bytes)")
-    _, dim, nx, nt, lo, hi, bound = _HEADER.unpack_from(raw)
-    if dim not in (1, 2) or nx < 1 or nt < 1:
+    _, dim, nx, nt, lo, hi, bound = _HEADER.unpack(head)
+    if dim not in DIMS or nx < 1 or nt < 1:
         raise FieldFileError(f"{path}: bad grid (dim {dim}, nx {nx}, nt {nt})")
     cells = nx ** dim
     expected = _HEADER.size + 8 * nt * (1 + cells)
-    if raw.size != expected:
+    if size != expected:
         raise FieldFileError(
-            f"{path}: {raw.size} bytes, expected {expected} for nt = {nt} "
+            f"{path}: {size} bytes, expected {expected} for nt = {nt} "
             f"levels of nx**dim = {cells} cells")
-    values = raw[_HEADER.size:].view("<f8")
+    # the map is never empty: nt and the cell count are at least 1
+    values = np.memmap(path, "<f8", "c", _HEADER.size).view(np.ndarray)
     times = values[:nt]
     if not (times[1:] > times[:-1]).all():
         raise FieldFileError(f"{path}: stored times are not strictly "
@@ -157,9 +171,10 @@ class InitialData:
     """Descriptor for initial data; evaluable at cell-center points.
 
     Kinds: riemann(ul, ur, x0) jumps along the first axis; box(height, lo,
-    hi) is ``height`` on the product interval; sine(amp, freq, offset) is
-    offset + amp sin(2 pi freq x) (times the y-factor in 2-d); constant
-    (value); file(path) resamples a stored level-0 field by nearest cell.
+    hi) is ``height`` on the cube [lo, hi]^d; sine(amp, freq, offset) is
+    offset + amp sin(2 pi freq x_1) ... sin(2 pi freq x_d), multiplied in
+    axis order; constant (value); file(path) resamples a stored level-0
+    field by nearest cell.
     """
 
     kind: str
@@ -173,16 +188,13 @@ class InitialData:
             x0 = p.get("x0", 0.0)
             return np.where(x < x0, p["ul"], p["ur"]) + np.zeros(pts.shape[:-1])
         if self.kind == "box":
-            inside = (x >= p["lo"]) & (x <= p["hi"])
-            if pts.shape[-1] == 2:
-                inside &= (pts[..., 1] >= p["lo"]) & (pts[..., 1] <= p["hi"])
+            inside = ((pts >= p["lo"]) & (pts <= p["hi"])).all(axis=-1)
             return np.where(inside, p["height"], 0.0)
         if self.kind == "sine":
-            off = p.get("offset", 0.0)
-            val = p["amp"] * np.sin(2.0 * np.pi * p["freq"] * x)
-            if pts.shape[-1] == 2:
-                val = val * np.sin(2.0 * np.pi * p["freq"] * pts[..., 1])
-            return off + val
+            val = p["amp"]
+            for axis in range(pts.shape[-1]):
+                val = val * np.sin(2.0 * np.pi * p["freq"] * pts[..., axis])
+            return p.get("offset", 0.0) + val
         if self.kind == "constant":
             return np.full(pts.shape[:-1], float(p["value"]))
         if self.kind == "file":

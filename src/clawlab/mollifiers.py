@@ -5,7 +5,8 @@ The d-dimensional kernel is
     rho_eps(x) = eps^{-d} rho(x / eps),
     rho(x) = C_d exp(1 / (|x|^2 - 1))   for |x| < 1,  0 otherwise,
 
-with C_d fixed by unit mass.  From the 1-d kernel omega_h we build its
+with C_d fixed by unit mass, one polar integral for every d
+(``mollifier_constant``).  From the 1-d kernel omega_h we build its
 cumulative integral alpha_h, the cone cutoff
 
     chi_eps(x, t) = 1 - alpha_eps(|x| - (R - t N) + eps),
@@ -58,15 +59,12 @@ def _unit_profile(r2: Array) -> Array:
 
 @lru_cache(maxsize=None)
 def mollifier_constant(dim: int) -> float:
-    """Normalization C_d with unit total mass; computed once per dimension."""
-    if dim == 1:
-        mass = adaptive_gauss_legendre(
-            lambda s: _unit_profile(s * s), -1.0, 1.0, tol=1e-14)
-    elif dim == 2:
-        mass = 2.0 * math.pi * adaptive_gauss_legendre(
-            lambda r: r * _unit_profile(r * r), 0.0, 1.0, tol=1e-14)
-    else:
-        raise ValueError("dimensions 1 and 2 supported")
+    """Normalization C_d with unit total mass, computed once per dimension
+    in polar form: 1/C_d = |S^{d-1}| int_0^1 r^{d-1} exp(1/(r^2 - 1)) dr,
+    with the sphere's area |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2)."""
+    sphere = 2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+    mass = sphere * adaptive_gauss_legendre(
+        lambda r: r ** (dim - 1) * _unit_profile(r * r), 0.0, 1.0, tol=1e-14)
     return 1.0 / float(mass)
 
 

@@ -13,11 +13,11 @@ with the local-speed (Rusanov) interface flux
 The flux is frozen at the geometric interface midpoint, which keeps states c
 with f(x, c) = const exact.  For a separable flux f_i = g_i(x) h(k) the
 factors g_i at the interface lattice are evaluated once per run, when the
-stepper is built; each sweep evaluates only h and h' on the states.  Two
-dimensions use Godunov splitting of the same stencil, each sweep under half
-the CFL budget.  An optional central second-difference term turns the
-update into the viscous regularization du/dt + div f = eps Lap u under the
-parabolic step restriction.  The exact Godunov interface flux
+stepper is built; each sweep evaluates only h and h' on the states.  In d
+dimensions Godunov splitting sweeps the same stencil along each axis in
+turn, each sweep under cfl/d.  An optional central second-difference term
+turns the update into the viscous regularization du/dt + div f = eps Lap u
+under the parabolic step restriction.  The exact Godunov interface flux
 (``godunov_burgers``) exists for the 1-d Burgers flux only; other
 combinations are refused.
 
@@ -88,7 +88,7 @@ import numpy as np
 
 from .errors import BlowUp, CFLViolation, GridMismatch
 from .flux import FluxSpec
-from .grids import GridField, _tensor_points, cell_centers
+from .grids import DIMS, GridField, _tensor_points, cell_centers
 
 Array = np.ndarray
 
@@ -116,7 +116,7 @@ class SchemeConfig:
                 (not all(map(math.isfinite, (self.lo, self.hi, self.t_end))),
                  "finite lo, hi and t_end"), (self.hi <= self.lo, "hi > lo"),
                 (self.nx < 1, "nx >= 1"), (self.t_end <= 0.0, "t_end > 0"),
-                (self.dim not in (1, 2), "dim 1 or 2")):
+                (self.dim not in DIMS, "dim 1 or 2")):
             if bad:
                 raise ValueError(f"the grid needs {rule}, got {self}")
         if not (0.0 < self.cfl <= 1.0):
@@ -152,7 +152,8 @@ class SchemeConfig:
 def _sup_abs(fn, config: SchemeConfig, m: float, states: int) -> float:
     """max |fn(x, k)| over the lattice the a-priori estimates sample and
     ``states`` equally spaced states k in [-m, m]."""
-    lat = np.linspace(config.lo, config.hi, 65 if config.dim == 2 else 129)
+    # 1 + 2^(8 - d) points per axis: 129 in 1-d, 65 in 2-d, 33 in 3-d
+    lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
     pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
     ks = np.linspace(-m, m, states)
     return float(np.abs(fn(pts[:, None, :], ks[None, :])).max())
@@ -499,7 +500,8 @@ class _Stepper2D(_Stepper):
 def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
     dx = config.dx
     lam_max = _estimate_speed(flux, config, m_bound)
-    budget = config.cfl / (2.0 if config.dim == 2 else 1.0)
+    # one split sweep per axis, each under its share of the CFL budget
+    budget = config.cfl / config.dim
     if config.scheme == "viscous":
         # combined advective + diffusive budget: the update stays a convex
         # combination only if mu lambda + 2 dim nu <= 1, which the separate

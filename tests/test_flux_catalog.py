@@ -387,6 +387,29 @@ class TestFactoredLipschitz:
             lipschitz_constant(_sampled_only(f), 1.0, 1.0, base_grid=26)
 
 
+@pytest.mark.parametrize("name", ["product1d", "product2d"])
+def test_lattice_points_per_axis(monkeypatch, name):
+    # n_x = max(33, floor(n^(1/d)) | 1): in 1-d the state count n itself on
+    # every doubling from base_grid 201, in 2-d the count the program took
+    # as max(33, int(sqrt(n)) | 1), and at least 33 from any base grid
+    seen = []
+    real = flux_mod._ball_lattice
+
+    def spy(R, dim, n_per_axis):
+        seen.append(n_per_axis)
+        return real(R, dim, n_per_axis)
+
+    monkeypatch.setattr(flux_mod, "_ball_lattice", spy)
+    flux = catalog_lookup(name)
+    counts = [201 * 2 ** j - (2 ** j - 1) for j in range(7)] + [26, 51]
+    for n in counts:
+        flux_mod._lipschitz_estimate(flux, 1.0, 1.0, n)
+    if flux.dim == 1:
+        assert seen == counts[:7] + [33, 51]
+    else:
+        assert seen == [max(33, int(np.sqrt(n)) | 1) for n in counts]
+
+
 class TestUniformDiffquot:
     def test_burgers_is_x_independent(self):
         f = catalog_lookup("burgers1d")

@@ -25,6 +25,17 @@ class TestKernel:
         mass, _ = quad(lambda x: np.exp(1.0 / (x * x - 1.0)), -1, 1)
         assert mollifier_constant(1) == pytest.approx(1.0 / mass, rel=1e-8)
 
+    def test_constants_keep_their_bits(self):
+        # the polar formula |S^{d-1}| int_0^1 r^{d-1} exp(1/(r^2 - 1)) dr
+        # gives the bits of the former closed cases for d = 1 and d = 2
+        assert mollifier_constant(1).hex() == "0x1.204ad466d96d0p+1"
+        assert mollifier_constant(2).hex() == "0x1.12605d03ed1f9p+1"
+
+    def test_constant_3d_against_independent_quadrature(self):
+        mass, _ = quad(lambda r: 4.0 * np.pi * r * r
+                       * np.exp(1.0 / (r * r - 1.0)), 0, 1)
+        assert mollifier_constant(3) == pytest.approx(1.0 / mass, rel=1e-8)
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
     def test_unit_mass(self, dim, eps):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -706,6 +707,113 @@ class TestFileInitialData:
         # restarting from the stored initial slab reproduces the run
         again = solve(BURGERS, data, cfg)
         assert np.array_equal(again.data[-1], u.data[-1])
+
+    def test_sampling_maps_only_level_zero(self, tmp_path):
+        # a 400-level 64^2 slab, 13.1 MB: sampling the datum pages in the
+        # header, the times and level 0, and allocates no copy of the file
+        from clawlab.grids import file_data
+        levels = np.random.default_rng(3).normal(size=(400, 64, 64))
+        u = GridField(2, -1.0, 1.0, 64, np.arange(400) * 0.01, levels, 5.0)
+        (path,) = write_slabs(tmp_path, u)
+        del levels
+        pts = u.centers_points()
+        data = file_data(tmp_path)
+        tracemalloc.start()
+        try:
+            sampled = data(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 13_110_440
+        assert peak < path.stat().st_size / 10, peak
+        assert np.array_equal(sampled, u.data[0])
+
+
+class TestLoadedFieldIsACopy:
+    """A loaded field is writable, and writing it leaves the file as it
+    was."""
+
+    def test_writes_leave_the_file(self, tmp_path):
+        u = GridField(2, -1.0, 1.0, 3, np.array([0.0, 0.5]),
+                      np.arange(18.0).reshape(2, 3, 3), 17.0)
+        (path,) = write_slabs(tmp_path, u)
+        before = path.read_bytes()
+        back = load_field(tmp_path)
+        assert back.data.flags.writeable and back.times.flags.writeable
+        back.data[0] = -1.0
+        back.times[1] = 7.0
+        assert path.read_bytes() == before
+        del back
+        again = load_field(path)
+        assert again.data.tobytes() == u.data.tobytes()
+        assert again.times.tobytes() == u.times.tobytes()
+
+    def test_field_written_over_its_own_file(self, tmp_path):
+        # the loaded field maps the file it is written over: the new file
+        # replaces the old one, whose pages the field keeps
+        u = GridField(1, -1.0, 1.0, 50_000, np.array([0.0, 0.5]),
+                      np.random.default_rng(4).normal(size=(2, 50_000)), 5.0)
+        write_slabs(tmp_path, u)
+        back = load_field(tmp_path)
+        write_slabs(tmp_path, back)
+        assert back.data.tobytes() == u.data.tobytes()
+        assert load_field(tmp_path).data.tobytes() == u.data.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field.slab"]
+
+    def test_empty_file_refused(self, tmp_path):
+        (tmp_path / "field.slab").write_bytes(b"")
+        with pytest.raises(FieldFileError,
+                           match=r"not a slab file \(magic b''\)"):
+            load_field(tmp_path)
+
+
+def _two_axis_box(p, pts):
+    """The 2-d box datum written axis by axis, as the sampler once was."""
+    x, y = pts[..., 0], pts[..., 1]
+    inside = (x >= p["lo"]) & (x <= p["hi"])
+    inside &= (y >= p["lo"]) & (y <= p["hi"])
+    return np.where(inside, p["height"], 0.0)
+
+
+def _two_axis_sine(p, pts):
+    """The 2-d sine datum written axis by axis, as the sampler once was."""
+    val = p["amp"] * np.sin(2.0 * np.pi * p["freq"] * pts[..., 0])
+    val = val * np.sin(2.0 * np.pi * p["freq"] * pts[..., 1])
+    return p["offset"] + val
+
+
+class TestInitialDataInD:
+    """``box`` and ``sine`` take every axis of the points in one rule; in
+    2-d they give the bits of the two-axis formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.floats(-5.0, 5.0), lo=st.floats(-2.0, 1.0),
+           width=st.floats(0.0, 3.0), amp=st.floats(-3.0, 3.0),
+           freq=st.floats(0.0, 4.0), offset=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_2d_data_equal_two_axis_formulas(self, height, lo, width, amp,
+                                             freq, offset, seed):
+        hi = lo + width
+        # random points, and points on the box's bounds and just outside
+        edge = [lo, hi, np.nextafter(lo, -3.0), np.nextafter(hi, 3.0)]
+        pts = np.concatenate([
+            np.random.default_rng(seed).uniform(-3.0, 3.0, (50, 2)),
+            np.stack(np.meshgrid(edge, edge), axis=-1).reshape(-1, 2)])
+        box = box_data(height, lo, hi)
+        sine = sine_data(amp, freq, offset)
+        assert (box(pts).tobytes()
+                == _two_axis_box(box.params, pts).tobytes())
+        assert (sine(pts).tobytes()
+                == _two_axis_sine(sine.params, pts).tobytes())
+
+    def test_3d_data_multiply_in_axis_order(self):
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, (40, 3))
+        sine = sine_data(0.7, 0.5, 0.1)
+        s = [np.sin(2.0 * np.pi * 0.5 * pts[..., a]) for a in range(3)]
+        assert np.array_equal(sine(pts), 0.1 + ((0.7 * s[0]) * s[1]) * s[2])
+        inside = np.all(np.abs(pts) <= 0.5, axis=-1)
+        assert np.array_equal(box_data(2.0, -0.5, 0.5)(pts),
+                              np.where(inside, 2.0, 0.0))
 
 
 class TestSolvePair:

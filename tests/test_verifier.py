@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawlab import entropy
 from clawlab import verifier as verifier_mod
@@ -12,7 +14,8 @@ from clawlab.errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
                             SupportExceedsDomain)
 from clawlab.flux import (Separable, _separable, catalog_lookup,
                           lipschitz_constant)
-from clawlab.grids import box_data, field_from_function, sine_data
+from clawlab.grids import (GridField, box_data, field_from_function,
+                           sine_data)
 from clawlab.mollifiers import ConeSpec, bump_test_function, contraction_test_function
 from clawlab.quadrature import adaptive_gauss_legendre
 from clawlab.solver import (SchemeConfig, exact_riemann_burgers, solve,
@@ -22,6 +25,7 @@ from clawlab.verifier import (cone_contraction_profile, doubling_diagnostics,
                               find_smooth_samples,
                               global_contraction_check, kato_lhs,
                               uniqueness_experiment, write_profile_csv)
+from test_reference_equivalence import _reference_step
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
@@ -611,6 +615,107 @@ class TestSwapRelation:
                             for a, b in ((u, v), (v, u)))
         assert kato_uv.value == kato_vu.value
         assert kato_uv.value != 0.0
+
+
+class TestGlobalNegativeControl:
+    """The local-speed Rusanov step, frozen as ``_reference_step``, is not
+    monotone: its lambda depends on the states, so one step of it can grow
+    the L1 distance of a pair.  Global contraction must see that growth
+    once its slack is small enough."""
+
+    CONFIG = SchemeConfig(lo=-3.0, hi=3.0, nx=64, t_end=1.0,
+                          boundary="periodic")
+
+    @classmethod
+    def worst_pair(cls):
+        """The one-step pair with the largest L1 growth among 400 seeded
+        pairs a <= b, a ~ U(-2, 2) and b - a ~ U(0, 1), each stepped once
+        with dt = dx / sup|d_k f| over the pair's range of states."""
+        cfg = cls.CONFIG
+        edges = cfg.lo + np.arange(cfg.nx + 1) * cfg.dx
+        worst = None
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            a = rng.uniform(-2.0, 2.0, cfg.nx)
+            b = a + rng.uniform(0.0, 1.0, cfg.nx)
+            ks = np.linspace(a.min(), b.max(), 257)
+            dt = cfg.dx / float(np.abs(PRODUCT.dk(edges[:, None, None],
+                                                  ks[None, :])).max())
+            a1, b1 = (_reference_step(PRODUCT, cfg, w, dt) for w in (a, b))
+            growth = (np.abs(a1 - b1).sum() - np.abs(a - b).sum()) * cfg.dx
+            if worst is None or growth > worst[0]:
+                worst = (growth, dt, np.stack([a, a1]), np.stack([b, b1]))
+        growth, dt, ua, ub = worst
+        times = np.array([0.0, dt])
+        return growth, [GridField(1, cfg.lo, cfg.hi, cfg.nx, times, w,
+                                  float(np.abs(w).max())) for w in (ua, ub)]
+
+    def test_growth_is_caught_at_unit_slack(self):
+        growth, (u, v) = self.worst_pair()
+        # the worst pair (seed 337) grows by 0.736 in one step of
+        # dt = 0.0381; the default slack 10 M (dx + dt) reads 3.63 there
+        # (M = 2.76), so the default check passes it, and c_cal = 1 gives
+        # dx + dt = 0.132, which it fails by a margin of 0.60
+        assert growth >= 0.7
+        unit = global_contraction_check(u, v, PRODUCT, [1, 2, 4], c_cal=1.0)
+        assert unit.value == pytest.approx(growth, rel=1e-12)
+        assert unit.tolerance <= 0.14
+        assert unit.value - unit.tolerance >= 0.55
+        assert unit.passed is False
+
+
+_SWAP_FLUXES = ["burgers1d", "product1d", "burgers2d", "product2d"]
+
+
+@st.composite
+def _swap_pairs(draw):
+    """A catalog flux and two random fields on its grid: uniform values,
+    with the pair equal on a random share of the cells, so that
+    sign(u - v) reads 0 there."""
+    flux = catalog_lookup(draw(st.sampled_from(_SWAP_FLUXES)))
+    dim = flux.dim
+    nx = draw(st.integers(8, 48 if dim == 1 else 16))
+    nt = draw(st.integers(5, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amp = draw(st.floats(0.1, 2.0))
+    shape = (nt,) + (nx,) * dim
+    a = amp * rng.uniform(-1.0, 1.0, shape)
+    b = np.where(rng.random(shape) < draw(st.floats(0.0, 0.5)), a,
+                 amp * rng.uniform(-1.0, 1.0, shape))
+    times = np.linspace(0.0, 0.4, nt)
+    u, v = (GridField(dim, -2.0, 2.0, nx, times, w, float(np.abs(w).max()))
+            for w in (a, b))
+    return flux, u, v
+
+
+class TestSwapRelationRandom:
+    """``TestSwapRelation`` over random pairs: the cone value and its
+    flux_bound_excess, the global value and the Kato value keep their
+    bits when u and v swap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_swap_pairs())
+    def test_swapping_random_fields_keeps_every_bit(self, pair):
+        flux, u, v = pair
+        (_, cone_uv), (_, cone_vu) = (cone_contraction_profile(a, b, flux, 1.5)
+                                      for a, b in ((u, v), (v, u)))
+        assert _bits(cone_uv.value) == _bits(cone_vu.value)
+        assert (_bits(cone_uv.metadata["flux_bound_excess"])
+                == _bits(cone_vu.metadata["flux_bound_excess"]))
+        glob_uv, glob_vu = (global_contraction_check(a, b, flux, [1, 2])
+                            for a, b in ((u, v), (v, u)))
+        assert _bits(glob_uv.value) == _bits(glob_vu.value)
+        psi = bump_test_function([0.0] * u.dim, 1.0, 0.05, 0.35, dim=u.dim)
+        kato_uv, kato_vu = (kato_lhs(a, b, flux, psi)
+                            for a, b in ((u, v), (v, u)))
+        assert _bits(kato_uv.value) == _bits(kato_vu.value)
+        assert kato_uv.value != 0.0
+
+
+def _bits(x) -> bytes:
+    """The IEEE bits of a float, so that -0.0 and 0.0 differ and NaN
+    equals itself."""
+    return np.float64(x).tobytes()
 
 
 class TestUniqueness:
