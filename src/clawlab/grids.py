@@ -19,9 +19,9 @@ bitwise.  Layout, little-endian:
     data     float64 * nt * nx^dim   (C order)
 
 A file that is not one whole field of this layout (missing, another
-magic, the old CLW1 or CLW2 layout, a header cut short, dim not in
-``DIMS``, nx or nt below 1, any other size, or times that do not
-increase) raises ``FieldFileError`` naming the path and the defect.
+magic, the old CLW1 or CLW2 layout, a header cut short, even inside the
+magic, dim not in ``DIMS``, nx or nt below 1, any other size, or times
+that do not increase) raises ``FieldFileError`` naming the path and the defect.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def load_field(source) -> GridField:
             f"{path}: slab version {magic.decode()} is no longer read "
             f"({_OLD[magic]}); run the experiment again to write "
             f"{_MAGIC.decode()} slabs")
-    if magic != _MAGIC:
+    # a file cut inside the magic holds a proper prefix of it: cut short
+    if not _MAGIC.startswith(magic):
         raise FieldFileError(f"{path}: not a slab file (magic {magic!r})")
     if len(head) < _HEADER.size:
         raise FieldFileError(f"{path}: header cut short ({len(head)} of "

@@ -29,30 +29,52 @@ and computes F and the update with ``out=`` ufuncs in the association
 written above (``_rusanov``), so its states are bitwise those of the
 plain expressions.
 
-The scheme has a finite speed of propagation, and the 2-d stepper uses
-it.  +0.0 is a rest state of an axis when f(x_{i+1/2}, +0.0) is +-0 and
-d_k f(x_{i+1/2}, +0.0) is finite at every interface (every catalog flux
-but ``xsquared1d``).  Then a cell that holds +0.0 between two +0.0
-neighbours sees F = +-0 on both sides and keeps +0.0 bit for bit, since
-+0.0 - (+-0) = +0.0 under every scheme, Laplacian included.  A -0.0 cell
-can turn into +0.0, so -0.0, NaN and denormals count as active.  The 2-d
-stepper keeps the active window of the array it last returned: one cell
-range per axis, outside which every cell holds the bits of +0.0.  Any
-other input gets its window from one scan of its bits.  A sweep along an
-axis computes only the window widened by one cell along that axis, on the
-rows the window spans, with the same ufuncs on views of the buffers.  The
-window then grows where one of the two margin slabs ended with a bit
-other than +0.0.  Under periodic boundaries a window within a cell of an
-edge takes the whole axis.  The window is the whole grid where +0.0 is
-not a rest state (checked on the first datum with a +0.0 cell); a sweep
-of the whole grid runs on views bound once per run.  ``_Run.checked_max``
-reads max|u| on the window.  The 1-d stepper sweeps the whole grid on
-every step: a 1-d step costs tens of microseconds, mostly call overhead,
-and the entropy scan below reads its buffers at every interface.
+The scheme has a finite speed of propagation, and both steppers use it
+through one rest rule (``_Axis.rests``): c rests when it is finite and not
+-0.0, a sweep of the constant datum c leaves F with one finite value at
+every interface (+-0 counted equal) and, under the viscous scheme, 2c is
+finite.  Then a cell that holds c between two neighbours that hold c
+keeps c bit for bit under every dt, since c - (+-0) = c and the Laplacian
+is +0.0.  +0.0 rests under every catalog flux but ``xsquared1d``, and
+every state with |c| below about 1e154 (where F = c^2/2 overflows) under
+``burgers1d``; -0.0 never rests, since -0.0 - (-0.0) = +0.0.
 
-Apart from the values of h and h' (and the Godunov branch's f) and, for a
-2-d window short of the grid, its views, a step allocates only the array
-it returns, +0.0 outside the window; it never writes its input.
+The 2-d stepper keeps the active window of the array it last returned:
+one cell range per axis, outside which every cell holds the bits of +0.0
+(-0.0, NaN and denormals count as active).  Any other input gets its
+window from one scan of its bits.  A sweep along an axis computes only
+the window widened by one cell along that axis, on the rows the window
+spans, with the same ufuncs on views of the buffers.  The window then
+grows where one of the two margin slabs ended with a bit other than
++0.0.  Under periodic boundaries a window within a cell of an edge takes
+the whole axis.  The window is the whole grid where +0.0 does not rest
+(checked on the first datum with a +0.0 cell); a sweep of the whole grid
+runs on views bound once per run.
+
+The 1-d stepper keeps a window between two far-field states: left of it
+every cell holds the bits of the first cell cL, right of it those of the
+last cell cR (the Riemann states of a shock, say).  When both rest, a
+step copies u and sweeps the window widened by ``_MARGIN`` + 1 cells on
+each side; the window grows by a cell where the cell next to it ended
+with other bits, and the views are bound again only once it has grown
+past the margin.  Under periodic boundaries cL must equal cR, and a swept
+range that reaches an edge takes the whole grid.  The entropy scan below
+reads the buffers at every interface, so it turns the window off
+(``rest`` False).  A 1-d step is not all call overhead: on a shared
+2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) a whole-grid Burgers step took
+13.3, 19.1 and 24.5 us at nx 250, 1000 and 2000 (best of 7 timeit runs),
+about 12 us fixed plus 7 us per 1,000 cells, and binding a ``_Views``
+took 10 us.  On the seven solves of a ``shock_1d`` point (x0 = 0, each of
+the four ur, 7 interleaved rounds) the solver took a median of 175 ms per
+point on the whole grid, 153 ms with views bound anew on every step
+(margin 0), and 133, 116, 124 and 142 ms with a margin of 4, 16, 32 and
+64 cells.
+
+``_Run.checked_max`` reads max|u| on the window of either stepper.  Apart
+from the values of h and h' (and the Godunov branch's f) and the views of
+a window short of the grid, a step allocates only the array it returns,
+which holds the far-field states outside the window; it never writes its
+input.
 
 ``solve``, ``solve_pair`` and ``discrete_entropy_max_violation`` start from
 one setup (``_Run``): it checks the flux against the config with the
@@ -116,7 +138,8 @@ class SchemeConfig:
                 (not all(map(math.isfinite, (self.lo, self.hi, self.t_end))),
                  "finite lo, hi and t_end"), (self.hi <= self.lo, "hi > lo"),
                 (self.nx < 1, "nx >= 1"), (self.t_end <= 0.0, "t_end > 0"),
-                (self.dim not in DIMS, "dim 1 or 2")):
+                (self.dim not in DIMS,
+                 "dim " + " or ".join(map(str, DIMS)))):
             if bad:
                 raise ValueError(f"the grid needs {rule}, got {self}")
         if not (0.0 < self.cfl <= 1.0):
@@ -310,13 +333,39 @@ class _Axis:
             # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
             np.multiply(v.abs_g, lam, out=lam)
 
-    def rests(self) -> bool:
-        """Whether +0.0 is a rest state of the sweep: f(x_{i+1/2}, +0.0) is
-        +-0 and d_k f(x_{i+1/2}, +0.0) is finite (so lam is) at every
-        interface, read from the sides of a ghost buffer of +0.0."""
-        self.ug.fill(0.0)
-        self.sides(self.whole)
-        return bool(np.all(self.fL == 0.0) and np.all(np.isfinite(self.lam)))
+    def rests(self, c: float) -> bool:
+        """Whether c is a rest state of the sweep: a cell that holds c
+        between two neighbours that hold c keeps its bits, whatever dt.
+
+        So it is when c is finite and not -0.0, a sweep of the constant
+        datum c leaves F with one finite value at every interface (+0.0 and
+        -0.0 counted equal), so that the flux difference is +-0, and, under
+        the viscous scheme, 2c is finite, so that the Laplacian is +0.0;
+        c - (+-0) and c + (+0.0) are then c bit for bit.  F does not depend
+        on dt, so neither does the rule.  (-0.0 - (-0.0) is +0.0, so -0.0
+        never rests.)"""
+        if not math.isfinite(c) or (c == 0.0 and math.copysign(1.0, c) < 0.0):
+            return False
+        if self.scheme == "viscous" and not math.isfinite(2.0 * c):
+            return False
+        self.ug.fill(c)
+        # a flux that overflows at c makes F non-finite: c does not rest
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = self.fluxes(self.whole)
+        first = F.flat[0]
+        return bool(math.isfinite(first) and np.all(F == first))
+
+    def fluxes(self, v: _Views) -> Array:
+        """The interface flux F of the ghosted states of ``v``, written into
+        its F buffer."""
+        if self.scheme == "godunov_burgers":
+            # exact Godunov flux for convex f with minimum at u = 0
+            np.maximum(self.at(np.maximum(v.uL, 0.0), v),
+                       self.at(np.minimum(v.uR, 0.0), v), out=v.F)
+        else:
+            self.sides(v)
+            _rusanov(v.uL, v.uR, v.fL, v.fR, v.lam, v.F, v.work)
+        return v.F
 
     def sweep(self, u: Array, dt: float, out: Array,
               v: _Views | None = None) -> Array:
@@ -326,13 +375,7 @@ class _Axis:
         np.copyto(v.inner, u if v.src is None else u[v.src])
         for ghost, source in v.ghosts:
             np.copyto(ghost, source)
-        if self.scheme == "godunov_burgers":
-            # exact Godunov flux for convex f with minimum at u = 0
-            np.maximum(self.at(np.maximum(v.uL, 0.0), v),
-                       self.at(np.minimum(v.uR, 0.0), v), out=v.F)
-        else:
-            self.sides(v)
-            _rusanov(v.uL, v.uR, v.fL, v.fR, v.lam, v.F, v.work)
+        self.fluxes(v)
         # the cells of v in u and out
         cells = out
         if v.cells is not None:
@@ -355,7 +398,7 @@ class _Axis:
 
 class _Stepper:
     """Cell centers, sweep buffers and one ``_Axis`` per axis, bound once
-    for repeated sweeps.
+    for repeated sweeps, and the array last returned with its window.
 
     The axes share one storage per buffer (every axis has nx cells, so
     the sizes agree), and a sweep writes each buffer before it reads it.
@@ -363,6 +406,12 @@ class _Stepper:
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         n, dim, dx = config.nx, config.dim, config.dx
+        self.n, self.periodic = n, config.boundary == "periodic"
+        # False makes every sweep take the whole grid.  The 2-d stepper
+        # stores here whether +0.0 rests, checked on the first datum with a
+        # +0.0 cell; the 1-d one checks the far-field states of each datum
+        self.rest = None
+        self._out, self._window = None, None
         self.centers = c = cell_centers(config.lo, config.hi, n)
         e = config.lo + np.arange(n + 1) * dx
         cells = (n,) * dim
@@ -389,9 +438,106 @@ class _Stepper:
         return float(np.abs(u, out=work).max())
 
 
+# cells a 1-d sweep takes beyond the active window on each side, so that
+# the window grows by this many cells before the views are bound again
+# (see the module docstring for the measurement)
+_MARGIN = 16
+
+
 class _Stepper1D(_Stepper):
+    """One sweep per step, on the cells [w0, w1) around the active window of
+    the array last returned.
+
+    The active window is a cell range (lo, hi) left of which every cell
+    holds the bits of the far-field state cL, the array's first cell, and
+    right of which every cell holds those of cR, its last.  When both rest
+    (``_Axis.rests``), a step copies u and sweeps the cells [w0, w1) of the
+    copy, the window widened by ``_MARGIN`` + 1 cells on each side.  The
+    window then grows by the cell next to either end if that cell ended
+    with other bits, and the views of [w0, w1) are bound again only once
+    the cell next to the window falls outside them.  The whole grid is
+    swept when cL or cR does not rest, when ``rest`` is False (the entropy
+    scan reads every interface), once [w0, w1) spans the grid, and under
+    periodic boundaries when cL and cR differ or [w0, w1) reaches an edge.
+    The stepper trusts the window it keeps, so an array it returned must
+    not be written before it is passed back.
+    """
+
+    def __init__(self, flux: FluxSpec, config: SchemeConfig):
+        super().__init__(flux, config)
+        # the bits of cL and cR, and the swept cells with their views
+        self._bits, self._span, self._views = None, None, self.axes[0].whole
+
+    def _scan(self, u: Array) -> None:
+        """The far-field states and window of an array the stepper did not
+        return, from one scan of its bits, and the views to sweep it."""
+        a = self.axes[0]
+        self._views = a.whole
+        bits = u.view(np.int64)
+        bL, bR = bits[0], bits[-1]
+        if self.rest is False or (self.periodic and bL != bR):
+            return
+        if not (a.rests(u[0]) and (bR == bL or a.rests(u[-1]))):
+            return
+        left, right = np.flatnonzero(bits != bL), np.flatnonzero(bits != bR)
+        lo = int(left[0]) if left.size else self.n
+        hi = int(right[-1]) + 1 if right.size else 0
+        # lo > hi only for a constant array
+        self._window, self._bits = (min(lo, hi), hi), (bL, bR)
+        self._bind()
+
+    def _bind(self) -> None:
+        """The swept cells, the window widened by _MARGIN + 1 cells on each
+        side, and their views."""
+        lo, hi = self._window
+        n, a = self.n, self.axes[0]
+        w0, w1 = max(lo - 1 - _MARGIN, 0), min(hi + 1 + _MARGIN, n)
+        self._span = w0, w1
+        if (w0, w1) == (0, n) or (self.periodic and (w0 == 0 or w1 == n)):
+            self._views = a.whole
+        else:
+            self._views = _Views(a, w0, w1)
+
     def step(self, u: Array, dt: float) -> Array:
-        return self.axes[0].sweep(u, dt, np.empty(u.shape))
+        """One step of ``u`` (float64, never written) on the swept cells;
+        the array returned holds cL and cR outside them."""
+        if u is not self._out:
+            self._scan(u)
+        a, v = self.axes[0], self._views
+        if v is a.whole:
+            out = a.sweep(u, dt, np.empty(u.shape))
+        else:
+            # u holds cL and cR outside the swept cells, and so does its copy
+            out = a.sweep(u, dt, u.copy(), v)
+            self._follow(out)
+        self._out = out
+        return out
+
+    def _follow(self, out: Array) -> None:
+        """Grow the window by the cell next to either end if ``out`` holds
+        other bits there than cL or cR, and bind the views again once the
+        cell next to the window falls outside the swept cells."""
+        (w0, w1), (bL, bR), n = self._span, self._bits, self.n
+        bits = out.view(np.int64)
+        lo, hi = self._window
+        if lo > 0 and bits[lo - 1] != bL:
+            lo -= 1
+        if hi < n and bits[hi] != bR:
+            hi += 1
+        self._window = lo, hi
+        if (w0 > 0 and lo <= w0) or (w1 < n and hi >= w1):
+            self._bind()
+
+    def max_abs(self, u: Array, work: Array) -> float:
+        """max|u|, with ``work`` for |u|; for the array last returned it is
+        read on the swept cells and the two end cells, which hold cL and cR
+        where the swept cells stop short of the ends."""
+        if u is not self._out or self._views is self.axes[0].whole:
+            return super().max_abs(u, work)
+        w0, w1 = self._span
+        # the swept cells' max first, so that a NaN there is what max returns
+        return max(super().max_abs(u[w0:w1], work[w0:w1]),
+                   abs(float(u[0])), abs(float(u[-1])))
 
 
 class _Stepper2D(_Stepper):
@@ -406,14 +552,8 @@ class _Stepper2D(_Stepper):
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         super().__init__(flux, config)
-        self.n, self.periodic = config.nx, config.boundary == "periodic"
         # the whole grid, the one object every full window is
         self.full = ((0, self.n),) * 2
-        # whether +0.0 is a rest state of both axes: checked on the first
-        # datum with a +0.0 cell
-        self.rest = None
-        # the array last returned and its window
-        self._out, self._window = None, None
 
     def _settle(self, window):
         """The window, with a range within a cell of an edge of a periodic
@@ -438,7 +578,7 @@ class _Stepper2D(_Stepper):
             (int(i.min()), int(i.max()) + 1) for i in active))
         if window is not self.full:
             if self.rest is None:
-                self.rest = all([a.rests() for a in self.axes])
+                self.rest = all([a.rests(0.0) for a in self.axes])
             if not self.rest:
                 return self.full
             self.mid.fill(0.0)
@@ -636,7 +776,9 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
         raise ValueError(f"the entropy scan needs finite k, got {bad.tolist()}")
     run = _Run(flux, config, [u0])
     # the one sweep of a 1-d step leaves in its axis the ghosted states,
-    # interface fluxes and local speeds of the step that made unew from u
+    # interface fluxes and local speeds of the step that made unew from u,
+    # at every interface once the stepper sweeps the whole grid
+    run.stepper.rest = False
     a = run.stepper.axes[0]
     mu = run.dt / config.dx
     # one row per k: k and f(x_{i+1/2}, k), the same on every step

@@ -221,8 +221,8 @@ def test_stepper_matches_reference(name, boundary, scheme):
 
 # cells that hold +0.0 and have +0.0 neighbours stay +0.0 bitwise, so the
 # 2-d stepper sweeps only the window of cells holding another bit pattern;
-# -0.0, denormals and NaN count as active.  The 1-d stepper sweeps the
-# whole grid and is held to the same data.
+# -0.0, denormals and NaN count as active.  The 1-d stepper, whose window
+# lies between its first and last cells' states, is held to the same data.
 _SPECIAL = (-0.0, 5e-324, -5e-324, 2.2e-310, 0.0, np.nan)
 
 
@@ -234,11 +234,12 @@ def _window_cases():
             yield "product1d", boundary, scheme, True
 
 
-def _window_stepper(name, boundary, scheme, hand_built):
+def _window_stepper(name, boundary, scheme, hand_built, nx=None):
     flux = _lookup(name)
     if hand_built:
         flux = _without_factors(flux)
-    config = SchemeConfig(lo=-1.3, hi=0.9, nx=12 if flux.dim == 2 else 40,
+    config = SchemeConfig(lo=-1.3, hi=0.9,
+                          nx=nx or (12 if flux.dim == 2 else 40),
                           t_end=1.0, scheme=scheme, boundary=boundary,
                           dim=flux.dim,
                           viscosity=0.02 if scheme == "viscous" else 0.0)
@@ -287,6 +288,112 @@ def test_stepper_on_data_with_rest_regions_matches_reference(
             states[d] = stepper.step(u, dt)
             refs[d] = _reference_step(flux, config, refs[d], dt)
             assert _bitwise_equal(states[d], refs[d])
+
+
+# far-field states of 1-d data: signed zeros, denormals, states that rest
+# under every 1-d catalog flux but xsquared1d (+0.0) or only under burgers1d
+# and advection1d (the others)
+_FAR_FIELD = (0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1.0, -0.75, 0.3, 1.5)
+
+
+@st.composite
+def _far_field_data(draw, nx: int):
+    """cL on the left, random states in the middle and cR on the right,
+    where cR may be cL.  The middle, at most 16 cells so that the window
+    starts short of the grid, may be empty or touch either edge; +0.0 is
+    drawn more often, since it is the one state that rests under every
+    1-d catalog flux but xsquared1d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cL = draw(st.one_of(st.just(0.0), st.sampled_from(_FAR_FIELD)))
+    cR = draw(st.one_of(st.just(cL), st.sampled_from(_FAR_FIELD)))
+    lo = draw(st.integers(0, nx))
+    hi = draw(st.integers(lo, min(lo + 16, nx)))
+    u = np.full(nx, cR)
+    u[:lo] = cL
+    u[lo:hi] = rng.uniform(-1.5, 1.5, hi - lo)
+    return u
+
+
+@pytest.mark.parametrize("name,boundary,scheme,hand_built",
+                         [c for c in _window_cases() if _lookup(c[0]).dim == 1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_stepper_on_far_field_data_matches_reference(
+        name, boundary, scheme, hand_built, data):
+    # the 1-d stepper sweeps the window between the far-field states, with
+    # a margin; the runs are long enough for a window that grows a cell a
+    # step to pass the margin at least twice, so the views are bound anew
+    flux, config, stepper = _window_stepper(name, boundary, scheme,
+                                            hand_built, nx=200)
+    states = [data.draw(_far_field_data(config.nx)) for _ in range(2)]
+    refs = [u.copy() for u in states]
+    dt = 0.2 * config.dx / 3.0
+    long = 3 * (solver_mod._MARGIN + 1)
+    for d, steps in ((0, long), (1, 4), (0, 4)):
+        states[d] = states[d].copy()
+        for _ in range(steps):
+            states[d] = stepper.step(states[d], dt)
+            refs[d] = _reference_step(flux, config, refs[d], dt)
+            assert _bitwise_equal(states[d], refs[d])
+            assert stepper.max_abs(states[d], np.empty(config.nx)) == (
+                float(np.abs(refs[d]).max()))
+
+
+@pytest.mark.parametrize("name,ur", [("advection1d", 0.0),
+                                     ("burgers1d", -0.2)])
+def test_far_field_window_is_bound_anew_as_it_grows(name, ur):
+    # advection of a box into +0.0 grows the window by a cell a step, so
+    # the views are bound anew every _MARGIN + 1 steps; a Burgers shock
+    # between two far-field states (shock_1d's data) keeps its window
+    # short of the grid
+    flux, config, stepper = _window_stepper(name, "outflow", "rusanov",
+                                            False, nx=400)
+    u = riemann_data(1.0, ur, 0.0)(stepper.centers[:, None])
+    if name == "advection1d":
+        u[:180] = 0.0
+    ref, spans = u.copy(), set()
+    for _ in range(3 * (solver_mod._MARGIN + 1)):
+        u = stepper.step(u, 0.2 * config.dx)
+        ref = _reference_step(flux, config, ref, 0.2 * config.dx)
+        assert _bitwise_equal(u, ref)
+        spans.add(stepper._span)
+    w0, w1 = stepper._span
+    assert w1 - w0 < config.nx // 2
+    if name == "advection1d":
+        assert len(spans) >= 3
+
+
+# constant states at which the flux difference of a sweep, if not +-0, is
+# not lost to rounding at the steps below; at the others (far out of range,
+# pi under product, non-finite) a sweep can keep c while rests(c) is False
+_ROUNDING_FREE = (0.0, 5e-324, -5e-324, 2.2e-310, 1.0, -0.75, 0.3, 1.5)
+_FAR_OUT = (-0.0, np.pi, 1e200, 1e308, 1.7e308, np.inf, -np.inf, np.nan)
+
+
+@pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
+def test_rests_agrees_with_sweeps_of_constant_data(name, boundary, scheme):
+    flux, config, stepper = _window_stepper(name, boundary, scheme, False)
+    shape = (config.nx,) * flux.dim
+    for states, moved_unless_rest in ((_ROUNDING_FREE, True),
+                                      (_FAR_OUT, False)):
+        for c in states:
+            u = np.full(shape, c)
+            with np.errstate(all="ignore"):
+                kept = all(
+                    _bitwise_equal(_reference_step(flux, config, u, dt), u)
+                    for dt in np.array([1e-9, 0.2 / 3.0, 0.5, 0.9]) * config.dx)
+            # a rest state stays under every dt; a state in range that
+            # does not rest is moved by some dt
+            if all([a.rests(c) for a in stepper.axes]):
+                assert kept, c
+            elif moved_unless_rest:
+                assert not kept, c
+    # +0.0 rests under every catalog flux but the source xsquared1d, -0.0
+    # under none, and every state in range under burgers1d
+    assert stepper.axes[0].rests(0.0) == (name != "xsquared1d")
+    assert not stepper.axes[0].rests(-0.0)
+    if name == "burgers1d":
+        assert all(stepper.axes[0].rests(c) for c in _ROUNDING_FREE)
 
 
 @pytest.mark.parametrize("name,boundary,scheme,hand_built",

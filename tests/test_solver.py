@@ -763,7 +763,19 @@ class TestLoadedFieldIsACopy:
     def test_empty_file_refused(self, tmp_path):
         (tmp_path / "field.slab").write_bytes(b"")
         with pytest.raises(FieldFileError,
-                           match=r"not a slab file \(magic b''\)"):
+                           match=r"header cut short \(0 of 40 bytes\)"):
+            load_field(tmp_path)
+
+    @pytest.mark.parametrize("head,match", [
+        (b"C", r"header cut short \(1 of"), (b"CLW", r"header cut short \(3 of"),
+        (b"CLW3", r"header cut short \(4 of"), (b"CX", r"not a slab file"),
+        (b"CLW9", r"not a slab file \(magic b'CLW9'\)")])
+    def test_file_cut_inside_its_magic_is_cut_short(self, tmp_path, head,
+                                                    match):
+        # a proper prefix of the magic is a header cut short, any other
+        # start a foreign file
+        (tmp_path / "field.slab").write_bytes(head)
+        with pytest.raises(FieldFileError, match=match):
             load_field(tmp_path)
 
 
