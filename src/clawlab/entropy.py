@@ -37,17 +37,17 @@ close to a k0 away from 0.  Every pair, smooth or Kruzkov, calls its
 flux's callables and never its factors.
 
 ``sweep_terms`` is the one place where the factors f_i = g_i(x) h(k) of
-a flux enter entropy evaluation.  The weak entropy sweep of a flux with
-factors calls no pair: per chunk of the quadrature it takes g, the sum of
-g' and h once, and the Kruzkov terms in closed form,
+a flux enter entropy evaluation.  The weak entropy sweep calls no pair:
+per chunk of the quadrature it takes g, the sum of g' and h once, and the
+Kruzkov terms in closed form,
     q = sign(u - k0) (h(u) - h(k0)) g(x),
     div_x q - eta'(u) div_x f = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x),
 where the h(u) terms cancel exactly.  The smooth pairs of one k0 share one
 table row over the chunk's states, with q = g(x) A(u) and
 div_x q = (g'_1 + ... + g'_d)(x) B(u), where A and B are state integrals
-of h' and h alone.  Its values agree with the pair-by-pair sweep of a copy
-without factors to at most 4.4e-14 of the largest |value| (measured over
-7,800 random fields, catalog fluxes in 1-d and 2-d).
+of h' and h alone.  Its values agree with a sweep that calls every
+pair's own callables to at most 4.4e-14 of the largest |value| (measured
+over 7,800 random fields, catalog fluxes in 1-d and 2-d).
 
 Sign convention throughout: sign(0) = 0 (numpy's convention).
 """
@@ -104,8 +104,8 @@ class EntropyPair:
     returns (..., d); ``div_x_q`` returns (...).  ``kind`` is "kruzkov" or
     "smooth"; smooth pairs carry the smoothing index ``n``.  ``flux`` is
     the FluxSpec the pair was built for: a sweep refuses a pair built for
-    another flux object, and the sweep of a flux with factors reads only
-    ``kind``, ``k0`` and ``n`` (``sweep_terms``).
+    another flux object, and the sweep reads only ``kind``, ``k0`` and
+    ``n`` (``sweep_terms``).
     """
 
     eta: Callable[[Array], Array]
@@ -178,7 +178,7 @@ _RULE_FIRST = np.cumsum(_RULE_QUADS) - _RULE_QUADS
 # Bernstein ellipse parameter: rho = 3^(16/m), delta = (rho + 1/rho) / 2
 _MIN_DELTA_4, _MIN_DELTA_8 = ((r + 1.0 / r) / 2.0 for r in (81.0, 9.0))
 
-# (point, state) pairs per table of a flux without factors, so that its
+# (point, state) pairs per table of a pair's q or div_x q, so that its
 # node arrays stay near 2^18 entries
 _TABLE_ROWS = 1024
 
@@ -311,8 +311,8 @@ def make_smooth_pair(flux: FluxSpec, k0: float, n: int) -> EntropyPair:
     integrand depends on x: d_k f and div_x f are evaluated at its point
     on its row's nodes, and eta_n' and eta_n'' at the nodes' offsets from
     k0 before rounding.  The pair calls only ``flux.dk`` and
-    ``flux.div_x``, whether or not the flux has factors; the weak entropy
-    sweep of a flux with factors calls no pair (``sweep_terms``).
+    ``flux.div_x``, never the factors; the weak entropy sweep calls no
+    pair (``sweep_terms``).
     """
     ent = sqrt_entropy(k0, n)
     at_offset = sqrt_entropy(0.0, n)
@@ -364,14 +364,13 @@ def sweep_terms(flux: FluxSpec, pairs):
     source = div_x q - eta'(u) div_x f.  Raises ValueError for a pair built
     for another flux object.
 
-    For a flux without factors it evaluates div_x f once per chunk and
-    calls each pair.  This is the one place where entropy evaluation reads
-    the ``factors`` f_i = g_i(x) h(k); with them it reads only each pair's
-    kind, k0 and n.  Per chunk it takes g(P), (g'_1 + ... + g'_d)(P) and h
-    once, h on the states, the Kruzkov k0 and the table nodes in one call
-    (h' on the nodes likewise), so no ``FluxSpec`` or ``EntropyPair``
-    callable is called.  A Kruzkov pair is closed-form, with the h(u) terms
-    of its source cancelled exactly:
+    This is the one place where entropy evaluation reads the ``factors``
+    f_i = g_i(x) h(k); of each pair it reads only the kind, k0 and n.
+    Per chunk it takes g(P), (g'_1 + ... + g'_d)(P) and h once, h on the
+    states, the Kruzkov k0 and the table nodes in one call (h' on the
+    nodes likewise), so no ``FluxSpec`` or ``EntropyPair`` callable is
+    called.  A Kruzkov pair is closed-form, with the h(u) terms of its
+    source cancelled exactly:
         eta = |u - k0|,  q = sign(u - k0) (h(u) - h(k0)) g(x),
         source = -sign(u - k0) h(k0) (g'_1 + ... + g'_d)(x).
     The smooth pairs of one k0 share one ``_state_tables`` call, one row
@@ -390,14 +389,6 @@ def sweep_terms(flux: FluxSpec, pairs):
                 f"entropy pair {pair.label} was built for another flux "
                 f"({built_for}) than the swept one ({flux.name})")
     factors = flux.factors
-    if factors is None:
-        def generic_terms(P, U):
-            div_f = flux.div_x(P, U)
-            for pair in pairs:
-                yield (pair.eta(U), pair.q(P, U),
-                       pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
-        return generic_terms
-
     kruzkov = [p.k0 for p in pairs if p.kind == "kruzkov"]
     # eta_n at offsets from k0: at the tables' offsets t, and at U - k0
     at_offset = {p.n: sqrt_entropy(0.0, p.n)

@@ -18,9 +18,9 @@ the states, the exact product of the two sampled maxima, instead of
 sampling f on their product.
 The weak entropy sweep (``entropy.sweep_terms``) takes g,
 g'_1 + ... + g'_d and h once per chunk for all its pairs; the entropy
-pairs themselves call ``eval``, ``dk`` and ``div_x``.
-A FluxSpec built by hand without factors is evaluated through its four
-callables alone.
+pairs themselves call ``eval``, ``dk`` and ``div_x``.  A FluxSpec cannot
+be built without its factors, so a flux that is not of this form is out
+of the lab's reach.
 
 An entry lists the x where div_x f may not exist (f need only be locally
 Lipschitz in x) as ``singular_points``.  Derivative formulas are evaluated
@@ -103,13 +103,12 @@ class FluxSpec:
     many x where the spatial differential may fail to exist; there ``div_x``
     and ``grad_x_components`` return the mean of their one-sided values.
     ``factors`` are the separable factors all four callables are built
-    from, or None for a flux that is only given through its callables; the
+    from (``_separable``), and a FluxSpec without them is refused.  The
     solver, ``lipschitz_constant`` and the weak entropy sweep
     (``entropy.sweep_terms``, the one place where they enter entropy
-    evaluation) use them in place of ``eval``, ``dk`` and ``div_x``, so a
-    copy whose ``eval``, ``dk`` or ``div_x`` computes something else must
-    set ``factors=None``.  ``lipschitz_constant`` reads max|g| times the
-    slope of h, free of the rounding of g h(k).
+    evaluation) read them in place of ``eval``, ``dk`` and ``div_x``.
+    ``lipschitz_constant`` reads max|g| times the slope of h, free of the
+    rounding of g h(k).
     """
 
     name: str
@@ -118,9 +117,14 @@ class FluxSpec:
     dk: Callable[[Array, Array], Array]
     div_x: Callable[[Array, Array], Array]
     grad_x_components: Callable[[Array, Array, int], Array]
+    factors: Separable
     singular_points: tuple = ()
     params: dict = field(default_factory=dict)
-    factors: Separable | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.factors, Separable):
+            raise TypeError(f"flux {self.name}: factors must be a Separable, "
+                            f"got {self.factors!r}")
 
     def is_singular(self, x) -> bool:
         pts = as_points(x, self.dim).reshape(-1, 1, self.dim)
@@ -283,28 +287,13 @@ def _max_chord_slope(fv: Array, ks: Array) -> float:
     return float((np.sqrt(sq.max(axis=1)) / np.diff(ks)).max(initial=0.0))
 
 
-def _sampled_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
-    """Max of the chord slopes and of |d_k f| sampled at every point of
-    ``pts`` (npts, d) and state of ``ks``, from ``eval`` and ``dk``."""
-    fv = flux.eval(pts[None, :, :], ks[:, None])          # (nk, npts, d)
-    if not np.all(np.isfinite(fv)):
-        raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
-    best = _max_chord_slope(fv, ks)
-    del fv  # released before the derivative samples are taken
-    dkv = flux.dk(pts[None, :, :], ks[:, None])
-    if not np.all(np.isfinite(dkv)):
-        raise NonFiniteFlux(f"{flux.name}: non-finite state derivative on sample set")
-    sq = _sum_squares([dkv[..., i] for i in range(flux.dim)])
-    return max(best, float(np.sqrt(sq.max())))
-
-
 def _factored_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
     """N = G S for f_i = g_i(x) h(k), the exact product of two sampled
     maxima: G = max|g(p)| over ``pts``, S the larger of the chord slopes of
-    h on ``ks`` (``_max_chord_slope``) and max|h'| on ``ks``.  The
-    sampling of g_i(p) h(k) (``_sampled_estimate``) reads it up to its own
-    rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps G S, and the
-    underflow of its squares, 2^-500 / min dk.
+    h on ``ks`` (``_max_chord_slope``) and max|h'| on ``ks``.  A sampling
+    of g_i(p) h(k) and g_i(p) h'(k) on every point and state reads it up
+    to its own rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps G S, and
+    the underflow of its squares, 2^-500 / min dk.
     """
     factors = flux.factors
     g = np.abs(factors.g(pts[None])[0])                  # (npts, d)
@@ -326,9 +315,7 @@ def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:
     root = round(n ** (1.0 / flux.dim))
     n_x = max(33, (root - (root ** flux.dim > n)) | 1)
     pts = _ball_lattice(R, flux.dim, n_x)
-    ks = np.linspace(-M, M, n)
-    estimate = _sampled_estimate if flux.factors is None else _factored_estimate
-    return estimate(flux, pts, ks)
+    return _factored_estimate(flux, pts, np.linspace(-M, M, n))
 
 
 def lipschitz_constant(flux: FluxSpec, R: float, M: float,
@@ -339,10 +326,9 @@ def lipschitz_constant(flux: FluxSpec, R: float, M: float,
     the returned value is the larger of the two, which dominates every
     sampled quotient and the sampled sup of |d_k f|.  If they still differ
     after six doublings the flux is taken not to be Lipschitz in k there,
-    and LipschitzNonConvergent is raised.  For a flux with ``factors`` each
-    estimate is max|g| times the slope of h (``_factored_estimate``); it
-    agrees with the sampling of ``eval``/``dk`` up to that sampling's
-    rounding.
+    and LipschitzNonConvergent is raised.  Each estimate is max|g| times
+    the slope of h (``_factored_estimate``); it agrees with the sampling
+    of ``eval``/``dk`` up to that sampling's rounding.
     """
     if not (np.isfinite(R) and R > 0):
         raise ValueError(f"R must be finite and positive, got {R}")

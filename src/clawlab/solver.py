@@ -11,15 +11,15 @@ with the local-speed (Rusanov) interface flux
     lambda_{i+1/2} = max(|d_k f(x_{i+1/2}, u_i)|, |d_k f(x_{i+1/2}, u_{i+1})|).
 
 The flux is frozen at the geometric interface midpoint, which keeps states c
-with f(x, c) = const exact.  For a separable flux f_i = g_i(x) h(k) the
-factors g_i at the interface lattice are evaluated once per run, when the
-stepper is built; each sweep evaluates only h and h' on the states.  In d
-dimensions Godunov splitting sweeps the same stencil along each axis in
-turn, each sweep under cfl/d.  An optional central second-difference term
-turns the update into the viscous regularization du/dt + div f = eps Lap u
-under the parabolic step restriction.  The exact Godunov interface flux
-(``godunov_burgers``) exists for the 1-d Burgers flux only; other
-combinations are refused.
+with f(x, c) = const exact.  Every flux is separable, f_i = g_i(x) h(k):
+the factors g_i at the interface lattice are evaluated once per run, when
+the stepper is built, and each sweep evaluates only h and h' on the
+states.  In d dimensions Godunov splitting sweeps the same stencil along
+each axis in turn, each sweep under cfl/d.  An optional central
+second-difference term turns the update into the viscous regularization
+du/dt + div f = eps Lap u under the parabolic step restriction.  The
+exact Godunov interface flux (``godunov_burgers``) exists for the 1-d
+Burgers flux only; other combinations are refused.
 
 The stepper owns its sweep buffers: one ghost buffer and the interface
 buffers fL, fR, lam and F (plus a work array), each one storage that the
@@ -235,9 +235,9 @@ class _Views:
     (``states``; uL, uR the neighbours of each interface), the part of the
     ghost buffer the sweep copies from u[``src``] (``inner``), the ghost
     layers it fills from their sources under the boundary rule, the +-1
-    cell offsets and the buffer for the Laplacian, the interface points
-    ``xi`` with the factors g and |g| there, the interface buffers fL, fR,
-    lam, F and work, and the two sides of F for the update of u[``cells``].
+    cell offsets and the buffer for the Laplacian, the factors g and |g|
+    at the interfaces, the interface buffers fL, fR, lam, F and work, and
+    the two sides of F for the update of u[``cells``].
     ``src`` and ``cells`` are None for the whole grid.
     """
 
@@ -266,9 +266,7 @@ class _Views:
         self.plus, self.minus = ug[at(c0 + 2, c1 + 2)], ug[at(c0, c1)]
         self.lap = None if a.lap is None else a.lap[at(c0, c1)]
         faces = at(c0, c1 + 1)
-        self.xi = a.xi[faces]
-        self.g, self.abs_g = ((None, None) if a.g is None
-                              else (a.g[faces], a.abs_g[faces]))
+        self.g, self.abs_g = a.g[faces], a.abs_g[faces]
         self.fL, self.fR, self.lam, self.F, self.work = (
             b[faces] for b in a.faces)
         self.F_right, self.F_left = self.F[a.right], self.F[a.left]
@@ -278,22 +276,22 @@ class _Axis:
     """One axis's sweep, bound once per run.
 
     Component ``axis`` of f and d_k f at the fixed interface points ``xi``:
-    for a flux with declared factors f_i = g_i(x) h(k), g_i(xi) is evaluated
-    here once, and a sweep takes h and h' once on the ghosted states; any
-    other flux goes through ``eval``/``dk``.  The stepper's ghost buffer
-    ``ug`` and its interface buffers fL, fR, lam, F and work in the shape
-    of this axis, and their views for a sweep of the whole grid
-    (``whole``); a sweep of a window takes views of its part (``_Views``).
+    of the factors f_i = g_i(x) h(k), g_i(xi) is evaluated here once, and
+    a sweep takes h and h' once on the ghosted states.  The stepper's
+    ghost buffer ``ug`` and its interface buffers fL, fR, lam, F and work
+    in the shape of this axis, and their views for a sweep of the whole
+    grid (``whole``); a sweep of a window takes views of its part
+    (``_Views``).
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig, xi: Array,
                  axis: int, ug: Array, faces, lap):
-        self.flux, self.xi, self.axis, self.ug = flux, xi, axis, ug
+        self.factors, self.axis, self.ug = flux.factors, axis, ug
         self.scheme, self.dx, self.lap = config.scheme, config.dx, lap
         self.viscosity = config.viscosity
         self.n, self.periodic = config.nx, config.boundary == "periodic"
-        self.g = None if flux.factors is None else flux.factors.g(xi)[..., axis]
-        self.abs_g = None if self.g is None else np.abs(self.g)
+        self.g = self.factors.g(xi)[..., axis]
+        self.abs_g = np.abs(self.g)
         self.left = _along(axis, ug.ndim, slice(0, -1))
         self.right = _along(axis, ug.ndim, slice(1, None))
         self.faces = [s.reshape(xi.shape[:-1]) for s in faces]
@@ -303,35 +301,24 @@ class _Axis:
     def at(self, k, views: _Views | None = None) -> Array:
         """f(x_{i+1/2}, k)[axis] for states k on (or broadcast to) the
         interfaces of ``views`` (default: every interface)."""
-        v = views or self.whole
-        if self.g is None:
-            return self.flux.eval(v.xi, k)[..., self.axis]
-        return v.g * self.flux.factors.h(np.asarray(k, dtype=float))
+        return (views or self.whole).g * self.factors.h(
+            np.asarray(k, dtype=float))
 
     def sides(self, v: _Views) -> None:
         """Write fL = f(x, uL), fR = f(x, uR) and the local speed
         lam = max(|d_k f(x, uL)|, |d_k f(x, uR)|) at every interface of
         ``v`` into its interface buffers."""
-        if self.g is None:
-            flux, xi, axis = self.flux, v.xi, self.axis
-            uL, uR = v.uL, v.uR
-            dL, dR = flux.dk(xi, uL)[..., axis], flux.dk(xi, uR)[..., axis]
-            np.copyto(v.fL, self.at(uL, v))
-            np.copyto(v.fR, self.at(uR, v))
-        else:
-            left, right = self.left, self.right
-            h = self.flux.factors.h(v.states)
-            np.multiply(v.g, h[left], out=v.fL)
-            np.multiply(v.g, h[right], out=v.fR)
-            # h' may return the states themselves, so it is only read
-            h_prime = self.flux.factors.h_prime(v.states)
-            dL, dR = h_prime[left], h_prime[right]
+        left, right = self.left, self.right
+        h = self.factors.h(v.states)
+        np.multiply(v.g, h[left], out=v.fL)
+        np.multiply(v.g, h[right], out=v.fR)
+        # h' may return the states themselves, so it is only read
+        h_prime = self.factors.h_prime(v.states)
         lam = v.lam
-        np.abs(dL, out=lam)
-        np.maximum(lam, np.abs(dR, out=v.work), out=lam)
-        if self.g is not None:
-            # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
-            np.multiply(v.abs_g, lam, out=lam)
+        np.abs(h_prime[left], out=lam)
+        np.maximum(lam, np.abs(h_prime[right], out=v.work), out=lam)
+        # |g h'| = |g| |h'|, and scaling by |g| >= 0 commutes with the max
+        np.multiply(v.abs_g, lam, out=lam)
 
     def rests(self, c: float) -> bool:
         """Whether c is a rest state of the sweep: a cell that holds c

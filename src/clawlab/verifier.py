@@ -23,9 +23,8 @@ is evaluated once per chunk, at every level time and midpoint of the chunk
 in one call, and all terms of a sweep (``entropy_residual_sweep``) share
 those values.  Each check hands the quadrature one term function, a
 generator that yields one (eta, q, source) per term for a chunk's points
-and states.  The entropy sweep's is ``entropy.sweep_terms``, which picks
-them for the flux: closed-form terms from the factors of a flux with
-factors, each pair's callables for one without (see ``entropy``).
+and states.  The entropy sweep's is ``entropy.sweep_terms``, which takes
+its terms in closed form from the flux's factors (see ``entropy``).
 
 The doubling diagnostics quadrature the four integrals of the doubling of
 variables around each sample (x, t) over every stored level n with
@@ -169,8 +168,8 @@ def _weak_sums(fields, phi: TestFunction, terms):
     (cells..., d), where phi is evaluated too; states are the fields' values
     on a chunk of levels, shape (L, cells...); eta and source (or None) have
     that shape and q has a trailing axis d.  As a generator it builds what
-    its terms share (a flux's factors or div_x f) once per chunk, and
-    one term at a time.
+    its terms share (a flux's factors) once per chunk, and one term at a
+    time.
 
     The quadrature runs over the support window only and in chunks of
     whole levels holding at most ``_CHUNK_CELLS`` box cells, but at least

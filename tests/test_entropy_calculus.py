@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,10 +104,6 @@ class TestSmoothPair:
             assert np.all(pair.div_x_q(xs, 0.4) == 0.0)
 
 
-def _without_factors(flux):
-    return dataclasses.replace(flux, factors=None)
-
-
 def _eta_gap(u, k0, n):
     """eta_n(u) - eta_n(k0) = s^2 / (eta_n(u) + n^{-1/2}), s = u - k0,
     without cancellation."""
@@ -120,15 +114,13 @@ def _eta_gap(u, k0, n):
 class TestTabulatedSmoothPair:
     """Every smooth pair reads its state integrals from ``_state_tables``,
     the one rule, with one row per (point, state) pair and d_k f and
-    div_x f at its point, whether or not the flux has factors.  It is
+    div_x f at its point; it never reads the flux's factors.  It is
     checked against closed forms and adaptive quadrature."""
 
-    @pytest.mark.parametrize("factors", [True, False])
-    def test_advection_closed_form(self, factors):
+    def test_advection_closed_form(self):
         # f = c k: q = c (eta_n(u) - eta_n(k0)), div_x q = 0, on a batch
         # that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("advection1d", {"c": -1.7})
-        flux = flux if factors else _without_factors(flux)
         rng = np.random.default_rng(31)
         pts = rng.uniform(-2.0, 2.0, (300, 1))
         for k0 in (0.0, 0.45, -1.3):
@@ -145,13 +137,11 @@ class TestTabulatedSmoothPair:
                                   * np.abs(exact).max(initial=0.0))
                     assert np.all(d == 0.0)
 
-    @pytest.mark.parametrize("factors", [True, False])
-    def test_kink_closed_form(self, factors):
+    def test_kink_closed_form(self):
         # f = |x| k: q = |x| (eta_n(u) - eta_n(k0)) and, by parts,
         # div_x q = sign(x) (eta_n(u) - eta_n(k0)), 0 at the singular x = 0;
         # on a batch that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("kink1d")
-        flux = flux if factors else _without_factors(flux)
         rng = np.random.default_rng(32)
         x = np.concatenate([[0.0, 0.0], rng.uniform(-2.0, 2.0, 198)])
         for k0 in (0.0, 0.8):
@@ -169,13 +159,11 @@ class TestTabulatedSmoothPair:
                     assert np.all(d[xs == 0.0] == 0.0)
 
     @pytest.mark.parametrize("name", ["burgers1d", "product1d", "product2d"])
-    @pytest.mark.parametrize("factors", [True, False])
-    def test_matches_adaptive_quadrature(self, name, factors):
+    def test_matches_adaptive_quadrature(self, name):
         """q against ``q_build_quadrature`` and ``q_build_ibp``, div_x q
         against eta_n'(u) div_x f - int eta_n'' div_x f dw, all adaptive
         to 1e-13."""
         flux = catalog_lookup(name)
-        flux = flux if factors else _without_factors(flux)
         rng = np.random.default_rng(33)
         for k0, n in ((0.0, 4), (0.6, 64), (-0.4, 10 ** 4)):
             ent = sqrt_entropy(k0, n)
@@ -195,22 +183,20 @@ class TestTabulatedSmoothPair:
                 assert np.abs(qi - ibp.ravel()).max() <= 1e-12
                 assert np.abs(di - div).max() <= 1e-12
 
-    def test_copy_without_factors_keeps_relative_accuracy_near_k0(self):
+    def test_pair_keeps_relative_accuracy_near_k0(self):
         # each (point, state) pair is a table row of its own, with its
         # nodes placed by their offset from k0, so a state close to a k0
-        # away from 0 keeps its relative accuracy: on the catalog flux as on
-        # its copy without factors, since a pair never reads the factors
-        catalog = catalog_lookup("advection1d", {"c": 2.5})
-        for flux in (catalog, _without_factors(catalog)):
-            rng = np.random.default_rng(34)
-            for k0 in (-1.0, 0.7):
-                for n in (1, 64, 10 ** 4):
-                    u = k0 + (rng.choice([-1.0, 1.0], 200)
-                              * 10.0 ** rng.uniform(-6.0, -2.0, 200))
-                    pts = rng.uniform(-1.0, 1.0, (200, 1))
-                    exact = 2.5 * _eta_gap(u, k0, n)
-                    q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
-                    assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
+        # away from 0 keeps its relative accuracy
+        flux = catalog_lookup("advection1d", {"c": 2.5})
+        rng = np.random.default_rng(34)
+        for k0 in (-1.0, 0.7):
+            for n in (1, 64, 10 ** 4):
+                u = k0 + (rng.choice([-1.0, 1.0], 200)
+                          * 10.0 ** rng.uniform(-6.0, -2.0, 200))
+                pts = rng.uniform(-1.0, 1.0, (200, 1))
+                exact = 2.5 * _eta_gap(u, k0, n)
+                q = make_smooth_pair(flux, k0, n).q(pts, u)[:, 0]
+                assert np.all(np.abs(q - exact) <= 1e-13 * np.abs(exact))
 
     def test_factored_sweep_keeps_relative_accuracy_near_k0(self):
         # the factored sweep's smooth pairs share one table row over a

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawlab import flux as flux_mod
@@ -10,6 +10,7 @@ from clawlab import LipschitzNonConvergent
 from clawlab.errors import NonFiniteFlux, SingularPoint, UnknownFlux
 from clawlab.flux import (FluxSpec, Separable, catalog_lookup, catalog_names,
                           lipschitz_constant, uniform_diffquot_deficit)
+from test_reference_equivalence import _with_sampled_estimates
 
 RNG_SEED = 20260809
 
@@ -26,6 +27,17 @@ def test_unknown_name_raises():
         catalog_lookup("no_such_flux")
     with pytest.raises(UnknownFlux):
         catalog_lookup("burgers1d", {"bogus": 1.0})
+
+
+def test_flux_without_factors_is_refused():
+    # every flux is its separable factors: one given only through its
+    # callables, or with factors that are not a Separable, is not built
+    f = catalog_lookup("burgers1d")
+    with pytest.raises(TypeError, match="factors"):
+        FluxSpec(f.name, f.dim, f.eval, f.dk, f.div_x, f.grad_x_components)
+    for factors in (None, (f.factors.g, f.factors.h)):
+        with pytest.raises(TypeError, match="must be a Separable"):
+            dataclasses.replace(f, factors=factors)
 
 
 def test_burgers_values():
@@ -201,13 +213,10 @@ class TestLipschitzConstant:
                                     rel=1e-12)
 
     def test_nonfinite_flux_raises(self):
-        bad = catalog_lookup("burgers1d")
-        spec = FluxSpec("bad", 1,
-                        eval=lambda x, k: np.full(np.broadcast_shapes(
-                            np.shape(np.asarray(x)[..., 0]), np.shape(k)) + (1,),
-                            np.nan),
-                        dk=bad.dk, div_x=bad.div_x,
-                        grad_x_components=bad.grad_x_components)
+        # Burgers with h NaN everywhere and its finite h' = k
+        spec = flux_mod._separable("bad", 1, dataclasses.replace(
+            catalog_lookup("burgers1d").factors,
+            h=lambda k: np.full(np.shape(k), np.nan)))
         with pytest.raises(NonFiniteFlux):
             lipschitz_constant(spec, 1.0, 1.0)
 
@@ -236,26 +245,6 @@ def _separable_flux(dim, g, h, h_prime):
                                          np.zeros_like))
 
 
-def _sampled_only(flux):
-    return dataclasses.replace(flux, factors=None)
-
-
-@pytest.fixture
-def factored_sampling_calls(monkeypatch):
-    """The fluxes with factors that reach the full sampling of eval/dk;
-    ``lipschitz_constant`` sends none of them there."""
-    calls = []
-    sampled = flux_mod._sampled_estimate
-
-    def spy(flux, pts, ks):
-        if flux.factors is not None:
-            calls.append(flux.name)
-        return sampled(flux, pts, ks)
-
-    monkeypatch.setattr(flux_mod, "_sampled_estimate", spy)
-    return calls
-
-
 def _sampling_rounding(f, R, M, n, N):
     """The rounding of the full sampling at grid n around the exact
     product N: 4 sqrt(d) eps G max|h| / min dk + 8 eps N, and the underflow
@@ -271,7 +260,7 @@ def _sampling_rounding(f, R, M, n, N):
 
 def _assert_within_rounding(f, R, M, n):
     closed = flux_mod._lipschitz_estimate(f, R, M, n)
-    sampled = flux_mod._lipschitz_estimate(_sampled_only(f), R, M, n)
+    sampled = _with_sampled_estimates(flux_mod._lipschitz_estimate, f, R, M, n)
     assert abs(closed - sampled) <= _sampling_rounding(f, R, M, n, closed)
 
 
@@ -282,22 +271,19 @@ class TestFactoredLipschitz:
     """The estimate from the factors, max|g| times the slope of h, against
     the full sampling of eval/dk."""
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     @given(dim=st.sampled_from([1, 2]), g_family=st.sampled_from(sorted(G_FAMILIES)),
            h_family=st.sampled_from(sorted(H_FAMILIES)), a=coefficients,
            b=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2),
            c=coefficients, R=st.floats(0.1, 8.0), M=st.floats(0.05, 3.0))
     def test_within_rounding_of_sampled_path(self, dim, g_family, h_family,
-                                             a, b, c, R, M,
-                                             factored_sampling_calls):
+                                             a, b, c, R, M):
         g = G_FAMILIES[g_family](*(np.array(v[:dim]) for v in (a, b, c)))
         f = _separable_flux(dim, g, *H_FAMILIES[h_family])
         # coarse grids keep the full sampling of 2-d fluxes small
         for n in (33, 65):
             _assert_within_rounding(f, R, M, n)
         lipschitz_constant(f, R, M, base_grid=33)
-        assert factored_sampling_calls == []
 
     @pytest.mark.parametrize("g,h,h_prime", [
         (lambda x: 1.0 + 2.0 ** -50 * x, np.sin, np.cos),
@@ -305,14 +291,13 @@ class TestFactoredLipschitz:
          lambda k: np.full(k.shape, 2.0 ** -45)),
     ], ids=["g_nearly_constant", "h_nearly_constant"])
     def test_within_rounding_when_a_factor_is_nearly_constant(
-            self, g, h, h_prime, factored_sampling_calls):
+            self, g, h, h_prime):
         # rows g(x) equal up to 2^-50, or chord slopes of h below the
         # rounding of g h(k') - g h(k) that the sampling reads
         f = _separable_flux(1, g, h, h_prime)
         for n in (201, 401):
             _assert_within_rounding(f, 1.0, 1.0, n)
         lipschitz_constant(f, 1.0, 1.0)
-        assert factored_sampling_calls == []
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_squares_of_large_factors_do_not_overflow(self, scale):
@@ -325,14 +310,13 @@ class TestFactoredLipschitz:
         assert lipschitz_constant(f, 1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("name", catalog_names())
-    def test_catalog_needs_no_fallback(self, name, factored_sampling_calls):
+    def test_catalog_needs_no_fallback(self, name):
         # on the catalog the sampling reads the exact product too: its
         # |d_k f| sample where h' = 1 (or h' = 0) attains the maximum
         f = catalog_lookup(name)
         grid = [(R, M) for R in (0.5, 2.0, 8.0) for M in (0.3, 1.0959, 2.5)]
         fast = [lipschitz_constant(f, R, M) for R, M in grid]
-        assert factored_sampling_calls == []
-        assert fast == [lipschitz_constant(_sampled_only(f), R, M)
+        assert fast == [_with_sampled_estimates(lipschitz_constant, f, R, M)
                         for R, M in grid]
 
     @pytest.mark.parametrize("c", [-2.5, -1.5, 0.3, 1.7, 3.0])
@@ -366,7 +350,7 @@ class TestFactoredLipschitz:
             with pytest.raises(NonFiniteFlux):
                 lipschitz_constant(f, 1.0, M)
             with pytest.raises(NonFiniteFlux):
-                lipschitz_constant(_sampled_only(f), 1.0, M)
+                _with_sampled_estimates(lipschitz_constant, f, 1.0, M)
 
     @pytest.mark.parametrize("R,M", [(np.inf, 1.0), (np.nan, 1.0),
                                      (-np.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
@@ -384,7 +368,7 @@ class TestFactoredLipschitz:
             with pytest.raises(LipschitzNonConvergent, match="more than 1%"):
                 lipschitz_constant(f, 1.0, 1.0, base_grid=base_grid)
         with pytest.raises(LipschitzNonConvergent):
-            lipschitz_constant(_sampled_only(f), 1.0, 1.0, base_grid=26)
+            _with_sampled_estimates(lipschitz_constant, f, 1.0, 1.0, 26)
 
 
 @pytest.mark.parametrize("name", ["product1d", "product2d"])

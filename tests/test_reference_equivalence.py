@@ -8,7 +8,7 @@ weak-form quadrature that evaluates the test function on the whole domain
 level by level.  The fast paths do the same arithmetic in another
 arrangement, so results must agree bit for bit, except the weak-form sums,
 the state tables (which take fewer nodes where the reference took 16) and
-the Lipschitz estimate of a flux with factors, which is exact where the
+the Lipschitz estimate, which reads the factors exactly where the
 reference rounds (see the bounds stated there).
 """
 
@@ -53,12 +53,6 @@ def _bitwise_equal(a, b) -> bool:
 
 def _lookup(name):
     return catalog_lookup(name, {"c": -1.5} if name == "advection1d" else {})
-
-
-def _without_factors(f: FluxSpec) -> FluxSpec:
-    """The same flux built by hand, given only through its callables."""
-    return FluxSpec(f.name, f.dim, f.eval, f.dk, f.div_x, f.grad_x_components,
-                    f.singular_points, f.params)
 
 
 # -- separable factors -----------------------------------------------------
@@ -129,7 +123,6 @@ def test_factored_eval_and_dk_match_closed_forms(name):
     kk = k[..., None]
     assert _bitwise_equal(flux.eval(x, k), f(x, kk))
     assert _bitwise_equal(flux.dk(x, k), fk(x, kk))
-    assert flux.factors is not None
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -226,18 +219,8 @@ def test_stepper_matches_reference(name, boundary, scheme):
 _SPECIAL = (-0.0, 5e-324, -5e-324, 2.2e-310, 0.0, np.nan)
 
 
-def _window_cases():
-    for name, boundary, scheme in _step_cases():
-        yield name, boundary, scheme, False
-    for boundary in ("outflow", "periodic"):
-        for scheme in ("rusanov", "viscous"):
-            yield "product1d", boundary, scheme, True
-
-
-def _window_stepper(name, boundary, scheme, hand_built, nx=None):
+def _window_stepper(name, boundary, scheme, nx=None):
     flux = _lookup(name)
-    if hand_built:
-        flux = _without_factors(flux)
     config = SchemeConfig(lo=-1.3, hi=0.9,
                           nx=nx or (12 if flux.dim == 2 else 40),
                           t_end=1.0, scheme=scheme, boundary=boundary,
@@ -266,14 +249,12 @@ def _windowed_data(draw, dim: int, nx: int):
     return u
 
 
-@pytest.mark.parametrize("name,boundary,scheme,hand_built",
-                         list(_window_cases()))
+@pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_stepper_on_data_with_rest_regions_matches_reference(
-        name, boundary, scheme, hand_built, data):
-    flux, config, stepper = _window_stepper(name, boundary, scheme,
-                                            hand_built)
+        name, boundary, scheme, data):
+    flux, config, stepper = _window_stepper(name, boundary, scheme)
     states = [data.draw(_windowed_data(flux.dim, config.nx))
               for _ in range(2)]
     refs = [u.copy() for u in states]
@@ -314,17 +295,16 @@ def _far_field_data(draw, nx: int):
     return u
 
 
-@pytest.mark.parametrize("name,boundary,scheme,hand_built",
-                         [c for c in _window_cases() if _lookup(c[0]).dim == 1])
+@pytest.mark.parametrize("name,boundary,scheme",
+                         [c for c in _step_cases() if _lookup(c[0]).dim == 1])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_stepper_on_far_field_data_matches_reference(
-        name, boundary, scheme, hand_built, data):
+        name, boundary, scheme, data):
     # the 1-d stepper sweeps the window between the far-field states, with
     # a margin; the runs are long enough for a window that grows a cell a
     # step to pass the margin at least twice, so the views are bound anew
-    flux, config, stepper = _window_stepper(name, boundary, scheme,
-                                            hand_built, nx=200)
+    flux, config, stepper = _window_stepper(name, boundary, scheme, nx=200)
     states = [data.draw(_far_field_data(config.nx)) for _ in range(2)]
     refs = [u.copy() for u in states]
     dt = 0.2 * config.dx / 3.0
@@ -347,7 +327,7 @@ def test_far_field_window_is_bound_anew_as_it_grows(name, ur):
     # between two far-field states (shock_1d's data) keeps its window
     # short of the grid
     flux, config, stepper = _window_stepper(name, "outflow", "rusanov",
-                                            False, nx=400)
+                                            nx=400)
     u = riemann_data(1.0, ur, 0.0)(stepper.centers[:, None])
     if name == "advection1d":
         u[:180] = 0.0
@@ -372,7 +352,7 @@ _FAR_OUT = (-0.0, np.pi, 1e200, 1e308, 1.7e308, np.inf, -np.inf, np.nan)
 
 @pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
 def test_rests_agrees_with_sweeps_of_constant_data(name, boundary, scheme):
-    flux, config, stepper = _window_stepper(name, boundary, scheme, False)
+    flux, config, stepper = _window_stepper(name, boundary, scheme)
     shape = (config.nx,) * flux.dim
     for states, moved_unless_rest in ((_ROUNDING_FREE, True),
                                       (_FAR_OUT, False)):
@@ -396,12 +376,11 @@ def test_rests_agrees_with_sweeps_of_constant_data(name, boundary, scheme):
         assert all(stepper.axes[0].rests(c) for c in _ROUNDING_FREE)
 
 
-@pytest.mark.parametrize("name,boundary,scheme,hand_built",
-                         [c for c in _window_cases() if c[0] != "xsquared1d"])
-def test_datum_of_rest_states_stays_rest(name, boundary, scheme, hand_built):
+@pytest.mark.parametrize("name,boundary,scheme",
+                         [c for c in _step_cases() if c[0] != "xsquared1d"])
+def test_datum_of_rest_states_stays_rest(name, boundary, scheme):
     # +0.0 is a rest state of every catalog flux but the source xsquared1d
-    flux, config, stepper = _window_stepper(name, boundary, scheme,
-                                            hand_built)
+    flux, config, stepper = _window_stepper(name, boundary, scheme)
     u = np.zeros((config.nx,) * flux.dim)
     for _ in range(5):
         u = stepper.step(u, 0.2 * config.dx / 3.0)
@@ -414,7 +393,7 @@ def test_window_of_nan_and_sole_special_cells():
     # a NaN, -0.0 or denormal cell alone is active and spreads as the
     # plain step spreads it
     flux, config, stepper = _window_stepper("product2d", "outflow",
-                                            "rusanov", False)
+                                            "rusanov")
     for value in _SPECIAL:
         u = np.zeros((config.nx, config.nx))
         u[5, 7] = value
@@ -423,27 +402,6 @@ def test_window_of_nan_and_sole_special_cells():
             u = stepper.step(u, 0.01)
             ref = _reference_step(flux, config, ref, 0.01)
             assert _bitwise_equal(u, ref)
-
-
-@pytest.mark.parametrize("name", catalog_names())
-def test_hand_built_flux_solves_like_catalog_entry(name):
-    flux = _lookup(name)
-    config = SchemeConfig(lo=-1.0, hi=1.0, nx=20 if flux.dim == 2 else 120,
-                          t_end=0.2, dim=flux.dim, boundary="periodic")
-    ini = sine_data(0.4, 1.0, 0.3)
-    fast = solve(flux, ini, config)
-    plain = solve(_without_factors(flux), ini, config)
-    assert _bitwise_equal(fast.data, plain.data)
-    assert _bitwise_equal(fast.times, plain.times)
-
-
-def test_hand_built_burgers_runs_godunov():
-    config = SchemeConfig(lo=-1.0, hi=1.0, nx=100, t_end=0.3,
-                          scheme="godunov_burgers")
-    flux = catalog_lookup("burgers1d")
-    fast = solve(flux, riemann_data(1.0, -0.5), config)
-    plain = solve(_without_factors(flux), riemann_data(1.0, -0.5), config)
-    assert _bitwise_equal(fast.data, plain.data)
 
 
 # -- run setup and marching loop ----------------------------------------------
@@ -629,17 +587,42 @@ def _reference_lipschitz_estimate(flux, R, M, n):
     return max(best, float(np.sqrt((dkv ** 2).sum(axis=-1)).max()))
 
 
+def _sampled_estimate(flux, pts, ks):
+    """Max of the chord slopes between adjacent states and of |d_k f|,
+    sampled from ``eval`` and ``dk`` at every point of ``pts`` (npts, d)
+    and state of ``ks``: the full sampling that
+    ``flux._factored_estimate`` reads from the factors."""
+    fv = flux.eval(pts[None, :, :], ks[:, None])          # (nk, npts, d)
+    if not np.all(np.isfinite(fv)):
+        raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
+    best = flux_mod._max_chord_slope(fv, ks)
+    del fv  # released before the derivative samples are taken
+    dkv = flux.dk(pts[None, :, :], ks[:, None])
+    if not np.all(np.isfinite(dkv)):
+        raise NonFiniteFlux(f"{flux.name}: non-finite state derivative on sample set")
+    sq = flux_mod._sum_squares([dkv[..., i] for i in range(flux.dim)])
+    return max(best, float(np.sqrt(sq.max())))
+
+
+def _with_sampled_estimates(fn, *args):
+    """``fn(*args)`` (``lipschitz_constant`` or ``_lipschitz_estimate``)
+    with every estimate taken by ``_sampled_estimate`` on the same
+    lattice and states."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flux_mod, "_factored_estimate", _sampled_estimate)
+        return fn(*args)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_lipschitz_matches_reference(name):
-    # a flux with factors reads max|g| times the slope of h, the exact
-    # product, where the reference rounds every g_i h(k): at one grid they
-    # agree within that rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps N,
-    # and the underflow of its squares, 2^-500 / min dk.  The copy without
-    # factors samples eval/dk as the reference does, but over adjacent
-    # states only: the reference's longer strides exceed that only by
-    # rounding, here not at all
+    # the estimate reads max|g| times the slope of h, the exact product,
+    # where the reference rounds every g_i h(k): at one grid they agree
+    # within that rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps N, and
+    # the underflow of its squares, 2^-500 / min dk.  The full sampling
+    # (``_sampled_estimate``) reads eval/dk as the reference does, but over
+    # adjacent states only: the reference's longer strides exceed that
+    # only by rounding, here not at all
     flux, eps = _lookup(name), np.finfo(float).eps
-    sampled = _without_factors(flux)
     for R in (0.5, 1.0, 2.0, 8.0):
         assert lipschitz_constant(flux, R, 0.0) == 0.0
         for M in (0.3, 1.0, 2.5):
@@ -654,9 +637,9 @@ def test_lipschitz_matches_reference(name):
                           * np.abs(flux.factors.h(ks)).max() + 2.0 ** -500)
                          / np.diff(ks).min() + 8.0 * eps * fast)
                 assert abs(fast - ref) <= bound, (R, M, n)
-                assert (flux_mod._lipschitz_estimate(sampled, R, M, n)
-                        == _reference_lipschitz_estimate(sampled, R, M, n)
-                        ), (R, M, n)
+                assert (_with_sampled_estimates(
+                    flux_mod._lipschitz_estimate, flux, R, M, n) == ref
+                ), (R, M, n)
 
 
 # -- weak-form quadrature ---------------------------------------------------
@@ -916,12 +899,11 @@ def test_two_interval_window_matches_reference():
 
 # -- the factored entropy sweep ---------------------------------------------
 #
-# For a flux with factors ``sweep_terms`` takes the terms from the factors:
-# closed-form Kruzkov terms and smooth-pair tables shared per k0.  A
-# ``replace(flux, factors=None)`` copy takes every pair's own callables,
-# div_x f for the sources and, for the smooth pairs, the one state-table
-# rule with a row per (point, state) pair and d_k f or div_x f on its
-# nodes.  The two agree up to rounding: measured at most
+# ``sweep_terms`` takes the terms from the factors: closed-form Kruzkov
+# terms and smooth-pair tables shared per k0.  The reference takes every
+# pair's own callables, div_x f for the sources and, for the smooth pairs,
+# the one state-table rule with a row per (point, state) pair and d_k f or
+# div_x f on its nodes.  The two agree up to rounding: measured at most
 # 4.4e-14 of the case's largest |value| over 7,800 examples of the test
 # below, asserted within FACTORED_RTOL.
 
@@ -963,6 +945,17 @@ def _factored_sweep_cases(draw):
     return u, flux, specs, phi
 
 
+def _pairwise_terms(flux, pairs):
+    """The sweep's terms from every pair's own callables, with div_x f
+    evaluated once per chunk."""
+    def terms(P, U):
+        div_f = flux.div_x(P, U)
+        for pair in pairs:
+            yield (pair.eta(U), pair.q(P, U),
+                   pair.div_x_q(P, U) - pair.eta_prime(U) * div_f)
+    return terms
+
+
 def _build_pairs(flux, specs):
     return [make_kruzkov_pair(flux, spec[1]) if spec[0] == "kruzkov"
             else make_smooth_pair(flux, spec[1], spec[2]) for spec in specs]
@@ -970,16 +963,13 @@ def _build_pairs(flux, specs):
 
 @settings(max_examples=60, deadline=None)
 @given(_factored_sweep_cases())
-def test_factored_sweep_matches_copy_without_factors(case):
-    """The factored terms against every pair's own callables on a copy
-    without factors, whose smooth pairs tabulate each (point, state) pair
-    in a row of its own."""
+def test_factored_sweep_matches_pair_by_pair_terms(case):
+    """The factored terms against every pair's own callables, whose smooth
+    pairs tabulate each (point, state) pair in a row of its own."""
     u, flux, specs, phi = case
-    generic = replace(flux, factors=None)
-    fast = [r.value for r in entropy_residual_sweep(
-        u, flux, _build_pairs(flux, specs), phi)]
-    ref = [r.value for r in entropy_residual_sweep(
-        u, generic, _build_pairs(generic, specs), phi)]
+    pairs = _build_pairs(flux, specs)
+    fast = [r.value for r in entropy_residual_sweep(u, flux, pairs, phi)]
+    ref, _ = verifier_mod._weak_sums((u,), phi, _pairwise_terms(flux, pairs))
     scale = float(np.max(np.abs(ref)))
     assert np.all(np.isfinite(fast))
     assert np.max(np.abs(np.subtract(fast, ref))) <= FACTORED_RTOL * scale

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from clawlab import solver as solver_mod
 from clawlab.errors import (BlowUp, CFLViolation, EmptyCone, FieldFileError,
                             GridMismatch, MissingTimeLevels)
-from clawlab.flux import catalog_lookup
+from clawlab.flux import Separable, _separable, catalog_lookup
 from clawlab.grids import (GridField, box_data, constant_data,
                            field_from_function, load_field, riemann_data,
                            sine_data, write_slabs)
@@ -113,6 +113,13 @@ class TestSolveBurgers:
         assert u.bound_M <= 0.0 + 0.5 * 2.0 + 1e-12
 
 
+def _nan_above(factors: Separable, top: float) -> Separable:
+    """``factors`` with h NaN above ``top``: a flux that turns a state
+    above ``top`` into NaN in the first step that reads it."""
+    h = factors.h
+    return replace(factors, h=lambda k: np.where(k > top, np.nan, h(k)))
+
+
 class TestStability:
     def test_bad_cfl_rejected(self):
         with pytest.raises(CFLViolation):
@@ -162,13 +169,11 @@ class TestStability:
                 solve(catalog_lookup(name), riemann_data(1.0, 0.0, 0.0), cfg)
 
     def test_blowup_detected(self):
-        # a spec whose declared d_k f understates the true speed starves the
-        # interface dissipation; the guard must catch the resulting growth
-        honest = catalog_lookup("burgers1d")
-        lying = type(honest)(
-            name="understated", dim=1, eval=honest.eval,
-            dk=lambda x, k: 1e-3 * honest.dk(x, k),
-            div_x=honest.div_x, grad_x_components=honest.grad_x_components)
+        # Burgers with a declared h' = 1e-3 k, which understates the true
+        # speed and starves the interface dissipation; the guard must catch
+        # the resulting growth
+        lying = _separable("understated", 1, replace(
+            BURGERS.factors, h_prime=lambda k: 1e-3 * k))
         cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=20.0,
                            boundary="periodic", store_every=10 ** 9)
         with pytest.raises(BlowUp):
@@ -182,14 +187,7 @@ class TestStability:
         cfg = SchemeConfig(lo=-1, hi=1, nx=40, t_end=0.2, dim=dim)
         u = solve(flux, sine_data(0.5, 1.0, 0.2), cfg)
         assert u.bound_M == float(np.abs(u.data).max())
-
-        def eval_(x, k):
-            return np.where(np.asarray(k)[..., None] > 0.9, np.nan,
-                            flux.eval(x, k))
-
-        broken = type(flux)(
-            name="nan_above", dim=dim, eval=eval_, dk=flux.dk,
-            div_x=flux.div_x, grad_x_components=flux.grad_x_components)
+        broken = _separable("nan_above", dim, _nan_above(flux.factors, 0.9))
         with pytest.raises(BlowUp, match="at step 1 "):
             solve(broken, riemann_data(1.0, 0.0, 0.0), cfg)
 
@@ -330,15 +328,10 @@ class TestDiscreteEntropy:
                 np.linspace(-1, 1, 5))
 
     def test_state_turning_nonfinite_raises(self):
-        # f is NaN above u = 0.9 while d_k f and div_x f stay finite, so the
-        # estimates pass and the first step produces NaN states
-        def eval_(x, k):
-            return np.where(np.asarray(k)[..., None] > 0.9, np.nan,
-                            BURGERS.eval(x, k))
-
-        broken = type(BURGERS)(
-            name="nan_above", dim=1, eval=eval_, dk=BURGERS.dk,
-            div_x=BURGERS.div_x, grad_x_components=BURGERS.grad_x_components)
+        # h is NaN above u = 0.9 while h' stays finite, so the first step
+        # produces NaN states (the a-priori bound, which samples
+        # div_x f = 0 h, reads NaN too)
+        broken = _separable("nan_above", 1, _nan_above(BURGERS.factors, 0.9))
         cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.2)
         with pytest.raises(BlowUp, match="at step 1 "):
             discrete_entropy_max_violation(
@@ -839,11 +832,12 @@ class TestSolvePair:
     def test_step_from_bound_of_larger_datum(self):
         # div_x f = sin(40 k) makes the sampled a-priori bound non-monotone
         # in m0: the smaller datum has the larger bound and alone takes more
-        # steps, yet the pair marches with the step of the larger datum
-        wavy = type(BURGERS)(
-            name="wavy", dim=1, eval=BURGERS.eval, dk=BURGERS.dk,
-            div_x=lambda x, k: np.sin(40.0 * np.asarray(k)) + 0.0 * x[..., 0],
-            grad_x_components=BURGERS.grad_x_components)
+        # steps, yet the pair marches with the step of the larger datum.
+        # g = 1 with a declared g' = 1, h = sin(40 k) and a declared h' = k
+        # give that div_x f and the Burgers speed, and constant data rest
+        wavy = _separable("wavy", 1, Separable(
+            np.ones_like, np.ones_like, lambda k: np.sin(40.0 * k),
+            lambda k: k, np.zeros_like))
         cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.5)
         u, v = solve_pair(wavy, constant_data(0.33), constant_data(0.34), cfg)
         small, large = (solve(wavy, constant_data(m), cfg) for m in (0.33, 0.34))
