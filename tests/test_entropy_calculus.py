@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from clawlab.entropy import (SmoothEntropy, _state_tables, kruzkov_div,
                              kruzkov_limit_deficit, leibniz_check,
                              make_kruzkov_pair, make_smooth_pair, q_build_ibp,
                              q_build_quadrature, sqrt_entropy, sweep_terms)
-from clawlab.flux import catalog_lookup, catalog_names
+from clawlab.flux import Separable, catalog_lookup, catalog_names
 from clawlab.grids import sine_data
 from clawlab.quadrature import adaptive_gauss_legendre
 from clawlab.solver import SchemeConfig, solve
@@ -104,6 +106,15 @@ class TestSmoothPair:
             assert np.all(pair.div_x_q(xs, 0.4) == 0.0)
 
 
+def _with_nan_factors(flux):
+    """``flux`` with its own callables and factors that are NaN everywhere:
+    whatever reads the factors turns NaN."""
+    def nan(a):
+        return np.full(np.shape(a), np.nan)
+
+    return dataclasses.replace(flux, factors=Separable(nan, nan, nan, nan, nan))
+
+
 def _eta_gap(u, k0, n):
     """eta_n(u) - eta_n(k0) = s^2 / (eta_n(u) + n^{-1/2}), s = u - k0,
     without cancellation."""
@@ -114,13 +125,16 @@ def _eta_gap(u, k0, n):
 class TestTabulatedSmoothPair:
     """Every smooth pair reads its state integrals from ``_state_tables``,
     the one rule, with one row per (point, state) pair and d_k f and
-    div_x f at its point; it never reads the flux's factors.  It is
-    checked against closed forms and adaptive quadrature."""
+    div_x f at its point; it never reads the flux's factors, so a copy
+    whose factors are NaN gives the same values.  It is checked against
+    closed forms and adaptive quadrature."""
 
-    def test_advection_closed_form(self):
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_advection_closed_form(self, factors):
         # f = c k: q = c (eta_n(u) - eta_n(k0)), div_x q = 0, on a batch
         # that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("advection1d", {"c": -1.7})
+        flux = flux if factors else _with_nan_factors(flux)
         rng = np.random.default_rng(31)
         pts = rng.uniform(-2.0, 2.0, (300, 1))
         for k0 in (0.0, 0.45, -1.3):
@@ -137,11 +151,13 @@ class TestTabulatedSmoothPair:
                                   * np.abs(exact).max(initial=0.0))
                     assert np.all(d == 0.0)
 
-    def test_kink_closed_form(self):
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_kink_closed_form(self, factors):
         # f = |x| k: q = |x| (eta_n(u) - eta_n(k0)) and, by parts,
         # div_x q = sign(x) (eta_n(u) - eta_n(k0)), 0 at the singular x = 0;
         # on a batch that holds k0, on scalar states and on an empty batch
         flux = catalog_lookup("kink1d")
+        flux = flux if factors else _with_nan_factors(flux)
         rng = np.random.default_rng(32)
         x = np.concatenate([[0.0, 0.0], rng.uniform(-2.0, 2.0, 198)])
         for k0 in (0.0, 0.8):
@@ -159,11 +175,13 @@ class TestTabulatedSmoothPair:
                     assert np.all(d[xs == 0.0] == 0.0)
 
     @pytest.mark.parametrize("name", ["burgers1d", "product1d", "product2d"])
-    def test_matches_adaptive_quadrature(self, name):
+    @pytest.mark.parametrize("factors", [True, False])
+    def test_matches_adaptive_quadrature(self, name, factors):
         """q against ``q_build_quadrature`` and ``q_build_ibp``, div_x q
         against eta_n'(u) div_x f - int eta_n'' div_x f dw, all adaptive
         to 1e-13."""
         flux = catalog_lookup(name)
+        flux = flux if factors else _with_nan_factors(flux)
         rng = np.random.default_rng(33)
         for k0, n in ((0.0, 4), (0.6, 64), (-0.4, 10 ** 4)):
             ent = sqrt_entropy(k0, n)

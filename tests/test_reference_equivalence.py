@@ -112,6 +112,28 @@ _CLOSED_FORMS.update({
 })
 
 
+def _hand_built(f: FluxSpec) -> FluxSpec:
+    """The same flux built by hand: its four callables are the closed forms
+    above, so only its factors are the catalog's.  The steppers read the
+    factors and ``_reference_step`` reads eval/dk, so the two meet only in
+    the values of these closed forms."""
+    ev, dk = _CLOSED_FORMS[f.name]
+    div, grad = _CLOSED_FORMS[f.name, "div_x"], _CLOSED_FORMS[f.name, "grad_x"]
+
+    def pts(x):
+        return flux_mod.as_points(x, f.dim)
+
+    def states(k):
+        return np.asarray(k, dtype=float)
+
+    return FluxSpec(f.name, f.dim,
+                    lambda x, k: ev(pts(x), states(k)[..., None]),
+                    lambda x, k: dk(pts(x), states(k)[..., None]),
+                    lambda x, k: div(pts(x), states(k)),
+                    lambda x, k, i: grad(pts(x), states(k), i),
+                    f.factors, f.singular_points, f.params)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_factored_eval_and_dk_match_closed_forms(name):
     flux = _lookup(name)
@@ -219,8 +241,18 @@ def test_stepper_matches_reference(name, boundary, scheme):
 _SPECIAL = (-0.0, 5e-324, -5e-324, 2.2e-310, 0.0, np.nan)
 
 
-def _window_stepper(name, boundary, scheme, nx=None):
+def _window_cases():
+    for name, boundary, scheme in _step_cases():
+        yield name, boundary, scheme, False
+    for boundary in ("outflow", "periodic"):
+        for scheme in ("rusanov", "viscous"):
+            yield "product1d", boundary, scheme, True
+
+
+def _window_stepper(name, boundary, scheme, hand_built, nx=None):
     flux = _lookup(name)
+    if hand_built:
+        flux = _hand_built(flux)
     config = SchemeConfig(lo=-1.3, hi=0.9,
                           nx=nx or (12 if flux.dim == 2 else 40),
                           t_end=1.0, scheme=scheme, boundary=boundary,
@@ -249,12 +281,14 @@ def _windowed_data(draw, dim: int, nx: int):
     return u
 
 
-@pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
+@pytest.mark.parametrize("name,boundary,scheme,hand_built",
+                         list(_window_cases()))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_stepper_on_data_with_rest_regions_matches_reference(
-        name, boundary, scheme, data):
-    flux, config, stepper = _window_stepper(name, boundary, scheme)
+        name, boundary, scheme, hand_built, data):
+    flux, config, stepper = _window_stepper(name, boundary, scheme,
+                                            hand_built)
     states = [data.draw(_windowed_data(flux.dim, config.nx))
               for _ in range(2)]
     refs = [u.copy() for u in states]
@@ -295,16 +329,17 @@ def _far_field_data(draw, nx: int):
     return u
 
 
-@pytest.mark.parametrize("name,boundary,scheme",
-                         [c for c in _step_cases() if _lookup(c[0]).dim == 1])
+@pytest.mark.parametrize("name,boundary,scheme,hand_built",
+                         [c for c in _window_cases() if _lookup(c[0]).dim == 1])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_stepper_on_far_field_data_matches_reference(
-        name, boundary, scheme, data):
+        name, boundary, scheme, hand_built, data):
     # the 1-d stepper sweeps the window between the far-field states, with
     # a margin; the runs are long enough for a window that grows a cell a
     # step to pass the margin at least twice, so the views are bound anew
-    flux, config, stepper = _window_stepper(name, boundary, scheme, nx=200)
+    flux, config, stepper = _window_stepper(name, boundary, scheme,
+                                            hand_built, nx=200)
     states = [data.draw(_far_field_data(config.nx)) for _ in range(2)]
     refs = [u.copy() for u in states]
     dt = 0.2 * config.dx / 3.0
@@ -327,7 +362,7 @@ def test_far_field_window_is_bound_anew_as_it_grows(name, ur):
     # between two far-field states (shock_1d's data) keeps its window
     # short of the grid
     flux, config, stepper = _window_stepper(name, "outflow", "rusanov",
-                                            nx=400)
+                                            False, nx=400)
     u = riemann_data(1.0, ur, 0.0)(stepper.centers[:, None])
     if name == "advection1d":
         u[:180] = 0.0
@@ -352,7 +387,7 @@ _FAR_OUT = (-0.0, np.pi, 1e200, 1e308, 1.7e308, np.inf, -np.inf, np.nan)
 
 @pytest.mark.parametrize("name,boundary,scheme", list(_step_cases()))
 def test_rests_agrees_with_sweeps_of_constant_data(name, boundary, scheme):
-    flux, config, stepper = _window_stepper(name, boundary, scheme)
+    flux, config, stepper = _window_stepper(name, boundary, scheme, False)
     shape = (config.nx,) * flux.dim
     for states, moved_unless_rest in ((_ROUNDING_FREE, True),
                                       (_FAR_OUT, False)):
@@ -376,15 +411,20 @@ def test_rests_agrees_with_sweeps_of_constant_data(name, boundary, scheme):
         assert all(stepper.axes[0].rests(c) for c in _ROUNDING_FREE)
 
 
-@pytest.mark.parametrize("name,boundary,scheme",
-                         [c for c in _step_cases() if c[0] != "xsquared1d"])
-def test_datum_of_rest_states_stays_rest(name, boundary, scheme):
-    # +0.0 is a rest state of every catalog flux but the source xsquared1d
-    flux, config, stepper = _window_stepper(name, boundary, scheme)
+@pytest.mark.parametrize("name,boundary,scheme,hand_built",
+                         [c for c in _window_cases() if c[0] != "xsquared1d"])
+def test_datum_of_rest_states_stays_rest(name, boundary, scheme, hand_built):
+    # +0.0 is a rest state of every catalog flux but the source xsquared1d,
+    # under the stepper and under the plain step of the flux's callables
+    flux, config, stepper = _window_stepper(name, boundary, scheme,
+                                            hand_built)
     u = np.zeros((config.nx,) * flux.dim)
+    ref = u.copy()
     for _ in range(5):
         u = stepper.step(u, 0.2 * config.dx / 3.0)
+        ref = _reference_step(flux, config, ref, 0.2 * config.dx / 3.0)
         assert not u.view(np.int64).any()
+        assert not ref.view(np.int64).any()
         if flux.dim == 2:
             assert stepper._window is None
 
@@ -393,7 +433,7 @@ def test_window_of_nan_and_sole_special_cells():
     # a NaN, -0.0 or denormal cell alone is active and spreads as the
     # plain step spreads it
     flux, config, stepper = _window_stepper("product2d", "outflow",
-                                            "rusanov")
+                                            "rusanov", False)
     for value in _SPECIAL:
         u = np.zeros((config.nx, config.nx))
         u[5, 7] = value
@@ -406,9 +446,11 @@ def test_window_of_nan_and_sole_special_cells():
 
 # -- run setup and marching loop ----------------------------------------------
 
-def _reference_solve(flux, u0, config, shared_dt=None):
+def _reference_solve(flux, u0, config, shared_dt=None, plain=False):
     """A whole run with its own setup; ``shared_dt`` is the step a pair run
-    handed back, checked against this datum's own stable step."""
+    handed back, checked against this datum's own stable step.  ``plain``
+    marches with ``_reference_step``, which reads eval/dk, in place of the
+    stepper."""
     stepper = (solver_mod._Stepper1D if config.dim == 1
                else solver_mod._Stepper2D)(flux, config)
     c = config.lo + (np.arange(config.nx) + 0.5) * config.dx
@@ -429,7 +471,8 @@ def _reference_solve(flux, u0, config, shared_dt=None):
     dt = config.t_end / nsteps
     times, slabs, bound = [0.0], [u.copy()], m0
     for n in range(1, nsteps + 1):
-        u = stepper.step(u, dt)
+        u = (_reference_step(flux, config, u, dt) if plain
+             else stepper.step(u, dt))
         amax = float(np.abs(u).max())
         threshold = 10.0 * m_bound
         if not math.isfinite(amax) or (threshold > 0.0 and amax > threshold):
@@ -487,6 +530,30 @@ def test_solve_and_pair_match_reference(name, boundary, scheme):
         for fast, ref in zip(solve_pair(flux, u0a, u0b, config),
                              _reference_solve_pair(flux, u0a, u0b, config)):
             _assert_fields_equal(fast, ref)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_hand_built_flux_solves_like_catalog_entry(name):
+    # the catalog entry's run against plain steps of the same flux built
+    # by hand, whose eval/dk and a-priori bound read only the closed forms
+    flux = _lookup(name)
+    config = SchemeConfig(lo=-1.0, hi=1.0, nx=20 if flux.dim == 2 else 120,
+                          t_end=0.2, dim=flux.dim, boundary="periodic")
+    ini = sine_data(0.4, 1.0, 0.3)
+    fast = solve(flux, ini, config)
+    plain = _reference_solve(_hand_built(flux), ini, config, plain=True)
+    assert _bitwise_equal(fast.data, plain.data)
+    assert _bitwise_equal(fast.times, plain.times)
+
+
+def test_hand_built_burgers_runs_godunov():
+    config = SchemeConfig(lo=-1.0, hi=1.0, nx=100, t_end=0.3,
+                          scheme="godunov_burgers")
+    flux = catalog_lookup("burgers1d")
+    fast = solve(flux, riemann_data(1.0, -0.5), config)
+    plain = _reference_solve(_hand_built(flux), riemann_data(1.0, -0.5),
+                             config, plain=True)
+    assert _bitwise_equal(fast.data, plain.data)
 
 
 def _reference_entropy_scan(flux, u0, config, k_values):

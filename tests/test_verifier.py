@@ -25,7 +25,7 @@ from clawlab.verifier import (cone_contraction_profile, doubling_diagnostics,
                               find_smooth_samples,
                               global_contraction_check, kato_lhs,
                               uniqueness_experiment, write_profile_csv)
-from test_reference_equivalence import _reference_step
+from test_reference_equivalence import _pairwise_terms, _reference_step
 
 BURGERS = catalog_lookup("burgers1d")
 PRODUCT = catalog_lookup("product1d")
@@ -331,23 +331,34 @@ class TestWeakSumChunks:
         assert {n for _, n in chunks} == {2}
         assert rep.value == old.value and rep.tolerance == old.tolerance
 
-    def test_sweep_keeps_its_bits_whatever_the_budget(self):
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_sweep_keeps_its_bits_whatever_the_budget(self, factored):
         # every per-level sum is taken over one level and the smooth pairs'
-        # tables hold one row per level, so no term depends on the chunking
-        cfg = SchemeConfig(lo=-1, hi=1, nx=300, t_end=0.5)
+        # tables hold one row per level (the factored sweep) or per (point,
+        # state) pair (the pair-by-pair terms of the tests' oracle), so no
+        # term depends on the chunking
+        cfg = SchemeConfig(lo=-1, hi=1, nx=300 if factored else 100,
+                           t_end=0.5)
         u = solve(PRODUCT, sine_data(0.3, 1.0, 0.45), cfg)
         phi = bump_test_function(0.1, 0.45, 0.05, 0.4)
         pairs = ([make_kruzkov_pair(PRODUCT, k0)
                   for k0 in np.linspace(-0.6, 0.6, 5)]
                  + [make_smooth_pair(PRODUCT, 0.0, n) for n in (4, 16, 64)]
                  + [make_smooth_pair(PRODUCT, 0.3, 16)])
+
+        def sweep():
+            if factored:
+                return [(r.value, r.tolerance) for r in
+                        entropy_residual_sweep(u, PRODUCT, pairs, phi)]
+            values, dt = verifier_mod._weak_sums(
+                (u,), phi, _pairwise_terms(PRODUCT, pairs))
+            return list(values), dt
+
         sweeps = []
         for budget in (verifier_mod._CHUNK_CELLS, u.nx, 1, 10 ** 9):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(verifier_mod, "_CHUNK_CELLS", budget)
-                sweeps.append([(r.value, r.tolerance) for r in
-                               entropy_residual_sweep(u, PRODUCT, pairs,
-                                                      phi)])
+                sweeps.append(sweep())
         assert all(s == sweeps[0] for s in sweeps[1:])
 
 
