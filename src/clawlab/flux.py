@@ -11,10 +11,10 @@ Every catalog flux is separable, f_i(x, k) = g_i(x) h(k) with g_i a function
 of x_i alone.  Each entry is one ``Separable`` (g and g' on points, h, h'
 and the variation V of h elementwise on states), and ``eval``, ``dk``,
 ``div_x`` and ``grad_x_components`` are all built from those factors, so
-no derivative is written twice.  The solver freezes g at its interface
-lattice once per run and evaluates only h and h' per sweep, and
-``lipschitz_constant`` takes max|g| on the ball times the slope of h on
-the states, the exact product of the two sampled maxima, instead of
+no derivative is written twice.  The solver takes g once per run on the
+cell edges and only h and h' per sweep; its a-priori speed and bound and
+``lipschitz_constant`` (max|g| on the ball times the slope of h) take the
+exact product of a max over points and a max over states instead of
 sampling f on their product.
 The weak entropy sweep (``entropy.sweep_terms``) takes g,
 g'_1 + ... + g'_d and h once per chunk for all its pairs; the entropy
@@ -65,8 +65,8 @@ def as_points(x, dim: int) -> Array:
 
 @dataclass(frozen=True)
 class Separable:
-    """Declared factors of f_i(x, k) = g_i(x) h(k), where g_i depends on
-    x_i alone.
+    """Declared factors of f_i(x, k) = g_i(x) h(k).  g_i must depend on x_i
+    alone: the solver reads g_i at its interfaces from g at the cell edges.
 
     ``g`` and ``g_prime`` map points (..., d) to (..., d); component i of
     ``g_prime`` is dg_i/dx_i, the only non-zero entry of row i of the
@@ -272,41 +272,29 @@ def _sum_squares(parts: list) -> Array:
     return acc
 
 
-def _max_chord_slope(fv: Array, ks: Array) -> float:
-    """Max of |f(x, k_{j+1}) - f(x, k_j)| / (k_{j+1} - k_j) over the points
-    and j; ``fv`` has shape (nk, npts, d).
-
-    At one point a chord over several adjacent steps is a weighted mean of
-    their chords, so it exceeds their max only by rounding and adjacent
-    chords suffice.  sqrt and the division by k_{j+1} - k_j > 0 are
-    monotone, so the max over the points is taken first and the result is
-    still the max of the pointwise quotients, bit for bit.
-    """
-    sq = _sum_squares([fv[1:, :, i] - fv[:-1, :, i]
-                       for i in range(fv.shape[-1])])
-    return float((np.sqrt(sq.max(axis=1)) / np.diff(ks)).max(initial=0.0))
-
-
 def _factored_estimate(flux: FluxSpec, pts: Array, ks: Array) -> float:
     """N = G S for f_i = g_i(x) h(k), the exact product of two sampled
     maxima: G = max|g(p)| over ``pts``, S the larger of the chord slopes of
-    h on ``ks`` (``_max_chord_slope``) and max|h'| on ``ks``.  A sampling
+    h between adjacent states of ``ks`` and max|h'| on ``ks``.  A sampling
     of g_i(p) h(k) and g_i(p) h'(k) on every point and state reads it up
     to its own rounding, 4 sqrt(d) eps G max|h| / min dk + 8 eps G S, and
-    the underflow of its squares, 2^-500 / min dk.
+    the underflow of its squares, 2^-500 / min dk.  A chord over several
+    steps is a weighted mean of theirs, so adjacent chords suffice.
     """
     factors = flux.factors
     g = np.abs(factors.g(pts[None])[0])                  # (npts, d)
-    hk = factors.h(ks[:, None])[:, 0]
+    hk = factors.h(ks)
     s = _pow2_scale(float(g.max()))
     G = float(np.sqrt(_sum_squares(list(s * g.T)).max())) / s
     h_max = float(np.abs(hk).max())
-    dh_max = float(np.abs(factors.h_prime(ks[:, None])[:, 0]).max())
+    dh_max = float(np.abs(factors.h_prime(ks)).max())
     if not all(map(math.isfinite, (G, G * h_max, G * dh_max))):
         raise NonFiniteFlux(f"{flux.name}: non-finite factors on sample set "
                             f"(max|g| {G}, max|h| {h_max}, max|h'| {dh_max})")
+    # t h for a power of two t: exact, and its chords cannot overflow
     t = _pow2_scale(h_max)
-    return G * max(_max_chord_slope(t * hk[:, None, None], ks) / t, dh_max)
+    chord = float((np.abs(np.diff(t * hk)) / np.diff(ks)).max(initial=0.0))
+    return G * max(chord / t, dh_max)
 
 
 def _lipschitz_estimate(flux: FluxSpec, R: float, M: float, n: int) -> float:

@@ -11,9 +11,10 @@ with the local-speed (Rusanov) interface flux
     lambda_{i+1/2} = max(|d_k f(x_{i+1/2}, u_i)|, |d_k f(x_{i+1/2}, u_{i+1})|).
 
 The flux is frozen at the geometric interface midpoint, which keeps states c
-with f(x, c) = const exact.  Every flux is separable, f_i = g_i(x) h(k):
-the factors g_i at the interface lattice are evaluated once per run, when
-the stepper is built, and each sweep evaluates only h and h' on the
+with f(x, c) = const exact.  Every flux is separable, f_i = g_i(x_i) h(k):
+g is evaluated once per run on the n + 1 cell edges, when the stepper is
+built, and the sweep along axis i reads column i (g_i at its interfaces),
+broadcast along the other axes; each sweep evaluates only h and h' on the
 states.  In d dimensions Godunov splitting sweeps the same stencil along
 each axis in turn, each sweep under cfl/d.  An optional central
 second-difference term turns the update into the viscous regularization
@@ -81,9 +82,11 @@ one setup (``_Run``): it checks the flux against the config with the
 rule ``parse_config`` applies too (``require_flux_fits``), samples each
 initial datum once (non-finite data raise ``BlowUp``), and derives one dt
 and step count from the a-priori bound of the largest datum, so a pair
-shares its time levels.  All three march through one loop (``_Run.steps``),
-which checks each datum after every step against its own blow-up
-threshold, ten times its own a-priori bound.
+shares its time levels.  The bound's source sup|div_x f| and the speed
+sup|d_k f| are a max over points times a max over states (``_sup_abs``),
+and a non-finite one raises ``NonFiniteFlux``.  All three march through
+one loop (``_Run.steps``), which checks each datum after every step
+against its own blow-up threshold, ten times its own a-priori bound.
 
 The same interface flux induces a numerical entropy flux for |u - k|:
 
@@ -108,7 +111,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUp, CFLViolation, GridMismatch
+from .errors import BlowUp, CFLViolation, GridMismatch, NonFiniteFlux
 from .flux import FluxSpec
 from .grids import DIMS, GridField, _tensor_points, cell_centers
 
@@ -172,14 +175,28 @@ class SchemeConfig:
                        viscosity=self.viscosity / factor)
 
 
-def _sup_abs(fn, config: SchemeConfig, m: float, states: int) -> float:
-    """max |fn(x, k)| over the lattice the a-priori estimates sample and
-    ``states`` equally spaced states k in [-m, m]."""
+def _sup_abs(flux: FluxSpec, derivative: str, config: SchemeConfig, m: float,
+             states: int) -> float:
+    """max |``derivative``(x, k)| over the lattice the a-priori estimates
+    sample and ``states`` equally spaced k in [-m, m], taken as max|x-factor|
+    times max|state factor|: rounding is monotone and |a b| = |a| |b|, so
+    that is the max over their product, bit for bit.  ``NonFiniteFlux`` if
+    it is not finite."""
+    # the estimate, then the names of the x-factor and the state factor
+    estimate, x_factor, k_factor = {
+        "dk": ("speed sup|d_k f|", "g", "h_prime"),
+        "div_x": ("bound's source sup|div_x f|", "g_prime_sum", "h"),
+    }[derivative]
     # 1 + 2^(8 - d) points per axis: 129 in 1-d, 65 in 2-d, 33 in 3-d
     lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
     pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
     ks = np.linspace(-m, m, states)
-    return float(np.abs(fn(pts[:, None, :], ks[None, :])).max())
+    sup = (float(np.abs(getattr(flux.factors, x_factor)(pts)).max())
+           * float(np.abs(getattr(flux.factors, k_factor)(ks)).max()))
+    if not math.isfinite(sup):
+        raise NonFiniteFlux(f"{flux.name}: the a-priori {estimate} over "
+                            f"the states in [-{m}, {m}] is {sup}")
+    return sup
 
 
 def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
@@ -187,12 +204,8 @@ def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
     the enlarged state interval since the source can grow the solution."""
     m = m0
     for _ in range(2):
-        m = m0 + config.t_end * _sup_abs(flux.div_x, config, max(m, m0), 33)
+        m = m0 + config.t_end * _sup_abs(flux, "div_x", config, max(m, m0), 33)
     return m
-
-
-def _estimate_speed(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> float:
-    return _sup_abs(flux.dk, config, m_bound, 65)
 
 
 def require_flux_fits(flux: FluxSpec, dim: int, scheme: str) -> None:
@@ -275,26 +288,27 @@ class _Views:
 class _Axis:
     """One axis's sweep, bound once per run.
 
-    Component ``axis`` of f and d_k f at the fixed interface points ``xi``:
-    of the factors f_i = g_i(x) h(k), g_i(xi) is evaluated here once, and
-    a sweep takes h and h' once on the ghosted states.  The stepper's
-    ghost buffer ``ug`` and its interface buffers fL, fR, lam, F and work
-    in the shape of this axis, and their views for a sweep of the whole
-    grid (``whole``); a sweep of a window takes views of its part
-    (``_Views``).
+    Component ``axis`` of f and d_k f at the interfaces: of the factors
+    f_i = g_i(x_i) h(k), the stepper takes g_i at the n + 1 edges (``g``)
+    once, here a read-only broadcast along the other axes, and a sweep
+    takes h and h' once on the ghosted states.  The stepper's ghost buffer
+    ``ug`` and its interface buffers fL, fR, lam, F and work in the shape
+    of this axis, and their views for a sweep of the whole grid
+    (``whole``); a sweep of a window takes views of its part (``_Views``).
     """
 
-    def __init__(self, flux: FluxSpec, config: SchemeConfig, xi: Array,
+    def __init__(self, flux: FluxSpec, config: SchemeConfig, g: Array,
                  axis: int, ug: Array, faces, lap):
         self.factors, self.axis, self.ug = flux.factors, axis, ug
         self.scheme, self.dx, self.lap = config.scheme, config.dx, lap
         self.viscosity = config.viscosity
         self.n, self.periodic = config.nx, config.boundary == "periodic"
-        self.g = self.factors.g(xi)[..., axis]
-        self.abs_g = np.abs(self.g)
+        shape = ug.shape[:axis] + (self.n + 1,) + ug.shape[axis + 1:]
+        g = g[_along(axis, ug.ndim, slice(None), None)]
+        self.g, self.abs_g = (np.broadcast_to(a, shape) for a in (g, abs(g)))
         self.left = _along(axis, ug.ndim, slice(0, -1))
         self.right = _along(axis, ug.ndim, slice(1, None))
-        self.faces = [s.reshape(xi.shape[:-1]) for s in faces]
+        self.faces = [s.reshape(shape) for s in faces]
         self.fL, self.fR, self.lam = self.faces[:3]
         self.whole = _Views(self, 0, self.n)
 
@@ -399,26 +413,22 @@ class _Stepper:
         # +0.0 cell; the 1-d one checks the far-field states of each datum
         self.rest = None
         self._out, self._window = None, None
-        self.centers = c = cell_centers(config.lo, config.hi, n)
-        e = config.lo + np.arange(n + 1) * dx
+        self.centers = cell_centers(config.lo, config.hi, n)
         cells = (n,) * dim
         ghosted = np.empty((n + 2) * n ** (dim - 1))
         faces = [np.empty((n + 1) * n ** (dim - 1)) for _ in range(5)]
         self.lap = np.empty(cells) if config.scheme == "viscous" else None
-        # the 2-d x sweep writes here; the y sweep reads it.  Allocated
-        # before the axes' interface points and factors: allocated after
-        # them, it read about 0.2 MB more peak RSS on contraction_2d
+        # the 2-d x sweep writes here; the y sweep reads it
         self.mid = np.empty(cells) if dim == 2 else None
-        # interface points of the sweep along each axis: edges on that axis,
-        # cell centers on the others, shape (..., dim)
-        self.axes = []
-        for axis in range(dim):
-            grids = np.meshgrid(*[e if a == axis else c for a in range(dim)],
-                                indexing="ij")
-            shape = tuple(n + 2 if a == axis else n for a in range(dim))
-            self.axes.append(_Axis(flux, config, np.stack(grids, axis=-1),
-                                   axis, ghosted.reshape(shape), faces,
-                                   self.lap))
+        # g_i depends on x_i alone, so column i of g at the n + 1 edges is
+        # g_i at the interfaces of the sweep along axis i
+        e = config.lo + np.arange(n + 1) * dx
+        g = flux.factors.g(np.repeat(e[:, None], dim, axis=1))
+        self.axes = [
+            _Axis(flux, config, g[:, axis], axis, ghosted.reshape(
+                tuple(n + 2 if a == axis else n for a in range(dim))),
+                faces, self.lap)
+            for axis in range(dim)]
 
     def max_abs(self, u: Array, work: Array) -> float:
         """max|u|, with ``work`` for |u|."""
@@ -624,9 +634,10 @@ class _Stepper2D(_Stepper):
         return super().max_abs(u, work)
 
 
-def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
+def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> float:
+    """dt from the a-priori speed, sup|d_k f| on [-m_bound, m_bound]."""
     dx = config.dx
-    lam_max = _estimate_speed(flux, config, m_bound)
+    lam_max = _sup_abs(flux, "dk", config, m_bound, 65)
     # one split sweep per axis, each under its share of the CFL budget
     budget = config.cfl / config.dim
     if config.scheme == "viscous":
@@ -639,7 +650,7 @@ def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float):
         dt = budget * dx / lam_max if lam_max > 0 else budget * dx
     if not (dt > 0.0 and math.isfinite(dt)):
         raise CFLViolation(f"computed dt = {dt}")
-    return dt, lam_max
+    return dt
 
 
 class _Run:
@@ -666,7 +677,7 @@ class _Run:
         # largest of the per-datum bounds
         bounds = {m0: _estimate_bound(flux, config, m0) for m0 in m0s}
         self.thresholds = [10.0 * bounds[m0] for m0 in m0s]
-        dt, _ = _time_step(flux, config, bounds[max(m0s)])
+        dt = _time_step(flux, config, bounds[max(m0s)])
         self.nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
         self.dt = config.t_end / self.nsteps
 

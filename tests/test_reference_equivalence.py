@@ -31,8 +31,8 @@ from clawlab.errors import (BlowUp, CFLViolation, MissingTimeLevels,
                             SupportExceedsDomain)
 from clawlab.flux import (FluxSpec, catalog_lookup, catalog_names,
                           lipschitz_constant)
-from clawlab.grids import (GridField, box_data, field_from_function,
-                           riemann_data, sine_data)
+from clawlab.grids import (GridField, _tensor_points, box_data,
+                           field_from_function, riemann_data, sine_data)
 from clawlab.mollifiers import (ConeSpec, Mollifier, bump_test_function,
                                 contraction_test_function, omega_value)
 from clawlab.solver import (SchemeConfig, discrete_entropy_max_violation,
@@ -446,6 +446,48 @@ def test_window_of_nan_and_sole_special_cells():
 
 # -- run setup and marching loop ----------------------------------------------
 
+def _sampled_sup_abs(flux, derivative, config, m, states):
+    """max |``derivative``(x, k)| (``"dk"`` or ``"div_x"``) sampled through
+    the FluxSpec callable at every point of the a-priori lattice and state
+    of ``states`` equally spaced k in [-m, m]: the product lattice whose
+    max ``solver._sup_abs`` reads as a product of two factor maxima."""
+    lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
+    pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
+    ks = np.linspace(-m, m, states)
+    fn = getattr(flux, derivative)
+    return float(np.abs(fn(pts[:, None, :], ks[None, :])).max())
+
+
+def _sampled_a_priori(flux, config, m0):
+    """The solver's a-priori bound for max|u0| = m0 and its dt, with every
+    sup sampled by ``_sampled_sup_abs``, so that a hand-built flux's run
+    reads only its closed forms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_sup_abs", _sampled_sup_abs)
+        m_bound = solver_mod._estimate_bound(flux, config, m0)
+        return m_bound, solver_mod._time_step(flux, config, m_bound)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_priori_sups_are_the_sampled_ones(name):
+    # max|x-factor| on the lattice times max|state factor| on the states is
+    # the max of |d_k f| and of |div_x f| over their product, bit for bit
+    flux = _lookup(name)
+    for lo, hi in ((-1.0, 1.0), (-1.3, 0.9), (-3.0, 3.0), (0.25, 7.5)):
+        for t_end in (0.2, 1.0, 3.7):
+            config = SchemeConfig(lo=lo, hi=hi, nx=10, t_end=t_end,
+                                  dim=flux.dim)
+            for m0 in (0.0, 0.3, 1.0, 2.5, 1e3):
+                m_bound = solver_mod._estimate_bound(flux, config, m0)
+                assert (m_bound, solver_mod._time_step(flux, config, m_bound)
+                        ) == _sampled_a_priori(flux, config, m0)
+                for derivative, states in (("dk", 65), ("div_x", 33)):
+                    assert (solver_mod._sup_abs(flux, derivative, config,
+                                                m_bound, states)
+                            == _sampled_sup_abs(flux, derivative, config,
+                                                m_bound, states))
+
+
 def _reference_solve(flux, u0, config, shared_dt=None, plain=False):
     """A whole run with its own setup; ``shared_dt`` is the step a pair run
     handed back, checked against this datum's own stable step.  ``plain``
@@ -461,8 +503,7 @@ def _reference_solve(flux, u0, config, shared_dt=None, plain=False):
         pts = np.stack([X, Y], axis=-1)
     u = np.asarray(u0(pts), dtype=float) + np.zeros(pts.shape[:-1])
     m0 = float(np.abs(u).max())
-    m_bound = solver_mod._estimate_bound(flux, config, m0)
-    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    m_bound, dt = _sampled_a_priori(flux, config, m0)
     if shared_dt is not None:
         if shared_dt > dt * (1.0 + 1e-12):
             raise CFLViolation(f"shared_dt {shared_dt} exceeds stable step {dt}")
@@ -496,8 +537,7 @@ def _reference_solve_pair(flux, u0a, u0b, config):
         pts = np.stack([X, Y], axis=-1)
     m0 = max(float(np.abs(np.asarray(u0a(pts), dtype=float)).max()),
              float(np.abs(np.asarray(u0b(pts), dtype=float)).max()))
-    m_bound = solver_mod._estimate_bound(flux, config, m0)
-    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    _, dt = _sampled_a_priori(flux, config, m0)
     nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
     shared_dt = config.t_end / nsteps
     return (_reference_solve(flux, u0a, config, shared_dt),
@@ -562,8 +602,7 @@ def _reference_entropy_scan(flux, u0, config, k_values):
     xi = (config.lo + np.arange(config.nx + 1) * dx)[:, None]
     c = config.lo + (np.arange(config.nx) + 0.5) * dx
     u = np.asarray(u0(c[:, None]), dtype=float) + np.zeros(config.nx)
-    m_bound = solver_mod._estimate_bound(flux, config, float(np.abs(u).max()))
-    dt, _ = solver_mod._time_step(flux, config, m_bound)
+    _, dt = _sampled_a_priori(flux, config, float(np.abs(u).max()))
     nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
     mu = (config.t_end / nsteps) / dx
     worst = -math.inf
@@ -654,6 +693,21 @@ def _reference_lipschitz_estimate(flux, R, M, n):
     return max(best, float(np.sqrt((dkv ** 2).sum(axis=-1)).max()))
 
 
+def _max_chord_slope(fv, ks):
+    """Max of |f(x, k_{j+1}) - f(x, k_j)| / (k_{j+1} - k_j) over the points
+    and j; ``fv`` has shape (nk, npts, d).
+
+    At one point a chord over several adjacent steps is a weighted mean of
+    their chords, so it exceeds their max only by rounding and adjacent
+    chords suffice.  sqrt and the division by k_{j+1} - k_j > 0 are
+    monotone, so the max over the points is taken first and the result is
+    still the max of the pointwise quotients, bit for bit.
+    """
+    sq = flux_mod._sum_squares([fv[1:, :, i] - fv[:-1, :, i]
+                                for i in range(fv.shape[-1])])
+    return float((np.sqrt(sq.max(axis=1)) / np.diff(ks)).max(initial=0.0))
+
+
 def _sampled_estimate(flux, pts, ks):
     """Max of the chord slopes between adjacent states and of |d_k f|,
     sampled from ``eval`` and ``dk`` at every point of ``pts`` (npts, d)
@@ -662,7 +716,7 @@ def _sampled_estimate(flux, pts, ks):
     fv = flux.eval(pts[None, :, :], ks[:, None])          # (nk, npts, d)
     if not np.all(np.isfinite(fv)):
         raise NonFiniteFlux(f"{flux.name}: non-finite values on sample set")
-    best = flux_mod._max_chord_slope(fv, ks)
+    best = _max_chord_slope(fv, ks)
     del fv  # released before the derivative samples are taken
     dkv = flux.dk(pts[None, :, :], ks[:, None])
     if not np.all(np.isfinite(dkv)):

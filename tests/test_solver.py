@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clawlab import solver as solver_mod
 from clawlab.errors import (BlowUp, CFLViolation, EmptyCone, FieldFileError,
-                            GridMismatch, MissingTimeLevels)
+                            GridMismatch, MissingTimeLevels, NonFiniteFlux)
 from clawlab.flux import Separable, _separable, catalog_lookup
 from clawlab.grids import (GridField, box_data, constant_data,
                            field_from_function, load_field, riemann_data,
@@ -113,11 +113,19 @@ class TestSolveBurgers:
         assert u.bound_M <= 0.0 + 0.5 * 2.0 + 1e-12
 
 
-def _nan_above(factors: Separable, top: float) -> Separable:
-    """``factors`` with h NaN above ``top``: a flux that turns a state
-    above ``top`` into NaN in the first step that reads it."""
-    h = factors.h
-    return replace(factors, h=lambda k: np.where(k > top, np.nan, h(k)))
+def _nan_on(factors: Separable, lo: float, hi: float,
+            name: str = "h") -> Separable:
+    """``factors`` with the state factor ``name`` (h or h') NaN on the
+    states in (lo, hi): a flux that turns a state there into NaN in the
+    first step that reads it."""
+    fn = getattr(factors, name)
+    return replace(factors, **{
+        name: lambda k: np.where((lo < k) & (k < hi), np.nan, fn(k))})
+
+
+# h NaN on (0.9, 0.92), which holds the datum's right state 0.91 but none
+# of the a-priori samples of h, the multiples of 1/16 in [-1, 1]
+_BETWEEN_SAMPLES = (0.9, 0.92)
 
 
 class TestStability:
@@ -182,14 +190,34 @@ class TestStability:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_march_checks_every_step(self, dim):
         # the bound is max|u| over every step, here every level; a flux that
-        # is NaN above u = 0.9 makes the first step's states NaN
+        # is NaN on a state of the datum that the a-priori samples miss
+        # makes the first step's states NaN
         flux = catalog_lookup(f"burgers{dim}d")
         cfg = SchemeConfig(lo=-1, hi=1, nx=40, t_end=0.2, dim=dim)
         u = solve(flux, sine_data(0.5, 1.0, 0.2), cfg)
         assert u.bound_M == float(np.abs(u.data).max())
-        broken = _separable("nan_above", dim, _nan_above(flux.factors, 0.9))
+        broken = _separable("nan_between", dim,
+                            _nan_on(flux.factors, *_BETWEEN_SAMPLES))
         with pytest.raises(BlowUp, match="at step 1 "):
-            solve(broken, riemann_data(1.0, 0.0, 0.0), cfg)
+            solve(broken, riemann_data(1.0, 0.91, 0.0), cfg)
+
+    @pytest.mark.parametrize("name,estimate", [("h", "bound"),
+                                               ("h_prime", "speed")])
+    def test_nonfinite_a_priori_estimate_refused(self, name, estimate):
+        # the data (sine of amplitude 1) never reach the NaN states above
+        # 1.2, but the bound's refreshed sample, m0 + T sup|div_x f|, does,
+        # and the speed samples [-bound, bound].  Unrefused, a NaN bound
+        # makes every BlowUp threshold NaN and a NaN speed gives the dt of
+        # speed 0: with h NaN, dt 0.0179 against 0.0100 for product1d, CFL
+        # 1.6, and BlowUp only once NaN states appear at step 15
+        flux = catalog_lookup("product1d")
+        broken = _separable("nan_above", 1,
+                            _nan_on(flux.factors, 1.2, np.inf, name))
+        cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=1.0,
+                           boundary="periodic")
+        with pytest.raises(NonFiniteFlux,
+                           match=f"nan_above: the a-priori {estimate}"):
+            solve(broken, sine_data(1.0, 1.0, 0.0), cfg)
 
 
 class TestViscous:
@@ -328,14 +356,15 @@ class TestDiscreteEntropy:
                 np.linspace(-1, 1, 5))
 
     def test_state_turning_nonfinite_raises(self):
-        # h is NaN above u = 0.9 while h' stays finite, so the first step
-        # produces NaN states (the a-priori bound, which samples
-        # div_x f = 0 h, reads NaN too)
-        broken = _separable("nan_above", 1, _nan_above(BURGERS.factors, 0.9))
+        # h is NaN on a state of the datum that the a-priori samples miss,
+        # while h' stays finite, so the first step produces NaN states
+        broken = _separable("nan_between", 1,
+                            _nan_on(BURGERS.factors, *_BETWEEN_SAMPLES))
         cfg = SchemeConfig(lo=-1, hi=1, nx=100, t_end=0.2)
         with pytest.raises(BlowUp, match="at step 1 "):
             discrete_entropy_max_violation(
-                broken, riemann_data(1.0, 0.0, 0.0), cfg, np.linspace(-1, 1, 5))
+                broken, riemann_data(1.0, 0.91, 0.0), cfg,
+                np.linspace(-1, 1, 5))
 
     def test_flux_dim_mismatch_raises(self):
         cfg = SchemeConfig(lo=-1, hi=1, nx=50, t_end=0.1)
@@ -376,7 +405,8 @@ class TestDiscreteEntropy:
 
     def test_h_and_h_prime_once_per_step(self):
         # the scan reads the sides of the step it checks, so h and h' are
-        # taken once per step; h once more per k for f(x, k)
+        # taken once per step; h once more per k for f(x, k), and the
+        # set-up samples h twice for the bound and h' once for the speed
         calls = {"h": 0, "h_prime": 0}
 
         def counted(name):
@@ -393,7 +423,7 @@ class TestDiscreteEntropy:
         ini, ks = riemann_data(1.0, -0.2, 0.1), np.linspace(-1, 1, 5)
         nsteps = len(solve(BURGERS, ini, cfg).times) - 1
         viol = discrete_entropy_max_violation(flux, ini, cfg, ks)
-        assert calls == {"h": nsteps + len(ks), "h_prime": nsteps}
+        assert calls == {"h": nsteps + len(ks) + 2, "h_prime": nsteps + 1}
         assert viol == discrete_entropy_max_violation(BURGERS, ini, cfg, ks)
 
 
