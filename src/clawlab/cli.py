@@ -177,10 +177,14 @@ def _run_check(check: CheckSpec, flux, u, v, cfg: ExperimentConfig = None):
         if coeff > 0:
             variants.append(replace(base, scheme="viscous",
                                     viscosity=coeff * base.dx))
+        # u is the run's own solve of the config's datum alone when there is
+        # no second one (``_solve``)
+        solved = (cfg.grid, u) if cfg.initial_data2 is None else None
         return uniqueness_experiment(
             flux, cfg.initial_data, variants, center=p.get("center"),
             radius=p.get("radius"), exact_at_t_end=_burgers_oracle(cfg),
-            min_ratio=p.get("min_ratio", DEFAULT_MIN_RATIO)), None
+            min_ratio=p.get("min_ratio", DEFAULT_MIN_RATIO),
+            solved=solved), None
 
     if check.kind == "doubling":
         eps_list = p.get("eps_list", [0.1, 0.05, 0.025])

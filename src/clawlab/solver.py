@@ -59,9 +59,9 @@ step copies u and sweeps the window widened by ``_MARGIN`` + 1 cells on
 each side; the window grows by a cell where the cell next to it ended
 with other bits, and the views are bound again only once it has grown
 past the margin.  Under periodic boundaries cL must equal cR, and a swept
-range that reaches an edge takes the whole grid.  The entropy scan below
-reads the buffers at every interface, so it turns the window off
-(``rest`` False).  A 1-d step is not all call overhead: on a shared
+range that reaches an edge takes the whole grid.  The stepper keeps the
+views of the last step's sweep (``swept``), which the entropy scan below
+reads.  A 1-d step is not all call overhead: on a shared
 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) a whole-grid Burgers step took
 13.3, 19.1 and 24.5 us at nx 250, 1000 and 2000 (best of 7 timeit runs),
 about 12 us fixed plus 7 us per 1,000 cells, and binding a ``_Views``
@@ -84,7 +84,8 @@ initial datum once (non-finite data raise ``BlowUp``), and derives one dt
 and step count from the a-priori bound of the largest datum, so a pair
 shares its time levels.  The bound's source sup|div_x f| and the speed
 sup|d_k f| are a max over points times a max over states (``_sup_abs``),
-and a non-finite one raises ``NonFiniteFlux``.  All three march through
+each max over points taken once per run, and a non-finite one raises
+``NonFiniteFlux``.  All three march through
 one loop (``_Run.steps``), which checks each datum after every step
 against its own blow-up threshold, ten times its own a-priori bound.
 
@@ -97,10 +98,19 @@ The same interface flux induces a numerical entropy flux for |u - k|:
 and for homogeneous fluxes the per-cell inequality
 |u^{n+1}-k| - |u^n-k| + (dt/dx)(Q_{i+1/2} - Q_{i-1/2}) <= 0 holds to
 roundoff; ``discrete_entropy_max_violation`` measures it.  It reads the
-ghosted states, fL, fR and lam of each step from the buffers of the 1-d
-stepper's one axis, so h and h' are evaluated once per step, computes Q
-into arrays allocated once per run, and refuses an empty or non-finite
-list of k before any solving.
+ghosted states, fL, fR and lam of each step from the views the step swept
+(the stepper's ``swept``), so h and h' are evaluated once per step and
+only on the swept cells [c0, c1), computes Q into views of arrays
+allocated once per run, and refuses an empty or non-finite list of k
+before any solving.  A cell outside the swept ones holds c (cL left of
+them, cR right) between neighbours that hold c, and keeps it, so its
+violation is 0.0 + mu (Q_{i+1/2} - Q_{i-1/2}) with Q = sign(c - k)
+(f(x_{i+1/2}, c) - f(x_{i+1/2}, k)): +0.0 when f does not depend on x
+(``burgers1d``), the x-source otherwise (``product1d``, ``kink1d``).
+That term does not change from step to step, so the scan takes it once
+per far-field state, in the same arithmetic, and joins the max over
+cells left of c0 and right of c1 - 1 (a prefix and a suffix max) to each
+step's max, bit for bit the scan of every cell.
 """
 
 from __future__ import annotations
@@ -176,22 +186,27 @@ class SchemeConfig:
 
 
 def _sup_abs(flux: FluxSpec, derivative: str, config: SchemeConfig, m: float,
-             states: int) -> float:
+             states: int, x_sups: dict | None = None) -> float:
     """max |``derivative``(x, k)| over the lattice the a-priori estimates
     sample and ``states`` equally spaced k in [-m, m], taken as max|x-factor|
     times max|state factor|: rounding is monotone and |a b| = |a| |b|, so
     that is the max over their product, bit for bit.  ``NonFiniteFlux`` if
-    it is not finite."""
+    it is not finite.  ``x_sups``, one dict per run, keeps each x-factor's
+    max once it is taken, since it depends on the grid alone."""
     # the estimate, then the names of the x-factor and the state factor
     estimate, x_factor, k_factor = {
         "dk": ("speed sup|d_k f|", "g", "h_prime"),
         "div_x": ("bound's source sup|div_x f|", "g_prime_sum", "h"),
     }[derivative]
-    # 1 + 2^(8 - d) points per axis: 129 in 1-d, 65 in 2-d, 33 in 3-d
-    lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
-    pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
+    x_sups = {} if x_sups is None else x_sups
+    if x_factor not in x_sups:
+        # 1 + 2^(8 - d) points per axis: 129 in 1-d, 65 in 2-d, 33 in 3-d
+        lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
+        pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
+        x_sups[x_factor] = float(
+            np.abs(getattr(flux.factors, x_factor)(pts)).max())
     ks = np.linspace(-m, m, states)
-    sup = (float(np.abs(getattr(flux.factors, x_factor)(pts)).max())
+    sup = (x_sups[x_factor]
            * float(np.abs(getattr(flux.factors, k_factor)(ks)).max()))
     if not math.isfinite(sup):
         raise NonFiniteFlux(f"{flux.name}: the a-priori {estimate} over "
@@ -199,12 +214,14 @@ def _sup_abs(flux: FluxSpec, derivative: str, config: SchemeConfig, m: float,
     return sup
 
 
-def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float) -> float:
+def _estimate_bound(flux: FluxSpec, config: SchemeConfig, m0: float,
+                    x_sups: dict | None = None) -> float:
     """A-priori bound max|u0| + T sup|div_x f|; the sup is refreshed once with
     the enlarged state interval since the source can grow the solution."""
     m = m0
     for _ in range(2):
-        m = m0 + config.t_end * _sup_abs(flux, "div_x", config, max(m, m0), 33)
+        m = m0 + config.t_end * _sup_abs(flux, "div_x", config, max(m, m0),
+                                         33, x_sups)
     return m
 
 
@@ -256,6 +273,7 @@ class _Views:
 
     def __init__(self, a: "_Axis", c0: int, c1: int, rows=slice(None)):
         n, ug = a.n, a.ug
+        self.c0, self.c1 = c0, c1
 
         def at(start, stop):
             return _along(a.axis, ug.ndim, slice(start, stop), rows)
@@ -408,10 +426,6 @@ class _Stepper:
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         n, dim, dx = config.nx, config.dim, config.dx
         self.n, self.periodic = n, config.boundary == "periodic"
-        # False makes every sweep take the whole grid.  The 2-d stepper
-        # stores here whether +0.0 rests, checked on the first datum with a
-        # +0.0 cell; the 1-d one checks the far-field states of each datum
-        self.rest = None
         self._out, self._window = None, None
         self.centers = cell_centers(config.lo, config.hi, n)
         cells = (n,) * dim
@@ -453,17 +467,20 @@ class _Stepper1D(_Stepper):
     window then grows by the cell next to either end if that cell ended
     with other bits, and the views of [w0, w1) are bound again only once
     the cell next to the window falls outside them.  The whole grid is
-    swept when cL or cR does not rest, when ``rest`` is False (the entropy
-    scan reads every interface), once [w0, w1) spans the grid, and under
-    periodic boundaries when cL and cR differ or [w0, w1) reaches an edge.
-    The stepper trusts the window it keeps, so an array it returned must
-    not be written before it is passed back.
+    swept when cL or cR does not rest, once [w0, w1) spans the grid, and
+    under periodic boundaries when cL and cR differ or [w0, w1) reaches an
+    edge.  ``swept`` holds the views of the last step's sweep (their cells
+    are [c0, c1)), kept apart from the views the next step takes, so that
+    the entropy scan reads the buffers of the step it checks.  The stepper
+    trusts the window it keeps, so an array it returned must not be
+    written before it is passed back.
     """
 
     def __init__(self, flux: FluxSpec, config: SchemeConfig):
         super().__init__(flux, config)
-        # the bits of cL and cR, and the swept cells with their views
-        self._bits, self._span, self._views = None, None, self.axes[0].whole
+        # the bits of cL and cR, the views of the next sweep and of the last
+        self._bits, self._views = None, self.axes[0].whole
+        self.swept = None
 
     def _scan(self, u: Array) -> None:
         """The far-field states and window of an array the stepper did not
@@ -472,7 +489,7 @@ class _Stepper1D(_Stepper):
         self._views = a.whole
         bits = u.view(np.int64)
         bL, bR = bits[0], bits[-1]
-        if self.rest is False or (self.periodic and bL != bR):
+        if self.periodic and bL != bR:
             return
         if not (a.rests(u[0]) and (bR == bL or a.rests(u[-1]))):
             return
@@ -484,12 +501,11 @@ class _Stepper1D(_Stepper):
         self._bind()
 
     def _bind(self) -> None:
-        """The swept cells, the window widened by _MARGIN + 1 cells on each
-        side, and their views."""
+        """The views of the swept cells, the window widened by _MARGIN + 1
+        cells on each side."""
         lo, hi = self._window
         n, a = self.n, self.axes[0]
         w0, w1 = max(lo - 1 - _MARGIN, 0), min(hi + 1 + _MARGIN, n)
-        self._span = w0, w1
         if (w0, w1) == (0, n) or (self.periodic and (w0 == 0 or w1 == n)):
             self._views = a.whole
         else:
@@ -501,6 +517,7 @@ class _Stepper1D(_Stepper):
         if u is not self._out:
             self._scan(u)
         a, v = self.axes[0], self._views
+        self.swept = v
         if v is a.whole:
             out = a.sweep(u, dt, np.empty(u.shape))
         else:
@@ -514,7 +531,7 @@ class _Stepper1D(_Stepper):
         """Grow the window by the cell next to either end if ``out`` holds
         other bits there than cL or cR, and bind the views again once the
         cell next to the window falls outside the swept cells."""
-        (w0, w1), (bL, bR), n = self._span, self._bits, self.n
+        v, (bL, bR), n = self._views, self._bits, self.n
         bits = out.view(np.int64)
         lo, hi = self._window
         if lo > 0 and bits[lo - 1] != bL:
@@ -522,18 +539,18 @@ class _Stepper1D(_Stepper):
         if hi < n and bits[hi] != bR:
             hi += 1
         self._window = lo, hi
-        if (w0 > 0 and lo <= w0) or (w1 < n and hi >= w1):
+        if (v.c0 > 0 and lo <= v.c0) or (v.c1 < n and hi >= v.c1):
             self._bind()
 
     def max_abs(self, u: Array, work: Array) -> float:
         """max|u|, with ``work`` for |u|; for the array last returned it is
         read on the swept cells and the two end cells, which hold cL and cR
         where the swept cells stop short of the ends."""
-        if u is not self._out or self._views is self.axes[0].whole:
+        v = self._views
+        if u is not self._out or v is self.axes[0].whole:
             return super().max_abs(u, work)
-        w0, w1 = self._span
         # the swept cells' max first, so that a NaN there is what max returns
-        return max(super().max_abs(u[w0:w1], work[w0:w1]),
+        return max(super().max_abs(u[v.c0:v.c1], work[v.c0:v.c1]),
                    abs(float(u[0])), abs(float(u[-1])))
 
 
@@ -551,6 +568,9 @@ class _Stepper2D(_Stepper):
         super().__init__(flux, config)
         # the whole grid, the one object every full window is
         self.full = ((0, self.n),) * 2
+        # whether +0.0 rests, checked on the first datum with a +0.0 cell;
+        # False makes every sweep take the whole grid
+        self.rest = None
 
     def _settle(self, window):
         """The window, with a range within a cell of an edge of a periodic
@@ -634,10 +654,11 @@ class _Stepper2D(_Stepper):
         return super().max_abs(u, work)
 
 
-def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float) -> float:
+def _time_step(flux: FluxSpec, config: SchemeConfig, m_bound: float,
+               x_sups: dict | None = None) -> float:
     """dt from the a-priori speed, sup|d_k f| on [-m_bound, m_bound]."""
     dx = config.dx
-    lam_max = _sup_abs(flux, "dk", config, m_bound, 65)
+    lam_max = _sup_abs(flux, "dk", config, m_bound, 65, x_sups)
     # one split sweep per axis, each under its share of the CFL budget
     budget = config.cfl / config.dim
     if config.scheme == "viscous":
@@ -675,9 +696,10 @@ class _Run:
         # the estimate samples linspace(-m, m, 33), so it is not monotone in
         # m0: dt comes from the bound of the largest datum, not from the
         # largest of the per-datum bounds
-        bounds = {m0: _estimate_bound(flux, config, m0) for m0 in m0s}
+        x_sups = {}
+        bounds = {m0: _estimate_bound(flux, config, m0, x_sups) for m0 in m0s}
         self.thresholds = [10.0 * bounds[m0] for m0 in m0s]
-        dt = _time_step(flux, config, bounds[max(m0s)])
+        dt = _time_step(flux, config, bounds[max(m0s)], x_sups)
         self.nsteps = max(1, int(math.ceil(config.t_end / dt - 1e-12)))
         self.dt = config.t_end / self.nsteps
 
@@ -773,23 +795,52 @@ def discrete_entropy_max_violation(flux: FluxSpec, u0, config: SchemeConfig,
     if bad.size:
         raise ValueError(f"the entropy scan needs finite k, got {bad.tolist()}")
     run = _Run(flux, config, [u0])
-    # the one sweep of a 1-d step leaves in its axis the ghosted states,
-    # interface fluxes and local speeds of the step that made unew from u,
-    # at every interface once the stepper sweeps the whole grid
-    run.stepper.rest = False
-    a = run.stepper.axes[0]
+    stepper, n = run.stepper, config.nx
+    a = stepper.axes[0]
     mu = run.dt / config.dx
     # one row per k: k and f(x_{i+1/2}, k), the same on every step
     f_ks = np.stack([a.at(k) for k in ks[:, 0]])
-    Q, work = (np.empty((len(ks), config.nx + 1)) for _ in range(2))
+    Q, work = (np.empty((len(ks), n + 1)) for _ in range(2))
+
+    def rest_violations(c: float) -> Array:
+        """Each cell's violation, max over k, when it holds c between
+        neighbours that hold c: the arithmetic below on constant states.
+        c rests, so lam is finite and its term in Q is +0.0 whatever lam
+        is; 0.0 stands for it."""
+        rel = c - ks
+        sign, dist = np.sign(rel), np.abs(rel)
+        q = sign * (a.at(np.full(n + 1, c)) - f_ks)
+        _rusanov(dist, dist, q, q, 0.0, Q, work)
+        return (np.abs(c - ks) - dist + mu * np.diff(Q, axis=1)).max(axis=0)
+
+    # the max over the cells left of c0 (pre[c0]) and right of c1 - 1
+    # (suf[c1]), taken once the stepper first sweeps a window
+    pre = suf = None
     worst = -math.inf
     for _, _, unew, _ in run.steps(0):
+        # the views of the sweep that made unew from u: its ghosted states
+        # and the fL, fR and lam of its faces [c0, c1 + 1)
+        v = stepper.swept
+        c0, c1 = v.c0, v.c1
+        if v is not a.whole and pre is None:
+            left, right = rest_violations(unew[0]), rest_violations(unew[-1])
+            pre = np.concatenate(([-math.inf], np.maximum.accumulate(left)))
+            suf = np.concatenate((np.maximum.accumulate(right[::-1])[::-1],
+                                  [-math.inf]))
         # interface entropy flux Q_{i+1/2}: the scheme's flux applied to
         # (|u - k|, q_k) with the same local speeds
-        rel = a.ug - ks
+        w = c1 - c0 + 1
+        Qv, work_v, f_k = Q[:, :w], work[:, :w], f_ks[:, c0:c1 + 1]
+        rel = v.states - ks
         sign, dist = np.sign(rel), np.abs(rel)
-        _rusanov(dist[:, :-1], dist[:, 1:], sign[:, :-1] * (a.fL - f_ks),
-                 sign[:, 1:] * (a.fR - f_ks), a.lam, Q, work)
-        viol = np.abs(unew - ks) - dist[:, 1:-1] + mu * np.diff(Q, axis=1)
-        worst = max(worst, float(viol.max()))
+        _rusanov(dist[:, :-1], dist[:, 1:], sign[:, :-1] * (v.fL - f_k),
+                 sign[:, 1:] * (v.fR - f_k), v.lam, Qv, work_v)
+        viol = (np.abs(unew[c0:c1] - ks) - dist[:, 1:-1]
+                + mu * np.diff(Qv, axis=1))
+        step_max = viol.max()
+        if v is not a.whole:
+            # the cells outside the sweep hold cL or cR between neighbours
+            # that hold the same; np.maximum keeps a NaN, as viol.max() does
+            step_max = np.maximum(step_max, np.maximum(pre[c0], suf[c1]))
+        worst = max(worst, float(step_max))
     return worst

@@ -1,13 +1,15 @@
 """Minimal self-contained SVG line plots (axes, ticks, polylines, legend).
 
-Deliberately dependency-free so run artifacts stay single-language and
-byte-reproducible.
+Built on numpy alone, like the rest of the package, so run artifacts
+stay single-language and byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+import numpy as np
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -38,26 +40,31 @@ def _esc(s: str) -> str:
 def line_plot(path, series, title: str = "", xlabel: str = "",
               ylabel: str = "", logx: bool = False, logy: bool = False,
               width: int = 640, height: int = 440) -> None:
-    """Write an SVG with one polyline per (xs, ys, label) triple."""
+    """Write an SVG with one polyline per (xs, ys, label) triple.
+
+    Points whose x or y is not finite, or not positive on a log axis, are
+    left out.  A polyline's pixel coordinates are computed on arrays, each
+    by the IEEE operations of the one-point formula in its order, so the
+    text is that of formatting point by point; a log axis takes
+    ``math.log10`` point by point, since ``np.log10`` may round otherwise."""
     clean = []
     for xs, ys, label in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if _ok(x, logx) and _ok(y, logy)]
-        if pts:
-            clean.append((pts, label))
+        n = min(len(xs), len(ys))
+        x, y = (np.asarray(v, dtype=float)[:n] for v in (xs, ys))
+        keep = np.isfinite(x) & np.isfinite(y)
+        if logx:
+            keep &= x > 0
+        if logy:
+            keep &= y > 0
+        if keep.any():
+            clean.append((_axis(x[keep], logx), _axis(y[keep], logy), label))
     if not clean:
-        clean = [([(0.0, 0.0)], "(no data)")]
+        clean = [(np.zeros(1), np.zeros(1), "(no data)")]
 
-    def tx(v):
-        return math.log10(v) if logx else v
-
-    def ty(v):
-        return math.log10(v) if logy else v
-
-    xvals = [tx(x) for pts, _ in clean for x, _ in pts]
-    yvals = [ty(y) for pts, _ in clean for _, y in pts]
-    xlo, xhi = min(xvals), max(xvals)
-    ylo, yhi = min(yvals), max(yvals)
+    xlo = min(float(x.min()) for x, _, _ in clean)
+    xhi = max(float(x.max()) for x, _, _ in clean)
+    ylo = min(float(y.min()) for _, y, _ in clean)
+    yhi = max(float(y.max()) for _, y, _ in clean)
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi == ylo:
@@ -67,12 +74,6 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
 
     ml, mr, mt, mb = 70, 20, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
-
-    def px(v):
-        return ml + pw * (tx(v) - xlo) / (xhi - xlo)
-
-    def py(v):
-        return mt + ph * (1.0 - (ty(v) - ylo) / (yhi - ylo))
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
            f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -108,9 +109,12 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{_esc(ylabel)}</text>')
 
-    for i, (pts, label) in enumerate(clean):
+    for i, (x, y, label) in enumerate(clean):
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        px = ml + pw * (x - xlo) / (xhi - xlo)
+        py = mt + ph * (1.0 - (y - ylo) / (yhi - ylo))
+        coords = " ".join(map("{:.2f},{:.2f}".format, px.tolist(),
+                              py.tolist()))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * i
@@ -123,8 +127,6 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def _ok(v, log: bool) -> bool:
-    v = float(v)
-    if not math.isfinite(v):
-        return False
-    return v > 0 if log else True
+def _axis(v, log: bool):
+    """The plotted values of one axis: v, or log10 v point by point."""
+    return np.array([math.log10(a) for a in v.tolist()]) if log else v

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ from .errors import (EmptyCone, MissingTimeLevels, SampleNearShock,
 from .flux import FluxSpec, lipschitz_constant
 from .grids import GridField, cell_centers
 from .mollifiers import Mollifier, TestFunction, omega_value
-from .solver import solve
+from .solver import SchemeConfig, solve
 
 Array = np.ndarray
 
@@ -417,12 +417,21 @@ def global_contraction_check(u: GridField, v: GridField, flux: FluxSpec,
 def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None,
                           radius: float | None = None, exact_at_t_end=None,
                           min_ratio: float = DEFAULT_MIN_RATIO,
-                          oracle_min_ratio: float = 1.4) -> ResidualReport:
+                          oracle_min_ratio: float = 1.4,
+                          solved: tuple[SchemeConfig, GridField] | None = None
+                          ) -> ResidualReport:
     """Run every scheme variant from the same data at two grid levels and
     require pairwise L1 distances at t_end to shrink by >= min_ratio under
     dx halving (all variants chase the same limit).  With an oracle the
     per-variant errors must shrink by >= oracle_min_ratio as well.  Both
     are taken over the ball of ``radius`` about ``center``; EmptyCone if empty.
+
+    ``solved`` is (config, field), a field already solved from ``u0``
+    alone on config (``solve``, not ``solve_pair``, whose dt comes from
+    both data).  A variant that differs from config in store_every alone
+    marches the same steps, so its final level is the field's, bit for
+    bit, and it is not solved again; the metadata's ``coarse_from_run``
+    lists those variants.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -436,10 +445,17 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
     center, radius = uniqueness_ball(seeds[0], center, radius)
     iu = np.triu_indices(len(seeds), k=1)
 
-    def run_level(configs):
+    reused = []
+    if solved is not None:
+        config, field_ = solved
+        reused = [i for i, s in enumerate(seeds)
+                  if replace(s, store_every=config.store_every) == config]
+
+    def run_level(configs, reuse=()):
         # variants may take different time steps, so only the final levels
         # (all landing exactly on t_end) are compared, pair by pair (iu)
-        fields = [solve(flux, u0, c) for c in configs]
+        fields = [field_ if i in reuse else solve(flux, u0, c)
+                  for i, c in enumerate(configs)]
         pts, _, (ball,) = _balls(fields[0], center, [radius])
         finals = np.stack([f.data[-1] for f in fields])
         cell = fields[0].dx ** fields[0].dim
@@ -449,7 +465,7 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
             oracle = l1_masses(finals, exact_at_t_end(pts), cell, ball).tolist()
         return dist, oracle
 
-    coarse, oracle_c = run_level(seeds)
+    coarse, oracle_c = run_level(seeds, reused)
     fine, oracle_f = run_level([s.refined(2) for s in seeds])
     floor = 64.0 * _EPS * max(1.0, radius)
     ratios = []
@@ -475,7 +491,8 @@ def uniqueness_experiment(flux: FluxSpec, u0, seeds, center: float | None = None
                   "oracle_ratios": oracle_ratios,
                   "schemes": [f"{s.scheme}(cfl={s.cfl}, eps={s.viscosity})"
                               for s in seeds],
-                  "nx_levels": [seeds[0].nx, 2 * seeds[0].nx]})
+                  "nx_levels": [seeds[0].nx, 2 * seeds[0].nx],
+                  "coarse_from_run": reused})
 
 
 def _near_jump(u: GridField, v: GridField, level: int, threshold: float,

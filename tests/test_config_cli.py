@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clawlab import svgplot
 from clawlab.cli import _run_flux, main
 from clawlab.config import PAIR_KINDS, load_config, parse_config
 from clawlab.errors import ConfigError
@@ -1148,3 +1150,62 @@ class TestVerifyReproducesRun:
         assert rows[0] == "t,radius,l1_mass"
         assert len(rows) > 2
         assert all(r.split(",")[1] == "inf" for r in rows[1:])
+
+
+def _per_point_polylines(series, logx, logy):
+    """The points attribute of each polyline of ``svgplot.line_plot`` at
+    its default size, one point at a time in Python floats: the plot's
+    filter, log10, axis range and pixel formulas."""
+    def ok(v, log):
+        return math.isfinite(v) and (v > 0 if log else True)
+
+    def t(v, log):
+        return math.log10(v) if log else v
+
+    # the axis values; a plot without points draws one at (0, 0)
+    clean = [pts for pts in (
+        [(t(float(x), logx), t(float(y), logy)) for x, y in zip(xs, ys)
+         if ok(float(x), logx) and ok(float(y), logy)]
+        for xs, ys, _ in series) if pts] or [[(0.0, 0.0)]]
+    xvals = [x for pts in clean for x, _ in pts]
+    yvals = [y for pts in clean for _, y in pts]
+    xlo, xhi, ylo, yhi = min(xvals), max(xvals), min(yvals), max(yvals)
+    if xhi == xlo:
+        xlo, xhi = xlo - 0.5, xhi + 0.5
+    if yhi == ylo:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
+    pad_y = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad_y, yhi + pad_y
+    ml, mt, pw, ph = 70, 34, 550, 354
+    return [" ".join(f"{ml + pw * (x - xlo) / (xhi - xlo):.2f},"
+                     f"{mt + ph * (1.0 - (y - ylo) / (yhi - ylo)):.2f}"
+                     for x, y in pts) for pts in clean]
+
+
+class TestLinePlot:
+    @pytest.mark.parametrize("logx,logy", [(False, False), (True, False),
+                                           (False, True), (True, True)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polylines_match_per_point_formatting(self, tmp_path, seed,
+                                                  logx, logy):
+        # random scales and signs, with NaN, +-inf and (on a log axis)
+        # non-positive points left out, series of unequal lengths cut to
+        # the shorter, and series that lose every point
+        rng = np.random.default_rng(seed)
+        series = []
+        for i in range(4):
+            n = int(rng.integers(1, 1200))
+            xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 8)
+            ys = rng.normal(size=n + int(rng.integers(0, 3))) * 10.0 ** (
+                rng.uniform(-8, 8))
+            for v in (xs, ys):
+                bad = rng.random(v.size) < 0.05
+                v[bad] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0],
+                                    bad.sum())
+            series.append((xs.tolist() if i % 2 else xs, ys, f"s{i}"))
+        series.append(([np.nan, 1.0], [2.0, np.inf], "dropped"))
+        for case in (series, series[-1:]):
+            path = tmp_path / "plot.svg"
+            svgplot.line_plot(path, case, logx=logx, logy=logy)
+            got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+            assert got == _per_point_polylines(case, logx, logy)

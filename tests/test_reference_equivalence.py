@@ -20,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawlab import cli as cli_mod
 from clawlab import flux as flux_mod
 from clawlab import solver as solver_mod
 from clawlab import verifier as verifier_mod
+from clawlab.config import parse_config
 from clawlab.entropy import (_state_tables, default_k0_sweep,
                              kruzkov_flux, make_kruzkov_pair,
                              make_smooth_pair, sqrt_entropy, sweep_terms)
@@ -371,8 +373,8 @@ def test_far_field_window_is_bound_anew_as_it_grows(name, ur):
         u = stepper.step(u, 0.2 * config.dx)
         ref = _reference_step(flux, config, ref, 0.2 * config.dx)
         assert _bitwise_equal(u, ref)
-        spans.add(stepper._span)
-    w0, w1 = stepper._span
+        spans.add((stepper._views.c0, stepper._views.c1))
+    w0, w1 = stepper._views.c0, stepper._views.c1
     assert w1 - w0 < config.nx // 2
     if name == "advection1d":
         assert len(spans) >= 3
@@ -446,11 +448,12 @@ def test_window_of_nan_and_sole_special_cells():
 
 # -- run setup and marching loop ----------------------------------------------
 
-def _sampled_sup_abs(flux, derivative, config, m, states):
+def _sampled_sup_abs(flux, derivative, config, m, states, x_sups=None):
     """max |``derivative``(x, k)| (``"dk"`` or ``"div_x"``) sampled through
     the FluxSpec callable at every point of the a-priori lattice and state
     of ``states`` equally spaced k in [-m, m]: the product lattice whose
-    max ``solver._sup_abs`` reads as a product of two factor maxima."""
+    max ``solver._sup_abs`` reads as a product of two factor maxima.  The
+    whole lattice is sampled on every call, so ``x_sups`` is not read."""
     lat = np.linspace(config.lo, config.hi, 1 + 2 ** (8 - config.dim))
     pts = _tensor_points(lat, config.dim).reshape(-1, config.dim)
     ks = np.linspace(-m, m, states)
@@ -657,17 +660,158 @@ def test_box_on_contraction_grid_is_swept_by_window():
     assert (x1 - x0) * (y1 - y0) < config.nx ** 2 // 2
 
 
-@pytest.mark.parametrize("name,boundary", [("kink1d", "outflow"),
-                                           ("product1d", "periodic")])
-def test_entropy_scan_on_compact_data_matches_reference(name, boundary):
+@pytest.mark.parametrize("name,boundary,box,t_end", [
+    ("kink1d", "outflow", (0.9, -0.2, 0.3), 0.5),
+    ("product1d", "periodic", (0.9, -0.2, 0.3), 0.5),
+    # the worst violation, 2.84e-3, is in cells at rest outside the swept
+    # window: product1d's x-source moves Q across a cell that holds +0.0
+    # (the swept cells alone read 7.05e-4)
+    ("product1d", "outflow", (0.3, -0.85, -0.7), 0.05)],
+    ids=["kink1d-outflow", "product1d-periodic", "product1d-rest-cells"])
+def test_entropy_scan_on_compact_data_matches_reference(name, boundary, box,
+                                                        t_end):
     # a box of support, +0.0 on most of the grid
     flux = catalog_lookup(name)
-    config = SchemeConfig(lo=-1.0, hi=1.5, nx=400, t_end=0.5,
+    config = SchemeConfig(lo=-1.0, hi=1.5, nx=400, t_end=t_end,
                           boundary=boundary, store_every=10 ** 9)
     ks = np.linspace(-0.5, 1.5, 9)
-    ini = box_data(0.9, -0.2, 0.3)
+    ini = box_data(*box)
     assert (discrete_entropy_max_violation(flux, ini, config, ks)
             == _reference_entropy_scan(flux, ini, config, ks))
+
+
+def _scan_with_binds(flux, u, config, ks):
+    """The scan of datum ``u`` and the number of times its stepper bound
+    the views of a window."""
+    binds = []
+    bind = solver_mod._Stepper1D._bind
+
+    def counted(stepper):
+        binds.append(1)
+        bind(stepper)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod._Stepper1D, "_bind", counted)
+        scan = discrete_entropy_max_violation(flux, lambda p: u.copy(),
+                                              config, ks)
+    return scan, len(binds)
+
+
+_SCAN_CASES = [(name, boundary) for name in catalog_names()
+               if _lookup(name).dim == 1
+               for boundary in ("outflow", "periodic")]
+
+
+@pytest.mark.parametrize("name,boundary", _SCAN_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_windowed_entropy_scan_on_far_field_data_matches_reference(
+        name, boundary, data):
+    # the scan reads each step's swept views and takes the cells outside
+    # them from the far-field states; about 60 steps, so a window that
+    # grows a cell a step is bound anew
+    flux = _lookup(name)
+    config = SchemeConfig(lo=-1.3, hi=0.9, nx=200, t_end=0.4,
+                          boundary=boundary)
+    u = data.draw(_far_field_data(config.nx))
+    ks = np.array(data.draw(st.lists(
+        st.floats(-1.5, 1.5) | st.sampled_from(_FAR_FIELD[:5]),
+        min_size=1, max_size=5)))
+    def outcome(scan):
+        try:
+            return repr(scan(flux, lambda p: u.copy(), config, ks))
+        except CFLViolation as exc:
+            # the a-priori speed of data whose states are all denormal
+            # gives dt = inf, which both refuse
+            return repr(exc)
+    # repr tells every float apart bitwise, -0.0 from +0.0 included
+    assert (outcome(discrete_entropy_max_violation)
+            == outcome(_reference_entropy_scan))
+
+
+@pytest.mark.parametrize("name,ul,ur", [("advection1d", 0.8, 0.0),
+                                        ("burgers1d", 1.0, -0.2)])
+def test_entropy_scan_reads_views_of_the_step_not_of_the_next(name, ul, ur):
+    # a jump between two far-field states that rest grows its window by a
+    # cell a step, so the views are bound anew every few steps; those for
+    # the next step span faces this step did not sweep, whose buffers hold
+    # other states (the rest rule's sweep of cR fills them), so the scan
+    # must read the views the step swept
+    flux = _lookup(name)
+    config = SchemeConfig(lo=-1.3, hi=0.9, nx=400, t_end=0.6)
+    c = config.lo + (np.arange(config.nx) + 0.5) * config.dx
+    u = np.where(c < -0.2, ul, ur)
+    ks = np.linspace(-0.5, 1.5, 9)
+    scan, binds = _scan_with_binds(flux, u, config, ks)
+    assert binds >= 3
+    assert scan == _reference_entropy_scan(flux, lambda p: u.copy(), config,
+                                           ks)
+
+
+_UNIQUENESS_RUN = """
+[flux]
+name = burgers1d
+[initial_data]
+kind = riemann
+ul = 1.0
+ur = -0.2
+x0 = 0.0
+{second}
+[grid]
+lo = -1.0
+hi = 1.5
+nx = 120
+dim = 1
+t_end = 0.3
+store_every = 7
+[scheme]
+kind = rusanov
+cfl = 0.9
+boundary = outflow
+[output]
+dir = uniq
+[checks]
+tasks = uniq
+[check.uniq]
+kind = uniqueness
+cfl_list = {cfls}
+viscous_coeff = 2.0
+min_ratio = 1.5
+"""
+
+
+@pytest.mark.parametrize("cfls,second,reused", [
+    ("0.9, 0.45", "", [0]),
+    ("0.45, 0.9", "", [1]),
+    # solve_pair takes dt from the larger datum, so u is no solve of its own
+    ("0.9, 0.45", "[initial_data2]\nkind = constant\nvalue = 1.5", [])])
+def test_uniqueness_takes_the_runs_own_solve_bitwise(cfls, second, reused):
+    # the variant that is the run's scheme at the coarse level is not
+    # solved again: its final level is the run's, and the report is the
+    # one of a check that solves every variant
+    cfg = parse_config(_UNIQUENESS_RUN.format(cfls=cfls, second=second))
+    flux = catalog_lookup("burgers1d")
+    u, v = cli_mod._solve(cfg, flux, cfg.grid)
+    solves = []
+    solve_ = verifier_mod.solve
+
+    def counted(*args):
+        solves.append(args[2])
+        return solve_(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier_mod, "solve", counted)
+        report, _ = cli_mod._run_check(cfg.checks[0], flux, u, v, cfg)
+    base = replace(cfg.grid, store_every=10 ** 9)
+    variants = [replace(base, cfl=float(c)) for c in cfls.split(",")]
+    variants.append(replace(base, scheme="viscous", viscosity=2.0 * base.dx))
+    ref = verifier_mod.uniqueness_experiment(
+        flux, cfg.initial_data, variants,
+        exact_at_t_end=cli_mod._burgers_oracle(cfg), min_ratio=1.5)
+    assert report.metadata.pop("coarse_from_run") == reused
+    assert ref.metadata.pop("coarse_from_run") == []
+    assert (report.value, report.passed) == (ref.value, ref.passed)
+    assert report.metadata == ref.metadata
+    assert len(solves) == 2 * len(variants) - len(reused)
+    assert all(variants[i] not in solves for i in reused)
 
 
 # -- Lipschitz sampling -----------------------------------------------------

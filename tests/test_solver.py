@@ -405,8 +405,10 @@ class TestDiscreteEntropy:
 
     def test_h_and_h_prime_once_per_step(self):
         # the scan reads the sides of the step it checks, so h and h' are
-        # taken once per step; h once more per k for f(x, k), and the
-        # set-up samples h twice for the bound and h' once for the speed
+        # taken once per step; h once more per k for f(x, k), the set-up
+        # samples h twice for the bound and h' once for the speed, and per
+        # far-field state (cL = 1 and cR = -0.2 here) the stepper's rest
+        # rule takes h and h' once and the scan's rest-cell term h once
         calls = {"h": 0, "h_prime": 0}
 
         def counted(name):
@@ -423,7 +425,9 @@ class TestDiscreteEntropy:
         ini, ks = riemann_data(1.0, -0.2, 0.1), np.linspace(-1, 1, 5)
         nsteps = len(solve(BURGERS, ini, cfg).times) - 1
         viol = discrete_entropy_max_violation(flux, ini, cfg, ks)
-        assert calls == {"h": nsteps + len(ks) + 2, "h_prime": nsteps + 1}
+        far = 2
+        assert calls == {"h": nsteps + len(ks) + 2 + 2 * far,
+                         "h_prime": nsteps + 1 + far}
         assert viol == discrete_entropy_max_violation(BURGERS, ini, cfg, ks)
 
 
@@ -874,6 +878,33 @@ class TestSolvePair:
         assert len(small.times) > len(large.times)
         assert np.array_equal(u.times, large.times)
         assert np.array_equal(v.times, large.times)
+
+    def test_x_factors_evaluated_once_per_run(self):
+        # a pair of data with two different max|u0| takes two a-priori
+        # bounds, four sups of div_x f and one of d_k f; the x-factors'
+        # maxima depend on the grid alone, so g' is taken once, and g once
+        # on the lattice and once on the cell edges for the stepper
+        product = catalog_lookup("product2d")
+        calls = {"g": 0, "g_prime": 0}
+
+        def counted(name):
+            fn = getattr(product.factors, name)
+
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        flux = replace(product, factors=replace(
+            product.factors, g=counted("g"), g_prime=counted("g_prime")))
+        cfg = SchemeConfig(lo=-3, hi=3, nx=24, t_end=0.2, dim=2)
+        data = box_data(1.0, -0.5, 0.0), box_data(0.8, -0.4, 0.1)
+        fields = solve_pair(flux, *data, cfg)
+        assert calls == {"g": 2, "g_prime": 1}
+        for counted_field, field in zip(fields,
+                                        solve_pair(product, *data, cfg)):
+            assert counted_field.data.tobytes() == field.data.tobytes()
+            assert counted_field.bound_M == field.bound_M
 
 
 def _metamorphic_config(dim, scheme, boundary="periodic"):
